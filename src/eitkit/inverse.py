@@ -13,6 +13,10 @@ splitting variable z = D x is handled by ADMM:
     z  <- shrink(D x + y/rho)        (closed form, per component)
     y  <- y + rho (D x - z)
 
+The x-update's operator depends only on (S, D, rho): an ``XUpdateSolver``
+factors it once, and every reconstruction given it as ``x_update`` shares
+that factorization.
+
 Baselines: the same loop with frozen unit weights (anisotropic TV), a
 group-shrinkage variant coupling the x/y difference pairs (isotropic TV),
 and one-shot ridge-regularized least squares.
@@ -26,18 +30,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .forward import SensitivityMatrix, SolverError, VoltageFrame
 from .mesh import DifferenceOperators
 
 log = logging.getLogger(__name__)
 
-# identity floor added to the quadratic system when factorization reports
-# it is not positive definite (possible when D has zero rows)
+# identity floor, relative to the operator's mean diagonal, added to the
+# x-update operator when it is not positive definite (S and D share a null
+# vector)
 _PIVOT_FLOOR = 1e-12
+
+# identity shift, relative to the operator's mean diagonal, that makes the
+# sparse base D^T D + eps I of the x-update factorization invertible
+_BASE_SHIFT = 1e-8
+
+# iterative refinement of the x-update stops at this relative residual or
+# after this many corrections
+_REFINE_TOL = 1e-13
+_REFINE_STEPS = 5
 
 # relative residual required of the quadratic x-update solve
 _UPDATE_RESIDUAL_TOL = 1e-8
+
+# a positive-definite operator recovers the probe vector to this accuracy
+_PROBE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -211,58 +230,126 @@ def preprocess_boundary(delta_v, s, boundary_elements, lambda_b: float) -> np.nd
     return b - sb @ coef
 
 
-class _QuadraticSolver:
-    """Prefactored solver for ((1/rho) S^T S + D^T D) x = rhs.
+class XUpdateSolver:
+    """Solver for the ADMM x-update ((1/rho) S^T S + D^T D) x = rhs.
 
-    The matrix is fixed across ADMM iterations, so it is factorized once.
-    If the Cholesky factorization reports a non-positive pivot (possible
-    when D has zero rows), a trace-scaled identity floor is added and the
-    factorization retried.
+    The operator depends only on (S, D, rho), so one solver serves every
+    iteration of every reconstruction that shares them. With the M x N
+    sensitivity matrix S (M measurements, M << N), U = S^T / sqrt(rho) and
+    the sparse base A = D^T D + eps I, the Woodbury identity
+
+        (A + U U^T)^-1 = A^-1 - A^-1 U (I + U^T A^-1 U)^-1 U^T A^-1
+
+    needs one sparse LU of A, the N x M block A^-1 U and a Cholesky factor
+    of the M x M capacitance matrix I + U^T A^-1 U; no N x N array is
+    formed. The shift eps (a small multiple of the operator's mean
+    diagonal) makes A invertible, since D annihilates constants; iterative
+    refinement against the exact operator, applied matrix-free, removes it.
+
+    If the operator is not positive definite (S and D share a null vector,
+    e.g. S = 0), a trace-scaled identity floor is added to it and the
+    factorization redone with the floor as the shift.
     """
 
-    def __init__(self, s: np.ndarray, ops: DifferenceOperators, rho: float):
-        n = s.shape[1]
-        dtd = (ops.stacked.T @ ops.stacked).toarray()
-        m = (s.T @ s) / rho + dtd
-        self.floored = False
+    def __init__(self, s, ops: DifferenceOperators, rho: float):
+        if not rho > 0:
+            raise ValueError(f"rho must be > 0, got {rho}")
+        self.s = _as_matrix(s)
+        self.d = ops.stacked
+        self.rho = rho
+        n = self.s.shape[1]
+        if self.d.shape[1] != n:
+            raise ValueError("difference operators do not match the sensitivity columns")
+        # trace of the operator per unknown: sets the scale of both shifts
+        mean_diag = (np.vdot(self.s, self.s) / rho + np.vdot(self.d.data, self.d.data)) / n
+        self.floor = 0.0
         try:
-            self.factor = sla.cho_factor(m, lower=True)
+            self._factor(_BASE_SHIFT * mean_diag)
+            definite = self._recovers_probe()
         except np.linalg.LinAlgError:
-            floor = _PIVOT_FLOOR * np.trace(m) / n
-            log.warning(
-                "quadratic system not positive definite; adding identity floor %.3e",
-                floor,
-            )
-            m = m + floor * np.eye(n)
-            self.floored = True
-            try:
-                self.factor = sla.cho_factor(m, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(
-                    "quadratic system is not positive definite even with floor",
-                    diagnostics={
-                        "condition": float(np.linalg.cond(m)),
-                        "floor": floor,
-                    },
-                ) from exc
-        self.m = m
+            definite = False
+        if definite:
+            return
+        self.floor = _PIVOT_FLOOR * mean_diag
+        log.warning(
+            "x-update operator not positive definite; adding identity floor %.3e",
+            self.floor,
+        )
+        try:
+            self._factor(self.floor)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                "x-update operator is not positive definite even with floor",
+                diagnostics={
+                    "capacitance_condition": float(np.linalg.cond(self._capacitance)),
+                    "floor": self.floor,
+                },
+            ) from exc
+
+    def _factor(self, shift: float) -> None:
+        """Factor A = D^T D + shift I and the capacitance matrix."""
+        n = self.s.shape[1]
+        base = (self.d.T @ self.d + shift * sp.identity(n)).tocsc()
+        self._lu = spla.splu(base)
+        self._a_inv_u = self._lu.solve(self.s.T / np.sqrt(self.rho))
+        self._capacitance = np.eye(self.s.shape[0]) + self.s @ self._a_inv_u / np.sqrt(self.rho)
+        self._cap_factor = sla.cho_factor(self._capacitance, lower=True)
+
+    def _shifted_inverse(self, r: np.ndarray) -> np.ndarray:
+        """(A + U U^T)^-1 r by the Woodbury identity."""
+        a_inv_r = self._lu.solve(r)
+        small = sla.cho_solve(self._cap_factor, self.s @ a_inv_r / np.sqrt(self.rho))
+        return a_inv_r - self._a_inv_u @ small
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """The exact operator ((1/rho) S^T S + D^T D + floor I) x, matrix-free."""
+        out = self.s.T @ (self.s @ x) / self.rho + self.d.T @ (self.d @ x)
+        if self.floor:
+            out += self.floor * x
+        return out
+
+    def _recovers_probe(self) -> bool:
+        """Whether solving for a fixed vector recovers it. A null vector of
+        the operator is not recovered: the shifted inverse and refinement
+        leave that component of the solution at zero. The probe holds the
+        constant vector, which D annihilates, plus a generic perturbation."""
+        n = self.s.shape[1]
+        v = 1.0 + np.random.default_rng(0).standard_normal(n)
+        try:
+            x = self.solve(self._apply(v))
+        except SolverError:
+            return False
+        return bool(np.linalg.norm(x - v) <= _PROBE_TOL * np.linalg.norm(v))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         norm_rhs = np.linalg.norm(rhs)
         if norm_rhs == 0:
             return np.zeros_like(rhs)
-        x = sla.cho_solve(self.factor, rhs)
-        for _ in range(5):
-            r = rhs - self.m @ x
-            if np.linalg.norm(r) <= _UPDATE_RESIDUAL_TOL * norm_rhs:
+        x = self._shifted_inverse(rhs)
+        for _ in range(_REFINE_STEPS):
+            r = rhs - self._apply(x)
+            if np.linalg.norm(r) <= _REFINE_TOL * norm_rhs:
                 return x
-            x = x + sla.cho_solve(self.factor, r)
-        rel = np.linalg.norm(rhs - self.m @ x) / norm_rhs
+            x = x + self._shifted_inverse(r)
+        rel = np.linalg.norm(rhs - self._apply(x)) / norm_rhs
         if rel <= _UPDATE_RESIDUAL_TOL:
             return x
         raise SolverError(
             f"x-update residual {rel:.3e} above {_UPDATE_RESIDUAL_TOL:.0e}",
-            diagnostics={"relative_residual": rel, "condition": float(np.linalg.cond(self.m))},
+            diagnostics={
+                "relative_residual": float(rel),
+                "capacitance_condition": float(np.linalg.cond(self._capacitance)),
+            },
+        )
+
+    def built_for(self, s: np.ndarray, ops: DifferenceOperators, rho: float) -> bool:
+        """Whether this solver's operator is the one for (s, ops, rho)."""
+        d = ops.stacked
+        return (
+            rho == self.rho
+            and d.shape == self.d.shape
+            and (s is self.s or np.array_equal(s, self.s))
+            and (d is self.d or (d != self.d).nnz == 0)
         )
 
 
@@ -272,14 +359,14 @@ def sigma_update(s, delta_v, ops: DifferenceOperators, z, y, rho: float) -> np.n
         raise ValueError(f"rho must be > 0, got {rho}")
     s = _as_matrix(s)
     b = _as_data(delta_v)
-    solver = _QuadraticSolver(s, ops, rho)
+    solver = XUpdateSolver(s, ops, rho)
     rhs = s.T @ b / rho + ops.stacked.T @ (z - y / rho)
     return solver.solve(rhs)
 
 
 def _admm_reconstruct(
     s, delta_v, ops: DifferenceOperators, config: SolverConfig, *,
-    variant: str, boundary_elements=None,
+    variant: str, boundary_elements=None, x_update: XUpdateSolver | None = None,
 ) -> ReconResult:
     s = _as_matrix(s)
     b = _as_data(delta_v)
@@ -293,7 +380,10 @@ def _admm_reconstruct(
         b = preprocess_boundary(b, s, boundary_elements, config.lambda_b)
 
     rho = config.rho
-    solver = _QuadraticSolver(s, ops, rho)
+    if x_update is None:
+        x_update = XUpdateSolver(s, ops, rho)
+    elif not x_update.built_for(s, ops, rho):
+        raise ValueError("x_update was built for a different S, D or rho")
     d = ops.stacked
     n = s.shape[1]
     st_b = s.T @ b / rho
@@ -313,7 +403,7 @@ def _admm_reconstruct(
         t0 = time.perf_counter()
         rhs = st_b + d.T @ (state.z - state.y / rho)
         try:
-            x = solver.solve(rhs)
+            x = x_update.solve(rhs)
         except SolverError as exc:
             raise SolverError(
                 f"iteration {it}: {exc}", iteration=it, diagnostics=exc.diagnostics
@@ -355,32 +445,38 @@ def _admm_reconstruct(
 
 
 def reconstruct_nwatv(
-    s, delta_v, ops: DifferenceOperators, config: SolverConfig, boundary_elements=None
+    s, delta_v, ops: DifferenceOperators, config: SolverConfig, boundary_elements=None,
+    *, x_update: XUpdateSolver | None = None,
 ) -> ReconResult:
     """ADMM with the nonlinear reweighted anisotropic penalty (weights
     recomputed from the current iterate each iteration)."""
     return _admm_reconstruct(
-        s, delta_v, ops, config, variant="nwatv", boundary_elements=boundary_elements
+        s, delta_v, ops, config, variant="nwatv", boundary_elements=boundary_elements,
+        x_update=x_update,
     )
 
 
 def reconstruct_fotv(
-    s, delta_v, ops: DifferenceOperators, config: SolverConfig, boundary_elements=None
+    s, delta_v, ops: DifferenceOperators, config: SolverConfig, boundary_elements=None,
+    *, x_update: XUpdateSolver | None = None,
 ) -> ReconResult:
     """Same ADMM loop with the weights frozen at one (plain anisotropic TV)."""
     return _admm_reconstruct(
-        s, delta_v, ops, config, variant="fotv", boundary_elements=boundary_elements
+        s, delta_v, ops, config, variant="fotv", boundary_elements=boundary_elements,
+        x_update=x_update,
     )
 
 
 def reconstruct_tv_isotropic(
-    s, delta_v, ops: DifferenceOperators, config: SolverConfig, boundary_elements=None
+    s, delta_v, ops: DifferenceOperators, config: SolverConfig, boundary_elements=None,
+    *, x_update: XUpdateSolver | None = None,
 ) -> ReconResult:
     """ADMM with rotation-invariant group shrinkage coupling the (x, y)
     difference pairs. This baseline is algorithmically unrelated to the
     historical primal-dual TV solvers; timings are not comparable to them."""
     return _admm_reconstruct(
-        s, delta_v, ops, config, variant="isotropic", boundary_elements=boundary_elements
+        s, delta_v, ops, config, variant="isotropic", boundary_elements=boundary_elements,
+        x_update=x_update,
     )
 
 

@@ -175,12 +175,15 @@ def _write_json(path, obj) -> None:
 
 @dataclass
 class InverseProblem:
-    """Coarse mesh, electrodes, difference operators, sensitivity matrix."""
+    """Coarse mesh, electrodes, difference operators, sensitivity matrix,
+    and the factored x-update shared by every ADMM solve on the problem
+    (None for the one-shot ridge solver)."""
 
     mesh: TriMesh
     layout: ElectrodeLayout
     ops: DifferenceOperators
     s: forward.SensitivityMatrix
+    x_update: inverse.XUpdateSolver | None
     timings_s: dict
 
 
@@ -193,18 +196,25 @@ def load_phantom_spec(cfg: PipelineConfig) -> PhantomSpec:
 def build_inverse_problem(cfg: PipelineConfig) -> InverseProblem:
     t0 = time.perf_counter()
     mesh = generate_disk_mesh(cfg.radius, cfg.inverse_elements)
+    if cfg.mask_elements is not None and max(cfg.mask_elements, default=-1) >= mesh.n_elements:
+        raise ConfigError(
+            f"mask_elements: index {max(cfg.mask_elements)} outside 0..{mesh.n_elements - 1}"
+        )
     layout = place_electrodes(mesh, cfg.electrode_count)
     ops = build_difference_operators(mesh)
     t1 = time.perf_counter()
     sigma0 = forward.ConductivityField.homogeneous(cfg.sigma0, mesh.n_elements)
     s = forward.sensitivity_matrix(mesh, layout, sigma0, current=cfg.current_ma)
     t2 = time.perf_counter()
+    x_update = inverse.XUpdateSolver(s, ops, cfg.rho) if cfg.solver in _ITERATIVE else None
+    t3 = time.perf_counter()
     return InverseProblem(
         mesh=mesh,
         layout=layout,
         ops=ops,
         s=s,
-        timings_s={"assembly": t1 - t0, "sensitivity": t2 - t1},
+        x_update=x_update,
+        timings_s={"assembly": t1 - t0, "sensitivity": t2 - t1, "factorization": t3 - t2},
     )
 
 
@@ -333,7 +343,8 @@ def run_solver(
     )
     boundary = problem.mesh.boundary_elements() if cfg.enable_preprocess else None
     return _ITERATIVE[cfg.solver](
-        problem.s, delta_v, problem.ops, solver_config, boundary_elements=boundary
+        problem.s, delta_v, problem.ops, solver_config, boundary_elements=boundary,
+        x_update=problem.x_update,
     )
 
 
@@ -420,6 +431,10 @@ def _load_single_frame(path, expected_e: int) -> forward.VoltageFrame:
         frames = forward.load_frames(path)
     except FileNotFoundError:
         raise ConfigError(f"voltage file not found: {path}")
+    except ValueError as exc:
+        raise ConfigError(f"voltage file {path} is malformed: {exc}")
+    if not frames:
+        raise ConfigError(f"voltage file has no frames: {path}")
     frame = frames[0]
     if frame.electrode_count != expected_e:
         raise ConfigError(
@@ -443,11 +458,9 @@ def cmd_reconstruct(cfg: PipelineConfig, data_path=None, out_dir=None) -> dict:
     save_field_series(out / "iterates.txt", result.history)
     with open(out / "iterates.csv", "w") as f:
         f.write("iteration,data_residual,step_norm,wall_ms\n")
-        for n in range(result.n_iterations):
-            f.write(
-                f"{n + 1},{result.data_residual[n]!r},"
-                f"{result.step_norm[n]!r},{result.wall_ms[n]!r}\n"
-            )
+        columns = (result.data_residual.tolist(), result.step_norm.tolist(), result.wall_ms.tolist())
+        for n, (resid, step, ms) in enumerate(zip(*columns), start=1):
+            f.write(f"{n},{resid!r},{step!r},{ms!r}\n")
     image = rasterize(problem.mesh, cfg.sigma0 + result.final, cfg.raster_resolution)
     metrics.write_image_pgm(out / "recon_image.pgm", image)
     manifest = {
@@ -463,15 +476,19 @@ def cmd_reconstruct(cfg: PipelineConfig, data_path=None, out_dir=None) -> dict:
             "iterates.csv",
             "recon_image.pgm",
         ],
-        "timings_s": {
-            "assembly": problem.timings_s["assembly"],
-            "sensitivity": problem.timings_s["sensitivity"],
-            "iterations": iterations_s,
-        },
+        "timings_s": {**problem.timings_s, "iterations": iterations_s},
         "config": _config_json(cfg),
     }
     _write_json(out / "result.json", manifest)
     return manifest
+
+
+def _load_field(path, what: str) -> np.ndarray:
+    """Element values from ``path``; a malformed file is a ConfigError."""
+    try:
+        return load_element_values(path)
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"{what} {path} is malformed: {exc}")
 
 
 def _truth_image_for(cfg: PipelineConfig, mesh: TriMesh, reference=None) -> np.ndarray:
@@ -481,7 +498,7 @@ def _truth_image_for(cfg: PipelineConfig, mesh: TriMesh, reference=None) -> np.n
         ref_path = Path(reference)
         if not ref_path.is_file():
             raise ConfigError(f"reference field not found: {reference}")
-        ref = load_element_values(ref_path)
+        ref = _load_field(ref_path, "reference field")
         if len(ref) != mesh.n_elements:
             raise ConfigError(
                 f"reference field has {len(ref)} values, mesh has {mesh.n_elements} elements"
@@ -644,7 +661,7 @@ def cmd_render(cfg: PipelineConfig, field_path, out_dir=None, name=None) -> Path
     field_path = Path(field_path)
     if not field_path.is_file():
         raise ConfigError(f"field file not found: {field_path}")
-    values = load_element_values(field_path)
+    values = _load_field(field_path, "field file")
     mesh = generate_disk_mesh(cfg.radius, cfg.inverse_elements)
     if len(values) != mesh.n_elements:
         raise ConfigError(

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from eitkit import (
     ConductivityField,
     SolverConfig,
+    SolverError,
     assign_conductivity,
     build_difference_operators,
     generate_disk_mesh,
@@ -18,6 +19,7 @@ from eitkit import (
     reconstruct_tv_isotropic,
     soft_threshold,
     group_shrink,
+    XUpdateSolver,
 )
 from eitkit.inverse import (
     apply_mask,
@@ -26,6 +28,20 @@ from eitkit.inverse import (
     sigma_update,
     z_update,
 )
+
+
+def _chain_ops(n=40, h=0.1):
+    """1-D chain differences in the x block and all-zero dy rows."""
+    import scipy.sparse as sp
+
+    from eitkit import DifferenceOperators
+
+    rows = np.repeat(np.arange(n - 1), 2)
+    cols = np.column_stack([np.arange(n - 1), np.arange(1, n)]).ravel()
+    vals = np.tile([-1 / h, 1 / h], n - 1)
+    dx = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    dy = sp.csr_matrix((n, n))
+    return DifferenceOperators(dx=dx, dy=dy, stacked=sp.vstack([dx, dy]).tocsr())
 
 
 def _grid_argmin_1d(w, g, step=1e-6):
@@ -221,6 +237,134 @@ class TestSigmaUpdate:
         b = sigma_update(s0, np.zeros(208), coarse.ops, z, y, 0.5)
         assert np.allclose(a, b, atol=1e-12 * max(1.0, np.abs(a).max()))
 
+    def test_singular_operator_floored_and_solved(self, caplog):
+        # S = 0 with the chain D leaves D^T D singular (constants are in its
+        # null space): the solver warns, floors the operator, and still
+        # solves the consistent system close to its minimum-norm solution
+        ops = _chain_ops()
+        n = ops.n_elements
+        z = np.random.default_rng(24).normal(size=2 * n)
+        with caplog.at_level("WARNING", logger="eitkit.inverse"):
+            x = sigma_update(np.zeros((60, n)), np.zeros(60), ops, z, np.zeros(2 * n), 1.0)
+        assert "not positive definite" in caplog.text
+        dtd = (ops.stacked.T @ ops.stacked).toarray()
+        rhs = ops.stacked.T @ z
+        assert np.all(np.isfinite(x))
+        assert np.linalg.norm(dtd @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
+        min_norm = np.linalg.pinv(dtd) @ rhs
+        assert np.linalg.norm(x - min_norm) <= 1e-4 * np.linalg.norm(min_norm)
+
+
+def _dense_x_update(s, ops, rho, rhs):
+    m = s.T @ s / rho + (ops.stacked.T @ ops.stacked).toarray()
+    return np.linalg.solve(m, rhs)
+
+
+class TestXUpdateSolver:
+    def _admm_rhs(self, s, ops, rho, seed):
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=s.shape[0])
+        w = rng.normal(size=2 * s.shape[1])
+        return s.T @ b / rho + ops.stacked.T @ w
+
+    def test_matches_dense_solve_coarse(self, coarse):
+        s, rho = coarse.s.matrix, 1e-10
+        rhs = self._admm_rhs(s, coarse.ops, rho, 25)
+        x = XUpdateSolver(s, coarse.ops, rho).solve(rhs)
+        want = _dense_x_update(s, coarse.ops, rho, rhs)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_matches_dense_solve_chain_with_zero_dy_rows(self):
+        ops = _chain_ops()
+        s = np.random.default_rng(26).normal(size=(60, 40)) / np.sqrt(40)
+        rho = 1e-6
+        rhs = self._admm_rhs(s, ops, rho, 27)
+        solver = XUpdateSolver(s, ops, rho)
+        assert solver.floor == 0.0
+        want = _dense_x_update(s, ops, rho, rhs)
+        assert np.linalg.norm(solver.solve(rhs) - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_inconsistent_rhs_on_singular_operator_raises(self):
+        # the floored operator is nearly singular: a right-hand side with a
+        # component along the constants misses the residual contract
+        ops = _chain_ops()
+        solver = XUpdateSolver(np.zeros((60, 40)), ops, 1.0)
+        assert solver.floor > 0
+        rhs = ops.stacked.T @ np.random.default_rng(28).normal(size=80) + 1.0
+        with pytest.raises(SolverError, match="residual") as info:
+            solver.solve(rhs)
+        assert info.value.diagnostics["relative_residual"] > 1e-8
+        assert info.value.diagnostics["capacitance_condition"] >= 1.0
+
+    def test_shared_solver_gives_identical_iterates(self, coarse, model7):
+        cfg = _shipped_config(max_iters=3)
+        solver = XUpdateSolver(coarse.s, coarse.ops, cfg.rho)
+        a = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.ops, cfg, x_update=solver)
+        b = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.ops, cfg)
+        assert np.array_equal(a.history, b.history)
+
+    def test_solver_for_other_rho_rejected(self, coarse, model7):
+        solver = XUpdateSolver(coarse.s, coarse.ops, 1e-9)
+        with pytest.raises(ValueError, match="x_update"):
+            reconstruct_fotv(
+                coarse.s, model7.dv_noisy, coarse.ops, _shipped_config(), x_update=solver
+            )
+
+    def test_concurrent_solves_match_serial(self, coarse):
+        # sweep cells share one solver across pool threads
+        import sys
+        import threading
+
+        s, rho = coarse.s.matrix, 1e-10
+        solver = XUpdateSolver(s, coarse.ops, rho)
+        rhs = [self._admm_rhs(s, coarse.ops, rho, 30 + k) for k in range(12)]
+        serial = [solver.solve(r) for r in rhs]
+        results = [[] for _ in rhs]
+
+        def worker(k):
+            for _ in range(4):
+                results[k].append(solver.solve(rhs[k]))
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(rhs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for want, got in zip(serial, results):
+            assert len(got) == 4
+            assert all(np.array_equal(x, want) for x in got)
+
+    def test_sweep_factors_once(self, tmp_path, monkeypatch):
+        import eitkit.inverse as inv
+        from eitkit.pipeline import PipelineConfig, cmd_sweep
+
+        built = []
+
+        class Spy(inv.XUpdateSolver):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(inv, "XUpdateSolver", Spy)
+        cfg = PipelineConfig(
+            inverse_elements=256,
+            forward_elements=1024,
+            max_iters=3,
+            raster_resolution=64,
+            profile_rows=[20, 32, 45],
+            out_dir=str(tmp_path),
+        )
+        rows = cmd_sweep(cfg)
+        assert len(rows) == 35
+        assert not [r for r in rows if r["termination"].startswith("error")]
+        assert len(built) == 1
+
 
 class TestDualUpdate:
     def test_consensus_no_change(self, coarse):
@@ -388,18 +532,8 @@ class TestBaselines:
         # small well-conditioned instance: the lam=0 fixed point satisfies
         # the unregularized normal equations (rho small so the data term
         # dominates the stationary part and the iteration contracts fast)
-        import scipy.sparse as sp
-
-        from eitkit import DifferenceOperators
-
-        n, h = 40, 0.1
-        rows = np.repeat(np.arange(n - 1), 2)
-        cols = np.column_stack([np.arange(n - 1), np.arange(1, n)]).ravel()
-        vals = np.tile([-1 / h, 1 / h], n - 1)
-        dx = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        dy = sp.csr_matrix((n, n))
-        ops = DifferenceOperators(dx=dx, dy=dy, stacked=sp.vstack([dx, dy]).tocsr())
-
+        n = 40
+        ops = _chain_ops(n)
         rng = np.random.default_rng(21)
         s = rng.normal(size=(60, n)) / np.sqrt(n)
         b = s @ rng.normal(size=n)

@@ -224,6 +224,17 @@ class TestCmdReconstruct:
         assert series.shape == (20, final.size)
         assert np.array_equal(series[-1], final)
 
+    def test_iterates_csv_cells_are_floats(self, small_cfg, tmp_path):
+        cmd_simulate(small_cfg)
+        cmd_reconstruct(small_cfg)
+        lines = (tmp_path / "out" / "iterates.csv").read_text().splitlines()
+        assert len(lines) == 1 + small_cfg.max_iters
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert len(cells) == 4
+            for cell in cells:
+                float(cell)
+
     def test_tikhonov_single_row(self, small_cfg, tmp_path):
         import dataclasses
 
@@ -401,6 +412,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err
 
+    def test_mask_index_out_of_range_exit_two(self, tmp_path, capsys):
+        cfg_path = _write_cfg(
+            tmp_path / "run.cfg", out_dir=str(tmp_path / "out"), mask_elements=[0, 100000]
+        )
+        assert main(["reconstruct", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "mask_elements" in err and len(err.strip().splitlines()) == 1
+
+    def test_empty_data_file_exit_two(self, tmp_path, capsys):
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"))
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        assert main(["reconstruct", "--config", str(cfg_path), "--data", str(empty)]) == 2
+        err = capsys.readouterr().err
+        assert "voltage file" in err and len(err.strip().splitlines()) == 1
+
+    def test_non_numeric_field_file_exit_two(self, tmp_path, capsys):
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"))
+        bad = tmp_path / "field.txt"
+        bad.write_text("3\n1.0\nabc\n2.0\n")
+        assert main(["render", "--config", str(cfg_path), "--field", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "field file" in err and len(err.strip().splitlines()) == 1
+
     def test_solver_error_exit_three_with_diagnostics(self, tmp_path, monkeypatch, capsys):
         import eitkit.pipeline as pl
 
@@ -415,3 +450,14 @@ class TestCli:
         assert rc == 3
         diag = json.loads((tmp_path / "out" / "solver_error.json").read_text())
         assert "forced failure" in diag["error"]
+
+
+def test_version_matches_pyproject():
+    import re
+    from pathlib import Path
+
+    import eitkit
+
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE).group(1)
+    assert eitkit.__version__ == declared
