@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -93,17 +93,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-
-
-@dataclass
-class AdmmState:
-    """One snapshot of the ADMM variables."""
-
-    delta_sigma: np.ndarray  # length N
-    z: np.ndarray  # length 2N
-    p: np.ndarray  # length 2N, strictly positive
-    y: np.ndarray  # length 2N
-    iteration: int
 
 
 @dataclass(frozen=True)
@@ -191,13 +180,6 @@ def z_update(w: np.ndarray, p: np.ndarray, lam: float, rho: float) -> np.ndarray
     if np.any(p <= 0):
         raise ValueError("weights must be strictly positive")
     return soft_threshold(w, lam * p / rho)
-
-
-def dual_update(
-    y: np.ndarray, ops: DifferenceOperators, delta_sigma: np.ndarray, z: np.ndarray, rho: float
-) -> np.ndarray:
-    """y + rho * (D delta_sigma - z)."""
-    return y + rho * (ops.stacked @ delta_sigma - z)
 
 
 def apply_mask(delta_sigma: np.ndarray, mask) -> np.ndarray:
@@ -353,17 +335,6 @@ class XUpdateSolver:
         )
 
 
-def sigma_update(s, delta_v, ops: DifferenceOperators, z, y, rho: float) -> np.ndarray:
-    """One quadratic x-update: ((1/rho)S^T S + D^T D) x = (1/rho)S^T b + D^T z - D^T y/rho."""
-    if not rho > 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
-    s = _as_matrix(s)
-    b = _as_data(delta_v)
-    solver = XUpdateSolver(s, ops, rho)
-    rhs = s.T @ b / rho + ops.stacked.T @ (z - y / rho)
-    return solver.solve(rhs)
-
-
 def _admm_reconstruct(
     s, delta_v, ops: DifferenceOperators, config: SolverConfig, *,
     variant: str, boundary_elements=None, x_update: XUpdateSolver | None = None,
@@ -388,20 +359,18 @@ def _admm_reconstruct(
     n = s.shape[1]
     st_b = s.T @ b / rho
 
-    state = AdmmState(
-        delta_sigma=np.zeros(n),
-        z=np.zeros(2 * n),
-        p=np.ones(2 * n),
-        y=np.zeros(2 * n),
-        iteration=0,
-    )
+    x = np.zeros(n)
+    z = np.zeros(2 * n)
+    p = np.ones(2 * n)
+    y = np.zeros(2 * n)
     b_norm = np.linalg.norm(b)
     history, residuals, steps, walls = [], [], [], []
     termination = "max_iters"
 
     for it in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
-        rhs = st_b + d.T @ (state.z - state.y / rho)
+        rhs = st_b + d.T @ (z - y / rho)
+        x_prev = x
         try:
             x = x_update.solve(rhs)
         except SolverError as exc:
@@ -410,19 +379,16 @@ def _admm_reconstruct(
             ) from exc
         if config.mask is not None:
             x = apply_mask(x, config.mask)
-        w = d @ x + state.y / rho
+        w = d @ x + y / rho
         if variant == "isotropic":
             z = group_shrink(w, config.lam / rho)
         else:
-            z = z_update(w, state.p, config.lam, rho)
+            z = z_update(w, p, config.lam, rho)
         if variant == "nwatv":
             p = nwatv_weights(x, ops, config.delta)
-        else:
-            p = state.p
-        y = state.y + rho * (d @ x - z)
+        y = y + rho * (d @ x - z)
 
-        step = float(np.linalg.norm(x - state.delta_sigma))
-        state = AdmmState(delta_sigma=x, z=z, p=p, y=y, iteration=it)
+        step = float(np.linalg.norm(x - x_prev))
         history.append(x.copy())
         residuals.append(
             float(np.linalg.norm(s @ x - b) / b_norm) if b_norm > 0
@@ -435,7 +401,7 @@ def _admm_reconstruct(
             break
 
     return ReconResult(
-        final=state.delta_sigma,
+        final=x,
         history=np.array(history),
         data_residual=np.array(residuals),
         step_norm=np.array(steps),
@@ -481,11 +447,11 @@ def reconstruct_tv_isotropic(
 
 
 def reconstruct_tikhonov(s, delta_v, lam: float) -> np.ndarray:
-    """One-shot ridge solution (S^T S + lam I)^{-1} S^T b."""
+    """One-shot ridge solution (S^T S + lam I)^{-1} S^T b, computed as
+    S^T (S S^T + lam I)^{-1} b: an M x M factorization instead of N x N."""
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
     s = _as_matrix(s)
     b = _as_data(delta_v)
-    n = s.shape[1]
-    factor = sla.cho_factor(s.T @ s + lam * np.eye(n), lower=True)
-    return sla.cho_solve(factor, s.T @ b)
+    factor = sla.cho_factor(s @ s.T + lam * np.eye(s.shape[0]), lower=True)
+    return s.T @ sla.cho_solve(factor, b)

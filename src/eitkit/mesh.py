@@ -327,15 +327,6 @@ def rasterize(mesh: TriMesh, values: np.ndarray, resolution: int) -> np.ndarray:
     return image
 
 
-def pixel_of_point(mesh: TriMesh, point: np.ndarray, resolution: int) -> tuple[int, int]:
-    """(row, col) pixel index of a physical point on the rasterize grid."""
-    ext = raster_extent(mesh)
-    step = 2.0 * ext / resolution
-    ix = int(np.clip((point[0] + ext) / step, 0, resolution - 1))
-    iy = int(np.clip((point[1] + ext) / step, 0, resolution - 1))
-    return iy, ix
-
-
 # ---------------------------------------------------------------------------
 # plain-text serialization
 

@@ -73,14 +73,11 @@ class EvalReport:
 
     re_per_iter: list[float]
     psnr_per_iter: list[float]
-    wall_times: list[float] = field(default_factory=list)  # seconds
     profile_samples: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.re_per_iter) != len(self.psnr_per_iter):
             raise ValueError("re and psnr series must have equal length")
-        if self.wall_times and len(self.wall_times) != len(self.re_per_iter):
-            raise ValueError("wall_times length does not match the iterate count")
 
 
 def save_eval_report(path, report: EvalReport) -> None:

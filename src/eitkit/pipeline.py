@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
@@ -483,10 +482,10 @@ def cmd_reconstruct(cfg: PipelineConfig, data_path=None, out_dir=None) -> dict:
     return manifest
 
 
-def _load_field(path, what: str) -> np.ndarray:
-    """Element values from ``path``; a malformed file is a ConfigError."""
+def _load_field(path, what: str, loader=load_element_values) -> np.ndarray:
+    """Values read from ``path`` by ``loader``; a malformed file is a ConfigError."""
     try:
-        return load_element_values(path)
+        return loader(path)
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"{what} {path} is malformed: {exc}")
 
@@ -524,7 +523,7 @@ def cmd_evaluate(cfg: PipelineConfig, result_dir=None, out_dir=None, reference=N
         raise ConfigError(f"no iterate history at {series_path}; run reconstruct first")
 
     mesh = generate_disk_mesh(cfg.radius, cfg.inverse_elements)
-    series = load_field_series(series_path)
+    series = _load_field(series_path, "iterate history", load_field_series)
     if series.shape[1] != mesh.n_elements:
         raise ConfigError(
             f"iterate history has {series.shape[1]} values per frame, "
@@ -575,8 +574,8 @@ def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
     """Grid-sweep lam/rho x delta; one reconstruction per cell, scored
     against the analytic truth image.
 
-    Cells run on a thread pool; rows are emitted in grid order (ratio-major)
-    regardless of completion order. Per-cell failures are recorded in the
+    Cells run one after another in grid order (ratio-major), all sharing
+    the problem's factored x-update. Per-cell failures are recorded in the
     table and the sweep continues.
     """
     out = _outdir(cfg, out_dir)
@@ -598,32 +597,26 @@ def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
         for ratio in cfg.sweep_lambda_over_rho
         for delta in cfg.sweep_delta
     ]
-
-    def run_cell(cell):
-        ratio, delta = cell
+    rows = []
+    for ratio, delta in cells:
+        row = {"lambda_over_rho": ratio, "delta": delta}
         try:
             result = run_solver(cfg, problem, dv, lam=ratio * cfg.rho, delta=delta)
             image = rasterize(problem.mesh, cfg.sigma0 + result.final, cfg.raster_resolution)
-            return {
-                "lambda_over_rho": ratio,
-                "delta": delta,
-                "iterations": result.n_iterations,
-                "termination": result.termination,
-                "re": metrics.relative_error(image, truth),
-                "psnr": metrics.psnr(image, truth),
-            }
+            row.update(
+                iterations=result.n_iterations,
+                termination=result.termination,
+                re=metrics.relative_error(image, truth),
+                psnr=metrics.psnr(image, truth),
+            )
         except Exception as exc:  # per-cell failures must not kill the sweep
-            return {
-                "lambda_over_rho": ratio,
-                "delta": delta,
-                "iterations": 0,
-                "termination": f"error:{type(exc).__name__}",
-                "re": math.nan,
-                "psnr": math.nan,
-            }
-
-    with ThreadPoolExecutor(max_workers=min(8, len(cells))) as pool:
-        rows = list(pool.map(run_cell, cells))
+            row.update(
+                iterations=0,
+                termination=f"error:{type(exc).__name__}",
+                re=math.nan,
+                psnr=math.nan,
+            )
+        rows.append(row)
     t2 = time.perf_counter()
 
     with open(out / "sweep.csv", "w") as f:

@@ -23,9 +23,7 @@ from eitkit import (
 )
 from eitkit.inverse import (
     apply_mask,
-    dual_update,
     preprocess_boundary,
-    sigma_update,
     z_update,
 )
 
@@ -205,36 +203,29 @@ class TestZUpdate:
 
 
 class TestSigmaUpdate:
+    """The x-update ((1/rho)S^T S + D^T D) x = (1/rho)S^T b + D^T (z - y/rho)."""
+
     def test_manufactured_solution(self, coarse):
         rng = np.random.default_rng(8)
         target = rng.normal(size=coarse.mesh.n_elements)
-        dv = coarse.s.matrix @ target
-        z = coarse.ops.stacked @ target
-        y = np.zeros(2 * coarse.mesh.n_elements)
+        s = coarse.s.matrix
         rho = 1e-10
-        out = sigma_update(coarse.s, dv, coarse.ops, z, y, rho)
+        rhs = s.T @ (s @ target) / rho + coarse.ops.stacked.T @ (coarse.ops.stacked @ target)
+        out = XUpdateSolver(s, coarse.ops, rho).solve(rhs)
         assert np.linalg.norm(out - target) <= 1e-6 * np.linalg.norm(target)
 
     def test_zero_inputs_zero_output(self, coarse):
         n = coarse.mesh.n_elements
-        out = sigma_update(
-            coarse.s,
-            np.zeros(208),
-            coarse.ops,
-            np.zeros(2 * n),
-            np.zeros(2 * n),
-            1e-10,
-        )
+        out = XUpdateSolver(coarse.s, coarse.ops, 1e-10).solve(np.zeros(n))
         assert np.array_equal(out, np.zeros(n))
 
     def test_rho_cancels_when_s_zero(self, coarse):
         n = coarse.mesh.n_elements
-        rng = np.random.default_rng(9)
-        z = rng.normal(size=2 * n)
-        y = np.zeros(2 * n)
+        z = np.random.default_rng(9).normal(size=2 * n)
         s0 = np.zeros((208, n))
-        a = sigma_update(s0, np.zeros(208), coarse.ops, z, y, 1.0)
-        b = sigma_update(s0, np.zeros(208), coarse.ops, z, y, 0.5)
+        rhs = coarse.ops.stacked.T @ z  # S^T b = 0 and y = 0 for either rho
+        a = XUpdateSolver(s0, coarse.ops, 1.0).solve(rhs)
+        b = XUpdateSolver(s0, coarse.ops, 0.5).solve(rhs)
         assert np.allclose(a, b, atol=1e-12 * max(1.0, np.abs(a).max()))
 
     def test_singular_operator_floored_and_solved(self, caplog):
@@ -244,11 +235,11 @@ class TestSigmaUpdate:
         ops = _chain_ops()
         n = ops.n_elements
         z = np.random.default_rng(24).normal(size=2 * n)
+        rhs = ops.stacked.T @ z
         with caplog.at_level("WARNING", logger="eitkit.inverse"):
-            x = sigma_update(np.zeros((60, n)), np.zeros(60), ops, z, np.zeros(2 * n), 1.0)
+            x = XUpdateSolver(np.zeros((60, n)), ops, 1.0).solve(rhs)
         assert "not positive definite" in caplog.text
         dtd = (ops.stacked.T @ ops.stacked).toarray()
-        rhs = ops.stacked.T @ z
         assert np.all(np.isfinite(x))
         assert np.linalg.norm(dtd @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
         min_norm = np.linalg.pinv(dtd) @ rhs
@@ -311,7 +302,8 @@ class TestXUpdateSolver:
             )
 
     def test_concurrent_solves_match_serial(self, coarse):
-        # sweep cells share one solver across pool threads
+        # solve() keeps no per-call state on the solver, so one shared
+        # solver may serve callers on several threads
         import sys
         import threading
 
@@ -364,31 +356,6 @@ class TestXUpdateSolver:
         assert len(rows) == 35
         assert not [r for r in rows if r["termination"].startswith("error")]
         assert len(built) == 1
-
-
-class TestDualUpdate:
-    def test_consensus_no_change(self, coarse):
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=coarse.mesh.n_elements)
-        z = coarse.ops.stacked @ x
-        y = rng.normal(size=2 * coarse.mesh.n_elements)
-        assert np.array_equal(dual_update(y, coarse.ops, x, z, 1e-3), y)
-
-    def test_unit_rho_from_zero(self, coarse):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=coarse.mesh.n_elements)
-        z = rng.normal(size=2 * coarse.mesh.n_elements)
-        y = dual_update(np.zeros(2 * coarse.mesh.n_elements), coarse.ops, x, z, 1.0)
-        assert np.allclose(y, coarse.ops.stacked @ x - z, atol=1e-15)
-
-    def test_linear_growth(self, coarse):
-        n = coarse.mesh.n_elements
-        x = np.zeros(n)
-        z = -np.ones(2 * n)  # constant residual r = Dx - z = 1
-        rho = 2.5
-        y1 = dual_update(np.zeros(2 * n), coarse.ops, x, z, rho)
-        y2 = dual_update(y1, coarse.ops, x, z, rho)
-        assert np.allclose(y2, 2 * rho * np.ones(2 * n), atol=1e-12)
 
 
 class TestPreprocessBoundary:
@@ -505,15 +472,17 @@ class TestReconstructNwatv:
         dv = model7.dv_noisy.data
         n = coarse.mesh.n_elements
         lam, rho, delta = 5e-13, 1e-10, 0.01
+        d = ops.stacked
+        solver = XUpdateSolver(s, ops, rho)
         z = np.zeros(2 * n)
         y = np.zeros(2 * n)
         p = np.ones(2 * n)
         history = []
         for _ in range(3):
-            x = sigma_update(s, dv, ops, z, y, rho)
-            z = z_update(ops.stacked @ x + y / rho, p, lam, rho)
+            x = solver.solve(s.matrix.T @ dv / rho + d.T @ (z - y / rho))
+            z = z_update(d @ x + y / rho, p, lam, rho)
             p = nwatv_weights(x, ops, delta)
-            y = dual_update(y, ops, x, z, rho)
+            y = y + rho * (d @ x - z)
             history.append(x)
         res = reconstruct_nwatv(
             s, model7.dv_noisy, ops, _shipped_config(max_iters=3, tol=1e-30)
@@ -568,6 +537,13 @@ class TestBaselines:
         a = reconstruct_tikhonov(coarse.s, model7.dv_noisy.data, 1e-6)
         b = reconstruct_tikhonov(coarse.s, 2.0 * model7.dv_noisy.data, 1e-6)
         assert np.allclose(b, 2.0 * a, rtol=1e-12, atol=0)
+
+    def test_tikhonov_matches_primal_normal_equations(self, coarse, model7):
+        # the M x M form S^T (S S^T + lam I)^-1 b equals the N x N ridge solve
+        s, b, lam = coarse.s.matrix, model7.dv_noisy.data, 1e-6
+        want = np.linalg.solve(s.T @ s + lam * np.eye(s.shape[1]), s.T @ b)
+        got = reconstruct_tikhonov(coarse.s, model7.dv_noisy, lam)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_tikhonov_rejects_nonpositive_lambda(self, coarse, model7):
         with pytest.raises(ValueError):

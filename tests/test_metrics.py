@@ -150,8 +150,6 @@ class TestEvalReport:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             EvalReport(re_per_iter=[1.0, 0.5], psnr_per_iter=[30.0])
-        with pytest.raises(ValueError):
-            EvalReport(re_per_iter=[1.0], psnr_per_iter=[30.0], wall_times=[0.1, 0.2])
 
     def test_csv_roundtrip(self, tmp_path):
         report = EvalReport(

@@ -436,6 +436,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "field file" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        ["# frame 1\n3\n1.0\nxyz\n2.0\n", "# frame 1\n3\n1.0\n2.0\n"],
+        ids=["non_numeric", "truncated_block"],
+    )
+    def test_bad_iterate_history_exit_two(self, tmp_path, capsys, text):
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"))
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "iterates.txt").write_text(text)
+        assert main(["evaluate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "iterate history" in err and len(err.strip().splitlines()) == 1
+
     def test_solver_error_exit_three_with_diagnostics(self, tmp_path, monkeypatch, capsys):
         import eitkit.pipeline as pl
 
