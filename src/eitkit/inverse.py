@@ -238,6 +238,7 @@ class XUpdateSolver:
             raise ValueError(f"rho must be > 0, got {rho}")
         self.s = _as_matrix(s)
         self.d = ops.stacked
+        self.dt = self.d.T  # one CSC view of D^T, reused by every product
         self.rho = rho
         n = self.s.shape[1]
         if self.d.shape[1] != n:
@@ -271,7 +272,7 @@ class XUpdateSolver:
     def _factor(self, shift: float) -> None:
         """Factor A = D^T D + shift I and the capacitance matrix."""
         n = self.s.shape[1]
-        base = (self.d.T @ self.d + shift * sp.identity(n)).tocsc()
+        base = (self.dt @ self.d + shift * sp.identity(n)).tocsc()
         self._lu = spla.splu(base)
         self._a_inv_u = self._lu.solve(self.s.T / np.sqrt(self.rho))
         self._capacitance = np.eye(self.s.shape[0]) + self.s @ self._a_inv_u / np.sqrt(self.rho)
@@ -285,7 +286,7 @@ class XUpdateSolver:
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """The exact operator ((1/rho) S^T S + D^T D + floor I) x, matrix-free."""
-        out = self.s.T @ (self.s @ x) / self.rho + self.d.T @ (self.d @ x)
+        out = self.s.T @ (self.s @ x) / self.rho + self.dt @ (self.d @ x)
         if self.floor:
             out += self.floor * x
         return out
@@ -355,7 +356,7 @@ def _admm_reconstruct(
         x_update = XUpdateSolver(s, ops, rho)
     elif not x_update.built_for(s, ops, rho):
         raise ValueError("x_update was built for a different S, D or rho")
-    d = ops.stacked
+    d, dt = ops.stacked, x_update.dt
     n = s.shape[1]
     st_b = s.T @ b / rho
 
@@ -369,7 +370,7 @@ def _admm_reconstruct(
 
     for it in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
-        rhs = st_b + d.T @ (z - y / rho)
+        rhs = st_b + dt @ (z - y / rho)
         x_prev = x
         try:
             x = x_update.solve(rhs)

@@ -24,6 +24,10 @@ RING_GROWTH = 6
 # centroid distance.
 DIRECTION_THRESHOLD = 0.2
 
+# (element, pixel) candidates tested per batch by raster_index. Caps its
+# working memory at a few MiB whatever the raster resolution.
+RASTER_CHUNK = 1 << 15
+
 
 @dataclass(frozen=True)
 class TriMesh:
@@ -282,49 +286,88 @@ def raster_extent(mesh: TriMesh) -> float:
     return float(np.max(np.abs(mesh.nodes)))
 
 
+def pixel_centers(extent: float, resolution: int) -> np.ndarray:
+    """Center coordinates along either axis of the resolution x resolution
+    pixel grid covering the square [-extent, extent]^2."""
+    step = 2.0 * extent / resolution
+    return -extent + step * (np.arange(resolution) + 0.5)
+
+
+def raster_index(mesh: TriMesh, resolution: int) -> np.ndarray:
+    """Pixel -> element lookup table of a resolution x resolution grid.
+
+    Entry (iy, ix) is the lowest index of the triangles that contain the
+    pixel center (closed triangles, with a tolerance of 1e-12 x the
+    extent), or -1 when none does. Row index iy increases with y.
+
+    Each element is tested against the pixel centers in its bounding box.
+    These (element, pixel) candidates are processed in element order,
+    RASTER_CHUNK at a time, so the working memory stays bounded at any
+    resolution.
+    """
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
+    ext = raster_extent(mesh)
+    centers = pixel_centers(ext, resolution)
+    eps = 1e-12 * ext
+    n = mesh.n_elements
+    corners = mesh.nodes[mesh.triangles]  # (n, 3, 2): pa, pb, pc
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    ix0 = np.searchsorted(centers, lo[:, 0] - eps)
+    ix1 = np.searchsorted(centers, hi[:, 0] + eps)
+    iy0 = np.searchsorted(centers, lo[:, 1] - eps)
+    iy1 = np.searchsorted(centers, hi[:, 1] + eps)
+    width = ix1 - ix0
+    offset = np.concatenate([[0], np.cumsum(width * (iy1 - iy0))])
+
+    # edge j runs from p = corners[:, j] to q = corners[:, j + 1 mod 3]; the
+    # sign of (g - q) x (p - q) tells on which side of it the center g lies
+    q = np.roll(corners, -1, axis=1)
+    qx, qy = q[:, :, 0], q[:, :, 1]
+    ex, ey = corners[:, :, 0] - qx, corners[:, :, 1] - qy
+
+    index = np.full(resolution * resolution, n)
+    for start in range(0, int(offset[-1]), RASTER_CHUNK):
+        cand = np.arange(start, min(start + RASTER_CHUNK, offset[-1]))
+        k = np.searchsorted(offset, cand, side="right") - 1
+        row, col = np.divmod(cand - offset[k], width[k])
+        iy, ix = iy0[k] + row, ix0[k] + col
+        gx, gy = centers[ix], centers[iy]
+        all_pos = np.ones(len(cand), dtype=bool)
+        all_neg = np.ones(len(cand), dtype=bool)
+        for j in range(3):
+            d = (gx - qx[k, j]) * ey[k, j] - ex[k, j] * (gy - qy[k, j])
+            all_pos &= d >= -eps
+            all_neg &= d <= eps
+        inside = all_pos | all_neg
+        np.minimum.at(index, iy[inside] * resolution + ix[inside], k[inside])
+    index[index == n] = -1
+    return index.reshape(resolution, resolution)
+
+
+def raster_image(index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Element values gathered onto the pixels of a raster_index table;
+    pixels outside the mesh (index -1) are NaN."""
+    image = np.asarray(values, dtype=float)[index]
+    image[index < 0] = np.nan
+    return image
+
+
 def rasterize(mesh: TriMesh, values: np.ndarray, resolution: int) -> np.ndarray:
     """Sample element values on a resolution x resolution pixel grid.
 
     Pixel (iy, ix) takes the value of the triangle containing its center;
-    pixel centers outside the mesh are NaN. Row index iy increases with y.
+    where several triangles contain it (a center on a shared edge or
+    vertex), the lowest element index wins. Pixel centers outside the mesh
+    are NaN. Row index iy increases with y. To sample many fields on one
+    grid, build ``raster_index`` once and gather with ``raster_image``.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.n_elements,):
         raise ValueError(
             f"expected {mesh.n_elements} element values, got shape {values.shape}"
         )
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
-
-    ext = raster_extent(mesh)
-    step = 2.0 * ext / resolution
-    centers = -ext + step * (np.arange(resolution) + 0.5)
-    image = np.full((resolution, resolution), np.nan)
-
-    eps = 1e-12 * ext
-    for k in range(mesh.n_elements):
-        pa, pb, pc = mesh.nodes[mesh.triangles[k]]
-        xmin = min(pa[0], pb[0], pc[0])
-        xmax = max(pa[0], pb[0], pc[0])
-        ymin = min(pa[1], pb[1], pc[1])
-        ymax = max(pa[1], pb[1], pc[1])
-        ix0 = np.searchsorted(centers, xmin - eps)
-        ix1 = np.searchsorted(centers, xmax + eps)
-        iy0 = np.searchsorted(centers, ymin - eps)
-        iy1 = np.searchsorted(centers, ymax + eps)
-        if ix0 >= ix1 or iy0 >= iy1:
-            continue
-        gx, gy = np.meshgrid(centers[ix0:ix1], centers[iy0:iy1])
-        # inclusive barycentric sign test; first-painted triangle wins on edges
-        d1 = (gx - pb[0]) * (pa[1] - pb[1]) - (pa[0] - pb[0]) * (gy - pb[1])
-        d2 = (gx - pc[0]) * (pb[1] - pc[1]) - (pb[0] - pc[0]) * (gy - pc[1])
-        d3 = (gx - pa[0]) * (pc[1] - pa[1]) - (pc[0] - pa[0]) * (gy - pa[1])
-        inside = (d1 >= -eps) & (d2 >= -eps) & (d3 >= -eps)
-        inside |= (d1 <= eps) & (d2 <= eps) & (d3 <= eps)
-        block = image[iy0:iy1, ix0:ix1]
-        write = inside & np.isnan(block)
-        block[write] = values[k]
-    return image
+    return raster_image(raster_index(mesh, resolution), values)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,10 @@ from .mesh import (
     generate_disk_mesh,
     place_electrodes,
     build_difference_operators,
+    pixel_centers,
     raster_extent,
+    raster_image,
+    raster_index,
     rasterize,
     save_mesh,
     save_element_values,
@@ -242,8 +245,7 @@ def phantom_truth_image(spec: PhantomSpec, extent: float, resolution: int, radiu
     against; pixel (iy, ix) is evaluated at its center, row iy
     increasing with y.
     """
-    step = 2.0 * extent / resolution
-    centers = -extent + step * (np.arange(resolution) + 0.5)
+    centers = pixel_centers(extent, resolution)
     xx, yy = np.meshgrid(centers, centers)  # yy varies along rows
     points = np.column_stack([xx.ravel(), yy.ravel()])
     inside = (points[:, 0] ** 2 + points[:, 1] ** 2) <= radius**2
@@ -532,10 +534,11 @@ def cmd_evaluate(cfg: PipelineConfig, result_dir=None, out_dir=None, reference=N
     truth = _truth_image_for(cfg, mesh, reference)
 
     res = cfg.raster_resolution
+    index = raster_index(mesh, res)
     re_list, psnr_list = [], []
     final_image = None
     for row in series:
-        image = rasterize(mesh, cfg.sigma0 + row, res)
+        image = raster_image(index, cfg.sigma0 + row)
         re_list.append(metrics.relative_error(image, truth))
         psnr_list.append(metrics.psnr(image, truth))
         final_image = image
@@ -590,6 +593,7 @@ def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
     truth = phantom_truth_image(
         spec, raster_extent(problem.mesh), cfg.raster_resolution, cfg.radius
     )
+    index = raster_index(problem.mesh, cfg.raster_resolution)
     t1 = time.perf_counter()
 
     cells = [
@@ -602,7 +606,7 @@ def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
         row = {"lambda_over_rho": ratio, "delta": delta}
         try:
             result = run_solver(cfg, problem, dv, lam=ratio * cfg.rho, delta=delta)
-            image = rasterize(problem.mesh, cfg.sigma0 + result.final, cfg.raster_resolution)
+            image = raster_image(index, cfg.sigma0 + result.final)
             row.update(
                 iterations=result.n_iterations,
                 termination=result.termination,

@@ -1,6 +1,7 @@
 """Mesh generation, electrodes, difference operators, rasterization, IO."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,45 @@ from eitkit import (
     lung_model,
     place_electrodes,
     raster_extent,
+    raster_index,
     rasterize,
     save_element_values,
     save_mesh,
 )
+
+
+def _reference_rasterize(mesh, values, resolution):
+    """Per-element painting loop; the first triangle to claim a pixel
+    center keeps it. Oracle for the vectorized raster index."""
+    ext = raster_extent(mesh)
+    step = 2.0 * ext / resolution
+    centers = -ext + step * (np.arange(resolution) + 0.5)
+    image = np.full((resolution, resolution), np.nan)
+
+    eps = 1e-12 * ext
+    for k in range(mesh.n_elements):
+        pa, pb, pc = mesh.nodes[mesh.triangles[k]]
+        xmin = min(pa[0], pb[0], pc[0])
+        xmax = max(pa[0], pb[0], pc[0])
+        ymin = min(pa[1], pb[1], pc[1])
+        ymax = max(pa[1], pb[1], pc[1])
+        ix0 = np.searchsorted(centers, xmin - eps)
+        ix1 = np.searchsorted(centers, xmax + eps)
+        iy0 = np.searchsorted(centers, ymin - eps)
+        iy1 = np.searchsorted(centers, ymax + eps)
+        if ix0 >= ix1 or iy0 >= iy1:
+            continue
+        gx, gy = np.meshgrid(centers[ix0:ix1], centers[iy0:iy1])
+        # inclusive barycentric sign test; first-painted triangle wins on edges
+        d1 = (gx - pb[0]) * (pa[1] - pb[1]) - (pa[0] - pb[0]) * (gy - pb[1])
+        d2 = (gx - pc[0]) * (pb[1] - pc[1]) - (pb[0] - pc[0]) * (gy - pc[1])
+        d3 = (gx - pa[0]) * (pc[1] - pa[1]) - (pc[0] - pa[0]) * (gy - pa[1])
+        inside = (d1 >= -eps) & (d2 >= -eps) & (d3 >= -eps)
+        inside |= (d1 <= eps) & (d2 <= eps) & (d3 <= eps)
+        block = image[iy0:iy1, ix0:ix1]
+        write = inside & np.isnan(block)
+        block[write] = values[k]
+    return image
 
 
 def _signed_area(nodes, tri):
@@ -263,6 +299,80 @@ class TestRasterize:
     def test_extent_equals_radius(self):
         mesh = generate_disk_mesh(0.25, 1024)
         assert raster_extent(mesh) == pytest.approx(0.25, rel=1e-12)
+
+
+class TestRasterIndex:
+    # odd resolutions put pixel centers on the x and y axes, where mesh
+    # edges and the center node lie, so the lowest-index rule decides
+    @pytest.mark.parametrize(
+        "elements, resolution",
+        [(1024, r) for r in (1, 2, 3, 16, 17, 64, 255, 256, 257)]
+        + [(4096, r) for r in (3, 17, 256, 257)],
+    )
+    def test_matches_reference_loop(self, elements, resolution):
+        mesh = generate_disk_mesh(0.1, elements)
+        vals = np.random.default_rng(resolution).normal(size=mesh.n_elements)
+        want = _reference_rasterize(mesh, vals, resolution)
+        assert rasterize(mesh, vals, resolution).tobytes() == want.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        radius=st.floats(min_value=1e-3, max_value=10.0),
+        elements=st.integers(min_value=64, max_value=1500),
+        resolution=st.sampled_from([1, 2, 3, 15, 16, 17, 63, 64, 65]),
+    )
+    def test_matches_reference_loop_property(self, radius, elements, resolution):
+        mesh = generate_disk_mesh(radius, elements)
+        vals = np.random.default_rng(elements).normal(size=mesh.n_elements)
+        want = _reference_rasterize(mesh, vals, resolution)
+        assert rasterize(mesh, vals, resolution).tobytes() == want.tobytes()
+
+    def test_center_node_goes_to_lowest_element(self):
+        mesh = generate_disk_mesh(0.1, 1024)
+        index = raster_index(mesh, 17)
+        # node 0 is the disk center; six triangles share it
+        fan = np.flatnonzero((mesh.triangles == 0).any(axis=1))
+        assert len(fan) == 6
+        assert index[8, 8] == fan.min()
+
+    def test_index_range_and_outside(self):
+        mesh = generate_disk_mesh(0.1, 1024)
+        index = raster_index(mesh, 64)
+        assert index.shape == (64, 64)
+        assert index.min() == -1 and index.max() < mesh.n_elements
+        assert index[0, 0] == -1  # corner of the square lies outside the disk
+        assert np.array_equal(
+            np.isnan(rasterize(mesh, np.ones(mesh.n_elements), 64)), index == -1
+        )
+
+    def test_nan_value_leaves_nan_on_its_own_pixels(self):
+        mesh = generate_disk_mesh(0.1, 1024)
+        index = raster_index(mesh, 257)
+        vals = np.random.default_rng(5).normal(size=mesh.n_elements)
+        k = int(index[128, 128])  # owns the center pixel
+        vals[k] = np.nan
+        img = rasterize(mesh, vals, 257)
+        assert np.array_equal(np.isnan(img), (index == -1) | (index == k))
+
+    def test_rejects_resolution_below_one(self):
+        mesh = generate_disk_mesh(0.1, 1024)
+        with pytest.raises(ValueError, match="resolution"):
+            raster_index(mesh, 0)
+        with pytest.raises(ValueError, match="resolution"):
+            rasterize(mesh, np.ones(mesh.n_elements), 0)
+
+    def test_memory_bounded_at_high_resolution(self):
+        # the output image and the index take 8 MiB each at 1024^2; testing
+        # all ~1.8M (element, pixel) candidates at once would take ~190 MiB
+        mesh = generate_disk_mesh(0.1, 1024)
+        vals = np.ones(mesh.n_elements)
+        tracemalloc.start()
+        try:
+            rasterize(mesh, vals, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestMeshIO:

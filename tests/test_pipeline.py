@@ -53,6 +53,24 @@ def _write_cfg(path, **overrides):
     return path
 
 
+def _count_raster_index_builds(monkeypatch) -> list:
+    """Record the resolution of every raster_index build, whether called
+    from the pipeline or through rasterize."""
+    import eitkit.mesh as mesh_mod
+    import eitkit.pipeline as pl
+
+    built = []
+    real = mesh_mod.raster_index
+
+    def spy(mesh, resolution):
+        built.append(resolution)
+        return real(mesh, resolution)
+
+    monkeypatch.setattr(mesh_mod, "raster_index", spy)
+    monkeypatch.setattr(pl, "raster_index", spy)
+    return built
+
+
 @pytest.fixture()
 def small_cfg(tmp_path):
     return load_config(_write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out")))
@@ -278,6 +296,14 @@ class TestCmdEvaluate:
         assert report2.re_per_iter == [0.0]
         assert report2.psnr_per_iter == [math.inf]
 
+    def test_builds_raster_index_once(self, small_cfg, monkeypatch):
+        cmd_simulate(small_cfg)
+        cmd_reconstruct(small_cfg)
+        built = _count_raster_index_builds(monkeypatch)
+        report = cmd_evaluate(small_cfg)
+        assert len(report.re_per_iter) == 3
+        assert built == [64]
+
     def test_missing_history_no_partial_output(self, small_cfg, tmp_path):
         with pytest.raises(ConfigError, match="iterates"):
             cmd_evaluate(small_cfg)
@@ -331,6 +357,13 @@ class TestCmdSweep:
         assert (tmp_path / "s1" / "sweep.csv").read_bytes() == (
             tmp_path / "s2" / "sweep.csv"
         ).read_bytes()
+
+    def test_builds_raster_index_once(self, small_cfg, monkeypatch):
+        built = _count_raster_index_builds(monkeypatch)
+        rows = cmd_sweep(small_cfg)
+        assert len(rows) == 35
+        assert not [r for r in rows if r["termination"].startswith("error")]
+        assert built == [64]
 
     def test_cell_failure_recorded_and_continues(self, tmp_path, monkeypatch):
         import eitkit.pipeline as pl
