@@ -136,6 +136,15 @@ def pattern_pairs(electrode_count: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _gradient_coefficients(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Opposite-edge coefficients of the P1 basis, (N, 3) each:
+    grad(phi_i) = (b_i, c_i) / (2A) on every element."""
+    p = mesh.nodes[mesh.triangles]  # (N, 3, 2)
+    b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]  # y_j - y_k
+    c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]  # x_k - x_j
+    return b, c
+
+
 def assemble_stiffness(mesh: TriMesh, sigma: ConductivityField) -> sp.csr_matrix:
     """P1 stiffness matrix for div(sigma grad u); symmetric PSD with the
     constant vector as null space (pure Neumann problem)."""
@@ -145,10 +154,7 @@ def assemble_stiffness(mesh: TriMesh, sigma: ConductivityField) -> sp.csr_matrix
             f"{mesh.n_elements} elements"
         )
     tri = mesh.triangles
-    p = mesh.nodes[tri]  # (N, 3, 2)
-    # opposite-edge coefficients: grad(phi_i) = (b_i, c_i) / (2A)
-    b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]  # y_j - y_k
-    c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]  # x_k - x_j
+    b, c = _gradient_coefficients(mesh)
     a4 = 4.0 * mesh.element_areas
     coeff = sigma.values / a4  # (N,)
     local = coeff[:, None, None] * (
@@ -238,11 +244,8 @@ def simulate_frame(
 
 def _element_gradients(mesh: TriMesh, potentials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-element constant gradients of nodal fields; (N, E) each."""
-    tri = mesh.triangles
-    p = mesh.nodes[tri]
-    b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]
-    c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]
-    u = potentials[tri]  # (N, 3, E)
+    b, c = _gradient_coefficients(mesh)
+    u = potentials[mesh.triangles]  # (N, 3, E)
     inv2a = 1.0 / (2.0 * mesh.element_areas)
     gx = np.einsum("nv,nve->ne", b, u) * inv2a[:, None]
     gy = np.einsum("nv,nve->ne", c, u) * inv2a[:, None]

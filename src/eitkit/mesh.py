@@ -36,9 +36,12 @@ class TriMesh:
     nodes              (n_nodes, 2) coordinates in meters
     triangles          (n_elements, 3) node indices, counter-clockwise
     boundary_edges     (n_boundary, 2) node pairs tracing the boundary loop
+                       counter-clockwise from its lowest node
     element_centroids  (n_elements, 2)
     element_areas      (n_elements,)
-    element_neighbors  per-element tuple of edge-adjacent element indices
+    element_neighbors  (n_elements, 3) edge-adjacent element indices, each
+                       row ascending and padded with -1 (one -1 per
+                       boundary edge of the element)
     """
 
     nodes: np.ndarray
@@ -46,7 +49,7 @@ class TriMesh:
     boundary_edges: np.ndarray
     element_centroids: np.ndarray
     element_areas: np.ndarray
-    element_neighbors: tuple[tuple[int, ...], ...]
+    element_neighbors: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -62,14 +65,7 @@ class TriMesh:
 
     def boundary_elements(self) -> np.ndarray:
         """Indices of elements owning at least one boundary edge."""
-        edge_set = {tuple(sorted(e)) for e in self.boundary_edges.tolist()}
-        hits = []
-        for k, tri in enumerate(self.triangles.tolist()):
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                if tuple(sorted((tri[a], tri[b]))) in edge_set:
-                    hits.append(k)
-                    break
-        return np.asarray(hits, dtype=int)
+        return np.flatnonzero((self.element_neighbors < 0).any(axis=1))
 
 
 @dataclass(frozen=True)
@@ -162,44 +158,52 @@ def generate_disk_mesh(radius: float, target_elements: int) -> TriMesh:
     flip = signed < 0
     triangles[flip] = triangles[flip][:, ::-1]
 
-    sb = _ring_start(n_rings)
-    nb = RING_GROWTH * n_rings
-    boundary_edges = np.array(
-        [(sb + j, sb + (j + 1) % nb) for j in range(nb)], dtype=int
-    )
-
-    return _finish_mesh(nodes, triangles, boundary_edges)
+    return _finish_mesh(nodes, triangles)
 
 
-def _finish_mesh(
-    nodes: np.ndarray, triangles: np.ndarray, boundary_edges: np.ndarray
-) -> TriMesh:
+def _finish_mesh(nodes: np.ndarray, triangles: np.ndarray) -> TriMesh:
+    """Geometry and topology of a triangulation with CCW triangles.
+
+    Topology comes from one edge table: the 3N directed edges, triangle k's
+    edge j running from node j to node j + 1 mod 3, sorted by their
+    undirected key. Equal keys are an interior edge and pair its two
+    owners as neighbours; a key seen once is a boundary edge.
+    """
     p = nodes[triangles]
     e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    if np.any(areas <= 0):
+    if not np.all(areas > 0):
         raise ValueError("degenerate or mis-oriented triangle encountered")
     centroids = p.mean(axis=1)
 
-    edge_owners: dict[tuple[int, int], list[int]] = {}
-    for k, tri in enumerate(triangles.tolist()):
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            edge_owners.setdefault(key, []).append(k)
-    neighbors: list[list[int]] = [[] for _ in range(len(triangles))]
-    for owners in edge_owners.values():
-        if len(owners) == 2:
-            a, b = owners
-            neighbors[a].append(b)
-            neighbors[b].append(a)
+    n = len(triangles)
+    heads = triangles.ravel()
+    tails = np.roll(triangles, -1, axis=1).ravel()
+    keys = np.minimum(heads, tails) * len(nodes) + np.maximum(heads, tails)
+    order = np.argsort(keys)
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    owners = np.diff(starts, append=len(keys))
+    if owners.max(initial=0) > 2:
+        e = order[starts[np.argmax(owners)]]
+        raise ValueError(
+            f"edge ({heads[e]}, {tails[e]}) is shared by {owners.max()} triangles"
+        )
+    pairs = starts[owners == 2]
+    first, second = order[pairs], order[pairs + 1]
+    neighbors = np.full(3 * n, n)  # n sorts last, then becomes the -1 padding
+    neighbors[first] = second // 3
+    neighbors[second] = first // 3
+    neighbors = np.sort(neighbors.reshape(n, 3), axis=1)
+    neighbors[neighbors == n] = -1
+    single = order[starts[owners == 1]]
 
     return TriMesh(
         nodes=_freeze(np.ascontiguousarray(nodes, dtype=float)),
         triangles=_freeze(np.ascontiguousarray(triangles, dtype=int)),
-        boundary_edges=_freeze(np.ascontiguousarray(boundary_edges, dtype=int)),
+        boundary_edges=_freeze(_boundary_loop(heads[single], tails[single])),
         element_centroids=_freeze(centroids),
         element_areas=_freeze(areas),
-        element_neighbors=tuple(tuple(sorted(n)) for n in neighbors),
+        element_neighbors=_freeze(neighbors),
     )
 
 
@@ -251,33 +255,29 @@ def build_difference_operators(mesh: TriMesh) -> DifferenceOperators:
     For the x operator, element k is paired with the edge-neighbor whose
     centroid displacement has the largest x component, provided that
     component exceeds ``DIRECTION_THRESHOLD`` times the centroid distance;
-    the row is then (value[l] - value[k]) / dx. Rows with no qualifying
-    neighbor are zero. The y operator is built the same way.
+    the row is then (value[l] - value[k]) / dx. On a tie the lowest
+    neighbor index wins (``argmax`` over the ascending neighbor columns
+    keeps the first maximum). Rows with no qualifying neighbor are zero.
+    The y operator is built the same way.
     """
     n = mesh.n_elements
     c = mesh.element_centroids
-    rows_x, cols_x, vals_x = [], [], []
-    rows_y, cols_y, vals_y = [], [], []
-    for k in range(n):
-        best_dx, best_lx = 0.0, -1
-        best_dy, best_ly = 0.0, -1
-        for l in mesh.element_neighbors[k]:
-            d = c[l] - c[k]
-            dist = math.hypot(d[0], d[1])
-            if d[0] > DIRECTION_THRESHOLD * dist and d[0] > best_dx:
-                best_dx, best_lx = d[0], l
-            if d[1] > DIRECTION_THRESHOLD * dist and d[1] > best_dy:
-                best_dy, best_ly = d[1], l
-        if best_lx >= 0:
-            rows_x += [k, k]
-            cols_x += [k, best_lx]
-            vals_x += [-1.0 / best_dx, 1.0 / best_dx]
-        if best_ly >= 0:
-            rows_y += [k, k]
-            cols_y += [k, best_ly]
-            vals_y += [-1.0 / best_dy, 1.0 / best_dy]
-    dx = sp.csr_matrix((vals_x, (rows_x, cols_x)), shape=(n, n))
-    dy = sp.csr_matrix((vals_y, (rows_y, cols_y)), shape=(n, n))
+    nbrs = mesh.element_neighbors
+    d = c[nbrs] - c[:, None, :]  # (n, 3, 2) centroid displacements
+    dist = np.hypot(d[:, :, 0], d[:, :, 1])
+    qualifies = (nbrs >= 0)[:, :, None] & (d > DIRECTION_THRESHOLD * dist[:, :, None])
+    d = np.where(qualifies, d, 0.0)  # qualifying components are > 0
+    best = d.argmax(axis=1)  # (n, 2)
+    step = np.take_along_axis(d, best[:, None, :], axis=1)[:, 0]
+    ops = []
+    for axis in (0, 1):
+        rows = np.flatnonzero(step[:, axis] > 0)
+        cols = nbrs[rows, best[rows, axis]]
+        h = step[rows, axis]
+        vals = np.column_stack([-1.0 / h, 1.0 / h]).ravel()
+        coords = (np.repeat(rows, 2), np.column_stack([rows, cols]).ravel())
+        ops.append(sp.csr_matrix((vals, coords), shape=(n, n)))
+    dx, dy = ops
     return DifferenceOperators(dx=dx, dy=dy, stacked=sp.vstack([dx, dy]).tocsr())
 
 
@@ -391,71 +391,64 @@ def save_mesh(path, mesh: TriMesh, layout: ElectrodeLayout | None = None) -> Non
 
 
 def load_mesh(path) -> tuple[TriMesh, ElectrodeLayout | None]:
-    """Read a mesh file written by :func:`save_mesh`."""
+    """Read a mesh file written by :func:`save_mesh`.
+
+    Raises ValueError when the file is truncated or garbled, when a
+    triangle or electrode names a node id outside 0..n_nodes-1, or when
+    the triangles do not form a mesh with one boundary loop.
+    """
     with open(path) as f:
-        tokens = f.read().split("\n")
+        rows = [ln.split() for ln in f.read().splitlines() if ln.strip()]
     pos = 0
 
-    def line():
+    def block(what: str, width: int, kind) -> list[list]:
+        # a count line, then that many lines of `width` values each
         nonlocal pos
-        while tokens[pos].strip() == "":
-            pos += 1
-        out = tokens[pos]
-        pos += 1
-        return out
+        count = int(rows[pos][0]) if pos < len(rows) and len(rows[pos]) == 1 else -1
+        body = rows[pos + 1 : pos + 1 + count]
+        if count < 0 or len(body) < count or any(len(r) != width for r in body):
+            raise ValueError(f"mesh file is truncated or garbled in its {what} block")
+        pos += 1 + count
+        return [[kind(v) for v in r] for r in body]
 
-    n_nodes = int(line())
-    nodes = np.array(
-        [[float(v) for v in line().split()] for _ in range(n_nodes)], dtype=float
-    )
-    n_tri = int(line())
-    triangles = np.array(
-        [[int(v) for v in line().split()] for _ in range(n_tri)], dtype=int
-    )
-    boundary_edges = _boundary_loop(triangles)
-    mesh = _finish_mesh(nodes, triangles, boundary_edges)
-    n_el = int(line())
+    nodes = np.array(block("node", 2, float), dtype=float).reshape(-1, 2)
+    if not np.isfinite(nodes).all():
+        raise ValueError("mesh file has non-finite node coordinates")
+    triangles = block("triangle", 3, int)
+    electrodes = [i for (i,) in block("electrode", 1, int)]
+    corners = [i for t in triangles for i in t]
+    for what, ids in (("triangle", corners), ("electrode", electrodes)):
+        bad = [i for i in ids if not 0 <= i < len(nodes)]
+        if bad:
+            raise ValueError(f"{what} node id {bad[0]} is outside 0..{len(nodes) - 1}")
+    mesh = _finish_mesh(nodes, np.array(triangles, dtype=int).reshape(-1, 3))
     layout = None
-    if n_el > 0:
-        node_ids = np.array([int(line()) for _ in range(n_el)], dtype=int)
+    if electrodes:
+        node_ids = np.array(electrodes, dtype=int)
         xy = nodes[node_ids]
         angles = np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * np.pi)
         layout = ElectrodeLayout(
-            count=n_el, angles=_freeze(angles), node_ids=_freeze(node_ids)
+            count=len(node_ids), angles=_freeze(angles), node_ids=_freeze(node_ids)
         )
     return mesh, layout
 
 
-def _boundary_loop(triangles: np.ndarray) -> np.ndarray:
-    """Recover the ordered boundary loop: edges owned by exactly one triangle."""
-    owners: dict[tuple[int, int], int] = {}
-    directed: dict[tuple[int, int], tuple[int, int]] = {}
-    for tri in triangles.tolist():
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            owners[key] = owners.get(key, 0) + 1
-            directed[key] = (tri[a], tri[b])
-    # CCW triangles traverse the boundary counter-clockwise
-    nxt = {}
-    for key, n in owners.items():
-        if n == 1:
-            a, b = directed[key]
-            nxt[a] = b
+def _boundary_loop(heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Order the boundary edges (directed head -> tail as their owning CCW
+    triangles traverse them) into one counter-clockwise loop starting at
+    the lowest node."""
+    nxt = dict(zip(heads.tolist(), tails.tolist()))
     if not nxt:
         raise ValueError("mesh has no boundary")
     start = min(nxt)
     loop = [start]
     cur = nxt[start]
-    while cur != start:
+    while cur != start and cur in nxt and len(loop) < len(heads):
         loop.append(cur)
         cur = nxt[cur]
-        if len(loop) > len(nxt):
-            raise ValueError("boundary edges do not form a single closed loop")
-    if len(loop) != len(nxt):
+    if cur != start or len(loop) != len(heads):
         raise ValueError("boundary edges do not form a single closed loop")
-    return np.array(
-        [(loop[i], loop[(i + 1) % len(loop)]) for i in range(len(loop))], dtype=int
-    )
+    return np.column_stack([loop, np.roll(loop, -1)])
 
 
 def save_element_values(path, values: np.ndarray) -> None:

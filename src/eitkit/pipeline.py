@@ -434,8 +434,8 @@ def _load_single_frame(path, expected_e: int) -> forward.VoltageFrame:
         raise ConfigError(f"voltage file not found: {path}")
     except ValueError as exc:
         raise ConfigError(f"voltage file {path} is malformed: {exc}")
-    if not frames:
-        raise ConfigError(f"voltage file has no frames: {path}")
+    if len(frames) != 1:
+        raise ConfigError(f"voltage file {path} holds {len(frames)} frames, expected one")
     frame = frames[0]
     if frame.electrode_count != expected_e:
         raise ConfigError(

@@ -90,7 +90,7 @@ class TestAssembleStiffness:
             boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
             element_centroids=nodes.mean(axis=0, keepdims=True),
             element_areas=np.array([0.5]),
-            element_neighbors=((),),
+            element_neighbors=np.full((1, 3), -1),
         )
         k = assemble_stiffness(mesh, ConductivityField(np.array([1.0]))).toarray()
         want = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
@@ -252,7 +252,7 @@ class TestSensitivityMatrix:
         cols = m / np.linalg.norm(m, axis=0, keepdims=True)
         cent = coarse.mesh.element_centroids
         adjacent, far = [], []
-        for k, nbrs in enumerate(coarse.mesh.element_neighbors):
+        for k, nbrs in enumerate(coarse.mesh.element_neighbors.tolist()):
             for l in nbrs:
                 if l > k:
                     adjacent.append(abs(cols[:, k] @ cols[:, l]))

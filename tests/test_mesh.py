@@ -1,12 +1,15 @@
 """Mesh generation, electrodes, difference operators, rasterization, IO."""
 
+import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eitkit import (
     assign_conductivity,
@@ -22,6 +25,7 @@ from eitkit import (
     save_element_values,
     save_mesh,
 )
+from eitkit.mesh import DIRECTION_THRESHOLD, RING_GROWTH
 
 
 def _reference_rasterize(mesh, values, resolution):
@@ -58,6 +62,129 @@ def _reference_rasterize(mesh, values, resolution):
     return image
 
 
+def _reference_neighbors(triangles):
+    """Per-edge dictionary of owners; oracle for the edge table's
+    neighbour array (as sorted tuples)."""
+    edge_owners = {}
+    for k, tri in enumerate(triangles.tolist()):
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
+            edge_owners.setdefault(key, []).append(k)
+    neighbors = [[] for _ in range(len(triangles))]
+    for owners in edge_owners.values():
+        if len(owners) == 2:
+            a, b = owners
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+    return tuple(tuple(sorted(n)) for n in neighbors)
+
+
+def _reference_boundary_loop(triangles):
+    """Edges owned by exactly one triangle, walked from the lowest node;
+    oracle for the edge table's boundary loop."""
+    owners = {}
+    directed = {}
+    for tri in triangles.tolist():
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
+            owners[key] = owners.get(key, 0) + 1
+            directed[key] = (tri[a], tri[b])
+    nxt = {}
+    for key, n in owners.items():
+        if n == 1:
+            a, b = directed[key]
+            nxt[a] = b
+    start = min(nxt)
+    loop = [start]
+    cur = nxt[start]
+    while cur != start:
+        loop.append(cur)
+        cur = nxt[cur]
+    return np.array(
+        [(loop[i], loop[(i + 1) % len(loop)]) for i in range(len(loop))], dtype=int
+    )
+
+
+def _reference_disk_boundary(mesh):
+    """The outermost ring traversed counter-clockwise, as the disk
+    generator lays it out."""
+    n_rings = round(math.sqrt(mesh.n_elements / RING_GROWTH))
+    sb = 1 + 3 * n_rings * (n_rings - 1)
+    nb = RING_GROWTH * n_rings
+    return np.array([(sb + j, sb + (j + 1) % nb) for j in range(nb)], dtype=int)
+
+
+def _reference_boundary_elements(mesh):
+    edge_set = {tuple(sorted(e)) for e in mesh.boundary_edges.tolist()}
+    hits = []
+    for k, tri in enumerate(mesh.triangles.tolist()):
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            if tuple(sorted((tri[a], tri[b]))) in edge_set:
+                hits.append(k)
+                break
+    return np.asarray(hits, dtype=int)
+
+
+def _reference_difference_operators(mesh):
+    """Per-element loop over ascending neighbours with a strict `>`;
+    oracle for the vectorized argmax."""
+    n = mesh.n_elements
+    c = mesh.element_centroids
+    neighbors = _reference_neighbors(mesh.triangles)
+    rows_x, cols_x, vals_x = [], [], []
+    rows_y, cols_y, vals_y = [], [], []
+    for k in range(n):
+        best_dx, best_lx = 0.0, -1
+        best_dy, best_ly = 0.0, -1
+        for l in neighbors[k]:
+            d = c[l] - c[k]
+            dist = math.hypot(d[0], d[1])
+            if d[0] > DIRECTION_THRESHOLD * dist and d[0] > best_dx:
+                best_dx, best_lx = d[0], l
+            if d[1] > DIRECTION_THRESHOLD * dist and d[1] > best_dy:
+                best_dy, best_ly = d[1], l
+        if best_lx >= 0:
+            rows_x += [k, k]
+            cols_x += [k, best_lx]
+            vals_x += [-1.0 / best_dx, 1.0 / best_dx]
+        if best_ly >= 0:
+            rows_y += [k, k]
+            cols_y += [k, best_ly]
+            vals_y += [-1.0 / best_dy, 1.0 / best_dy]
+    dx = sp.csr_matrix((vals_x, (rows_x, cols_x)), shape=(n, n))
+    dy = sp.csr_matrix((vals_y, (rows_y, cols_y)), shape=(n, n))
+    return dx, dy
+
+
+def _assert_topology_matches_reference(mesh, tmp_dir):
+    want = _reference_neighbors(mesh.triangles)
+    got = mesh.element_neighbors
+    assert got.shape == (mesh.n_elements, 3) and got.dtype == np.dtype(int)
+    assert tuple(tuple(l for l in row if l >= 0) for row in got.tolist()) == want
+    # -1 pads the end of each row
+    assert ((got < 0) <= (np.roll(got, -1, axis=1) < 0))[:, :2].all()
+
+    loop = _reference_boundary_loop(mesh.triangles)
+    assert mesh.boundary_edges.shape == loop.shape
+    assert mesh.boundary_edges.tobytes() == loop.tobytes()
+    assert mesh.boundary_edges.tobytes() == _reference_disk_boundary(mesh).tobytes()
+    path = Path(tmp_dir) / "mesh.txt"
+    save_mesh(path, mesh)
+    loaded, _ = load_mesh(path)
+    assert loaded.boundary_edges.tobytes() == loop.tobytes()
+    assert loaded.element_neighbors.tobytes() == got.tobytes()
+
+    assert mesh.boundary_elements().tobytes() == (
+        _reference_boundary_elements(mesh).tobytes()
+    )
+
+    ops = build_difference_operators(mesh)
+    for mat, ref in zip((ops.dx, ops.dy), _reference_difference_operators(mesh)):
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(mat, attr), getattr(ref, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def _signed_area(nodes, tri):
     a, b, c = nodes[tri]
     return 0.5 * ((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1]))
@@ -91,9 +218,10 @@ class TestGenerateDiskMesh:
         for a, b in loop:
             assert len(edge_owner[frozenset((a, b))]) == 1
         # neighbor symmetry
-        for k, nbrs in enumerate(mesh.element_neighbors):
+        for k, nbrs in enumerate(mesh.element_neighbors.tolist()):
             for l in nbrs:
-                assert k in mesh.element_neighbors[l]
+                if l >= 0:
+                    assert k in mesh.element_neighbors[l]
 
     def test_boundary_nodes_on_circle(self):
         mesh = generate_disk_mesh(0.1, 1024)
@@ -119,6 +247,34 @@ class TestGenerateDiskMesh:
         for target in (64, 256, 1024, 4096, 16384):
             mesh = generate_disk_mesh(0.1, target)
             assert abs(mesh.n_elements - target) <= 0.30 * target
+
+
+class TestEdgeTable:
+    # 54, 1014, 4056 and 16224 elements
+    @pytest.mark.parametrize("target", [64, 1024, 4096, 16384])
+    def test_matches_reference(self, target, tmp_path):
+        _assert_topology_matches_reference(generate_disk_mesh(0.1, target), tmp_path)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        radius=st.floats(min_value=1e-3, max_value=10.0),
+        target=st.integers(min_value=64, max_value=3000),
+    )
+    def test_matches_reference_property(self, radius, target):
+        with tempfile.TemporaryDirectory() as d:
+            _assert_topology_matches_reference(generate_disk_mesh(radius, target), d)
+
+    def test_boundary_elements_are_the_padded_rows(self):
+        mesh = generate_disk_mesh(0.1, 1024)
+        padded = (mesh.element_neighbors < 0).sum(axis=1)
+        # each boundary edge leaves one -1 in the row of its one owner
+        assert padded.sum() == len(mesh.boundary_edges)
+        assert np.array_equal(mesh.boundary_elements(), np.flatnonzero(padded))
+
+    def test_neighbors_frozen(self):
+        mesh = generate_disk_mesh(0.1, 256)
+        with pytest.raises(ValueError):
+            mesh.element_neighbors[0, 0] = 0
 
 
 class TestPlaceElectrodes:
@@ -398,6 +554,72 @@ class TestMeshIO:
         m2, l2 = load_mesh(path)
         assert l2 is None
         assert np.array_equal(m2.nodes, mesh.nodes)
+
+    def test_truncated_file_raises_value_error(self, tmp_path):
+        mesh = generate_disk_mesh(0.1, 256)
+        path = tmp_path / "mesh.txt"
+        save_mesh(path, mesh, place_electrodes(mesh, 16))
+        lines = path.read_text().splitlines(keepends=True)
+        for keep in (0, 1, 10, mesh.n_nodes + 1, mesh.n_nodes + 2, len(lines) - 1):
+            path.write_text("".join(lines[:keep]))
+            with pytest.raises(ValueError, match="truncated"):
+                load_mesh(path)
+
+    @pytest.mark.parametrize(
+        "triangle, electrode, bad",
+        [
+            ("0 1 2", "-1", "electrode node id -1"),
+            ("0 1 2", "3", "electrode node id 3"),
+            ("0 1 7", "0", "triangle node id 7"),
+            ("0 -1 2", "0", "triangle node id -1"),
+        ],
+        ids=["negative_electrode", "electrode_past_end", "triangle_past_end", "negative_triangle"],
+    )
+    def test_node_id_out_of_range(self, tmp_path, triangle, electrode, bad):
+        path = tmp_path / "mesh.txt"
+        path.write_text(f"3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n1\n{triangle}\n1\n{electrode}\n")
+        with pytest.raises(ValueError, match=bad):
+            load_mesh(path)
+
+    def test_edge_with_three_owners(self, tmp_path):
+        # three CCW triangles on edge 0-1: two above it, one below
+        path = tmp_path / "mesh.txt"
+        path.write_text(
+            "5\n0.0 0.0\n1.0 0.0\n0.5 1.0\n0.5 2.0\n0.5 -1.0\n"
+            "3\n0 1 2\n0 1 3\n1 0 4\n0\n"
+        )
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) is shared by 3 triangles"):
+            load_mesh(path)
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(data=st.data())
+    def test_garbled_file_loads_or_raises_value_error(self, data):
+        mesh = generate_disk_mesh(0.1, 64)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "mesh.txt"
+            save_mesh(path, mesh, place_electrodes(mesh, 4))
+            text = path.read_text()
+            if data.draw(st.booleans(), label="truncate"):
+                text = text[: data.draw(st.integers(0, len(text)), label="cut")]
+            # even entries are tokens, odd ones the whitespace between them
+            parts = re.split(r"(\s+)", text)
+            for _ in range(data.draw(st.integers(0, 3), label="edits")):
+                i = 2 * data.draw(st.integers(0, len(parts) // 2), label="token")
+                parts[i] = data.draw(
+                    st.sampled_from(
+                        ["", "x", "-1", "0", "1", "7", "99999", "1e999", "nan", "0.5",
+                         "3\n", "\n", "1 2", str(2**70)]
+                    ),
+                    label="garble",
+                )
+            path.write_text("".join(parts))
+            try:
+                loaded, _ = load_mesh(path)
+            except ValueError:
+                return
+            assert loaded.element_neighbors.shape == (loaded.n_elements, 3)
 
     def test_element_values_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -95,7 +95,7 @@ class TestAssignConductivity:
             stack = [unseen.pop()]
             while stack:
                 k = stack.pop()
-                for l in mesh.element_neighbors[k]:
+                for l in mesh.element_neighbors[k].tolist():
                     if l in unseen:
                         unseen.remove(l)
                         stack.append(l)

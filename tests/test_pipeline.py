@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from eitkit import ConfigError, SolverError, load_config, load_frames
+from eitkit import ConfigError, SolverError, load_config, load_frames, save_frames
 from eitkit.cli import main
 from eitkit.pipeline import (
     PipelineConfig,
@@ -80,7 +80,7 @@ class TestConfig:
     def test_shipped_defaults(self):
         from importlib import resources
 
-        with resources.path("eitkit", "paper-2d.cfg") as p:
+        with resources.as_file(resources.files("eitkit") / "paper-2d.cfg") as p:
             cfg = load_config(p)
         assert cfg.electrode_count == 16
         assert cfg.current_ma == 1.0
@@ -460,6 +460,18 @@ class TestCli:
         assert main(["reconstruct", "--config", str(cfg_path), "--data", str(empty)]) == 2
         err = capsys.readouterr().err
         assert "voltage file" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("verb", ["reconstruct", "sweep"])
+    def test_multi_frame_data_file_exit_two(self, tmp_path, capsys, verb):
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"))
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        (frame,) = load_frames(tmp_path / "out" / "dv_noisy.txt")
+        three = tmp_path / "three.txt"
+        save_frames(three, [frame, frame, frame])
+        assert main([verb, "--config", str(cfg_path), "--data", str(three)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "3 frames" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_non_numeric_field_file_exit_two(self, tmp_path, capsys):
         cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"))
