@@ -78,10 +78,6 @@ def main(argv=None) -> int:
     )
     try:
         cfg = _load(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "mesh":
             manifest = cmd_mesh(cfg)
             print(

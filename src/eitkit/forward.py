@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import ElectrodeLayout, TriMesh
+from .mesh import ElectrodeLayout, TriMesh, _read_frames, _write_frames
 
 # Sign of the first-order relation between a conductivity perturbation and
 # the voltage change: V[sigma0 + d] - V[sigma0] ~= LINEARIZATION_SIGN * S @ d
@@ -325,50 +325,31 @@ def add_noise(frame: VoltageFrame, snr_db: float, seed: int) -> VoltageFrame:
 
 
 # ---------------------------------------------------------------------------
-# frame serialization: one "drive measure value" line per entry (1-based
-# electrode numbers); multiple frames separated by "# frame <t>" lines.
+# frame files: one "drive measure value" row per measurement (1-based
+# electrode numbers) in the '# frame t rows' blocks of mesh._write_frames
 
 
 def save_frames(path, frames: list[VoltageFrame]) -> None:
-    with open(path, "w") as f:
-        for t, frame in enumerate(frames):
-            f.write(f"# frame {t}\n")
-            pairs = pattern_pairs(frame.electrode_count)
-            for (j, i), v in zip(pairs, frame.data.tolist()):
-                f.write(f"{j + 1} {i + 1} {v!r}\n")
+    columns = []
+    for frame in frames:
+        pairs = np.array(pattern_pairs(frame.electrode_count)) + 1
+        columns.append([*pairs.T.tolist(), frame.data.tolist()])
+    _write_frames(path, columns)
 
 
 def load_frames(path) -> list[VoltageFrame]:
-    frames: list[VoltageFrame] = []
-    rows: list[tuple[int, int, float]] = []
-
-    def flush():
-        if not rows:
-            return
-        # infer E from the entry count: L = E(E-3)
-        length = len(rows)
-        e = round((3 + math.sqrt(9 + 4 * length)) / 2)
-        if e * (e - 3) != length:
-            raise ValueError(f"frame length {length} is not E*(E-3) for integer E")
-        expected = pattern_pairs(e)
-        got = [(j - 1, i - 1) for j, i, _ in rows]
-        if got != expected:
-            raise ValueError("frame entries out of protocol order")
-        frames.append(
-            VoltageFrame(data=np.array([v for _, _, v in rows]), electrode_count=e)
-        )
-        rows.clear()
-
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# frame"):
-                    flush()
-                continue
-            j, i, v = line.split()
-            rows.append((int(j), int(i), float(v)))
-    flush()
-    return frames
+    """Read the frames of a file written by :func:`save_frames`; E is
+    inferred from the row count L = E(E-3). Raises ValueError with the line
+    of the first defect."""
+    blocks = _read_frames(path, 3)
+    length = blocks.shape[1]
+    e = round((3 + math.sqrt(9 + 4 * length)) / 2)
+    if e < 4 or e * (e - 3) != length:
+        raise ValueError(f"{path}:1: frame length {length} is not E*(E-3) for an integer E >= 4")
+    expected = np.array(pattern_pairs(e)) + 1
+    wrong = np.flatnonzero((blocks[:, :, :2] != expected).any(axis=2))
+    if wrong.size:
+        t, row = divmod(int(wrong[0]), length)
+        j, i = expected[row]
+        raise ValueError(f"{path}:{t * (length + 1) + row + 2}: expected drive {j} measure {i}")
+    return [VoltageFrame(data=block[:, 2], electrode_count=e) for block in blocks]

@@ -101,8 +101,8 @@ class ReconResult:
 
     ``history[n]`` is the iterate after iteration n+1; the diagnostic
     arrays have one entry per completed iteration. ``termination`` is
-    "tol" or "max_iters". For the one-shot ridge solver the history has a
-    single row.
+    "tol" or "max_iters"; the one-shot ridge solver reports "direct" and a
+    single row, whose step norm is |x|.
     """
 
     final: np.ndarray
@@ -127,6 +127,13 @@ def _as_data(b) -> np.ndarray:
     if isinstance(b, VoltageFrame):
         return b.data
     return np.asarray(b, dtype=float)
+
+
+def _data_residual(s: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
+    """|S x - b| / |b|, or |S x| when b = 0."""
+    b_norm = np.linalg.norm(b)
+    resid = np.linalg.norm(s @ x - b)
+    return float(resid / b_norm if b_norm > 0 else resid)
 
 
 def soft_threshold(x, g):
@@ -364,7 +371,6 @@ def _admm_reconstruct(
     z = np.zeros(2 * n)
     p = np.ones(2 * n)
     y = np.zeros(2 * n)
-    b_norm = np.linalg.norm(b)
     history, residuals, steps, walls = [], [], [], []
     termination = "max_iters"
 
@@ -391,10 +397,7 @@ def _admm_reconstruct(
 
         step = float(np.linalg.norm(x - x_prev))
         history.append(x.copy())
-        residuals.append(
-            float(np.linalg.norm(s @ x - b) / b_norm) if b_norm > 0
-            else float(np.linalg.norm(s @ x))
-        )
+        residuals.append(_data_residual(s, x, b))
         steps.append(step)
         walls.append((time.perf_counter() - t0) * 1000.0)
         if step < config.tol:
@@ -447,12 +450,21 @@ def reconstruct_tv_isotropic(
     )
 
 
-def reconstruct_tikhonov(s, delta_v, lam: float) -> np.ndarray:
+def reconstruct_tikhonov(s, delta_v, lam: float) -> ReconResult:
     """One-shot ridge solution (S^T S + lam I)^{-1} S^T b, computed as
     S^T (S S^T + lam I)^{-1} b: an M x M factorization instead of N x N."""
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
+    t0 = time.perf_counter()
     s = _as_matrix(s)
     b = _as_data(delta_v)
     factor = sla.cho_factor(s @ s.T + lam * np.eye(s.shape[0]), lower=True)
-    return s.T @ sla.cho_solve(factor, b)
+    x = s.T @ sla.cho_solve(factor, b)
+    return ReconResult(
+        final=x,
+        history=x[None, :],
+        data_residual=np.array([_data_residual(s, x, b)]),
+        step_norm=np.array([np.linalg.norm(x)]),
+        wall_ms=np.array([(time.perf_counter() - t0) * 1e3]),
+        termination="direct",
+    )

@@ -451,16 +451,88 @@ def _boundary_loop(heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
     return np.column_stack([loop, np.roll(loop, -1)])
 
 
-def save_element_values(path, values: np.ndarray) -> None:
-    values = np.asarray(values, dtype=float)
+def _write_frames(path, frames) -> None:
+    """Write a frame file: for t = 1..K, a '# frame t rows' line, then one
+    line per row holding the ``repr`` of that row's entry in each column,
+    space-separated. Each frame is a list of equal-length columns (lists of
+    Python ints or floats)."""
     with open(path, "w") as f:
-        f.write(f"{len(values)}\n")
-        for v in values.tolist():
-            f.write(f"{v!r}\n")
+        for t, columns in enumerate(frames, start=1):
+            cells = [map(repr, column) for column in columns]
+            rows = cells[0] if len(cells) == 1 else map(" ".join, zip(*cells))
+            f.write("\n".join([f"# frame {t} {len(columns[0])}", *rows]) + "\n")
+
+
+def _read_frames(path, width: int) -> np.ndarray:
+    """Read a frame file of rows with ``width`` values each into a
+    (K, rows, width) array.
+
+    Raises ValueError("<path>:<line>: ...") at the first header, row count,
+    row width or value that does not parse: frames are numbered 1..K in
+    order, all hold as many rows as frame 1, and nothing follows the last.
+    """
+    with open(path, errors="replace") as f:  # undecodable bytes fail as values
+        lines = f.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last line
+
+    def fail(index: int, why: str) -> ValueError:
+        return ValueError(f"{path}:{index + 1}: {why}")
+
+    def parse(first: int, body: list[str]) -> list[float]:
+        if width == 1:
+            try:  # float() also rejects blank rows and rows of two values
+                return list(map(float, body))
+            except ValueError:
+                pass  # find the bad row below
+        out = []
+        for index, row in enumerate(body, start=first):
+            cells = row.split()
+            if len(cells) != width:
+                raise fail(index, f"row holds {len(cells)} value(s), expected {width}")
+            for cell in cells:
+                try:
+                    out.append(float(cell))
+                except ValueError:
+                    raise fail(index, f"not a number: {cell!r}") from None
+        return out
+
+    values: list[float] = []
+    k, rows, at = 0, 0, 0  # frames read, rows per frame, index of the next header
+    while at < len(lines) or k == 0:
+        line = lines[at] if at < len(lines) else ""
+        head = line.split()
+        if (head[:3] != ["#", "frame", str(k + 1)] or len(head) != 4
+                or not head[3].isdecimal() or (k and int(head[3]) != rows)):
+            want = f"# frame {k + 1} {rows if k else '<rows>'}"
+            got = repr(line) if at < len(lines) else "the end of the file"
+            raise fail(at, f"expected a '{want}' header, got {got}")
+        rows = int(head[3])
+        body = lines[at + 1 : at + 1 + rows]
+        if len(body) < rows:
+            raise fail(at + 1 + len(body), f"file ends after {len(body)} of {rows} rows")
+        values.extend(parse(at + 1, body))
+        k, at = k + 1, at + 1 + rows
+    return np.array(values, dtype=float).reshape(k, rows, width)
+
+
+def save_element_values(path, values: np.ndarray) -> None:
+    """Write an (N,) field as one frame, or a (K, N) series as K frames, of
+    one value per row."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim not in (1, 2):
+        raise ValueError(f"expected an (N,) field or a (K, N) series, got shape {values.shape}")
+    _write_frames(path, [[row] for row in np.atleast_2d(values).tolist()])
+
+
+def load_field_series(path) -> np.ndarray:
+    """The (K, N) series of a frame file of one value per row."""
+    return _read_frames(path, 1)[:, :, 0]
 
 
 def load_element_values(path) -> np.ndarray:
-    with open(path) as f:
-        lines = [ln for ln in f.read().splitlines() if ln.strip()]
-    n = int(lines[0])
-    return np.array([float(v) for v in lines[1 : n + 1]], dtype=float)
+    """The (N,) field of a one-frame file written by save_element_values."""
+    series = load_field_series(path)
+    if len(series) > 1:
+        raise ValueError(f"{path}:{series.shape[1] + 2}: a second frame; expected one field")
+    return series[0]

@@ -117,15 +117,21 @@ def save_phantom(path, spec: PhantomSpec) -> None:
 
 
 def load_phantom(path) -> PhantomSpec:
+    """Read a file written by :func:`save_phantom`; raises ValueError when
+    it is not JSON or not a valid phantom document."""
     with open(path) as f:
-        doc = json.load(f)
-    inclusions = tuple(
-        Inclusion(
-            center=tuple(d["center"]),
-            axis_a=tuple(d["axis_a"]),
-            axis_b=tuple(d["axis_b"]),
-            value=d["value"],
-        )
-        for d in doc["inclusions"]
-    )
-    return PhantomSpec(background=doc["background"], inclusions=inclusions)
+        try:
+            doc = json.load(f)
+            inclusions = tuple(
+                Inclusion(
+                    center=tuple(d["center"]),
+                    axis_a=tuple(d["axis_a"]),
+                    axis_b=tuple(d["axis_b"]),
+                    value=d["value"],
+                )
+                for d in doc["inclusions"]
+            )
+            return PhantomSpec(background=doc["background"], inclusions=inclusions)
+        except (LookupError, TypeError, ValueError) as exc:
+            why = f"{type(exc).__name__}: {exc}"
+            raise ValueError(f"{path}: not a phantom document ({why})") from None

@@ -15,6 +15,7 @@ import math
 import time
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .mesh import (
     save_mesh,
     save_element_values,
     load_element_values,
+    load_field_series,
 )
 from .phantom import PhantomSpec, lung_model, load_phantom, save_phantom, assign_conductivity
 
@@ -84,40 +86,23 @@ def _validate_config(cfg: PipelineConfig) -> None:
     def bad(name, why):
         raise ConfigError(f"{name}: {why}")
 
-    if not cfg.radius > 0:
-        bad("radius", f"must be > 0, got {cfg.radius}")
-    for name in ("inverse_elements", "forward_elements"):
-        v = getattr(cfg, name)
-        if not isinstance(v, int) or v < 64:
-            bad(name, f"must be an integer >= 64, got {v!r}")
-    if not isinstance(cfg.electrode_count, int) or cfg.electrode_count < 4:
-        bad("electrode_count", f"must be an integer >= 4, got {cfg.electrode_count!r}")
-    if not cfg.current_ma > 0:
-        bad("current_ma", f"must be > 0, got {cfg.current_ma}")
-    if not cfg.sigma0 > 0:
-        bad("sigma0", f"must be > 0, got {cfg.sigma0}")
+    for name in ("radius", "current_ma", "sigma0", "rho", "delta", "tol", "lambda_b"):
+        if not getattr(cfg, name) > 0:
+            bad(name, f"must be > 0, got {getattr(cfg, name)}")
+    for name, low in (("inverse_elements", 64), ("forward_elements", 64), ("electrode_count", 4),
+                      ("max_iters", 1), ("raster_resolution", 16)):
+        if getattr(cfg, name) < low:
+            bad(name, f"must be an integer >= {low}, got {getattr(cfg, name)!r}")
     if (cfg.phantom_model is None) == (cfg.phantom_file is None):
         bad("phantom_model/phantom_file", "exactly one must be set")
-    if cfg.phantom_file is not None and not Path(cfg.phantom_file).is_file():
-        bad("phantom_file", f"no such file: {cfg.phantom_file}")
+    if cfg.phantom_model is not None and not 1 <= cfg.phantom_model <= 10:
+        bad("phantom_model", f"must be in 1..10, got {cfg.phantom_model}")
     if math.isnan(cfg.snr_db) or cfg.snr_db == -math.inf:
         bad("snr_db", f"must be finite or +inf, got {cfg.snr_db}")
     if cfg.solver not in _SOLVERS:
         bad("solver", f"must be one of {_SOLVERS}, got {cfg.solver!r}")
     if cfg.lam < 0:
         bad("lam", f"must be >= 0, got {cfg.lam}")
-    if not cfg.rho > 0:
-        bad("rho", f"must be > 0, got {cfg.rho}")
-    if not cfg.delta > 0:
-        bad("delta", f"must be > 0, got {cfg.delta}")
-    if not isinstance(cfg.max_iters, int) or cfg.max_iters < 1:
-        bad("max_iters", f"must be an integer >= 1, got {cfg.max_iters!r}")
-    if not cfg.tol > 0:
-        bad("tol", f"must be > 0, got {cfg.tol}")
-    if not cfg.lambda_b > 0:
-        bad("lambda_b", f"must be > 0, got {cfg.lambda_b}")
-    if not isinstance(cfg.raster_resolution, int) or cfg.raster_resolution < 16:
-        bad("raster_resolution", f"must be an integer >= 16, got {cfg.raster_resolution!r}")
     if not cfg.sweep_lambda_over_rho or any(r <= 0 for r in cfg.sweep_lambda_over_rho):
         bad("sweep_lambda_over_rho", "must be a nonempty list of positive ratios")
     if not cfg.sweep_delta or any(d <= 0 for d in cfg.sweep_delta):
@@ -125,9 +110,20 @@ def _validate_config(cfg: PipelineConfig) -> None:
     for r in cfg.profile_rows:
         if not 0 <= r <= cfg.raster_resolution - 1:
             bad("profile_rows", f"row {r} outside 0..{cfg.raster_resolution - 1}")
-    if cfg.mask_elements is not None:
-        if any((not isinstance(i, int)) or i < 0 for i in cfg.mask_elements):
-            bad("mask_elements", "must be a list of nonnegative element indices")
+    if cfg.mask_elements is not None and any(i < 0 for i in cfg.mask_elements):
+        bad("mask_elements", "must be a list of nonnegative element indices")
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether a JSON value has a field's type: a bool is not a number, an
+    int is fine where a float is expected, and every list item is checked."""
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_json_fits(v, get_args(hint)[0]) for v in value)
+    if get_args(hint):  # a union such as int | None
+        return any(_json_fits(value, h) for h in get_args(hint))
+    if isinstance(value, bool) or hint is bool:
+        return isinstance(value, bool) and hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def load_config(path) -> PipelineConfig:
@@ -150,10 +146,11 @@ def load_config(path) -> PipelineConfig:
             raw["snr_db"] = math.inf
         else:
             raise ConfigError(f"snr_db: unrecognized string {raw['snr_db']!r}")
-    try:
-        cfg = PipelineConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    hints = get_type_hints(PipelineConfig)
+    for f in fields(PipelineConfig):
+        if f.name in raw and not _json_fits(raw[f.name], hints[f.name]):
+            raise ConfigError(f"{f.name}: expected {f.type}, got {json.dumps(raw[f.name])}")
+    cfg = PipelineConfig(**raw)
     _validate_config(cfg)
     return cfg
 
@@ -169,6 +166,21 @@ def _write_json(path, obj) -> None:
     with open(path, "w") as f:
         json.dump(obj, f, indent=2)
         f.write("\n")
+
+
+def _load_field(path, what: str, loader=load_element_values, n_elements: int | None = None):
+    """``loader(path)``, checked to hold ``n_elements`` values per frame when
+    given; a missing, unreadable or malformed input file is a one-line
+    ConfigError."""
+    try:
+        values = loader(path)
+    except OSError as exc:
+        raise ConfigError(f"{what} {path} cannot be read: {exc.strerror}")
+    except ValueError as exc:
+        raise ConfigError(f"{what} is malformed: {exc}")
+    if n_elements is not None and values.shape[-1] != n_elements:
+        raise ConfigError(f"{what} has {values.shape[-1]} values per frame, mesh has {n_elements}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +204,7 @@ class InverseProblem:
 def load_phantom_spec(cfg: PipelineConfig) -> PhantomSpec:
     if cfg.phantom_model is not None:
         return lung_model(cfg.phantom_model)
-    return load_phantom(cfg.phantom_file)
+    return _load_field(cfg.phantom_file, "phantom_file", load_phantom)
 
 
 def build_inverse_problem(cfg: PipelineConfig) -> InverseProblem:
@@ -260,39 +272,6 @@ def phantom_truth_image(spec: PhantomSpec, extent: float, resolution: int, radiu
 
 
 # ---------------------------------------------------------------------------
-# field-series files (iterate histories): repeated element-value blocks
-
-
-def save_field_series(path, series: np.ndarray) -> None:
-    """Write a (n_frames, n_elements) array as '# frame t' blocks."""
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 2:
-        raise ValueError("expected a 2-d array of per-frame element values")
-    with open(path, "w") as f:
-        for t, row in enumerate(series, start=1):
-            f.write(f"# frame {t}\n")
-            f.write(f"{len(row)}\n")
-            for v in row.tolist():
-                f.write(f"{v!r}\n")
-
-
-def load_field_series(path) -> np.ndarray:
-    frames = []
-    with open(path) as f:
-        line = f.readline()
-        while line:
-            if not line.startswith("# frame"):
-                raise ValueError(f"expected a frame header, got {line.strip()!r}")
-            count = int(f.readline())
-            vals = [float(f.readline()) for _ in range(count)]
-            frames.append(vals)
-            line = f.readline()
-    if not frames:
-        raise ValueError("no frames in file")
-    return np.array(frames)
-
-
-# ---------------------------------------------------------------------------
 # solver dispatch
 
 
@@ -316,22 +295,7 @@ def run_solver(
     lam = cfg.lam if lam is None else lam
     delta = cfg.delta if delta is None else delta
     if cfg.solver == "tikhonov":
-        t0 = time.perf_counter()
-        x = inverse.reconstruct_tikhonov(problem.s, delta_v, lam)
-        ms = (time.perf_counter() - t0) * 1e3
-        b = delta_v.data
-        resid = np.linalg.norm(problem.s.matrix @ x - b)
-        scale = np.linalg.norm(b)
-        if scale > 0:
-            resid /= scale
-        return inverse.ReconResult(
-            final=x,
-            history=x[None, :],
-            data_residual=np.array([resid]),
-            step_norm=np.array([np.linalg.norm(x)]),
-            wall_ms=np.array([ms]),
-            termination="direct",
-        )
+        return inverse.reconstruct_tikhonov(problem.s, delta_v, lam)
     solver_config = inverse.SolverConfig(
         lam=lam,
         rho=cfg.rho,
@@ -428,12 +392,7 @@ def cmd_simulate(cfg: PipelineConfig, out_dir=None) -> dict:
 
 
 def _load_single_frame(path, expected_e: int) -> forward.VoltageFrame:
-    try:
-        frames = forward.load_frames(path)
-    except FileNotFoundError:
-        raise ConfigError(f"voltage file not found: {path}")
-    except ValueError as exc:
-        raise ConfigError(f"voltage file {path} is malformed: {exc}")
+    frames = _load_field(path, "voltage file", forward.load_frames)
     if len(frames) != 1:
         raise ConfigError(f"voltage file {path} holds {len(frames)} frames, expected one")
     frame = frames[0]
@@ -456,7 +415,7 @@ def cmd_reconstruct(cfg: PipelineConfig, data_path=None, out_dir=None) -> dict:
     iterations_s = time.perf_counter() - t0
 
     save_element_values(out / "delta_sigma.txt", result.final)
-    save_field_series(out / "iterates.txt", result.history)
+    save_element_values(out / "iterates.txt", result.history)
     with open(out / "iterates.csv", "w") as f:
         f.write("iteration,data_residual,step_norm,wall_ms\n")
         columns = (result.data_residual.tolist(), result.step_norm.tolist(), result.wall_ms.tolist())
@@ -484,26 +443,11 @@ def cmd_reconstruct(cfg: PipelineConfig, data_path=None, out_dir=None) -> dict:
     return manifest
 
 
-def _load_field(path, what: str, loader=load_element_values) -> np.ndarray:
-    """Values read from ``path`` by ``loader``; a malformed file is a ConfigError."""
-    try:
-        return loader(path)
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"{what} {path} is malformed: {exc}")
-
-
 def _truth_image_for(cfg: PipelineConfig, mesh: TriMesh, reference=None) -> np.ndarray:
     """Total-conductivity ground-truth image: analytic from the phantom, or
     a stored perturbation field used as a surrogate reference."""
     if reference is not None:
-        ref_path = Path(reference)
-        if not ref_path.is_file():
-            raise ConfigError(f"reference field not found: {reference}")
-        ref = _load_field(ref_path, "reference field")
-        if len(ref) != mesh.n_elements:
-            raise ConfigError(
-                f"reference field has {len(ref)} values, mesh has {mesh.n_elements} elements"
-            )
+        ref = _load_field(reference, "reference field", n_elements=mesh.n_elements)
         return rasterize(mesh, cfg.sigma0 + ref, cfg.raster_resolution)
     spec = load_phantom_spec(cfg)
     return phantom_truth_image(
@@ -520,17 +464,9 @@ def cmd_evaluate(cfg: PipelineConfig, result_dir=None, out_dir=None, reference=N
     """
     result_dir = Path(result_dir if result_dir is not None else cfg.out_dir)
     out = _outdir(cfg, out_dir if out_dir is not None else result_dir)
-    series_path = result_dir / "iterates.txt"
-    if not series_path.is_file():
-        raise ConfigError(f"no iterate history at {series_path}; run reconstruct first")
-
     mesh = generate_disk_mesh(cfg.radius, cfg.inverse_elements)
-    series = _load_field(series_path, "iterate history", load_field_series)
-    if series.shape[1] != mesh.n_elements:
-        raise ConfigError(
-            f"iterate history has {series.shape[1]} values per frame, "
-            f"mesh has {mesh.n_elements} elements"
-        )
+    series_path = result_dir / "iterates.txt"
+    series = _load_field(series_path, "iterate history", load_field_series, mesh.n_elements)
     truth = _truth_image_for(cfg, mesh, reference)
 
     res = cfg.raster_resolution
@@ -656,14 +592,8 @@ def cmd_render(cfg: PipelineConfig, field_path, out_dir=None, name=None) -> Path
     """
     out = _outdir(cfg, out_dir)
     field_path = Path(field_path)
-    if not field_path.is_file():
-        raise ConfigError(f"field file not found: {field_path}")
-    values = _load_field(field_path, "field file")
     mesh = generate_disk_mesh(cfg.radius, cfg.inverse_elements)
-    if len(values) != mesh.n_elements:
-        raise ConfigError(
-            f"field has {len(values)} values, mesh has {mesh.n_elements} elements"
-        )
+    values = _load_field(field_path, "field file", n_elements=mesh.n_elements)
     image = rasterize(mesh, values, cfg.raster_resolution)
     stem = name if name is not None else field_path.stem
     target = out / f"{stem}.pgm"

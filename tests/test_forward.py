@@ -351,6 +351,42 @@ class TestFrameIO:
             assert np.array_equal(a.data, b.data)
             assert a.electrode_count == 16
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        e=st.integers(4, 9),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_roundtrip_property(self, tmp_path_factory, e, k, seed):
+        rng = np.random.default_rng(seed)
+        frames = [VoltageFrame(rng.normal(size=e * (e - 3)), e) for _ in range(k)]
+        path = tmp_path_factory.mktemp("frames") / "frames.txt"
+        save_frames(path, frames)
+        back = load_frames(path)
+        assert [f.electrode_count for f in back] == [e] * k
+        for a, b in zip(back, frames):
+            assert np.array_equal(a.data, b.data)
+
+    def test_layout(self, tmp_path):
+        path = tmp_path / "frames.txt"
+        save_frames(path, [VoltageFrame([0.5, -1.0, 2.0, 1e-7], 4)])
+        assert path.read_text() == "# frame 1 4\n1 3 0.5\n2 4 -1.0\n3 1 2.0\n4 2 1e-07\n"
+
+    @pytest.mark.parametrize(
+        "rows, line, match",
+        [
+            (["1 3 0.5", "2 4 -1.0", "3 1 2.0", "4 2 1e-07", "1 2 0.0"], 1, "E\\*\\(E-3\\)"),
+            (["1 3 0.5", "2 4 -1.0", "1 3 2.0", "4 2 1e-07"], 4, "drive 3 measure 1"),
+        ],
+        ids=["length_not_protocol", "out_of_protocol_order"],
+    )
+    def test_protocol_errors_name_the_line(self, tmp_path, rows, line, match):
+        path = tmp_path / "frames.txt"
+        path.write_text(f"# frame 1 {len(rows)}\n" + "".join(r + "\n" for r in rows))
+        with pytest.raises(ValueError, match=match) as info:
+            load_frames(path)
+        assert str(info.value).startswith(f"{path}:{line}: ")
+
     def test_signed_difference_definition(self, tmp_path):
         rng = np.random.default_rng(13)
         a = VoltageFrame(rng.normal(size=208), 16)

@@ -520,8 +520,8 @@ class TestBaselines:
         assert np.array_equal(z[n:], np.zeros(n))
 
     def test_tikhonov_limits(self, coarse, model7):
-        small = reconstruct_tikhonov(coarse.s, model7.dv_noisy, 1e-12)
-        huge = reconstruct_tikhonov(coarse.s, model7.dv_noisy, 1e12)
+        small = reconstruct_tikhonov(coarse.s, model7.dv_noisy, 1e-12).final
+        huge = reconstruct_tikhonov(coarse.s, model7.dv_noisy, 1e12).final
         assert np.linalg.norm(huge) <= 1e-6 * np.linalg.norm(small)
 
     def test_tikhonov_recovers_unit_vector(self):
@@ -530,19 +530,19 @@ class TestBaselines:
         e3 = np.zeros(12)
         e3[3] = 1.0
         dv = s @ e3
-        out = reconstruct_tikhonov(s, dv, 1e-10)
+        out = reconstruct_tikhonov(s, dv, 1e-10).final
         assert np.linalg.norm(out - e3) <= 1e-6
 
     def test_tikhonov_linear_in_data(self, coarse, model7):
-        a = reconstruct_tikhonov(coarse.s, model7.dv_noisy.data, 1e-6)
-        b = reconstruct_tikhonov(coarse.s, 2.0 * model7.dv_noisy.data, 1e-6)
+        a = reconstruct_tikhonov(coarse.s, model7.dv_noisy.data, 1e-6).final
+        b = reconstruct_tikhonov(coarse.s, 2.0 * model7.dv_noisy.data, 1e-6).final
         assert np.allclose(b, 2.0 * a, rtol=1e-12, atol=0)
 
     def test_tikhonov_matches_primal_normal_equations(self, coarse, model7):
         # the M x M form S^T (S S^T + lam I)^-1 b equals the N x N ridge solve
         s, b, lam = coarse.s.matrix, model7.dv_noisy.data, 1e-6
         want = np.linalg.solve(s.T @ s + lam * np.eye(s.shape[1]), s.T @ b)
-        got = reconstruct_tikhonov(coarse.s, model7.dv_noisy, lam)
+        got = reconstruct_tikhonov(coarse.s, model7.dv_noisy, lam).final
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_tikhonov_rejects_nonpositive_lambda(self, coarse, model7):

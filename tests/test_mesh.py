@@ -12,10 +12,12 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eitkit import (
+    VoltageFrame,
     assign_conductivity,
     build_difference_operators,
     generate_disk_mesh,
     load_element_values,
+    load_frames,
     load_mesh,
     lung_model,
     place_electrodes,
@@ -23,9 +25,10 @@ from eitkit import (
     raster_index,
     rasterize,
     save_element_values,
+    save_frames,
     save_mesh,
 )
-from eitkit.mesh import DIRECTION_THRESHOLD, RING_GROWTH
+from eitkit.mesh import DIRECTION_THRESHOLD, RING_GROWTH, load_field_series
 
 
 def _reference_rasterize(mesh, values, resolution):
@@ -642,3 +645,136 @@ class TestMeshIO:
             path = Path(d) / "field.txt"
             save_element_values(path, np.array(values))
             assert np.array_equal(load_element_values(path), np.array(values))
+
+
+def _raises_at(path, line: int, match: str, loader=load_field_series):
+    with pytest.raises(ValueError) as info:
+        loader(path)
+    assert str(info.value).startswith(f"{path}:{line}: ")
+    assert re.search(match, str(info.value))
+
+
+class TestFrameFiles:
+    """The one '# frame t rows' format behind field, series and voltage files."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        series=st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.floats(allow_nan=False, allow_infinity=False, width=64),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    def test_series_roundtrip_property(self, series):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "series.txt"
+            save_element_values(path, np.array(series))
+            back = load_field_series(path)
+            assert back.shape == (len(series), len(series[0]))
+            assert np.array_equal(back, np.array(series))
+
+    def test_layout(self, tmp_path):
+        path = tmp_path / "series.txt"
+        save_element_values(path, [[0.5, -1e-7], [3.0, 0.1]])
+        assert path.read_text() == "# frame 1 2\n0.5\n-1e-07\n# frame 2 2\n3.0\n0.1\n"
+        assert load_field_series(path).shape == (2, 2)
+        _raises_at(path, 4, "a second frame", load_element_values)
+
+    def test_rejects_three_dimensional_values(self, tmp_path):
+        with pytest.raises(ValueError, match="shape"):
+            save_element_values(tmp_path / "x.txt", np.zeros((2, 2, 2)))
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        _raises_at(path, 1, "end of the file", load_element_values)
+
+    def test_cut_inside_a_block(self, tmp_path):
+        path = tmp_path / "cut.txt"
+        save_element_values(path, np.arange(10.0).reshape(2, 5))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:9]))
+        _raises_at(path, 10, "2 of 5 rows")
+
+    def test_row_count_differs_from_frame_one(self, tmp_path):
+        path = tmp_path / "ragged.txt"
+        path.write_text("# frame 1 2\n1.0\n2.0\n# frame 2 3\n1.0\n2.0\n3.0\n")
+        _raises_at(path, 4, "'# frame 2 2' header, got '# frame 2 3'")
+
+    def test_out_of_order_frame_number(self, tmp_path):
+        path = tmp_path / "order.txt"
+        path.write_text("# frame 1 1\n1.0\n# frame 3 1\n2.0\n")
+        _raises_at(path, 3, "'# frame 2 1' header, got '# frame 3 1'")
+
+    @pytest.mark.parametrize(
+        "text, line, match",
+        [
+            ("# frame 1 2\n1.0\n\n", 3, "holds 0 value"),
+            ("# frame 1 2\n1.0 2.0\n3.0\n", 2, "holds 2 value"),
+            ("# frame 1 2\n1.0\nabc\n", 3, "not a number: 'abc'"),
+            ("# frame 1 1\n1.0\n2.0\n", 3, "header"),
+            ("# frame 1 x\n1.0\n", 1, "header"),
+        ],
+        ids=["blank_row", "wide_row", "non_numeric", "trailing_row", "bad_count"],
+    )
+    def test_bad_rows(self, tmp_path, text, line, match):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        _raises_at(path, line, match)
+
+    @pytest.mark.parametrize(
+        "text, loader",
+        [
+            ("3\n1.0\n2.0\n3.0\n", load_element_values),
+            ("# frame 0\n" + "".join(f"{j} {i} 0.5\n" for j, i in
+                                   [(1, 3), (2, 4), (3, 1), (4, 2)]), load_frames),
+            ("# frame 1\n2\n1.0\n2.0\n# frame 2\n2\n3.0\n4.0\n", load_field_series),
+        ],
+        ids=["count_line_field", "frame_zero_voltages", "frame_count_line_history"],
+    )
+    def test_pre_change_layouts_rejected_at_line_one(self, tmp_path, text, loader):
+        path = tmp_path / "old.txt"
+        path.write_text(text)
+        _raises_at(path, 1, "header", loader)
+
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(voltages=st.booleans(), data=st.data())
+    def test_garbled_file_loads_or_raises_value_error_with_line(self, voltages, data):
+        rng = np.random.default_rng(0)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "frames.txt"
+            if voltages:
+                loader = load_frames
+                save_frames(path, [VoltageFrame(rng.normal(size=4), 4) for _ in range(2)])
+            else:
+                loader = load_field_series
+                save_element_values(path, rng.normal(size=(2, 5)))
+            text = path.read_text()
+            if data.draw(st.booleans(), label="truncate"):
+                text = text[: data.draw(st.integers(0, len(text)), label="cut")]
+            # even entries are tokens, odd ones the whitespace between them
+            parts = re.split(r"(\s+)", text)
+            for _ in range(data.draw(st.integers(0, 3), label="edits")):
+                i = 2 * data.draw(st.integers(0, len(parts) // 2), label="token")
+                parts[i] = data.draw(
+                    st.sampled_from(
+                        ["", "x", "#", "frame", "-1", "0", "1", "2", "3", "5", "1e999",
+                         "nan", "0.5", "\n", "1 2", "# frame 2 5\n", str(2**70)]
+                    ),
+                    label="garble",
+                )
+            path.write_text("".join(parts))
+            try:
+                loaded = loader(path)
+            except ValueError as exc:
+                assert re.match(re.escape(str(path)) + r":[1-9][0-9]*: ", str(exc)), exc
+                return
+            assert len(loaded) >= 1

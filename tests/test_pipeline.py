@@ -17,12 +17,10 @@ from eitkit.pipeline import (
     cmd_render,
     cmd_simulate,
     cmd_sweep,
-    load_field_series,
     phantom_truth_image,
-    save_field_series,
 )
 from eitkit import lung_model
-from eitkit.mesh import load_mesh, save_element_values, load_element_values
+from eitkit.mesh import load_mesh, save_element_values, load_element_values, load_field_series
 
 
 SMALL = dict(
@@ -162,7 +160,7 @@ class TestFieldSeries:
         rng = np.random.default_rng(5)
         series = rng.normal(size=(4, 17))
         path = tmp_path / "series.txt"
-        save_field_series(path, series)
+        save_element_values(path, series)
         assert np.array_equal(load_field_series(path), series)
 
 
@@ -291,7 +289,7 @@ class TestCmdEvaluate:
 
         # surrogate reference equal to the stored result -> exact zero error
         final = load_element_values(out / "delta_sigma.txt")
-        save_field_series(out / "iterates.txt", final[None, :])
+        save_element_values(out / "iterates.txt", final[None, :])
         report2 = cmd_evaluate(small_cfg, reference=out / "delta_sigma.txt")
         assert report2.re_per_iter == [0.0]
         assert report2.psnr_per_iter == [math.inf]
@@ -445,6 +443,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"lam": "x"}, "lam"),
+            ({"radius": "x"}, "radius"),
+            ({"snr_db": None}, "snr_db"),
+            ({"sweep_lambda_over_rho": 5.0}, "sweep_lambda_over_rho"),
+            ({"sweep_delta": "abc"}, "sweep_delta"),
+            ({"profile_rows": ["a"]}, "profile_rows"),
+            ({"phantom_model": "7"}, "phantom_model"),
+            ({"phantom_model": 11}, "phantom_model"),
+            ({"max_iters": True}, "max_iters"),
+            ({"mask_elements": [True]}, "mask_elements"),
+            ({"phantom_model": None, "phantom_file": "not json {"}, "phantom_file"),
+            ({"phantom_model": None, "phantom_file": '{"background": 1.0}'}, "phantom_file"),
+        ],
+        ids=[
+            "lam_string", "radius_string", "snr_null", "ratios_not_list", "deltas_string",
+            "profile_rows_strings", "model_string", "model_11", "max_iters_bool",
+            "mask_bool", "phantom_not_json", "phantom_no_inclusions",
+        ],
+    )
+    def test_malformed_config_value_exit_two(self, tmp_path, capsys, overrides, field):
+        if overrides.get("phantom_file"):
+            phantom = tmp_path / "phantom.json"
+            phantom.write_text(overrides["phantom_file"])
+            overrides = dict(overrides, phantom_file=str(phantom))
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"), **overrides)
+        assert main(["mesh", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}" in err and len(err.strip().splitlines()) == 1
+
     def test_mask_index_out_of_range_exit_two(self, tmp_path, capsys):
         cfg_path = _write_cfg(
             tmp_path / "run.cfg", out_dir=str(tmp_path / "out"), mask_elements=[0, 100000]
@@ -476,14 +506,14 @@ class TestCli:
     def test_non_numeric_field_file_exit_two(self, tmp_path, capsys):
         cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"))
         bad = tmp_path / "field.txt"
-        bad.write_text("3\n1.0\nabc\n2.0\n")
+        bad.write_text("# frame 1 3\n1.0\nabc\n2.0\n")
         assert main(["render", "--config", str(cfg_path), "--field", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "field file" in err and len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
         "text",
-        ["# frame 1\n3\n1.0\nxyz\n2.0\n", "# frame 1\n3\n1.0\n2.0\n"],
+        ["# frame 1 3\n1.0\nxyz\n2.0\n", "# frame 1 3\n1.0\n2.0\n"],
         ids=["non_numeric", "truncated_block"],
     )
     def test_bad_iterate_history_exit_two(self, tmp_path, capsys, text):
