@@ -171,37 +171,44 @@ def assemble_stiffness(mesh: TriMesh, sigma: ConductivityField) -> sp.csr_matrix
 class _GroundedSolver:
     """Shared factorization for all drive patterns of one stiffness matrix.
 
-    The pure-Neumann matrix is singular (constants); we pin node 0 to zero,
-    factorize the remaining SPD block once, and shift each solution to zero
-    mean over the electrode nodes afterwards.
+    The pure-Neumann matrix is singular (constants); we pin node 0 to zero
+    and factorize the remaining SPD block once. The block is symmetric, so
+    its columns are ordered by minimum degree on A + A^T: SuperLU's default
+    COLAMD ordering targets unsymmetric matrices and leaves 1.8x the fill
+    on the 64k-element disk.
     """
 
     def __init__(self, stiffness: sp.csr_matrix):
         self.k = stiffness
-        n = stiffness.shape[0]
         reduced = stiffness[1:, :][:, 1:].tocsc()
         try:
-            self.lu = spla.splu(reduced)
+            self.lu = spla.splu(reduced, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverError(f"stiffness factorization failed: {exc}") from exc
-        self.n = n
 
-    def solve(self, rhs: np.ndarray, drive: int | None = None) -> np.ndarray:
-        u = np.zeros(self.n)
-        u[1:] = self.lu.solve(rhs[1:])
-        norm_rhs = np.linalg.norm(rhs)
-        for _ in range(8):
-            r = rhs - self.k @ u
-            if np.linalg.norm(r) <= _RESIDUAL_TOL * norm_rhs:
-                return u
-            u[1:] += self.lu.solve(r[1:])
-        rel = np.linalg.norm(rhs - self.k @ u) / norm_rhs
-        if rel <= _RESIDUAL_TOL:
-            return u
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve K u = rhs with u[0] = 0 for one right-hand side (n,) or a
+        block (n, k). Every column is refined until its residual is at most
+        _RESIDUAL_TOL of its right-hand side; SolverError names the worst
+        column as ``drive`` otherwise."""
+        b = rhs.reshape(len(rhs), -1)
+        u = np.zeros(b.shape)
+        u[1:] = self.lu.solve(b[1:])
+        norm_b = np.linalg.norm(b, axis=0)
+        for refinement in range(9):
+            r = b - self.k @ u
+            norm_r = np.linalg.norm(r, axis=0)
+            bad = ~(norm_r <= _RESIDUAL_TOL * norm_b)  # NaN counts as a miss
+            if not bad.any():
+                return u.reshape(rhs.shape)
+            if refinement < 8:
+                u[1:, bad] += self.lu.solve(r[1:, bad])
+        rel = np.divide(norm_r, norm_b, out=np.zeros_like(norm_r), where=bad)
+        worst = int(np.argmax(rel))
         raise SolverError(
-            f"FEM solve residual {rel:.3e} above {_RESIDUAL_TOL:.0e}",
-            drive=drive,
-            diagnostics={"relative_residual": rel},
+            f"FEM solve residual {rel[worst]:.3e} above {_RESIDUAL_TOL:.0e}",
+            drive=worst,
+            diagnostics={"relative_residual": float(rel[worst])},
         )
 
 
@@ -209,28 +216,24 @@ def solve_potentials(
     stiffness: sp.csr_matrix, layout: ElectrodeLayout, current: float = 1.0
 ) -> DrivePotentials:
     """Solve every adjacent-pair drive: +current at electrode j, -current
-    at electrode j+1, grounded to zero mean over electrode nodes."""
-    solver = _GroundedSolver(stiffness)
+    at electrode j+1, grounded to zero mean over electrode nodes. All E
+    drives share one factorization and one block solve."""
     e = layout.count
-    n = stiffness.shape[0]
-    out = np.empty((n, e))
     enodes = layout.node_ids
-    for j in range(e):
-        rhs = np.zeros(n)
-        rhs[enodes[j]] += current
-        rhs[enodes[(j + 1) % e]] -= current
-        u = solver.solve(rhs, drive=j)
-        out[:, j] = u - u[enodes].mean()
-    return DrivePotentials(potentials=out, current=float(current))
+    drives = np.arange(e)
+    rhs = np.zeros((stiffness.shape[0], e))
+    np.add.at(rhs, (np.r_[enodes, np.roll(enodes, -1)], np.r_[drives, drives]),
+              np.repeat([current, -current], e))
+    u = _GroundedSolver(stiffness).solve(rhs)
+    return DrivePotentials(potentials=u - u[enodes].mean(axis=0), current=float(current))
 
 
 def extract_voltages(potentials: DrivePotentials, layout: ElectrodeLayout) -> VoltageFrame:
     """Adjacent-pair differences u^j(E_i) - u^j(E_{i+1}) in flat order."""
     e = layout.count
     ue = potentials.potentials[layout.node_ids, :]  # (E, E) electrode x drive
-    data = np.array(
-        [ue[i, j] - ue[(i + 1) % e, j] for j, i in pattern_pairs(e)]
-    )
+    j, i = np.array(pattern_pairs(e)).T
+    data = ue[i, j] - ue[(i + 1) % e, j]
     return VoltageFrame(data=data, electrode_count=e)
 
 
@@ -281,14 +284,11 @@ def sensitivity_matrix(
         raise ValueError("sensitivity linearization requires a homogeneous reference")
     k = assemble_stiffness(mesh, sigma0)
     pots = solve_potentials(k, layout, current)
-    gx, gy = _element_gradients(mesh, pots.potentials)
+    gx, gy = (g.T for g in _element_gradients(mesh, pots.potentials))  # (E, N)
     area_over_i = mesh.element_areas / pots.current
-    rows = [
-        area_over_i * (gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j])
-        for j, i in pattern_pairs(layout.count)
-    ]
+    j, i = np.array(pattern_pairs(layout.count)).T
     return SensitivityMatrix(
-        matrix=np.vstack(rows),
+        matrix=area_over_i * (gx[i] * gx[j] + gy[i] * gy[j]),
         sigma0=float(sigma0.values[0]),
         electrode_count=layout.count,
         n_elements=mesh.n_elements,

@@ -86,6 +86,13 @@ def _validate_config(cfg: PipelineConfig) -> None:
     def bad(name, why):
         raise ConfigError(f"{name}: {why}")
 
+    # NaN fails no `x < 0` style check below, so finiteness comes first;
+    # snr_db keeps +inf as its "no noise" sentinel and is checked on its own
+    for name, hint in get_type_hints(PipelineConfig).items():
+        if hint in (float, list[float]) and name != "snr_db":
+            value = getattr(cfg, name)
+            if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
+                bad(name, f"must be finite, got {value}")
     for name in ("radius", "current_ma", "sigma0", "rho", "delta", "tol", "lambda_b"):
         if not getattr(cfg, name) > 0:
             bad(name, f"must be > 0, got {getattr(cfg, name)}")
@@ -132,6 +139,10 @@ def load_config(path) -> PipelineConfig:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):

@@ -23,6 +23,14 @@ from eitkit import (
     simulate_frame,
     solve_potentials,
 )
+from eitkit import forward
+from eitkit.forward import (
+    DrivePotentials,
+    SolverError,
+    _GroundedSolver,
+    _element_gradients,
+    extract_voltages,
+)
 from eitkit.mesh import TriMesh
 
 
@@ -57,6 +65,33 @@ def _hop_distance_mask(mesh, seeds, hops):
                     nxt.append(v)
         frontier = nxt
     return dist <= hops
+
+
+def _reference_extract_voltages(potentials, layout):
+    """The per-pattern loop extract_voltages replaced (oracle)."""
+    e = layout.count
+    ue = potentials.potentials[layout.node_ids, :]
+    return np.array([ue[i, j] - ue[(i + 1) % e, j] for j, i in pattern_pairs(e)])
+
+
+def _reference_sensitivity_rows(mesh, layout, potentials):
+    """The per-pattern loop sensitivity_matrix replaced (oracle)."""
+    gx, gy = _element_gradients(mesh, potentials.potentials)
+    area_over_i = mesh.element_areas / potentials.current
+    return np.vstack([
+        area_over_i * (gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j])
+        for j, i in pattern_pairs(layout.count)
+    ])
+
+
+def _drive_block(n_nodes, layout, current=1.0):
+    """(n_nodes, E) right-hand sides built one drive at a time."""
+    e = layout.count
+    f = np.zeros((n_nodes, e))
+    for j in range(e):
+        f[layout.node_ids[j], j] += current
+        f[layout.node_ids[(j + 1) % e], j] -= current
+    return f
 
 
 class TestAssembleStiffness:
@@ -116,6 +151,37 @@ class TestSolvePotentials:
             f[layout.node_ids[(j + 1) % e]] = -1.0
             r = np.linalg.norm(k @ pots.potentials[:, j] - f) / np.linalg.norm(f)
             assert r <= 1e-10
+
+    @pytest.fixture(scope="class")
+    def block4k(self):
+        mesh = generate_disk_mesh(0.1, 4096)
+        layout = place_electrodes(mesh, 16)
+        k = assemble_stiffness(mesh, assign_conductivity(mesh, lung_model(7)))
+        return k, layout, _drive_block(mesh.n_nodes, layout)
+
+    def test_block_solve_meets_residual_per_column(self, block4k):
+        k, layout, f = block4k
+        pots = solve_potentials(k, layout)
+        rel = np.linalg.norm(k @ pots.potentials - f, axis=0) / np.linalg.norm(f, axis=0)
+        assert rel.shape == (16,) and rel.max() <= 1e-10
+
+    def test_block_solve_matches_single_columns(self, block4k):
+        k, _, f = block4k
+        solver = _GroundedSolver(k)
+        block = solver.solve(f)
+        assert block.shape == f.shape
+        for j in range(f.shape[1]):
+            single = solver.solve(f[:, j])
+            assert single.shape == (k.shape[0],)
+            assert np.linalg.norm(block[:, j] - single) <= 1e-12 * np.linalg.norm(single)
+
+    def test_missed_residual_names_a_drive(self, block4k, monkeypatch):
+        k, layout, _ = block4k
+        monkeypatch.setattr(forward, "_RESIDUAL_TOL", 0.0)
+        with pytest.raises(SolverError) as info:
+            solve_potentials(k, layout)
+        assert isinstance(info.value.drive, int) and 0 <= info.value.drive < layout.count
+        assert info.value.diagnostics["relative_residual"] > 0
 
     def test_zero_mean_grounding(self):
         mesh = generate_disk_mesh(0.1, 1024)
@@ -223,6 +289,14 @@ class TestVoltageProtocol:
             ).data
             assert np.abs(vc - v1 / c).max() <= 1e-10 * np.abs(v1).max()
 
+    @pytest.mark.parametrize("e", [4, 7, 16])
+    def test_extract_matches_loop_oracle(self, coarse, e):
+        layout = place_electrodes(coarse.mesh, e)
+        rng = np.random.default_rng(e)
+        pots = DrivePotentials(rng.normal(size=(coarse.mesh.n_nodes, e)), current=1.0)
+        got = extract_voltages(pots, layout).data
+        assert got.tobytes() == _reference_extract_voltages(pots, layout).tobytes()
+
     def test_voltage_frame_validates_length(self):
         with pytest.raises(ValueError):
             VoltageFrame(np.zeros(207), 16)
@@ -231,6 +305,13 @@ class TestVoltageProtocol:
 class TestSensitivityMatrix:
     def test_shape(self, coarse):
         assert coarse.s.matrix.shape == (208, coarse.mesh.n_elements)
+
+    def test_matches_loop_oracle(self, coarse):
+        sigma0 = ConductivityField.homogeneous(1.0, coarse.mesh.n_elements)
+        pots = solve_potentials(assemble_stiffness(coarse.mesh, sigma0), coarse.layout)
+        want = _reference_sensitivity_rows(coarse.mesh, coarse.layout, pots)
+        assert coarse.s.matrix.flags.c_contiguous
+        assert coarse.s.matrix.tobytes() == want.tobytes()
 
     def test_reciprocity_of_rows(self, coarse):
         pairs = pattern_pairs(16)

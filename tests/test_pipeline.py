@@ -443,6 +443,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err
 
+    def test_config_directory_exit_two(self, tmp_path, capsys):
+        assert main(["mesh", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "cannot be read" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_config_not_utf8_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(b"\xff\xfe" + json.dumps(SMALL).encode("utf-16-le"))
+        assert main(["mesh", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "not UTF-8" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize(
         "overrides, field",
         [
@@ -458,11 +472,18 @@ class TestCli:
             ({"mask_elements": [True]}, "mask_elements"),
             ({"phantom_model": None, "phantom_file": "not json {"}, "phantom_file"),
             ({"phantom_model": None, "phantom_file": '{"background": 1.0}'}, "phantom_file"),
+            ({"lam": float("nan")}, "lam"),
+            ({"lam": float("inf")}, "lam"),
+            ({"lam": float("-inf")}, "lam"),
+            ({"rho": float("inf")}, "rho"),
+            ({"sweep_delta": [0.01, float("nan")]}, "sweep_delta"),
+            ({"sweep_lambda_over_rho": [float("nan")]}, "sweep_lambda_over_rho"),
         ],
         ids=[
             "lam_string", "radius_string", "snr_null", "ratios_not_list", "deltas_string",
             "profile_rows_strings", "model_string", "model_11", "max_iters_bool",
             "mask_bool", "phantom_not_json", "phantom_no_inclusions",
+            "lam_nan", "lam_inf", "lam_neg_inf", "rho_inf", "deltas_nan", "ratios_nan",
         ],
     )
     def test_malformed_config_value_exit_two(self, tmp_path, capsys, overrides, field):
