@@ -15,7 +15,9 @@ splitting variable z = D x is handled by ADMM:
 
 The x-update's operator depends only on (S, D, rho): an ``XUpdateSolver``
 factors it once, and every reconstruction given it as ``x_update`` shares
-that factorization.
+that factorization. ``reconstruct_block`` runs K reconstructions of one
+data vector, differing in lam and delta, as one iteration on (N, K)
+blocks; the single reconstructions are its K = 1 case.
 
 Baselines: the same loop with frozen unit weights (anisotropic TV), a
 group-shrinkage variant coupling the x/y difference pairs (isotropic TV),
@@ -129,11 +131,17 @@ def _as_data(b) -> np.ndarray:
     return np.asarray(b, dtype=float)
 
 
-def _data_residual(s: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
-    """|S x - b| / |b|, or |S x| when b = 0."""
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of a 2-D array, each computed as the
+    norm of that column on its own (a single vector's norm, bit for bit)."""
+    return np.array([np.linalg.norm(c) for c in a.T])
+
+
+def _data_residual(s: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|S x - b| / |b| for each column of x (N, K), or |S x| when b = 0."""
     b_norm = np.linalg.norm(b)
-    resid = np.linalg.norm(s @ x - b)
-    return float(resid / b_norm if b_norm > 0 else resid)
+    resid = _column_norms(s @ x - b[:, None])
+    return resid / b_norm if b_norm > 0 else resid
 
 
 def soft_threshold(x, g):
@@ -152,28 +160,29 @@ def soft_threshold(x, g):
     return out
 
 
-def group_shrink(w: np.ndarray, g: float) -> np.ndarray:
+def group_shrink(w: np.ndarray, g) -> np.ndarray:
     """Vector shrinkage on paired components (w[k], w[N+k]).
 
     Each pair is scaled by max(0, 1 - g/|pair|); pairs with norm <= g
-    collapse to zero. Rotation-invariant within each pair.
+    collapse to zero. Rotation-invariant within each pair. On a block w
+    (2N, K), g may hold one threshold per column.
     """
-    if g < 0:
+    if np.any(np.asarray(g) < 0):
         raise ValueError("threshold must be nonnegative")
     w = np.asarray(w, dtype=float)
     n = len(w) // 2
     wx, wy = w[:n], w[n:]
     norms = np.hypot(wx, wy)
-    factor = np.zeros(n)
-    nz = norms > 0
-    factor[nz] = np.maximum(0.0, 1.0 - g / norms[nz])
+    ratio = np.divide(g, norms, out=np.full(norms.shape, np.inf), where=norms > 0)
+    factor = np.maximum(0.0, 1.0 - ratio)
     return np.concatenate([factor * wx, factor * wy])
 
 
-def nwatv_weights(delta_sigma: np.ndarray, ops: DifferenceOperators, delta: float) -> np.ndarray:
+def nwatv_weights(delta_sigma: np.ndarray, ops: DifferenceOperators, delta) -> np.ndarray:
     """Edge-adaptive weights 1/(|g_k|^2 + delta), duplicated over the x and
-    y blocks; |g_k|^2 is the squared difference magnitude at element k."""
-    if not delta > 0:
+    y blocks; |g_k|^2 is the squared difference magnitude at element k. On
+    a block delta_sigma (N, K), delta may hold one floor per column."""
+    if not np.all(np.asarray(delta) > 0):
         raise ValueError(f"delta must be > 0, got {delta}")
     gx = ops.dx @ delta_sigma
     gy = ops.dy @ delta_sigma
@@ -181,8 +190,9 @@ def nwatv_weights(delta_sigma: np.ndarray, ops: DifferenceOperators, delta: floa
     return np.concatenate([zeta, zeta])
 
 
-def z_update(w: np.ndarray, p: np.ndarray, lam: float, rho: float) -> np.ndarray:
-    """Elementwise shrinkage of w = Dx + y/rho with thresholds lam*p/rho."""
+def z_update(w: np.ndarray, p: np.ndarray, lam, rho: float) -> np.ndarray:
+    """Elementwise shrinkage of w = Dx + y/rho with thresholds lam*p/rho; on
+    a block w (2N, K), lam may hold one penalty per column."""
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0):
         raise ValueError("weights must be strictly positive")
@@ -286,9 +296,15 @@ class XUpdateSolver:
         self._cap_factor = sla.cho_factor(self._capacitance, lower=True)
 
     def _shifted_inverse(self, r: np.ndarray) -> np.ndarray:
-        """(A + U U^T)^-1 r by the Woodbury identity."""
-        a_inv_r = self._lu.solve(r)
-        small = sla.cho_solve(self._cap_factor, self.s @ a_inv_r / np.sqrt(self.rho))
+        """(A + U U^T)^-1 r by the Woodbury identity, for a block r (N, k).
+        The sparse LU and the Cholesky factor solve column by column (their
+        multi-column solves are slower than a loop over columns); the
+        products with S and A^-1 U are one matrix product over the block."""
+        a_inv_r = np.column_stack([self._lu.solve(c) for c in r.T])
+        t = self.s @ a_inv_r / np.sqrt(self.rho)
+        small = np.column_stack(
+            [sla.cho_solve(self._cap_factor, c, check_finite=False) for c in t.T]
+        )
         return a_inv_r - self._a_inv_u @ small
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
@@ -312,22 +328,38 @@ class XUpdateSolver:
         return bool(np.linalg.norm(x - v) <= _PROBE_TOL * np.linalg.norm(v))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        norm_rhs = np.linalg.norm(rhs)
-        if norm_rhs == 0:
-            return np.zeros_like(rhs)
-        x = self._shifted_inverse(rhs)
-        for _ in range(_REFINE_STEPS):
-            r = rhs - self._apply(x)
-            if np.linalg.norm(r) <= _REFINE_TOL * norm_rhs:
-                return x
-            x = x + self._shifted_inverse(r)
-        rel = np.linalg.norm(rhs - self._apply(x)) / norm_rhs
-        if rel <= _UPDATE_RESIDUAL_TOL:
-            return x
+        """Solve for one right-hand side (N,) or a block (N, K).
+
+        Each column is refined until its residual is at most _REFINE_TOL of
+        its right-hand side, for at most _REFINE_STEPS corrections, and only
+        the columns that miss are corrected again. If a column's residual
+        then stays above _UPDATE_RESIDUAL_TOL (a NaN residual counts),
+        SolverError names the worst one as ``diagnostics["column"]``.
+        """
+        b = rhs.reshape(len(rhs), -1)
+        norm_b = _column_norms(b)
+        x = np.zeros(b.shape)
+        cols = np.flatnonzero(norm_b != 0)  # a zero column has the zero solution
+        if cols.size:
+            x[:, cols] = self._shifted_inverse(b[:, cols])
+        for refinement in range(_REFINE_STEPS + 1):
+            r = b[:, cols] - self._apply(x[:, cols])
+            norm_r = _column_norms(r)
+            miss = ~(norm_r <= _REFINE_TOL * norm_b[cols])
+            cols, r, norm_r = cols[miss], r[:, miss], norm_r[miss]
+            if not cols.size:
+                return x.reshape(rhs.shape)
+            if refinement < _REFINE_STEPS:
+                x[:, cols] += self._shifted_inverse(r)
+        rel = norm_r / norm_b[cols]
+        worst = int(np.argmax(rel))  # argmax takes a NaN as the largest
+        if rel[worst] <= _UPDATE_RESIDUAL_TOL:
+            return x.reshape(rhs.shape)
         raise SolverError(
-            f"x-update residual {rel:.3e} above {_UPDATE_RESIDUAL_TOL:.0e}",
+            f"x-update residual {rel[worst]:.3e} above {_UPDATE_RESIDUAL_TOL:.0e}",
             diagnostics={
-                "relative_residual": float(rel),
+                "column": int(cols[worst]),
+                "relative_residual": float(rel[worst]),
                 "capacitance_condition": float(np.linalg.cond(self._capacitance)),
             },
         )
@@ -343,16 +375,40 @@ class XUpdateSolver:
         )
 
 
-def _admm_reconstruct(
-    s, delta_v, ops: DifferenceOperators, config: SolverConfig, *,
-    variant: str, boundary_elements=None, x_update: XUpdateSolver | None = None,
-) -> ReconResult:
+_VARIANTS = ("nwatv", "fotv", "tv")
+
+
+def reconstruct_block(
+    s, delta_v, ops: DifferenceOperators, config: SolverConfig, lams, deltas,
+    boundary_elements=None, *, variant: str = "nwatv",
+    x_update: XUpdateSolver | None = None, keep_history: bool = True,
+) -> list[ReconResult | SolverError]:
+    """K reconstructions of one data vector, run as one ADMM iteration on
+    (N, K) blocks.
+
+    Column k has the penalty ``lams[k]`` and the weight floor ``deltas[k]``
+    (``config.lam`` and ``config.delta`` are not read); S, D, rho, the data
+    and the x-update factors are shared. ``variant`` is "nwatv" (weights
+    refreshed from each iterate), "fotv" (weights frozen at one) or "tv"
+    (isotropic group shrinkage). Each column stops on its own step
+    tolerance or x-update failure while the others go on, and its entry in
+    the returned list is then its ReconResult or its SolverError. With
+    ``keep_history=False`` every history is empty (0, N).
+    """
     s = _as_matrix(s)
     b = _as_data(delta_v)
     if s.shape[0] != b.shape[0]:
         raise ValueError(f"S has {s.shape[0]} rows but data has length {b.shape[0]}")
     if s.shape[1] != ops.n_elements:
         raise ValueError("difference operators do not match the sensitivity columns")
+    if variant not in _VARIANTS:
+        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    lams = np.asarray(lams, dtype=float)
+    deltas = np.asarray(deltas, dtype=float)
+    if lams.ndim != 1 or not lams.size or lams.shape != deltas.shape:
+        raise ValueError("lams and deltas must be nonempty sequences of one length")
+    if not (np.all(lams >= 0) and np.all(deltas > 0)):
+        raise ValueError(f"need every lam >= 0 and every delta > 0, got {lams} and {deltas}")
     if config.enable_preprocess:
         if boundary_elements is None:
             raise ValueError("preprocessing enabled but no boundary element set given")
@@ -364,54 +420,82 @@ def _admm_reconstruct(
     elif not x_update.built_for(s, ops, rho):
         raise ValueError("x_update was built for a different S, D or rho")
     d, dt = ops.stacked, x_update.dt
-    n = s.shape[1]
-    st_b = s.T @ b / rho
+    n, k = s.shape[1], len(lams)
+    st_b = (s.T @ b / rho)[:, None]
 
-    x = np.zeros(n)
-    z = np.zeros(2 * n)
-    p = np.ones(2 * n)
-    y = np.zeros(2 * n)
-    history, residuals, steps, walls = [], [], [], []
-    termination = "max_iters"
+    x = np.zeros((n, k))
+    z = np.zeros((2 * n, k))
+    p = np.ones((2 * n, k))
+    y = np.zeros((2 * n, k))
+    history = [[] for _ in range(k)]
+    residuals = [[] for _ in range(k)]
+    steps = [[] for _ in range(k)]
+    walls = [[] for _ in range(k)]
+    results: list[ReconResult | SolverError | None] = [None] * k
 
+    def finish(c: int, termination: str) -> None:
+        results[c] = ReconResult(
+            final=x[:, c].copy(),
+            history=np.array(history[c]) if keep_history else np.empty((0, n)),
+            data_residual=np.array(residuals[c]),
+            step_norm=np.array(steps[c]),
+            wall_ms=np.array(walls[c]),
+            termination=termination,
+        )
+
+    live = np.arange(k)  # the running columns
     for it in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
-        rhs = st_b + dt @ (z - y / rho)
-        x_prev = x
-        try:
-            x = x_update.solve(rhs)
-        except SolverError as exc:
-            raise SolverError(
-                f"iteration {it}: {exc}", iteration=it, diagnostics=exc.diagnostics
-            ) from exc
-        if config.mask is not None:
-            x = apply_mask(x, config.mask)
-        w = d @ x + y / rho
-        if variant == "isotropic":
-            z = group_shrink(w, config.lam / rho)
-        else:
-            z = z_update(w, p, config.lam, rho)
-        if variant == "nwatv":
-            p = nwatv_weights(x, ops, config.delta)
-        y = y + rho * (d @ x - z)
-
-        step = float(np.linalg.norm(x - x_prev))
-        history.append(x.copy())
-        residuals.append(_data_residual(s, x, b))
-        steps.append(step)
-        walls.append((time.perf_counter() - t0) * 1000.0)
-        if step < config.tol:
-            termination = "tol"
+        rhs = st_b + dt @ (z[:, live] - y[:, live] / rho)
+        while live.size:
+            try:
+                x_new = x_update.solve(rhs)
+                break
+            except SolverError as exc:
+                j = exc.diagnostics["column"]
+                results[live[j]] = SolverError(
+                    f"iteration {it}: {exc}", iteration=it,
+                    diagnostics={**exc.diagnostics, "column": int(live[j])},
+                )
+                live, rhs = np.delete(live, j), np.delete(rhs, j, axis=1)
+        if not live.size:
             break
+        if config.mask is not None:
+            x_new = apply_mask(x_new, config.mask)
+        d_x = d @ x_new
+        w = d_x + y[:, live] / rho
+        if variant == "tv":
+            z_new = group_shrink(w, lams[live] / rho)
+        else:
+            z_new = z_update(w, p[:, live], lams[live], rho)
+        if variant == "nwatv":
+            p[:, live] = nwatv_weights(x_new, ops, deltas[live])
+        y[:, live] = y[:, live] + rho * (d_x - z_new)
+        z[:, live] = z_new
 
-    return ReconResult(
-        final=x,
-        history=np.array(history),
-        data_residual=np.array(residuals),
-        step_norm=np.array(steps),
-        wall_ms=np.array(walls),
-        termination=termination,
-    )
+        step = _column_norms(x_new - x[:, live])
+        x[:, live] = x_new
+        resid = _data_residual(s, x_new, b)
+        ms = (time.perf_counter() - t0) * 1000.0
+        for j, c in enumerate(live):
+            if keep_history:
+                history[c].append(x_new[:, j].copy())
+            residuals[c].append(float(resid[j]))
+            steps[c].append(float(step[j]))
+            walls[c].append(ms)
+            if step[j] < config.tol:
+                finish(c, "tol")
+        live = live[~(step < config.tol)]
+    for c in live:
+        finish(c, "max_iters")
+    return results
+
+
+def _single(results: list[ReconResult | SolverError]) -> ReconResult:
+    (result,) = results
+    if isinstance(result, SolverError):
+        raise result
+    return result
 
 
 def reconstruct_nwatv(
@@ -420,10 +504,10 @@ def reconstruct_nwatv(
 ) -> ReconResult:
     """ADMM with the nonlinear reweighted anisotropic penalty (weights
     recomputed from the current iterate each iteration)."""
-    return _admm_reconstruct(
-        s, delta_v, ops, config, variant="nwatv", boundary_elements=boundary_elements,
-        x_update=x_update,
-    )
+    return _single(reconstruct_block(
+        s, delta_v, ops, config, [config.lam], [config.delta], boundary_elements,
+        variant="nwatv", x_update=x_update,
+    ))
 
 
 def reconstruct_fotv(
@@ -431,10 +515,10 @@ def reconstruct_fotv(
     *, x_update: XUpdateSolver | None = None,
 ) -> ReconResult:
     """Same ADMM loop with the weights frozen at one (plain anisotropic TV)."""
-    return _admm_reconstruct(
-        s, delta_v, ops, config, variant="fotv", boundary_elements=boundary_elements,
-        x_update=x_update,
-    )
+    return _single(reconstruct_block(
+        s, delta_v, ops, config, [config.lam], [config.delta], boundary_elements,
+        variant="fotv", x_update=x_update,
+    ))
 
 
 def reconstruct_tv_isotropic(
@@ -444,10 +528,10 @@ def reconstruct_tv_isotropic(
     """ADMM with rotation-invariant group shrinkage coupling the (x, y)
     difference pairs. This baseline is algorithmically unrelated to the
     historical primal-dual TV solvers; timings are not comparable to them."""
-    return _admm_reconstruct(
-        s, delta_v, ops, config, variant="isotropic", boundary_elements=boundary_elements,
-        x_update=x_update,
-    )
+    return _single(reconstruct_block(
+        s, delta_v, ops, config, [config.lam], [config.delta], boundary_elements,
+        variant="tv", x_update=x_update,
+    ))
 
 
 def reconstruct_tikhonov(s, delta_v, lam: float) -> ReconResult:
@@ -463,7 +547,7 @@ def reconstruct_tikhonov(s, delta_v, lam: float) -> ReconResult:
     return ReconResult(
         final=x,
         history=x[None, :],
-        data_residual=np.array([_data_residual(s, x, b)]),
+        data_residual=_data_residual(s, x[:, None], b),
         step_norm=np.array([np.linalg.norm(x)]),
         wall_ms=np.array([(time.perf_counter() - t0) * 1e3]),
         termination="direct",

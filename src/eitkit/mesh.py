@@ -124,32 +124,42 @@ def generate_disk_mesh(radius: float, target_elements: int) -> TriMesh:
         key=lambda m: abs(RING_GROWTH * m * m - target_elements),
     )
 
-    nodes = [(0.0, 0.0)]
-    for m in range(1, n_rings + 1):
-        r = radius * m / n_rings
-        count = RING_GROWTH * m
-        for j in range(count):
-            theta = 2.0 * math.pi * j / count
-            nodes.append((r * math.cos(theta), r * math.sin(theta)))
-    nodes = np.asarray(nodes, dtype=float)
+    # ring m holds 6m nodes at angles 2 pi j / 6m; the angles are exact
+    # integer arithmetic in floats, and math.cos/math.sin per node keep the
+    # coordinates independent of numpy's vectorized libm
+    ring = np.repeat(np.arange(1, n_rings + 1), RING_GROWTH * np.arange(1, n_rings + 1))
+    count = RING_GROWTH * ring
+    j = np.arange(1, len(ring) + 1) - _ring_start(ring)
+    theta = (2.0 * math.pi * j / count).tolist()
+    r = radius * ring / n_rings
+    nodes = np.zeros((len(ring) + 1, 2))
+    nodes[1:, 0] = r * np.array(list(map(math.cos, theta)))
+    nodes[1:, 1] = r * np.array(list(map(math.sin, theta)))
 
-    triangles = []
     # innermost ring: fan around the center node
-    start1 = _ring_start(1)
-    for j in range(RING_GROWTH):
-        triangles.append((0, start1 + j, start1 + (j + 1) % RING_GROWTH))
-    # ring m >= 2: per sextant, m+1 outer nodes face m inner nodes
-    for m in range(2, n_rings + 1):
-        so, si = _ring_start(m), _ring_start(m - 1)
-        no, ni = RING_GROWTH * m, RING_GROWTH * (m - 1)
-        for s in range(RING_GROWTH):
-            outer = [so + (s * m + t) % no for t in range(m + 1)]
-            inner = [si + (s * (m - 1) + t) % ni for t in range(m)]
-            for t in range(m):
-                triangles.append((outer[t], outer[t + 1], inner[t]))
-            for t in range(m - 1):
-                triangles.append((inner[t], outer[t + 1], inner[t + 1]))
-    triangles = np.asarray(triangles, dtype=int)
+    fan = np.arange(RING_GROWTH)
+    first = np.column_stack([np.zeros_like(fan), 1 + fan, 1 + (fan + 1) % RING_GROWTH])
+    # ring m >= 2: per sextant s, m+1 outer nodes face m inner nodes; the
+    # sextant's m triangles (outer t, outer t+1, inner t) come first, then
+    # its m-1 triangles (inner t, outer t+1, inner t+1)
+    ms = np.arange(2, n_rings + 1)
+    m = np.repeat(ms, RING_GROWTH * (2 * ms - 1))
+    q = np.arange(len(m)) - RING_GROWTH * ((m - 1) ** 2 - 1)  # index within ring m
+    s, k = np.divmod(q, 2 * m - 1)
+    outer_first = k < m
+    t = np.where(outer_first, k, k - m)
+
+    def outer(i):
+        return _ring_start(m) + (s * m + i) % (RING_GROWTH * m)
+
+    def inner(i):
+        return _ring_start(m - 1) + (s * (m - 1) + i) % (RING_GROWTH * (m - 1))
+
+    triangles = np.concatenate([first, np.column_stack([
+        np.where(outer_first, outer(t), inner(t)),
+        outer(t + 1),
+        np.where(outer_first, inner(t), inner(t + 1)),
+    ])])
 
     # enforce counter-clockwise orientation
     p = nodes[triangles]

@@ -117,8 +117,10 @@ def _validate_config(cfg: PipelineConfig) -> None:
     for r in cfg.profile_rows:
         if not 0 <= r <= cfg.raster_resolution - 1:
             bad("profile_rows", f"row {r} outside 0..{cfg.raster_resolution - 1}")
-    if cfg.mask_elements is not None and any(i < 0 for i in cfg.mask_elements):
-        bad("mask_elements", "must be a list of nonnegative element indices")
+    if cfg.mask_elements is not None and (
+        not cfg.mask_elements or any(i < 0 for i in cfg.mask_elements)
+    ):
+        bad("mask_elements", "must be a nonempty list of nonnegative element indices")
 
 
 def _json_fits(value, hint) -> bool:
@@ -293,34 +295,32 @@ _ITERATIVE = {
 }
 
 
-def run_solver(
-    cfg: PipelineConfig,
-    problem: InverseProblem,
-    delta_v: forward.VoltageFrame,
-    *,
-    lam: float | None = None,
-    delta: float | None = None,
-) -> inverse.ReconResult:
-    """Run the configured solver; ``lam``/``delta`` override the config
-    (used by sweeps)."""
-    lam = cfg.lam if lam is None else lam
-    delta = cfg.delta if delta is None else delta
-    if cfg.solver == "tikhonov":
-        return inverse.reconstruct_tikhonov(problem.s, delta_v, lam)
-    solver_config = inverse.SolverConfig(
-        lam=lam,
+def _solver_config(cfg: PipelineConfig) -> inverse.SolverConfig:
+    return inverse.SolverConfig(
+        lam=cfg.lam,
         rho=cfg.rho,
-        delta=delta,
+        delta=cfg.delta,
         max_iters=cfg.max_iters,
         tol=cfg.tol,
         mask=None if cfg.mask_elements is None else np.asarray(cfg.mask_elements, dtype=int),
         lambda_b=cfg.lambda_b,
         enable_preprocess=cfg.enable_preprocess,
     )
-    boundary = problem.mesh.boundary_elements() if cfg.enable_preprocess else None
+
+
+def _boundary(cfg: PipelineConfig, problem: InverseProblem):
+    return problem.mesh.boundary_elements() if cfg.enable_preprocess else None
+
+
+def run_solver(
+    cfg: PipelineConfig, problem: InverseProblem, delta_v: forward.VoltageFrame
+) -> inverse.ReconResult:
+    """Run the configured solver on one voltage frame."""
+    if cfg.solver == "tikhonov":
+        return inverse.reconstruct_tikhonov(problem.s, delta_v, cfg.lam)
     return _ITERATIVE[cfg.solver](
-        problem.s, delta_v, problem.ops, solver_config, boundary_elements=boundary,
-        x_update=problem.x_update,
+        problem.s, delta_v, problem.ops, _solver_config(cfg),
+        boundary_elements=_boundary(cfg, problem), x_update=problem.x_update,
     )
 
 
@@ -524,9 +524,10 @@ def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
     """Grid-sweep lam/rho x delta; one reconstruction per cell, scored
     against the analytic truth image.
 
-    Cells run one after another in grid order (ratio-major), all sharing
-    the problem's factored x-update. Per-cell failures are recorded in the
-    table and the sweep continues.
+    All cells run together as the columns of one ADMM block
+    (``inverse.reconstruct_block``) on the problem's factored x-update, and
+    rows keep grid order (ratio-major). A cell that fails is recorded in
+    the table while the others go on.
     """
     out = _outdir(cfg, out_dir)
     t0 = time.perf_counter()
@@ -548,24 +549,35 @@ def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
         for ratio in cfg.sweep_lambda_over_rho
         for delta in cfg.sweep_delta
     ]
+    lams = [ratio * cfg.rho for ratio, _ in cells]
+    try:
+        if cfg.solver == "tikhonov":
+            results = [inverse.reconstruct_tikhonov(problem.s, dv, lam) for lam in lams]
+        else:
+            results = inverse.reconstruct_block(
+                problem.s, dv, problem.ops, _solver_config(cfg), lams,
+                [delta for _, delta in cells], _boundary(cfg, problem),
+                variant=cfg.solver, x_update=problem.x_update, keep_history=False,
+            )
+    except Exception as exc:  # a failure shared by every cell
+        results = [exc] * len(cells)
     rows = []
-    for ratio, delta in cells:
+    for (ratio, delta), result in zip(cells, results):
         row = {"lambda_over_rho": ratio, "delta": delta}
-        try:
-            result = run_solver(cfg, problem, dv, lam=ratio * cfg.rho, delta=delta)
+        if isinstance(result, Exception):
+            row.update(
+                iterations=0,
+                termination=f"error:{type(result).__name__}",
+                re=math.nan,
+                psnr=math.nan,
+            )
+        else:
             image = raster_image(index, cfg.sigma0 + result.final)
             row.update(
                 iterations=result.n_iterations,
                 termination=result.termination,
                 re=metrics.relative_error(image, truth),
                 psnr=metrics.psnr(image, truth),
-            )
-        except Exception as exc:  # per-cell failures must not kill the sweep
-            row.update(
-                iterations=0,
-                termination=f"error:{type(exc).__name__}",
-                re=math.nan,
-                psnr=math.nan,
             )
         rows.append(row)
     t2 = time.perf_counter()

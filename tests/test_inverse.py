@@ -1,5 +1,7 @@
 """ADMM reconstruction: proximal updates, solver loop, baselines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,8 @@ from eitkit import (
     generate_disk_mesh,
     lung_model,
     nwatv_weights,
+    ReconResult,
+    reconstruct_block,
     reconstruct_fotv,
     reconstruct_nwatv,
     reconstruct_tikhonov,
@@ -287,6 +291,46 @@ class TestXUpdateSolver:
         assert info.value.diagnostics["relative_residual"] > 1e-8
         assert info.value.diagnostics["capacitance_condition"] >= 1.0
 
+    def _rhs_block(self, s, ops, rho, k):
+        return np.column_stack([self._admm_rhs(s, ops, rho, 40 + j) for j in range(k)])
+
+    def test_block_solve_meets_residual_per_column(self, coarse):
+        s, rho, d = coarse.s.matrix, 1e-10, coarse.ops.stacked
+        rhs = self._rhs_block(s, coarse.ops, rho, 6)
+        x = XUpdateSolver(s, coarse.ops, rho).solve(rhs)
+        assert x.shape == rhs.shape
+        for j in range(rhs.shape[1]):
+            r = rhs[:, j] - (s.T @ (s @ x[:, j]) / rho + d.T @ (d @ x[:, j]))
+            assert np.linalg.norm(r) <= 1e-13 * np.linalg.norm(rhs[:, j])
+
+    def test_block_solve_matches_single_columns(self, coarse):
+        s, rho = coarse.s.matrix, 1e-10
+        solver = XUpdateSolver(s, coarse.ops, rho)
+        rhs = self._rhs_block(s, coarse.ops, rho, 6)
+        rhs[:, 2] = 0.0  # a zero column keeps the zero solution
+        block = solver.solve(rhs)
+        for j in range(rhs.shape[1]):
+            single = solver.solve(rhs[:, j])
+            assert single.shape == (s.shape[1],)
+            assert np.linalg.norm(block[:, j] - single) <= 1e-10 * np.linalg.norm(single)
+
+    def test_one_column_block_is_bitwise_the_vector_solve(self, coarse):
+        s, rho = coarse.s.matrix, 1e-10
+        solver = XUpdateSolver(s, coarse.ops, rho)
+        rhs = self._admm_rhs(s, coarse.ops, rho, 47)
+        assert np.array_equal(solver.solve(rhs[:, None])[:, 0], solver.solve(rhs))
+
+    def test_block_column_missing_residual_is_named(self):
+        ops = _chain_ops()
+        solver = XUpdateSolver(np.zeros((60, 40)), ops, 1.0)
+        rng = np.random.default_rng(29)
+        rhs = np.column_stack([ops.stacked.T @ rng.normal(size=80) for _ in range(3)])
+        rhs[:, 1] += 1.0  # a component along the constants cannot be solved
+        with pytest.raises(SolverError, match="residual") as info:
+            solver.solve(rhs)
+        assert info.value.diagnostics["column"] == 1
+        assert info.value.diagnostics["relative_residual"] > 1e-8
+
     def test_shared_solver_gives_identical_iterates(self, coarse, model7):
         cfg = _shipped_config(max_iters=3)
         solver = XUpdateSolver(coarse.s, coarse.ops, cfg.rho)
@@ -488,6 +532,91 @@ class TestReconstructNwatv:
             s, model7.dv_noisy, ops, _shipped_config(max_iters=3, tol=1e-30)
         )
         assert np.allclose(res.history, np.array(history), atol=1e-12, rtol=0)
+
+
+_SINGLE = {"nwatv": reconstruct_nwatv, "fotv": reconstruct_fotv, "tv": reconstruct_tv_isotropic}
+
+
+class TestReconstructBlock:
+    LAMS = [5e-14, 5e-13, 5e-12]
+    DELTAS = [0.001, 0.01, 0.1]
+
+    @pytest.mark.parametrize("variant", sorted(_SINGLE))
+    def test_columns_match_single_reconstructions(self, coarse, model7, variant):
+        cfg = _shipped_config(max_iters=4)
+        solver = XUpdateSolver(coarse.s, coarse.ops, cfg.rho)
+        block = reconstruct_block(
+            coarse.s, model7.dv_noisy, coarse.ops, cfg, self.LAMS, self.DELTAS,
+            variant=variant, x_update=solver,
+        )
+        for lam, delta, got in zip(self.LAMS, self.DELTAS, block):
+            want = _SINGLE[variant](
+                coarse.s, model7.dv_noisy, coarse.ops, replace(cfg, lam=lam, delta=delta),
+                x_update=solver,
+            )
+            assert (got.termination, got.n_iterations) == (want.termination, want.n_iterations)
+            assert got.history.shape == want.history.shape
+            gap = np.linalg.norm(got.history - want.history)
+            assert gap <= 1e-10 * np.linalg.norm(want.history)
+            assert np.allclose(got.data_residual, want.data_residual, rtol=1e-10, atol=0)
+
+    def test_columns_stop_on_their_own_tol(self, coarse, model7):
+        # at tol 1e-2 the lam = 5e-11 column stops at iteration 13 and the
+        # lam = 5e-9 column runs out its 30 iterations
+        cfg = _shipped_config(max_iters=30, tol=1e-2)
+        lams, deltas = [5e-11, 5e-9], [0.01, 0.01]
+        block = reconstruct_block(
+            coarse.s, model7.dv_noisy, coarse.ops, cfg, lams, deltas, variant="fotv",
+            keep_history=False,
+        )
+        assert [r.termination for r in block] == ["tol", "max_iters"]
+        for lam, got in zip(lams, block):
+            want = reconstruct_fotv(coarse.s, model7.dv_noisy, coarse.ops, replace(cfg, lam=lam))
+            assert got.n_iterations == want.n_iterations
+            assert got.history.shape == (0, coarse.mesh.n_elements)
+            assert np.linalg.norm(got.final - want.final) <= 1e-10 * np.linalg.norm(want.final)
+
+    def test_failed_column_does_not_stop_the_others(self, coarse, model7, monkeypatch):
+        cfg = _shipped_config(max_iters=3)
+        solver = XUpdateSolver(coarse.s, coarse.ops, cfg.rho)
+        real = XUpdateSolver.solve
+
+        def poisoned(self, rhs):
+            # a NaN right-hand side in the middle column of the full block
+            if rhs.ndim == 2 and rhs.shape[1] == 3:
+                rhs = rhs.copy()
+                rhs[:, 1] = np.nan
+            return real(self, rhs)
+
+        monkeypatch.setattr(XUpdateSolver, "solve", poisoned)
+        block = reconstruct_block(
+            coarse.s, model7.dv_noisy, coarse.ops, cfg, self.LAMS, self.DELTAS, x_update=solver
+        )
+        assert isinstance(block[1], SolverError)
+        assert block[1].iteration == 1 and block[1].diagnostics["column"] == 1
+        for c in (0, 2):
+            assert isinstance(block[c], ReconResult) and block[c].n_iterations == 3
+            assert np.all(np.isfinite(block[c].final))
+
+    def test_single_reconstruction_raises_its_column_error(self, coarse, model7, monkeypatch):
+        solver = XUpdateSolver(coarse.s, coarse.ops, 1e-10)
+        real = XUpdateSolver.solve
+        monkeypatch.setattr(XUpdateSolver, "solve", lambda self, rhs: real(self, rhs * np.nan))
+        with pytest.raises(SolverError, match="iteration 1: x-update residual") as info:
+            reconstruct_nwatv(
+                coarse.s, model7.dv_noisy, coarse.ops, _shipped_config(), x_update=solver
+            )
+        assert info.value.iteration == 1 and info.value.diagnostics["column"] == 0
+
+    def test_rejects_mismatched_parameters(self, coarse, model7):
+        with pytest.raises(ValueError, match="lams and deltas"):
+            reconstruct_block(
+                coarse.s, model7.dv_noisy, coarse.ops, _shipped_config(), [5e-13], [0.01, 0.1]
+            )
+        with pytest.raises(ValueError, match="delta > 0"):
+            reconstruct_block(
+                coarse.s, model7.dv_noisy, coarse.ops, _shipped_config(), [5e-13], [0.0]
+            )
 
 
 class TestBaselines:

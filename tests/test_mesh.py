@@ -28,7 +28,34 @@ from eitkit import (
     save_frames,
     save_mesh,
 )
-from eitkit.mesh import DIRECTION_THRESHOLD, RING_GROWTH, load_field_series
+from eitkit.mesh import DIRECTION_THRESHOLD, RING_GROWTH, _finish_mesh, load_field_series
+
+
+def _reference_disk_mesh(radius, n_rings):
+    """Per-node and per-triangle loops over the rings; oracle for the
+    vectorized construction in generate_disk_mesh."""
+    nodes = [(0.0, 0.0)]
+    for m in range(1, n_rings + 1):
+        r = radius * m / n_rings
+        count = RING_GROWTH * m
+        for j in range(count):
+            theta = 2.0 * math.pi * j / count
+            nodes.append((r * math.cos(theta), r * math.sin(theta)))
+    start = [1 + 3 * m * (m - 1) for m in range(n_rings + 1)]
+    triangles = [(0, start[1] + j, start[1] + (j + 1) % RING_GROWTH) for j in range(RING_GROWTH)]
+    for m in range(2, n_rings + 1):
+        no, ni = RING_GROWTH * m, RING_GROWTH * (m - 1)
+        for s in range(RING_GROWTH):
+            outer = [start[m] + (s * m + t) % no for t in range(m + 1)]
+            inner = [start[m - 1] + (s * (m - 1) + t) % ni for t in range(m)]
+            triangles += [(outer[t], outer[t + 1], inner[t]) for t in range(m)]
+            triangles += [(inner[t], outer[t + 1], inner[t + 1]) for t in range(m - 1)]
+    nodes, triangles = np.asarray(nodes, dtype=float), np.asarray(triangles, dtype=int)
+    p = nodes[triangles]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    triangles[flip] = triangles[flip][:, ::-1]
+    return _finish_mesh(nodes, triangles)
 
 
 def _reference_rasterize(mesh, values, resolution):
@@ -245,6 +272,19 @@ class TestGenerateDiskMesh:
         m2 = generate_disk_mesh(0.1, 2048)
         assert np.array_equal(m1.nodes, m2.nodes)
         assert np.array_equal(m1.triangles, m2.triangles)
+
+    # 54, 96, 1014, 4056, 16224 and 66150 elements
+    @pytest.mark.parametrize("target", [64, 100, 1024, 4096, 16384, 65536])
+    def test_matches_loop_oracle(self, target, tmp_path):
+        mesh = generate_disk_mesh(0.1, target)
+        want = _reference_disk_mesh(0.1, math.isqrt(mesh.n_elements // RING_GROWTH))
+        for name in ("nodes", "triangles", "boundary_edges", "element_centroids",
+                     "element_areas", "element_neighbors"):
+            a, b = getattr(mesh, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        save_mesh(tmp_path / "want.txt", want)
+        save_mesh(tmp_path / "got.txt", mesh)
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
 
     def test_element_count_tracks_target(self):
         for target in (64, 256, 1024, 4096, 16384):

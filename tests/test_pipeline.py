@@ -363,8 +363,23 @@ class TestCmdSweep:
         assert not [r for r in rows if r["termination"].startswith("error")]
         assert built == [64]
 
+    def test_shipped_cell_of_full_grid_matches_reconstruct_evaluate(self, small_cfg):
+        # the 35 cells run as one block, whose products round differently
+        # from a single reconstruction's in the last digits only
+        cmd_simulate(small_cfg)
+        cmd_reconstruct(small_cfg)
+        want = cmd_evaluate(small_cfg).re_per_iter[-1]
+        rows = cmd_sweep(small_cfg)
+        assert len(rows) == 35
+        (row,) = [
+            r for r in rows
+            if r["lambda_over_rho"] * small_cfg.rho == small_cfg.lam
+            and r["delta"] == small_cfg.delta
+        ]
+        assert abs(row["re"] - want) <= 1e-10 * want
+
     def test_cell_failure_recorded_and_continues(self, tmp_path, monkeypatch):
-        import eitkit.pipeline as pl
+        import eitkit.inverse as inv
 
         cfg = load_config(
             _write_cfg(
@@ -374,14 +389,16 @@ class TestCmdSweep:
                 sweep_delta=[0.001, 0.1],
             )
         )
-        real = pl.run_solver
+        real = inv.XUpdateSolver.solve
 
-        def flaky(cfg_in, problem, dv, *, lam=None, delta=None):
-            if delta == 0.001:
-                raise SolverError("synthetic failure")
-            return real(cfg_in, problem, dv, lam=lam, delta=delta)
+        def poisoned(self, rhs):
+            # a NaN right-hand side in the delta = 0.001 column of the block
+            if rhs.ndim == 2 and rhs.shape[1] == 2:
+                rhs = rhs.copy()
+                rhs[:, 0] = np.nan
+            return real(self, rhs)
 
-        monkeypatch.setattr(pl, "run_solver", flaky)
+        monkeypatch.setattr(inv.XUpdateSolver, "solve", poisoned)
         rows = cmd_sweep(cfg, out_dir=tmp_path / "s")
         assert rows[0]["termination"] == "error:SolverError"
         assert math.isnan(rows[0]["re"])
@@ -470,6 +487,7 @@ class TestCli:
             ({"phantom_model": 11}, "phantom_model"),
             ({"max_iters": True}, "max_iters"),
             ({"mask_elements": [True]}, "mask_elements"),
+            ({"mask_elements": []}, "mask_elements"),
             ({"phantom_model": None, "phantom_file": "not json {"}, "phantom_file"),
             ({"phantom_model": None, "phantom_file": '{"background": 1.0}'}, "phantom_file"),
             ({"lam": float("nan")}, "lam"),
@@ -482,7 +500,7 @@ class TestCli:
         ids=[
             "lam_string", "radius_string", "snr_null", "ratios_not_list", "deltas_string",
             "profile_rows_strings", "model_string", "model_11", "max_iters_bool",
-            "mask_bool", "phantom_not_json", "phantom_no_inclusions",
+            "mask_bool", "mask_empty", "phantom_not_json", "phantom_no_inclusions",
             "lam_nan", "lam_inf", "lam_neg_inf", "rho_inf", "deltas_nan", "ratios_nan",
         ],
     )
