@@ -239,11 +239,11 @@ class XUpdateSolver:
 
         (A + U U^T)^-1 = A^-1 - A^-1 U (I + U^T A^-1 U)^-1 U^T A^-1
 
-    needs one sparse LU of A, the N x M block A^-1 U and a Cholesky factor
-    of the M x M capacitance matrix I + U^T A^-1 U; no N x N array is
-    formed. The shift eps (a small multiple of the operator's mean
-    diagonal) makes A invertible, since D annihilates constants; iterative
-    refinement against the exact operator, applied matrix-free, removes it.
+    needs one sparse LU of A and the N x M gain G = A^-1 U C^-1, with C the
+    M x M capacitance matrix I + U^T A^-1 U; no N x N array is formed. The
+    shift eps (a small multiple of the operator's mean diagonal) makes A
+    invertible, since D annihilates constants; iterative refinement against
+    the exact operator, applied matrix-free, removes it.
 
     If the operator is not positive definite (S and D share a null vector,
     e.g. S = 0), a trace-scaled identity floor is added to it and the
@@ -254,6 +254,8 @@ class XUpdateSolver:
         if not rho > 0:
             raise ValueError(f"rho must be > 0, got {rho}")
         self.s = _as_matrix(s)
+        if not np.all(np.isfinite(self.s)):
+            raise ValueError("S has non-finite entries")
         self.d = ops.stacked
         self.dt = self.d.T  # one CSC view of D^T, reused by every product
         self.rho = rho
@@ -287,25 +289,22 @@ class XUpdateSolver:
             ) from exc
 
     def _factor(self, shift: float) -> None:
-        """Factor A = D^T D + shift I and the capacitance matrix."""
-        n = self.s.shape[1]
-        base = (self.dt @ self.d + shift * sp.identity(n)).tocsc()
+        """Factor A = D^T D + shift I and form the gain G = A^-1 U C^-1."""
+        base = (self.dt @ self.d + shift * sp.identity(self.s.shape[1])).tocsc()
         self._lu = spla.splu(base)
-        self._a_inv_u = self._lu.solve(self.s.T / np.sqrt(self.rho))
-        self._capacitance = np.eye(self.s.shape[0]) + self.s @ self._a_inv_u / np.sqrt(self.rho)
-        self._cap_factor = sla.cho_factor(self._capacitance, lower=True)
+        a_inv_u = self._lu.solve(self.s.T / np.sqrt(self.rho))
+        self._capacitance = np.eye(self.s.shape[0]) + self.s @ a_inv_u / np.sqrt(self.rho)
+        # G = A^-1 U (L L^T)^-1, with C = L L^T: two triangular solves in place
+        low = sla.cholesky(self._capacitance, lower=True)
+        trsm = sla.get_blas_funcs("trsm", (low,))
+        y = trsm(1.0, low, a_inv_u, side=1, lower=1, trans_a=1, overwrite_b=1)
+        self._gain = trsm(1.0, low, y, side=1, lower=1, overwrite_b=1)
 
     def _shifted_inverse(self, r: np.ndarray) -> np.ndarray:
-        """(A + U U^T)^-1 r by the Woodbury identity, for a block r (N, k).
-        The sparse LU and the Cholesky factor solve column by column (their
-        multi-column solves are slower than a loop over columns); the
-        products with S and A^-1 U are one matrix product over the block."""
+        """(A + U U^T)^-1 r = a - G U^T a with a = A^-1 r, for a block r (N, k);
+        SuperLU solves column by column (faster than its multi-column solve)."""
         a_inv_r = np.column_stack([self._lu.solve(c) for c in r.T])
-        t = self.s @ a_inv_r / np.sqrt(self.rho)
-        small = np.column_stack(
-            [sla.cho_solve(self._cap_factor, c, check_finite=False) for c in t.T]
-        )
-        return a_inv_r - self._a_inv_u @ small
+        return a_inv_r - self._gain @ (self.s @ a_inv_r / np.sqrt(self.rho))
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """The exact operator ((1/rho) S^T S + D^T D + floor I) x, matrix-free."""

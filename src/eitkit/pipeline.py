@@ -552,7 +552,8 @@ def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
     lams = [ratio * cfg.rho for ratio, _ in cells]
     try:
         if cfg.solver == "tikhonov":
-            results = [inverse.reconstruct_tikhonov(problem.s, dv, lam) for lam in lams]
+            solved = {lam: inverse.reconstruct_tikhonov(problem.s, dv, lam) for lam in set(lams)}
+            results = [solved[lam] for lam in lams]
         else:
             results = inverse.reconstruct_block(
                 problem.s, dv, problem.ops, _solver_config(cfg), lams,

@@ -331,6 +331,46 @@ class TestXUpdateSolver:
         assert info.value.diagnostics["column"] == 1
         assert info.value.diagnostics["relative_residual"] > 1e-8
 
+    def test_shipped_size_block_needs_at_most_one_correction(self, coarse, monkeypatch):
+        # the 35 columns of a sweep block at the shipped inverse size: the
+        # first application of the Woodbury gain plus at most one correction
+        # meets 1e-13 in every column
+        s, rho, d = coarse.s.matrix, 1e-10, coarse.ops.stacked
+        solver = XUpdateSolver(s, coarse.ops, rho)
+        rhs = self._rhs_block(s, coarse.ops, rho, 35)
+        applied = []
+        real = XUpdateSolver._shifted_inverse
+
+        def spy(self, r):
+            applied.append(r.shape[1])
+            return real(self, r)
+
+        monkeypatch.setattr(XUpdateSolver, "_shifted_inverse", spy)
+        x = solver.solve(rhs)
+        assert applied[0] == 35 and len(applied) <= 2
+        for j in range(35):
+            r = rhs[:, j] - (s.T @ (s @ x[:, j]) / rho + d.T @ (d @ x[:, j]))
+            assert np.linalg.norm(r) <= 1e-13 * np.linalg.norm(rhs[:, j])
+
+    def test_block_solve_on_floored_operator(self):
+        ops = _chain_ops()
+        solver = XUpdateSolver(np.zeros((60, 40)), ops, 1.0)
+        assert solver.floor > 0
+        rng = np.random.default_rng(31)
+        rhs = ops.stacked.T @ rng.normal(size=(80, 5))  # consistent: no constants
+        x = solver.solve(rhs)
+        dtd = ops.stacked.T @ ops.stacked
+        for j in range(5):
+            assert np.linalg.norm(dtd @ x[:, j] - rhs[:, j]) <= 1e-8 * np.linalg.norm(rhs[:, j])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sensitivity_rejected(self, bad):
+        mesh = generate_disk_mesh(0.1, 256)
+        s = np.random.default_rng(32).normal(size=(208, mesh.n_elements))
+        s[3, 5] = bad
+        with pytest.raises(ValueError, match="S has non-finite"):
+            XUpdateSolver(s, build_difference_operators(mesh), 1e-10)
+
     def test_shared_solver_gives_identical_iterates(self, coarse, model7):
         cfg = _shipped_config(max_iters=3)
         solver = XUpdateSolver(coarse.s, coarse.ops, cfg.rho)

@@ -378,6 +378,28 @@ class TestCmdSweep:
         ]
         assert abs(row["re"] - want) <= 1e-10 * want
 
+    def test_tikhonov_solves_once_per_lambda(self, tmp_path, monkeypatch):
+        import eitkit.inverse as inv
+
+        cfg = load_config(
+            _write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "o"), solver="tikhonov")
+        )
+        calls = []
+        real = inv.reconstruct_tikhonov
+
+        def spy(s, delta_v, lam):
+            calls.append(lam)
+            return real(s, delta_v, lam)
+
+        monkeypatch.setattr(inv, "reconstruct_tikhonov", spy)
+        rows = cmd_sweep(cfg)
+        assert len(rows) == 35
+        assert sorted(calls) == sorted({r["lambda_over_rho"] * cfg.rho for r in rows})
+        assert len(calls) == 7
+        for row in rows:  # the delta cells of one lam share its solution
+            first = next(r for r in rows if r["lambda_over_rho"] == row["lambda_over_rho"])
+            assert (row["termination"], row["re"]) == ("direct", first["re"])
+
     def test_cell_failure_recorded_and_continues(self, tmp_path, monkeypatch):
         import eitkit.inverse as inv
 
