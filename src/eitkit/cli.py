@@ -62,12 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> PipelineConfig:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, out_dir=args.out)
-    return cfg
+    """The config with the --seed and --out overrides, validated again."""
+    overrides = {"seed": args.seed, "out_dir": args.out}
+    return dataclasses.replace(
+        load_config(args.config), **{k: v for k, v in overrides.items() if v is not None}
+    )
 
 
 def main(argv=None) -> int:
@@ -98,11 +97,11 @@ def main(argv=None) -> int:
                 f"data residual {manifest['final_data_residual']:.4g} -> {cfg.out_dir}"
             )
         elif args.command == "evaluate":
-            report = cmd_evaluate(cfg, result_dir=args.result, reference=args.reference)
+            manifest = cmd_evaluate(cfg, result_dir=args.result, reference=args.reference)
             print(
-                f"evaluated {len(report.re_per_iter)} iterates: "
-                f"final re {report.re_per_iter[-1]:.4g}, "
-                f"final psnr {report.psnr_per_iter[-1]:.4g} dB -> {cfg.out_dir}"
+                f"evaluated {manifest['n_iterations']} iterates: "
+                f"final re {manifest['final_re']:.4g}, "
+                f"final psnr {manifest['final_psnr']:.4g} dB -> {cfg.out_dir}"
             )
         elif args.command == "sweep":
             rows = cmd_sweep(cfg, data_path=args.data)

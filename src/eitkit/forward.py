@@ -255,29 +255,21 @@ def _element_gradients(mesh: TriMesh, potentials: np.ndarray) -> tuple[np.ndarra
     return gx, gy
 
 
-@dataclass(frozen=True)
-class SensitivityMatrix:
-    """Linearization of the voltage map about a homogeneous reference.
-
-    Row p (pattern (j, i)) and column q hold
-        S[p, q] = (1/I) * area(T_q) * grad(u0^i)|_q . grad(u0^j)|_q,
-    symmetric in the drive/measure roles. The first-order voltage change
-    for a perturbation d of the reference is LINEARIZATION_SIGN * S @ d.
-    """
-
-    matrix: np.ndarray  # (E(E-3), N)
-    sigma0: float
-    electrode_count: int
-    n_elements: int
-
-
 def sensitivity_matrix(
     mesh: TriMesh,
     layout: ElectrodeLayout,
     sigma0: ConductivityField,
     current: float = 1.0,
-) -> SensitivityMatrix:
-    """Assemble the sensitivity matrix about a homogeneous reference field."""
+) -> np.ndarray:
+    """Linearization of the voltage map about a homogeneous reference: the
+    C-contiguous (E(E-3), N) array S whose row p (pattern (j, i)) and
+    column q hold
+
+        S[p, q] = (1/I) * area(T_q) * grad(u0^i)|_q . grad(u0^j)|_q,
+
+    symmetric in the drive/measure roles. The first-order voltage change
+    for a perturbation d of the reference is LINEARIZATION_SIGN * S @ d.
+    """
     if sigma0.values.shape != (mesh.n_elements,):
         raise ValueError("reference field does not match the mesh")
     if not sigma0.is_homogeneous:
@@ -287,12 +279,7 @@ def sensitivity_matrix(
     gx, gy = (g.T for g in _element_gradients(mesh, pots.potentials))  # (E, N)
     area_over_i = mesh.element_areas / pots.current
     j, i = np.array(pattern_pairs(layout.count)).T
-    return SensitivityMatrix(
-        matrix=area_over_i * (gx[i] * gx[j] + gy[i] * gy[j]),
-        sigma0=float(sigma0.values[0]),
-        electrode_count=layout.count,
-        n_elements=mesh.n_elements,
-    )
+    return area_over_i * (gx[i] * gx[j] + gy[i] * gy[j])
 
 
 def signed_difference(reference: VoltageFrame, perturbed: VoltageFrame) -> np.ndarray:

@@ -35,7 +35,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .forward import SensitivityMatrix, SolverError, VoltageFrame
+from .forward import SolverError, VoltageFrame
 from .mesh import DifferenceOperators
 
 log = logging.getLogger(__name__)
@@ -117,12 +117,6 @@ class ReconResult:
     @property
     def n_iterations(self) -> int:
         return len(self.step_norm)
-
-
-def _as_matrix(s) -> np.ndarray:
-    if isinstance(s, SensitivityMatrix):
-        return s.matrix
-    return np.asarray(s, dtype=float)
 
 
 def _as_data(b) -> np.ndarray:
@@ -219,7 +213,7 @@ def preprocess_boundary(delta_v, s, boundary_elements, lambda_b: float) -> np.nd
     idx = np.asarray(boundary_elements, dtype=int)
     if idx.size == 0:
         raise ValueError("boundary element set is empty")
-    s = _as_matrix(s)
+    s = np.asarray(s, dtype=float)
     b = _as_data(delta_v)
     if s.shape[0] != b.shape[0]:
         raise ValueError(f"S has {s.shape[0]} rows but data has length {b.shape[0]}")
@@ -253,7 +247,7 @@ class XUpdateSolver:
     def __init__(self, s, ops: DifferenceOperators, rho: float):
         if not rho > 0:
             raise ValueError(f"rho must be > 0, got {rho}")
-        self.s = _as_matrix(s)
+        self.s = np.asarray(s, dtype=float)
         if not np.all(np.isfinite(self.s)):
             raise ValueError("S has non-finite entries")
         self.d = ops.stacked
@@ -394,7 +388,7 @@ def reconstruct_block(
     the returned list is then its ReconResult or its SolverError. With
     ``keep_history=False`` every history is empty (0, N).
     """
-    s = _as_matrix(s)
+    s = np.asarray(s, dtype=float)
     b = _as_data(delta_v)
     if s.shape[0] != b.shape[0]:
         raise ValueError(f"S has {s.shape[0]} rows but data has length {b.shape[0]}")
@@ -539,7 +533,7 @@ def reconstruct_tikhonov(s, delta_v, lam: float) -> ReconResult:
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
     t0 = time.perf_counter()
-    s = _as_matrix(s)
+    s = np.asarray(s, dtype=float)
     b = _as_data(delta_v)
     factor = sla.cho_factor(s @ s.T + lam * np.eye(s.shape[0]), lower=True)
     x = s.T @ sla.cho_solve(factor, b)

@@ -8,7 +8,6 @@ functions (no sentinel present).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,42 +64,6 @@ def profile(image: np.ndarray, start, end, samples: int) -> np.ndarray:
     rows = np.rint(start[0] + t * (end[0] - start[0])).astype(int)
     cols = np.rint(start[1] + t * (end[1] - start[1])).astype(int)
     return image[rows, cols]
-
-
-@dataclass
-class EvalReport:
-    """Per-iterate evaluation of a reconstruction run."""
-
-    re_per_iter: list[float]
-    psnr_per_iter: list[float]
-    profile_samples: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(self.re_per_iter) != len(self.psnr_per_iter):
-            raise ValueError("re and psnr series must have equal length")
-
-
-def save_eval_report(path, report: EvalReport) -> None:
-    """CSV with one row per iteration: iteration, re, psnr."""
-    with open(path, "w") as f:
-        f.write("iteration,re,psnr\n")
-        for n, (r, p) in enumerate(zip(report.re_per_iter, report.psnr_per_iter), start=1):
-            f.write(f"{n},{r!r},{p!r}\n")
-
-
-def load_eval_report(path) -> EvalReport:
-    re_list, psnr_list = [], []
-    with open(path) as f:
-        header = f.readline()
-        if not header.startswith("iteration"):
-            raise ValueError("not an evaluation CSV")
-        for line in f:
-            if not line.strip():
-                continue
-            _, r, p = line.strip().split(",")
-            re_list.append(float(r))
-            psnr_list.append(float(p))
-    return EvalReport(re_per_iter=re_list, psnr_per_iter=psnr_list)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,9 @@ class PipelineConfig:
     sweep_delta: list[float] = field(default_factory=lambda: list(_SWEEP_DELTAS))
     profile_rows: list[int] = field(default_factory=lambda: [107, 144, 182])
 
+    def __post_init__(self):
+        _validate_config(self)
+
 
 def _validate_config(cfg: PipelineConfig) -> None:
     def bad(name, why):
@@ -97,7 +100,7 @@ def _validate_config(cfg: PipelineConfig) -> None:
         if not getattr(cfg, name) > 0:
             bad(name, f"must be > 0, got {getattr(cfg, name)}")
     for name, low in (("inverse_elements", 64), ("forward_elements", 64), ("electrode_count", 4),
-                      ("max_iters", 1), ("raster_resolution", 16)):
+                      ("max_iters", 1), ("raster_resolution", 16), ("seed", 0)):
         if getattr(cfg, name) < low:
             bad(name, f"must be an integer >= {low}, got {getattr(cfg, name)!r}")
     if (cfg.phantom_model is None) == (cfg.phantom_file is None):
@@ -163,9 +166,7 @@ def load_config(path) -> PipelineConfig:
     for f in fields(PipelineConfig):
         if f.name in raw and not _json_fits(raw[f.name], hints[f.name]):
             raise ConfigError(f"{f.name}: expected {f.type}, got {json.dumps(raw[f.name])}")
-    cfg = PipelineConfig(**raw)
-    _validate_config(cfg)
-    return cfg
+    return PipelineConfig(**raw)
 
 
 def _config_json(cfg: PipelineConfig) -> dict:
@@ -173,6 +174,16 @@ def _config_json(cfg: PipelineConfig) -> dict:
     if math.isinf(d["snr_db"]):
         d["snr_db"] = "inf"
     return d
+
+
+def _write_table(path, header, rows) -> None:
+    """CSV with a header line; floats are written as repr (exact, with inf
+    and nan as such), every other cell as str."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            cells = (repr(float(c)) if isinstance(c, float) else str(c) for c in row)
+            f.write(",".join(cells) + "\n")
 
 
 def _write_json(path, obj) -> None:
@@ -209,7 +220,7 @@ class InverseProblem:
     mesh: TriMesh
     layout: ElectrodeLayout
     ops: DifferenceOperators
-    s: forward.SensitivityMatrix
+    s: np.ndarray
     x_update: inverse.XUpdateSolver | None
     timings_s: dict
 
@@ -220,14 +231,28 @@ def load_phantom_spec(cfg: PipelineConfig) -> PhantomSpec:
     return _load_field(cfg.phantom_file, "phantom_file", load_phantom)
 
 
+def _disk(cfg: PipelineConfig, n_elements: int, angles=None) -> tuple[TriMesh, ElectrodeLayout]:
+    """Disk mesh of the config's radius and its electrodes, snapped to
+    ``angles`` when given; a geometry that cannot be meshed or hold the
+    electrodes is a one-line ConfigError naming the field."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # caught as a degenerate mesh
+            mesh = generate_disk_mesh(cfg.radius, n_elements)
+    except ValueError as exc:
+        raise ConfigError(f"radius: {cfg.radius} gives no valid mesh: {exc}")
+    try:
+        return mesh, place_electrodes(mesh, cfg.electrode_count, angles=angles)
+    except ValueError as exc:
+        raise ConfigError(f"electrode_count: {exc} ({n_elements} elements)")
+
+
 def build_inverse_problem(cfg: PipelineConfig) -> InverseProblem:
     t0 = time.perf_counter()
-    mesh = generate_disk_mesh(cfg.radius, cfg.inverse_elements)
+    mesh, layout = _disk(cfg, cfg.inverse_elements)
     if cfg.mask_elements is not None and max(cfg.mask_elements, default=-1) >= mesh.n_elements:
         raise ConfigError(
             f"mask_elements: index {max(cfg.mask_elements)} outside 0..{mesh.n_elements - 1}"
         )
-    layout = place_electrodes(mesh, cfg.electrode_count)
     ops = build_difference_operators(mesh)
     t1 = time.perf_counter()
     sigma0 = forward.ConductivityField.homogeneous(cfg.sigma0, mesh.n_elements)
@@ -243,13 +268,6 @@ def build_inverse_problem(cfg: PipelineConfig) -> InverseProblem:
         x_update=x_update,
         timings_s={"assembly": t1 - t0, "sensitivity": t2 - t1, "factorization": t3 - t2},
     )
-
-
-def _forward_pair(cfg: PipelineConfig, coarse_layout: ElectrodeLayout):
-    """Fine mesh with electrodes snapped to the coarse layout's angles."""
-    fmesh = generate_disk_mesh(cfg.radius, cfg.forward_elements)
-    flayout = place_electrodes(fmesh, cfg.electrode_count, angles=coarse_layout.angles)
-    return fmesh, flayout
 
 
 def _simulate_frames(cfg: PipelineConfig, fmesh: TriMesh, flayout: ElectrodeLayout, spec: PhantomSpec):
@@ -338,9 +356,8 @@ def cmd_mesh(cfg: PipelineConfig, out_dir=None) -> dict:
     """Write meshes, the phantom, the true perturbation, and a truth image."""
     out = _outdir(cfg, out_dir)
     t0 = time.perf_counter()
-    imesh = generate_disk_mesh(cfg.radius, cfg.inverse_elements)
-    ilayout = place_electrodes(imesh, cfg.electrode_count)
-    fmesh, flayout = _forward_pair(cfg, ilayout)
+    imesh, ilayout = _disk(cfg, cfg.inverse_elements)
+    fmesh, flayout = _disk(cfg, cfg.forward_elements, ilayout.angles)
     spec = load_phantom_spec(cfg)
     sigma_coarse = assign_conductivity(imesh, spec)
     delta_true = sigma_coarse.values - cfg.sigma0
@@ -373,9 +390,8 @@ def cmd_simulate(cfg: PipelineConfig, out_dir=None) -> dict:
     difference and its noisy copy."""
     out = _outdir(cfg, out_dir)
     t0 = time.perf_counter()
-    imesh = generate_disk_mesh(cfg.radius, cfg.inverse_elements)
-    ilayout = place_electrodes(imesh, cfg.electrode_count)
-    fmesh, flayout = _forward_pair(cfg, ilayout)
+    imesh, ilayout = _disk(cfg, cfg.inverse_elements)
+    fmesh, flayout = _disk(cfg, cfg.forward_elements, ilayout.angles)
     spec = load_phantom_spec(cfg)
     t1 = time.perf_counter()
     v_ref, v_pert, dv, dv_noisy = _simulate_frames(cfg, fmesh, flayout, spec)
@@ -427,11 +443,9 @@ def cmd_reconstruct(cfg: PipelineConfig, data_path=None, out_dir=None) -> dict:
 
     save_element_values(out / "delta_sigma.txt", result.final)
     save_element_values(out / "iterates.txt", result.history)
-    with open(out / "iterates.csv", "w") as f:
-        f.write("iteration,data_residual,step_norm,wall_ms\n")
-        columns = (result.data_residual.tolist(), result.step_norm.tolist(), result.wall_ms.tolist())
-        for n, (resid, step, ms) in enumerate(zip(*columns), start=1):
-            f.write(f"{n},{resid!r},{step!r},{ms!r}\n")
+    history = (result.data_residual, result.step_norm, result.wall_ms)
+    _write_table(out / "iterates.csv", ("iteration", "data_residual", "step_norm", "wall_ms"),
+                 zip(range(1, result.n_iterations + 1), *history))
     image = rasterize(problem.mesh, cfg.sigma0 + result.final, cfg.raster_resolution)
     metrics.write_image_pgm(out / "recon_image.pgm", image)
     manifest = {
@@ -466,7 +480,7 @@ def _truth_image_for(cfg: PipelineConfig, mesh: TriMesh, reference=None) -> np.n
     )
 
 
-def cmd_evaluate(cfg: PipelineConfig, result_dir=None, out_dir=None, reference=None) -> metrics.EvalReport:
+def cmd_evaluate(cfg: PipelineConfig, result_dir=None, out_dir=None, reference=None) -> dict:
     """Score a reconstruction run: per-iterate RE/PSNR plus line profiles.
 
     ``reference`` (a stored perturbation field) replaces the analytic
@@ -475,7 +489,7 @@ def cmd_evaluate(cfg: PipelineConfig, result_dir=None, out_dir=None, reference=N
     """
     result_dir = Path(result_dir if result_dir is not None else cfg.out_dir)
     out = _outdir(cfg, out_dir if out_dir is not None else result_dir)
-    mesh = generate_disk_mesh(cfg.radius, cfg.inverse_elements)
+    mesh = _disk(cfg, cfg.inverse_elements)[0]
     series_path = result_dir / "iterates.txt"
     series = _load_field(series_path, "iterate history", load_field_series, mesh.n_elements)
     truth = _truth_image_for(cfg, mesh, reference)
@@ -494,30 +508,22 @@ def cmd_evaluate(cfg: PipelineConfig, result_dir=None, out_dir=None, reference=N
     for r in cfg.profile_rows:
         profiles[f"recon_row{r}"] = metrics.profile(final_image, (r, 0), (r, res - 1), res)
         profiles[f"truth_row{r}"] = metrics.profile(truth, (r, 0), (r, res - 1), res)
-    report = metrics.EvalReport(
-        re_per_iter=re_list, psnr_per_iter=psnr_list, profile_samples=profiles
-    )
 
-    metrics.save_eval_report(out / "eval.csv", report)
-    with open(out / "profiles.csv", "w") as f:
-        names = list(profiles)
-        f.write("position," + ",".join(names) + "\n")
-        for i in range(res):
-            vals = ",".join(repr(float(profiles[k][i])) for k in names)
-            f.write(f"{i},{vals}\n")
-    _write_json(
-        out / "evaluate.json",
-        {
-            "command": "evaluate",
-            "n_iterations": len(re_list),
-            "final_re": re_list[-1],
-            "final_psnr": psnr_list[-1],
-            "reference": None if reference is None else str(reference),
-            "files": ["eval.csv", "profiles.csv"],
-            "config": _config_json(cfg),
-        },
-    )
-    return report
+    _write_table(out / "eval.csv", ("iteration", "re", "psnr"),
+                 zip(range(1, len(re_list) + 1), re_list, psnr_list))
+    _write_table(out / "profiles.csv", ("position", *profiles),
+                 zip(range(res), *profiles.values()))
+    manifest = {
+        "command": "evaluate",
+        "n_iterations": len(re_list),
+        "final_re": re_list[-1],
+        "final_psnr": psnr_list[-1],
+        "reference": None if reference is None else str(reference),
+        "files": ["eval.csv", "profiles.csv"],
+        "config": _config_json(cfg),
+    }
+    _write_json(out / "evaluate.json", manifest)
+    return manifest
 
 
 def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
@@ -536,7 +542,7 @@ def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
     if data_path is not None:
         dv = _load_single_frame(Path(data_path), cfg.electrode_count)
     else:
-        fmesh, flayout = _forward_pair(cfg, problem.layout)
+        fmesh, flayout = _disk(cfg, cfg.forward_elements, problem.layout.angles)
         dv = _simulate_frames(cfg, fmesh, flayout, spec)[3]
     truth = phantom_truth_image(
         spec, raster_extent(problem.mesh), cfg.raster_resolution, cfg.radius
@@ -583,14 +589,9 @@ def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
         rows.append(row)
     t2 = time.perf_counter()
 
-    with open(out / "sweep.csv", "w") as f:
-        f.write("index,lambda_over_rho,delta,iterations,termination,re,psnr\n")
-        for i, row in enumerate(rows):
-            f.write(
-                f"{i},{row['lambda_over_rho']!r},{row['delta']!r},"
-                f"{row['iterations']},{row['termination']},"
-                f"{row['re']!r},{row['psnr']!r}\n"
-            )
+    columns = ("lambda_over_rho", "delta", "iterations", "termination", "re", "psnr")
+    _write_table(out / "sweep.csv", ("index", *columns),
+                 ((i, *(row[k] for k in columns)) for i, row in enumerate(rows)))
     _write_json(
         out / "sweep.json",
         {
@@ -616,7 +617,7 @@ def cmd_render(cfg: PipelineConfig, field_path, out_dir=None, name=None) -> Path
     """
     out = _outdir(cfg, out_dir)
     field_path = Path(field_path)
-    mesh = generate_disk_mesh(cfg.radius, cfg.inverse_elements)
+    mesh = _disk(cfg, cfg.inverse_elements)[0]
     values = _load_field(field_path, "field file", n_elements=mesh.n_elements)
     image = rasterize(mesh, values, cfg.raster_resolution)
     stem = name if name is not None else field_path.stem

@@ -151,7 +151,7 @@ def test_acceptance_2_reciprocity_and_scaling(coarse):
 
 
 def test_acceptance_3_linearization_fidelity(coarse, model7):
-    predicted = coarse.s.matrix @ model7.delta_true
+    predicted = coarse.s @ model7.delta_true
     observed = model7.dv_clean.data
     resid = np.linalg.norm(predicted - observed) / np.linalg.norm(observed)
     ok = resid < 0.15

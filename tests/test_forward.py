@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from eitkit import (
     ConductivityField,
     LINEARIZATION_SIGN,
-    SensitivityMatrix,
     VoltageFrame,
     add_noise,
     assemble_stiffness,
@@ -304,19 +303,20 @@ class TestVoltageProtocol:
 
 class TestSensitivityMatrix:
     def test_shape(self, coarse):
-        assert coarse.s.matrix.shape == (208, coarse.mesh.n_elements)
+        assert type(coarse.s) is np.ndarray
+        assert coarse.s.shape == (208, coarse.mesh.n_elements)
 
     def test_matches_loop_oracle(self, coarse):
         sigma0 = ConductivityField.homogeneous(1.0, coarse.mesh.n_elements)
         pots = solve_potentials(assemble_stiffness(coarse.mesh, sigma0), coarse.layout)
         want = _reference_sensitivity_rows(coarse.mesh, coarse.layout, pots)
-        assert coarse.s.matrix.flags.c_contiguous
-        assert coarse.s.matrix.tobytes() == want.tobytes()
+        assert coarse.s.flags.c_contiguous
+        assert coarse.s.tobytes() == want.tobytes()
 
     def test_reciprocity_of_rows(self, coarse):
         pairs = pattern_pairs(16)
         index = {pq: n for n, pq in enumerate(pairs)}
-        m = coarse.s.matrix
+        m = coarse.s
         for (j, i), n in index.items():
             swapped = index.get((i, j))
             if swapped is not None:
@@ -329,7 +329,7 @@ class TestSensitivityMatrix:
             sensitivity_matrix(coarse.mesh, coarse.layout, bumpy)
 
     def test_column_correlation_decays_with_distance(self, coarse):
-        m = coarse.s.matrix
+        m = coarse.s
         cols = m / np.linalg.norm(m, axis=0, keepdims=True)
         cent = coarse.mesh.element_centroids
         adjacent, far = [], []
@@ -355,7 +355,7 @@ class TestSensitivityMatrix:
             coarse.mesh, coarse.layout, ConductivityField.homogeneous(1.0 + eps, n)
         )
         observed = signed_difference(v0, v1)
-        predicted = coarse.s.matrix @ (eps * np.ones(n))
+        predicted = coarse.s @ (eps * np.ones(n))
         rel = np.linalg.norm(predicted - observed) / np.linalg.norm(observed)
         assert rel < 0.05
         # sign agreement, not just magnitude
@@ -367,7 +367,7 @@ class TestSensitivityMatrix:
             coarse.layout,
             ConductivityField.homogeneous(2.0, coarse.mesh.n_elements),
         )
-        assert np.allclose(s2.matrix * 4.0, coarse.s.matrix, rtol=1e-10, atol=0)
+        assert np.allclose(s2 * 4.0, coarse.s, rtol=1e-10, atol=0)
 
     def test_sign_constant_exposed(self):
         assert LINEARIZATION_SIGN == -1.0
@@ -375,7 +375,7 @@ class TestSensitivityMatrix:
 
 class TestLinearization:
     def test_model7_residual_under_15_percent(self, coarse, model7):
-        predicted = coarse.s.matrix @ model7.delta_true
+        predicted = coarse.s @ model7.delta_true
         observed = model7.dv_clean.data
         rel = np.linalg.norm(predicted - observed) / np.linalg.norm(observed)
         assert rel < 0.15

@@ -212,7 +212,7 @@ class TestSigmaUpdate:
     def test_manufactured_solution(self, coarse):
         rng = np.random.default_rng(8)
         target = rng.normal(size=coarse.mesh.n_elements)
-        s = coarse.s.matrix
+        s = coarse.s
         rho = 1e-10
         rhs = s.T @ (s @ target) / rho + coarse.ops.stacked.T @ (coarse.ops.stacked @ target)
         out = XUpdateSolver(s, coarse.ops, rho).solve(rhs)
@@ -263,7 +263,7 @@ class TestXUpdateSolver:
         return s.T @ b / rho + ops.stacked.T @ w
 
     def test_matches_dense_solve_coarse(self, coarse):
-        s, rho = coarse.s.matrix, 1e-10
+        s, rho = coarse.s, 1e-10
         rhs = self._admm_rhs(s, coarse.ops, rho, 25)
         x = XUpdateSolver(s, coarse.ops, rho).solve(rhs)
         want = _dense_x_update(s, coarse.ops, rho, rhs)
@@ -295,7 +295,7 @@ class TestXUpdateSolver:
         return np.column_stack([self._admm_rhs(s, ops, rho, 40 + j) for j in range(k)])
 
     def test_block_solve_meets_residual_per_column(self, coarse):
-        s, rho, d = coarse.s.matrix, 1e-10, coarse.ops.stacked
+        s, rho, d = coarse.s, 1e-10, coarse.ops.stacked
         rhs = self._rhs_block(s, coarse.ops, rho, 6)
         x = XUpdateSolver(s, coarse.ops, rho).solve(rhs)
         assert x.shape == rhs.shape
@@ -304,7 +304,7 @@ class TestXUpdateSolver:
             assert np.linalg.norm(r) <= 1e-13 * np.linalg.norm(rhs[:, j])
 
     def test_block_solve_matches_single_columns(self, coarse):
-        s, rho = coarse.s.matrix, 1e-10
+        s, rho = coarse.s, 1e-10
         solver = XUpdateSolver(s, coarse.ops, rho)
         rhs = self._rhs_block(s, coarse.ops, rho, 6)
         rhs[:, 2] = 0.0  # a zero column keeps the zero solution
@@ -315,7 +315,7 @@ class TestXUpdateSolver:
             assert np.linalg.norm(block[:, j] - single) <= 1e-10 * np.linalg.norm(single)
 
     def test_one_column_block_is_bitwise_the_vector_solve(self, coarse):
-        s, rho = coarse.s.matrix, 1e-10
+        s, rho = coarse.s, 1e-10
         solver = XUpdateSolver(s, coarse.ops, rho)
         rhs = self._admm_rhs(s, coarse.ops, rho, 47)
         assert np.array_equal(solver.solve(rhs[:, None])[:, 0], solver.solve(rhs))
@@ -335,7 +335,7 @@ class TestXUpdateSolver:
         # the 35 columns of a sweep block at the shipped inverse size: the
         # first application of the Woodbury gain plus at most one correction
         # meets 1e-13 in every column
-        s, rho, d = coarse.s.matrix, 1e-10, coarse.ops.stacked
+        s, rho, d = coarse.s, 1e-10, coarse.ops.stacked
         solver = XUpdateSolver(s, coarse.ops, rho)
         rhs = self._rhs_block(s, coarse.ops, rho, 35)
         applied = []
@@ -391,7 +391,7 @@ class TestXUpdateSolver:
         import sys
         import threading
 
-        s, rho = coarse.s.matrix, 1e-10
+        s, rho = coarse.s, 1e-10
         solver = XUpdateSolver(s, coarse.ops, rho)
         rhs = [self._admm_rhs(s, coarse.ops, rho, 30 + k) for k in range(12)]
         serial = [solver.solve(r) for r in rhs]
@@ -447,7 +447,7 @@ class TestPreprocessBoundary:
         rng = np.random.default_rng(12)
         dv = rng.normal(size=208)
         boundary = coarse.mesh.boundary_elements()
-        sb = coarse.s.matrix[:, boundary]
+        sb = coarse.s[:, boundary]
         lam_b = 1e12 * np.linalg.norm(sb.T @ sb, 2)
         out = preprocess_boundary(dv, coarse.s, boundary, lam_b)
         assert np.linalg.norm(out - dv) <= 1e-6 * np.linalg.norm(dv)
@@ -455,7 +455,7 @@ class TestPreprocessBoundary:
     def test_small_weight_removes_boundary_span(self, coarse):
         rng = np.random.default_rng(13)
         boundary = coarse.mesh.boundary_elements()
-        sb = coarse.s.matrix[:, boundary]
+        sb = coarse.s[:, boundary]
         dv = sb @ rng.normal(size=len(boundary))
         lam_b = 1e-8 * np.linalg.norm(sb.T @ sb, 2)
         out = preprocess_boundary(dv, coarse.s, boundary, lam_b)
@@ -563,7 +563,7 @@ class TestReconstructNwatv:
         p = np.ones(2 * n)
         history = []
         for _ in range(3):
-            x = solver.solve(s.matrix.T @ dv / rho + d.T @ (z - y / rho))
+            x = solver.solve(s.T @ dv / rho + d.T @ (z - y / rho))
             z = z_update(d @ x + y / rho, p, lam, rho)
             p = nwatv_weights(x, ops, delta)
             y = y + rho * (d @ x - z)
@@ -709,7 +709,7 @@ class TestBaselines:
 
     def test_tikhonov_matches_primal_normal_equations(self, coarse, model7):
         # the M x M form S^T (S S^T + lam I)^-1 b equals the N x N ridge solve
-        s, b, lam = coarse.s.matrix, model7.dv_noisy.data, 1e-6
+        s, b, lam = coarse.s, model7.dv_noisy.data, 1e-6
         want = np.linalg.solve(s.T @ s + lam * np.eye(s.shape[1]), s.T @ b)
         got = reconstruct_tikhonov(coarse.s, model7.dv_noisy, lam).final
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)

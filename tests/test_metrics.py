@@ -1,4 +1,4 @@
-"""RE, PSNR, profiles, report CSV, grayscale image round-trips."""
+"""RE, PSNR, profiles, grayscale image round-trips."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from eitkit import (
-    EvalReport,
     assign_conductivity,
     generate_disk_mesh,
     lung_model,
@@ -17,7 +16,6 @@ from eitkit import (
     relative_error,
     write_image_pgm,
 )
-from eitkit.metrics import load_eval_report, save_eval_report
 
 
 class TestRelativeError:
@@ -144,32 +142,6 @@ class TestProfile:
         a = profile(img, (3, 2), (20, 14), 11)
         b = profile(img.T, (2, 3), (14, 20), 11)
         assert np.array_equal(a, b)
-
-
-class TestEvalReport:
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            EvalReport(re_per_iter=[1.0, 0.5], psnr_per_iter=[30.0])
-
-    def test_csv_roundtrip(self, tmp_path):
-        report = EvalReport(
-            re_per_iter=[0.5, 0.25, 0.125],
-            psnr_per_iter=[20.0, 26.0, 32.0],
-        )
-        path = tmp_path / "eval.csv"
-        save_eval_report(path, report)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iteration,re,psnr"
-        assert len(lines) == 4
-        back = load_eval_report(path)
-        assert back.re_per_iter == report.re_per_iter
-        assert back.psnr_per_iter == report.psnr_per_iter
-
-    def test_csv_preserves_infinity(self, tmp_path):
-        report = EvalReport(re_per_iter=[0.0], psnr_per_iter=[math.inf])
-        path = tmp_path / "eval.csv"
-        save_eval_report(path, report)
-        assert load_eval_report(path).psnr_per_iter == [math.inf]
 
 
 class TestImagePgm:

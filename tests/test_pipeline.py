@@ -44,6 +44,9 @@ SMALL = dict(
 )
 
 
+VERBS = ("mesh", "simulate", "reconstruct", "evaluate", "sweep", "render")
+
+
 def _write_cfg(path, **overrides):
     cfg = dict(SMALL)
     cfg.update(overrides)
@@ -164,6 +167,18 @@ class TestFieldSeries:
         assert np.array_equal(load_field_series(path), series)
 
 
+class TestManifests:
+    def test_commands_return_the_json_they_write(self, small_cfg, tmp_path):
+        out = tmp_path / "out"
+        for cmd, name in (
+            (cmd_mesh, "mesh.json"),
+            (cmd_simulate, "simulate.json"),
+            (cmd_reconstruct, "result.json"),
+            (cmd_evaluate, "evaluate.json"),
+        ):
+            assert cmd(small_cfg) == json.loads((out / name).read_text()), name
+
+
 class TestCmdMesh:
     def test_artifacts(self, small_cfg, tmp_path):
         manifest = cmd_mesh(small_cfg)
@@ -279,10 +294,14 @@ class TestCmdEvaluate:
     def test_row_count_and_surrogate_zero(self, small_cfg, tmp_path):
         cmd_simulate(small_cfg)
         cmd_reconstruct(small_cfg)
-        report = cmd_evaluate(small_cfg)
+        manifest = cmd_evaluate(small_cfg)
         out = tmp_path / "out"
-        rows = list(csv.DictReader((out / "eval.csv").open()))
-        assert len(rows) == 3 == len(report.re_per_iter)
+        lines = (out / "eval.csv").read_text().splitlines()
+        assert lines[0] == "iteration,re,psnr"
+        assert len(lines) - 1 == 3 == manifest["n_iterations"]
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+        last = lines[-1].split(",")
+        assert (float(last[1]), float(last[2])) == (manifest["final_re"], manifest["final_psnr"])
         profiles = list(csv.DictReader((out / "profiles.csv").open()))
         assert len(profiles) == 64
         assert "recon_row20" in profiles[0] and "truth_row45" in profiles[0]
@@ -290,16 +309,17 @@ class TestCmdEvaluate:
         # surrogate reference equal to the stored result -> exact zero error
         final = load_element_values(out / "delta_sigma.txt")
         save_element_values(out / "iterates.txt", final[None, :])
-        report2 = cmd_evaluate(small_cfg, reference=out / "delta_sigma.txt")
-        assert report2.re_per_iter == [0.0]
-        assert report2.psnr_per_iter == [math.inf]
+        manifest = cmd_evaluate(small_cfg, reference=out / "delta_sigma.txt")
+        lines = (out / "eval.csv").read_text().splitlines()
+        assert lines == ["iteration,re,psnr", "1,0.0,inf"]
+        assert float(lines[1].split(",")[2]) == math.inf
+        assert (manifest["final_re"], manifest["final_psnr"]) == (0.0, math.inf)
 
     def test_builds_raster_index_once(self, small_cfg, monkeypatch):
         cmd_simulate(small_cfg)
         cmd_reconstruct(small_cfg)
         built = _count_raster_index_builds(monkeypatch)
-        report = cmd_evaluate(small_cfg)
-        assert len(report.re_per_iter) == 3
+        assert cmd_evaluate(small_cfg)["n_iterations"] == 3
         assert built == [64]
 
     def test_missing_history_no_partial_output(self, small_cfg, tmp_path):
@@ -329,13 +349,13 @@ class TestCmdSweep:
         )
         cmd_simulate(cfg)
         cmd_reconstruct(cfg)
-        report = cmd_evaluate(cfg)
+        manifest = cmd_evaluate(cfg)
         rows = cmd_sweep(cfg, out_dir=tmp_path / "sweep")
         assert len(rows) == 1
-        assert rows[0]["re"] == report.re_per_iter[-1]
-        assert rows[0]["psnr"] == report.psnr_per_iter[-1]
+        assert rows[0]["re"] == manifest["final_re"]
+        assert rows[0]["psnr"] == manifest["final_psnr"]
         table = list(csv.DictReader((tmp_path / "sweep" / "sweep.csv").open()))
-        assert float(table[0]["re"]) == report.re_per_iter[-1]
+        assert float(table[0]["re"]) == manifest["final_re"]
 
     def test_grid_order_and_determinism(self, tmp_path):
         cfg = load_config(
@@ -368,7 +388,7 @@ class TestCmdSweep:
         # from a single reconstruction's in the last digits only
         cmd_simulate(small_cfg)
         cmd_reconstruct(small_cfg)
-        want = cmd_evaluate(small_cfg).re_per_iter[-1]
+        want = cmd_evaluate(small_cfg)["final_re"]
         rows = cmd_sweep(small_cfg)
         assert len(rows) == 35
         (row,) = [
@@ -535,6 +555,41 @@ class TestCli:
         assert main(["mesh", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert f"config error: {field}" in err and len(err.strip().splitlines()) == 1
+
+    # every verb builds the inverse mesh; mesh, simulate and sweep the forward one
+    GEOMETRY_CASES = {
+        "electrodes_above_inverse_boundary": (
+            {"inverse_elements": 64, "electrode_count": 32}, "electrode_count", VERBS),
+        "radius_huge": ({"radius": 1e308}, "radius", VERBS),
+        "electrodes_above_forward_boundary": (
+            {"electrode_count": 24, "forward_elements": 64}, "electrode_count",
+            ("mesh", "simulate", "sweep")),
+    }
+
+    @pytest.mark.parametrize(
+        "case, verb",
+        [(case, verb) for case, (*_, verbs) in GEOMETRY_CASES.items() for verb in verbs],
+    )
+    def test_geometry_the_mesh_cannot_hold_exit_two(self, tmp_path, capsys, case, verb):
+        overrides, field, _ = self.GEOMETRY_CASES[case]
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"), **overrides)
+        argv = [verb, "--config", str(cfg_path)]
+        if verb == "render":
+            save_element_values(tmp_path / "field.txt", np.zeros(64))
+            argv += ["--field", str(tmp_path / "field.txt")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("verb", ["simulate", "sweep"])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_exit_two(self, tmp_path, capsys, verb, where):
+        seed = {"seed": -1} if where == "config" else {}
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"), **seed)
+        argv = [verb, "--config", str(cfg_path)] + (["--seed", "-1"] if where == "flag" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: seed" in err and len(err.strip().splitlines()) == 1
 
     def test_mask_index_out_of_range_exit_two(self, tmp_path, capsys):
         cfg_path = _write_cfg(
