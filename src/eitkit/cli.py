@@ -127,7 +127,7 @@ def main(argv=None) -> int:
         diag_path = out / "solver_error.json"
         with open(diag_path, "w") as f:
             json.dump(
-                {"error": str(exc), "diagnostics": getattr(exc, "diagnostics", {})},
+                {"error": str(exc), "diagnostics": exc.diagnostics},
                 f,
                 indent=2,
                 default=str,

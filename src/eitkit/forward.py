@@ -42,15 +42,12 @@ _RESIDUAL_TOL = 1e-10
 class SolverError(RuntimeError):
     """A linear solve failed or missed its residual contract.
 
-    Carries optional context: which drive pattern or iteration, and any
-    conditioning diagnostics available at the failure site.
+    ``diagnostics`` holds the context available at the failure site: the
+    failing drive pattern, column or iteration, and conditioning figures.
     """
 
-    def __init__(self, message: str, *, drive: int | None = None,
-                 iteration: int | None = None, diagnostics: dict | None = None):
+    def __init__(self, message: str, *, diagnostics: dict | None = None):
         super().__init__(message)
-        self.drive = drive
-        self.iteration = iteration
         self.diagnostics = dict(diagnostics or {})
 
 
@@ -190,7 +187,7 @@ class _GroundedSolver:
         """Solve K u = rhs with u[0] = 0 for one right-hand side (n,) or a
         block (n, k). Every column is refined until its residual is at most
         _RESIDUAL_TOL of its right-hand side; SolverError names the worst
-        column as ``drive`` otherwise."""
+        column as ``diagnostics["drive"]`` otherwise."""
         b = rhs.reshape(len(rhs), -1)
         u = np.zeros(b.shape)
         u[1:] = self.lu.solve(b[1:])
@@ -207,8 +204,7 @@ class _GroundedSolver:
         worst = int(np.argmax(rel))
         raise SolverError(
             f"FEM solve residual {rel[worst]:.3e} above {_RESIDUAL_TOL:.0e}",
-            drive=worst,
-            diagnostics={"relative_residual": float(rel[worst])},
+            diagnostics={"drive": worst, "relative_residual": float(rel[worst])},
         )
 
 

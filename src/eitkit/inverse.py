@@ -36,7 +36,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .forward import SolverError, VoltageFrame
-from .mesh import DifferenceOperators
 
 log = logging.getLogger(__name__)
 
@@ -172,14 +171,15 @@ def group_shrink(w: np.ndarray, g) -> np.ndarray:
     return np.concatenate([factor * wx, factor * wy])
 
 
-def nwatv_weights(delta_sigma: np.ndarray, ops: DifferenceOperators, delta) -> np.ndarray:
-    """Edge-adaptive weights 1/(|g_k|^2 + delta), duplicated over the x and
-    y blocks; |g_k|^2 is the squared difference magnitude at element k. On
-    a block delta_sigma (N, K), delta may hold one floor per column."""
+def nwatv_weights(d_x: np.ndarray, delta) -> np.ndarray:
+    """Edge-adaptive weights 1/(|g_k|^2 + delta) from the stacked
+    differences d_x = D x (2N,), duplicated over the x and y blocks;
+    |g_k|^2 = d_x[k]^2 + d_x[N+k]^2 is the squared difference magnitude at
+    element k. On a block d_x (2N, K), delta may hold one floor per column."""
     if not np.all(np.asarray(delta) > 0):
         raise ValueError(f"delta must be > 0, got {delta}")
-    gx = ops.dx @ delta_sigma
-    gy = ops.dy @ delta_sigma
+    n = len(d_x) // 2
+    gx, gy = d_x[:n], d_x[n:]
     zeta = 1.0 / (gx * gx + gy * gy + delta)
     return np.concatenate([zeta, zeta])
 
@@ -239,18 +239,18 @@ class XUpdateSolver:
     invertible, since D annihilates constants; iterative refinement against
     the exact operator, applied matrix-free, removes it.
 
-    If the operator is not positive definite (S and D share a null vector,
-    e.g. S = 0), a trace-scaled identity floor is added to it and the
-    factorization redone with the floor as the shift.
+    If a probe vector is not recovered (S and D share a null vector, e.g.
+    S = 0, or, at very small rho, the solve loses accuracy), a trace-scaled
+    identity floor is added and the factorization redone with it as shift.
     """
 
-    def __init__(self, s, ops: DifferenceOperators, rho: float):
+    def __init__(self, s, d: sp.csr_matrix, rho: float):
         if not rho > 0:
             raise ValueError(f"rho must be > 0, got {rho}")
         self.s = np.asarray(s, dtype=float)
         if not np.all(np.isfinite(self.s)):
             raise ValueError("S has non-finite entries")
-        self.d = ops.stacked
+        self.d = d
         self.dt = self.d.T  # one CSC view of D^T, reused by every product
         self.rho = rho
         n = self.s.shape[1]
@@ -357,9 +357,8 @@ class XUpdateSolver:
             },
         )
 
-    def built_for(self, s: np.ndarray, ops: DifferenceOperators, rho: float) -> bool:
-        """Whether this solver's operator is the one for (s, ops, rho)."""
-        d = ops.stacked
+    def built_for(self, s: np.ndarray, d: sp.csr_matrix, rho: float) -> bool:
+        """Whether this solver's operator is the one for (s, d, rho)."""
         return (
             rho == self.rho
             and d.shape == self.d.shape
@@ -372,7 +371,7 @@ _VARIANTS = ("nwatv", "fotv", "tv")
 
 
 def reconstruct_block(
-    s, delta_v, ops: DifferenceOperators, config: SolverConfig, lams, deltas,
+    s, delta_v, d: sp.csr_matrix, config: SolverConfig, lams, deltas,
     boundary_elements=None, *, variant: str = "nwatv",
     x_update: XUpdateSolver | None = None, keep_history: bool = True,
 ) -> list[ReconResult | SolverError]:
@@ -392,7 +391,7 @@ def reconstruct_block(
     b = _as_data(delta_v)
     if s.shape[0] != b.shape[0]:
         raise ValueError(f"S has {s.shape[0]} rows but data has length {b.shape[0]}")
-    if s.shape[1] != ops.n_elements:
+    if s.shape[1] != d.shape[1]:
         raise ValueError("difference operators do not match the sensitivity columns")
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
@@ -409,10 +408,10 @@ def reconstruct_block(
 
     rho = config.rho
     if x_update is None:
-        x_update = XUpdateSolver(s, ops, rho)
-    elif not x_update.built_for(s, ops, rho):
+        x_update = XUpdateSolver(s, d, rho)
+    elif not x_update.built_for(s, d, rho):
         raise ValueError("x_update was built for a different S, D or rho")
-    d, dt = ops.stacked, x_update.dt
+    dt = x_update.dt
     n, k = s.shape[1], len(lams)
     st_b = (s.T @ b / rho)[:, None]
 
@@ -420,21 +419,10 @@ def reconstruct_block(
     z = np.zeros((2 * n, k))
     p = np.ones((2 * n, k))
     y = np.zeros((2 * n, k))
-    history = [[] for _ in range(k)]
-    residuals = [[] for _ in range(k)]
-    steps = [[] for _ in range(k)]
-    walls = [[] for _ in range(k)]
-    results: list[ReconResult | SolverError | None] = [None] * k
-
-    def finish(c: int, termination: str) -> None:
-        results[c] = ReconResult(
-            final=x[:, c].copy(),
-            history=np.array(history[c]) if keep_history else np.empty((0, n)),
-            data_residual=np.array(residuals[c]),
-            step_norm=np.array(steps[c]),
-            wall_ms=np.array(walls[c]),
-            termination=termination,
-        )
+    # traces grow one row per iteration, NaN in the columns that no longer run
+    history, residuals, steps, walls = [], [], [], []
+    iters = np.zeros(k, dtype=int)  # iterations completed by each column
+    errors: dict[int, SolverError] = {}
 
     live = np.arange(k)  # the running columns
     for it in range(1, config.max_iters + 1):
@@ -446,9 +434,10 @@ def reconstruct_block(
                 break
             except SolverError as exc:
                 j = exc.diagnostics["column"]
-                results[live[j]] = SolverError(
-                    f"iteration {it}: {exc}", iteration=it,
-                    diagnostics={**exc.diagnostics, "column": int(live[j])},
+                c = int(live[j])
+                errors[c] = SolverError(
+                    f"iteration {it}: {exc}",
+                    diagnostics={**exc.diagnostics, "column": c, "iteration": it},
                 )
                 live, rhs = np.delete(live, j), np.delete(rhs, j, axis=1)
         if not live.size:
@@ -462,69 +451,74 @@ def reconstruct_block(
         else:
             z_new = z_update(w, p[:, live], lams[live], rho)
         if variant == "nwatv":
-            p[:, live] = nwatv_weights(x_new, ops, deltas[live])
+            p[:, live] = nwatv_weights(d_x, deltas[live])
         y[:, live] = y[:, live] + rho * (d_x - z_new)
         z[:, live] = z_new
 
-        step = _column_norms(x_new - x[:, live])
+        step = np.full(k, np.nan)
+        step[live] = _column_norms(x_new - x[:, live])
         x[:, live] = x_new
-        resid = _data_residual(s, x_new, b)
-        ms = (time.perf_counter() - t0) * 1000.0
-        for j, c in enumerate(live):
-            if keep_history:
-                history[c].append(x_new[:, j].copy())
-            residuals[c].append(float(resid[j]))
-            steps[c].append(float(step[j]))
-            walls[c].append(ms)
-            if step[j] < config.tol:
-                finish(c, "tol")
-        live = live[~(step < config.tol)]
-    for c in live:
-        finish(c, "max_iters")
-    return results
+        resid = np.full(k, np.nan)
+        resid[live] = _data_residual(s, x_new, b)
+        walls.append((time.perf_counter() - t0) * 1000.0)
+        residuals.append(resid)
+        steps.append(step)
+        if keep_history:
+            history.append(x.copy())
+        iters[live] = it
+        live = live[~(step[live] < config.tol)]
+
+    history = np.array(history) if keep_history else np.empty((0, n, k))
+    residuals, steps, walls = np.array(residuals), np.array(steps), np.array(walls)
+    return [
+        errors[c] if c in errors else ReconResult(
+            final=x[:, c].copy(),
+            history=history[:m, :, c].copy(),  # each result owns its arrays
+            data_residual=residuals[:m, c].copy(),
+            step_norm=steps[:m, c].copy(),
+            wall_ms=walls[:m].copy(),
+            termination="tol" if steps[m - 1, c] < config.tol else "max_iters",
+        )
+        for c, m in enumerate(iters)
+    ]
 
 
-def _single(results: list[ReconResult | SolverError]) -> ReconResult:
-    (result,) = results
+def _single(variant: str, s, delta_v, d, config, boundary_elements, x_update) -> ReconResult:
+    """The K = 1 case of reconstruct_block; a failed column raises its error."""
+    (result,) = reconstruct_block(
+        s, delta_v, d, config, [config.lam], [config.delta], boundary_elements,
+        variant=variant, x_update=x_update,
+    )
     if isinstance(result, SolverError):
         raise result
     return result
 
 
 def reconstruct_nwatv(
-    s, delta_v, ops: DifferenceOperators, config: SolverConfig, boundary_elements=None,
+    s, delta_v, d: sp.csr_matrix, config: SolverConfig, boundary_elements=None,
     *, x_update: XUpdateSolver | None = None,
 ) -> ReconResult:
     """ADMM with the nonlinear reweighted anisotropic penalty (weights
     recomputed from the current iterate each iteration)."""
-    return _single(reconstruct_block(
-        s, delta_v, ops, config, [config.lam], [config.delta], boundary_elements,
-        variant="nwatv", x_update=x_update,
-    ))
+    return _single("nwatv", s, delta_v, d, config, boundary_elements, x_update)
 
 
 def reconstruct_fotv(
-    s, delta_v, ops: DifferenceOperators, config: SolverConfig, boundary_elements=None,
+    s, delta_v, d: sp.csr_matrix, config: SolverConfig, boundary_elements=None,
     *, x_update: XUpdateSolver | None = None,
 ) -> ReconResult:
     """Same ADMM loop with the weights frozen at one (plain anisotropic TV)."""
-    return _single(reconstruct_block(
-        s, delta_v, ops, config, [config.lam], [config.delta], boundary_elements,
-        variant="fotv", x_update=x_update,
-    ))
+    return _single("fotv", s, delta_v, d, config, boundary_elements, x_update)
 
 
 def reconstruct_tv_isotropic(
-    s, delta_v, ops: DifferenceOperators, config: SolverConfig, boundary_elements=None,
+    s, delta_v, d: sp.csr_matrix, config: SolverConfig, boundary_elements=None,
     *, x_update: XUpdateSolver | None = None,
 ) -> ReconResult:
     """ADMM with rotation-invariant group shrinkage coupling the (x, y)
     difference pairs. This baseline is algorithmically unrelated to the
     historical primal-dual TV solvers; timings are not comparable to them."""
-    return _single(reconstruct_block(
-        s, delta_v, ops, config, [config.lam], [config.delta], boundary_elements,
-        variant="tv", x_update=x_update,
-    ))
+    return _single("tv", s, delta_v, d, config, boundary_elements, x_update)
 
 
 def reconstruct_tikhonov(s, delta_v, lam: float) -> ReconResult:

@@ -77,24 +77,6 @@ class ElectrodeLayout:
     node_ids: np.ndarray
 
 
-@dataclass(frozen=True)
-class DifferenceOperators:
-    """First-order difference operators on element values.
-
-    ``dx`` and ``dy`` are N x N sparse matrices; ``stacked`` is the 2N x N
-    vertical stack (dx on top). Rows without a qualifying neighbor are zero,
-    and every row sums to zero, so constants are annihilated exactly.
-    """
-
-    dx: sp.csr_matrix
-    dy: sp.csr_matrix
-    stacked: sp.csr_matrix
-
-    @property
-    def n_elements(self) -> int:
-        return self.dx.shape[0]
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -259,8 +241,10 @@ def place_electrodes(
     )
 
 
-def build_difference_operators(mesh: TriMesh) -> DifferenceOperators:
-    """Single-neighbor forward differences on element values.
+def build_difference_operators(mesh: TriMesh) -> sp.csr_matrix:
+    """Single-neighbor forward differences on element values, as the 2N x N
+    matrix D whose first N rows are the x differences and last N rows the y
+    differences. Every row sums to zero, so D annihilates constants.
 
     For the x operator, element k is paired with the edge-neighbor whose
     centroid displacement has the largest x component, provided that
@@ -279,16 +263,15 @@ def build_difference_operators(mesh: TriMesh) -> DifferenceOperators:
     d = np.where(qualifies, d, 0.0)  # qualifying components are > 0
     best = d.argmax(axis=1)  # (n, 2)
     step = np.take_along_axis(d, best[:, None, :], axis=1)[:, 0]
-    ops = []
+    blocks = []
     for axis in (0, 1):
         rows = np.flatnonzero(step[:, axis] > 0)
         cols = nbrs[rows, best[rows, axis]]
         h = step[rows, axis]
         vals = np.column_stack([-1.0 / h, 1.0 / h]).ravel()
         coords = (np.repeat(rows, 2), np.column_stack([rows, cols]).ravel())
-        ops.append(sp.csr_matrix((vals, coords), shape=(n, n)))
-    dx, dy = ops
-    return DifferenceOperators(dx=dx, dy=dy, stacked=sp.vstack([dx, dy]).tocsr())
+        blocks.append(sp.csr_matrix((vals, coords), shape=(n, n)))
+    return sp.vstack(blocks).tocsr()
 
 
 def raster_extent(mesh: TriMesh) -> float:

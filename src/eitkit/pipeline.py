@@ -18,12 +18,12 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import forward, inverse, metrics
 from .mesh import (
     TriMesh,
     ElectrodeLayout,
-    DifferenceOperators,
     generate_disk_mesh,
     place_electrodes,
     build_difference_operators,
@@ -213,13 +213,13 @@ def _load_field(path, what: str, loader=load_element_values, n_elements: int | N
 
 @dataclass
 class InverseProblem:
-    """Coarse mesh, electrodes, difference operators, sensitivity matrix,
+    """Coarse mesh, electrodes, difference matrix D, sensitivity matrix,
     and the factored x-update shared by every ADMM solve on the problem
     (None for the one-shot ridge solver)."""
 
     mesh: TriMesh
     layout: ElectrodeLayout
-    ops: DifferenceOperators
+    d: sp.csr_matrix
     s: np.ndarray
     x_update: inverse.XUpdateSolver | None
     timings_s: dict
@@ -253,17 +253,17 @@ def build_inverse_problem(cfg: PipelineConfig) -> InverseProblem:
         raise ConfigError(
             f"mask_elements: index {max(cfg.mask_elements)} outside 0..{mesh.n_elements - 1}"
         )
-    ops = build_difference_operators(mesh)
+    d = build_difference_operators(mesh)
     t1 = time.perf_counter()
     sigma0 = forward.ConductivityField.homogeneous(cfg.sigma0, mesh.n_elements)
     s = forward.sensitivity_matrix(mesh, layout, sigma0, current=cfg.current_ma)
     t2 = time.perf_counter()
-    x_update = inverse.XUpdateSolver(s, ops, cfg.rho) if cfg.solver in _ITERATIVE else None
+    x_update = inverse.XUpdateSolver(s, d, cfg.rho) if cfg.solver in _ITERATIVE else None
     t3 = time.perf_counter()
     return InverseProblem(
         mesh=mesh,
         layout=layout,
-        ops=ops,
+        d=d,
         s=s,
         x_update=x_update,
         timings_s={"assembly": t1 - t0, "sensitivity": t2 - t1, "factorization": t3 - t2},
@@ -277,7 +277,11 @@ def _simulate_frames(cfg: PipelineConfig, fmesh: TriMesh, flayout: ElectrodeLayo
     v_ref = forward.simulate_frame(fmesh, flayout, sigma_ref, current=cfg.current_ma)
     v_pert = forward.simulate_frame(fmesh, flayout, sigma_true, current=cfg.current_ma)
     dv = forward.VoltageFrame(forward.signed_difference(v_ref, v_pert), cfg.electrode_count)
-    dv_noisy = forward.add_noise(dv, cfg.snr_db, cfg.seed)
+    try:
+        dv_noisy = forward.add_noise(dv, cfg.snr_db, cfg.seed)
+    except ValueError:  # the only frame add_noise refuses here is a zero one
+        raise ConfigError(f"phantom_model/phantom_file: the phantom changes no forward element "
+                          f"at radius {cfg.radius}, so noise cannot be scaled to its zero frame")
     return v_ref, v_pert, dv, dv_noisy
 
 
@@ -337,7 +341,7 @@ def run_solver(
     if cfg.solver == "tikhonov":
         return inverse.reconstruct_tikhonov(problem.s, delta_v, cfg.lam)
     return _ITERATIVE[cfg.solver](
-        problem.s, delta_v, problem.ops, _solver_config(cfg),
+        problem.s, delta_v, problem.d, _solver_config(cfg),
         boundary_elements=_boundary(cfg, problem), x_update=problem.x_update,
     )
 
@@ -348,7 +352,10 @@ def run_solver(
 
 def _outdir(cfg: PipelineConfig, out_dir) -> Path:
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir: cannot create directory {out}: {exc.strerror}")
     return out
 
 
@@ -562,7 +569,7 @@ def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
             results = [solved[lam] for lam in lams]
         else:
             results = inverse.reconstruct_block(
-                problem.s, dv, problem.ops, _solver_config(cfg), lams,
+                problem.s, dv, problem.d, _solver_config(cfg), lams,
                 [delta for _, delta in cells], _boundary(cfg, problem),
                 variant=cfg.solver, x_update=problem.x_update, keep_history=False,
             )

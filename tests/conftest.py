@@ -33,7 +33,7 @@ E = 16
 class CoarseProblem:
     mesh: object
     layout: object
-    ops: object
+    d: object
     s: object
 
 
@@ -52,9 +52,9 @@ class Model7Data:
 def coarse() -> CoarseProblem:
     mesh = generate_disk_mesh(RADIUS, 1024)
     layout = place_electrodes(mesh, E)
-    ops = build_difference_operators(mesh)
+    d = build_difference_operators(mesh)
     s = sensitivity_matrix(mesh, layout, ConductivityField.homogeneous(1.0, mesh.n_elements))
-    return CoarseProblem(mesh=mesh, layout=layout, ops=ops, s=s)
+    return CoarseProblem(mesh=mesh, layout=layout, d=d, s=s)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -209,7 +209,7 @@ def standard_instance(coarse, model7):
     t0 = time.perf_counter()
     truth = phantom_truth_image(lung_model(7), raster_extent(coarse.mesh), RES, 0.1)
     result = reconstruct_nwatv(
-        coarse.s, model7.dv_noisy.data, coarse.ops, SolverConfig(**SHIPPED)
+        coarse.s, model7.dv_noisy.data, coarse.d, SolverConfig(**SHIPPED)
     )
     re_series = _image_re_series(coarse.mesh, result.history, truth)
 
@@ -220,7 +220,7 @@ def standard_instance(coarse, model7):
             if solver is reconstruct_nwatv and factor == 1.0:
                 re = re_series[-1]
             else:
-                res = solver(coarse.s, model7.dv_noisy.data, coarse.ops, cfg)
+                res = solver(coarse.s, model7.dv_noisy.data, coarse.d, cfg)
                 re = relative_error(rasterize(coarse.mesh, 1.0 + res.final, RES), truth)
             if best is None or re < best[1]:
                 best = (cfg.lam, re)
@@ -321,7 +321,7 @@ def test_acceptance_6_parameter_sweep(coarse, model7):
     for i, ratio in enumerate(ratios):
         for j, d in enumerate(deltas):
             cfg = SolverConfig(**{**SHIPPED, "lam": ratio * SHIPPED["rho"], "delta": d})
-            res = reconstruct_nwatv(coarse.s, dv.data, coarse.ops, cfg)
+            res = reconstruct_nwatv(coarse.s, dv.data, coarse.d, cfg)
             grid[i, j] = relative_error(
                 rasterize(coarse.mesh, 1.0 + res.final, RES), truth
             )
@@ -352,7 +352,7 @@ def test_acceptance_7_per_iteration_cost(coarse, model7):
     def mean_ms(fn):
         best = np.inf
         for _ in range(3):
-            result = fn(coarse.s, model7.dv_noisy.data, coarse.ops, cfg)
+            result = fn(coarse.s, model7.dv_noisy.data, coarse.d, cfg)
             best = min(best, float(np.mean(result.wall_ms)))
         return best
 
@@ -378,14 +378,14 @@ def test_acceptance_8_invariants_and_determinism(coarse, model7):
     rng = np.random.default_rng(11)
     for _ in range(3):
         mesh = generate_disk_mesh(rng.uniform(0.05, 1.5), int(rng.integers(64, 2000)))
-        ops = build_difference_operators(mesh)
-        checks.append(np.abs(ops.stacked @ np.ones(mesh.n_elements)).max() == 0.0)
+        d = build_difference_operators(mesh)
+        checks.append(np.abs(d @ np.ones(mesh.n_elements)).max() == 0.0)
 
     # masked reconstruction never leaks outside the mask
     mask = np.zeros(coarse.mesh.n_elements, dtype=bool)
     mask[coarse.mesh.element_centroids[:, 0] < 0] = True
     cfg = SolverConfig(**{**SHIPPED, "max_iters": 5, "mask": mask})
-    res_m = reconstruct_nwatv(coarse.s, model7.dv_noisy.data, coarse.ops, cfg)
+    res_m = reconstruct_nwatv(coarse.s, model7.dv_noisy.data, coarse.d, cfg)
     checks.append(np.all(res_m.history[:, ~mask] == 0.0))
 
     # shrinkage: output keeps the input sign and kills sub-threshold entries
@@ -410,8 +410,8 @@ def test_acceptance_8_invariants_and_determinism(coarse, model7):
 
     # bit-identical repeat runs
     cfg = SolverConfig(**SHIPPED)
-    r1 = reconstruct_nwatv(coarse.s, model7.dv_noisy.data, coarse.ops, cfg)
-    r2 = reconstruct_nwatv(coarse.s, model7.dv_noisy.data, coarse.ops, cfg)
+    r1 = reconstruct_nwatv(coarse.s, model7.dv_noisy.data, coarse.d, cfg)
+    r2 = reconstruct_nwatv(coarse.s, model7.dv_noisy.data, coarse.d, cfg)
     checks.append(np.array_equal(r1.history, r2.history))
 
     elapsed = time.perf_counter() - t0

@@ -179,7 +179,8 @@ class TestSolvePotentials:
         monkeypatch.setattr(forward, "_RESIDUAL_TOL", 0.0)
         with pytest.raises(SolverError) as info:
             solve_potentials(k, layout)
-        assert isinstance(info.value.drive, int) and 0 <= info.value.drive < layout.count
+        drive = info.value.diagnostics["drive"]
+        assert isinstance(drive, int) and 0 <= drive < layout.count
         assert info.value.diagnostics["relative_residual"] > 0
 
     def test_zero_mean_grounding(self):

@@ -33,17 +33,15 @@ from eitkit.inverse import (
 
 
 def _chain_ops(n=40, h=0.1):
-    """1-D chain differences in the x block and all-zero dy rows."""
+    """1-D chain differences in the x rows and all-zero y rows of D."""
     import scipy.sparse as sp
-
-    from eitkit import DifferenceOperators
 
     rows = np.repeat(np.arange(n - 1), 2)
     cols = np.column_stack([np.arange(n - 1), np.arange(1, n)]).ravel()
     vals = np.tile([-1 / h, 1 / h], n - 1)
     dx = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     dy = sp.csr_matrix((n, n))
-    return DifferenceOperators(dx=dx, dy=dy, stacked=sp.vstack([dx, dy]).tocsr())
+    return sp.vstack([dx, dy]).tocsr()
 
 
 def _grid_argmin_1d(w, g, step=1e-6):
@@ -135,36 +133,36 @@ class TestGroupShrink:
 
 
 class TestNwatvWeights:
-    def _ops(self):
+    def _disk(self):
         mesh = generate_disk_mesh(0.1, 1024)
         return mesh, build_difference_operators(mesh)
 
     def test_zero_field_uniform_weights(self):
-        mesh, ops = self._ops()
-        p = nwatv_weights(np.zeros(mesh.n_elements), ops, 0.01)
+        mesh, d = self._disk()
+        p = nwatv_weights(d @ np.zeros(mesh.n_elements), 0.01)
         assert p.shape == (2 * mesh.n_elements,)
         assert np.all(p == 100.0)
 
     def test_duplicated_blocks(self):
-        mesh, ops = self._ops()
+        mesh, d = self._disk()
         rng = np.random.default_rng(2)
-        p = nwatv_weights(rng.normal(size=mesh.n_elements), ops, 0.01)
+        p = nwatv_weights(d @ rng.normal(size=mesh.n_elements), 0.01)
         n = mesh.n_elements
         assert np.array_equal(p[:n], p[n:])
 
     def test_min_weight_on_sharpest_edge(self):
-        mesh, ops = self._ops()
+        mesh, d = self._disk()
         field = assign_conductivity(mesh, lung_model(7)).values - 1.0
-        p = nwatv_weights(field, ops, 0.01)
+        p = nwatv_weights(d @ field, 0.01)
         n = mesh.n_elements
-        gx, gy = ops.dx @ field, ops.dy @ field
+        gx, gy = d[:n] @ field, d[n:] @ field
         mag = gx**2 + gy**2
         assert np.argmin(p[:n]) == np.argmax(mag)
 
     def test_positive_delta_required(self):
-        mesh, ops = self._ops()
+        mesh, d = self._disk()
         with pytest.raises(ValueError):
-            nwatv_weights(np.zeros(mesh.n_elements), ops, 0.0)
+            nwatv_weights(d @ np.zeros(mesh.n_elements), 0.0)
 
 
 class TestZUpdate:
@@ -214,90 +212,90 @@ class TestSigmaUpdate:
         target = rng.normal(size=coarse.mesh.n_elements)
         s = coarse.s
         rho = 1e-10
-        rhs = s.T @ (s @ target) / rho + coarse.ops.stacked.T @ (coarse.ops.stacked @ target)
-        out = XUpdateSolver(s, coarse.ops, rho).solve(rhs)
+        rhs = s.T @ (s @ target) / rho + coarse.d.T @ (coarse.d @ target)
+        out = XUpdateSolver(s, coarse.d, rho).solve(rhs)
         assert np.linalg.norm(out - target) <= 1e-6 * np.linalg.norm(target)
 
     def test_zero_inputs_zero_output(self, coarse):
         n = coarse.mesh.n_elements
-        out = XUpdateSolver(coarse.s, coarse.ops, 1e-10).solve(np.zeros(n))
+        out = XUpdateSolver(coarse.s, coarse.d, 1e-10).solve(np.zeros(n))
         assert np.array_equal(out, np.zeros(n))
 
     def test_rho_cancels_when_s_zero(self, coarse):
         n = coarse.mesh.n_elements
         z = np.random.default_rng(9).normal(size=2 * n)
         s0 = np.zeros((208, n))
-        rhs = coarse.ops.stacked.T @ z  # S^T b = 0 and y = 0 for either rho
-        a = XUpdateSolver(s0, coarse.ops, 1.0).solve(rhs)
-        b = XUpdateSolver(s0, coarse.ops, 0.5).solve(rhs)
+        rhs = coarse.d.T @ z  # S^T b = 0 and y = 0 for either rho
+        a = XUpdateSolver(s0, coarse.d, 1.0).solve(rhs)
+        b = XUpdateSolver(s0, coarse.d, 0.5).solve(rhs)
         assert np.allclose(a, b, atol=1e-12 * max(1.0, np.abs(a).max()))
 
     def test_singular_operator_floored_and_solved(self, caplog):
         # S = 0 with the chain D leaves D^T D singular (constants are in its
         # null space): the solver warns, floors the operator, and still
         # solves the consistent system close to its minimum-norm solution
-        ops = _chain_ops()
-        n = ops.n_elements
+        d = _chain_ops()
+        n = d.shape[1]
         z = np.random.default_rng(24).normal(size=2 * n)
-        rhs = ops.stacked.T @ z
+        rhs = d.T @ z
         with caplog.at_level("WARNING", logger="eitkit.inverse"):
-            x = XUpdateSolver(np.zeros((60, n)), ops, 1.0).solve(rhs)
+            x = XUpdateSolver(np.zeros((60, n)), d, 1.0).solve(rhs)
         assert "not positive definite" in caplog.text
-        dtd = (ops.stacked.T @ ops.stacked).toarray()
+        dtd = (d.T @ d).toarray()
         assert np.all(np.isfinite(x))
         assert np.linalg.norm(dtd @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
         min_norm = np.linalg.pinv(dtd) @ rhs
         assert np.linalg.norm(x - min_norm) <= 1e-4 * np.linalg.norm(min_norm)
 
 
-def _dense_x_update(s, ops, rho, rhs):
-    m = s.T @ s / rho + (ops.stacked.T @ ops.stacked).toarray()
+def _dense_x_update(s, d, rho, rhs):
+    m = s.T @ s / rho + (d.T @ d).toarray()
     return np.linalg.solve(m, rhs)
 
 
 class TestXUpdateSolver:
-    def _admm_rhs(self, s, ops, rho, seed):
+    def _admm_rhs(self, s, d, rho, seed):
         rng = np.random.default_rng(seed)
         b = rng.normal(size=s.shape[0])
         w = rng.normal(size=2 * s.shape[1])
-        return s.T @ b / rho + ops.stacked.T @ w
+        return s.T @ b / rho + d.T @ w
 
     def test_matches_dense_solve_coarse(self, coarse):
         s, rho = coarse.s, 1e-10
-        rhs = self._admm_rhs(s, coarse.ops, rho, 25)
-        x = XUpdateSolver(s, coarse.ops, rho).solve(rhs)
-        want = _dense_x_update(s, coarse.ops, rho, rhs)
+        rhs = self._admm_rhs(s, coarse.d, rho, 25)
+        x = XUpdateSolver(s, coarse.d, rho).solve(rhs)
+        want = _dense_x_update(s, coarse.d, rho, rhs)
         assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_matches_dense_solve_chain_with_zero_dy_rows(self):
-        ops = _chain_ops()
+        d = _chain_ops()
         s = np.random.default_rng(26).normal(size=(60, 40)) / np.sqrt(40)
         rho = 1e-6
-        rhs = self._admm_rhs(s, ops, rho, 27)
-        solver = XUpdateSolver(s, ops, rho)
+        rhs = self._admm_rhs(s, d, rho, 27)
+        solver = XUpdateSolver(s, d, rho)
         assert solver.floor == 0.0
-        want = _dense_x_update(s, ops, rho, rhs)
+        want = _dense_x_update(s, d, rho, rhs)
         assert np.linalg.norm(solver.solve(rhs) - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_inconsistent_rhs_on_singular_operator_raises(self):
         # the floored operator is nearly singular: a right-hand side with a
         # component along the constants misses the residual contract
-        ops = _chain_ops()
-        solver = XUpdateSolver(np.zeros((60, 40)), ops, 1.0)
+        d = _chain_ops()
+        solver = XUpdateSolver(np.zeros((60, 40)), d, 1.0)
         assert solver.floor > 0
-        rhs = ops.stacked.T @ np.random.default_rng(28).normal(size=80) + 1.0
+        rhs = d.T @ np.random.default_rng(28).normal(size=80) + 1.0
         with pytest.raises(SolverError, match="residual") as info:
             solver.solve(rhs)
         assert info.value.diagnostics["relative_residual"] > 1e-8
         assert info.value.diagnostics["capacitance_condition"] >= 1.0
 
-    def _rhs_block(self, s, ops, rho, k):
-        return np.column_stack([self._admm_rhs(s, ops, rho, 40 + j) for j in range(k)])
+    def _rhs_block(self, s, d, rho, k):
+        return np.column_stack([self._admm_rhs(s, d, rho, 40 + j) for j in range(k)])
 
     def test_block_solve_meets_residual_per_column(self, coarse):
-        s, rho, d = coarse.s, 1e-10, coarse.ops.stacked
-        rhs = self._rhs_block(s, coarse.ops, rho, 6)
-        x = XUpdateSolver(s, coarse.ops, rho).solve(rhs)
+        s, rho, d = coarse.s, 1e-10, coarse.d
+        rhs = self._rhs_block(s, coarse.d, rho, 6)
+        x = XUpdateSolver(s, coarse.d, rho).solve(rhs)
         assert x.shape == rhs.shape
         for j in range(rhs.shape[1]):
             r = rhs[:, j] - (s.T @ (s @ x[:, j]) / rho + d.T @ (d @ x[:, j]))
@@ -305,8 +303,8 @@ class TestXUpdateSolver:
 
     def test_block_solve_matches_single_columns(self, coarse):
         s, rho = coarse.s, 1e-10
-        solver = XUpdateSolver(s, coarse.ops, rho)
-        rhs = self._rhs_block(s, coarse.ops, rho, 6)
+        solver = XUpdateSolver(s, coarse.d, rho)
+        rhs = self._rhs_block(s, coarse.d, rho, 6)
         rhs[:, 2] = 0.0  # a zero column keeps the zero solution
         block = solver.solve(rhs)
         for j in range(rhs.shape[1]):
@@ -316,15 +314,15 @@ class TestXUpdateSolver:
 
     def test_one_column_block_is_bitwise_the_vector_solve(self, coarse):
         s, rho = coarse.s, 1e-10
-        solver = XUpdateSolver(s, coarse.ops, rho)
-        rhs = self._admm_rhs(s, coarse.ops, rho, 47)
+        solver = XUpdateSolver(s, coarse.d, rho)
+        rhs = self._admm_rhs(s, coarse.d, rho, 47)
         assert np.array_equal(solver.solve(rhs[:, None])[:, 0], solver.solve(rhs))
 
     def test_block_column_missing_residual_is_named(self):
-        ops = _chain_ops()
-        solver = XUpdateSolver(np.zeros((60, 40)), ops, 1.0)
+        d = _chain_ops()
+        solver = XUpdateSolver(np.zeros((60, 40)), d, 1.0)
         rng = np.random.default_rng(29)
-        rhs = np.column_stack([ops.stacked.T @ rng.normal(size=80) for _ in range(3)])
+        rhs = np.column_stack([d.T @ rng.normal(size=80) for _ in range(3)])
         rhs[:, 1] += 1.0  # a component along the constants cannot be solved
         with pytest.raises(SolverError, match="residual") as info:
             solver.solve(rhs)
@@ -335,9 +333,9 @@ class TestXUpdateSolver:
         # the 35 columns of a sweep block at the shipped inverse size: the
         # first application of the Woodbury gain plus at most one correction
         # meets 1e-13 in every column
-        s, rho, d = coarse.s, 1e-10, coarse.ops.stacked
-        solver = XUpdateSolver(s, coarse.ops, rho)
-        rhs = self._rhs_block(s, coarse.ops, rho, 35)
+        s, rho, d = coarse.s, 1e-10, coarse.d
+        solver = XUpdateSolver(s, coarse.d, rho)
+        rhs = self._rhs_block(s, coarse.d, rho, 35)
         applied = []
         real = XUpdateSolver._shifted_inverse
 
@@ -353,13 +351,13 @@ class TestXUpdateSolver:
             assert np.linalg.norm(r) <= 1e-13 * np.linalg.norm(rhs[:, j])
 
     def test_block_solve_on_floored_operator(self):
-        ops = _chain_ops()
-        solver = XUpdateSolver(np.zeros((60, 40)), ops, 1.0)
+        d = _chain_ops()
+        solver = XUpdateSolver(np.zeros((60, 40)), d, 1.0)
         assert solver.floor > 0
         rng = np.random.default_rng(31)
-        rhs = ops.stacked.T @ rng.normal(size=(80, 5))  # consistent: no constants
+        rhs = d.T @ rng.normal(size=(80, 5))  # consistent: no constants
         x = solver.solve(rhs)
-        dtd = ops.stacked.T @ ops.stacked
+        dtd = d.T @ d
         for j in range(5):
             assert np.linalg.norm(dtd @ x[:, j] - rhs[:, j]) <= 1e-8 * np.linalg.norm(rhs[:, j])
 
@@ -373,16 +371,16 @@ class TestXUpdateSolver:
 
     def test_shared_solver_gives_identical_iterates(self, coarse, model7):
         cfg = _shipped_config(max_iters=3)
-        solver = XUpdateSolver(coarse.s, coarse.ops, cfg.rho)
-        a = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.ops, cfg, x_update=solver)
-        b = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.ops, cfg)
+        solver = XUpdateSolver(coarse.s, coarse.d, cfg.rho)
+        a = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg, x_update=solver)
+        b = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)
         assert np.array_equal(a.history, b.history)
 
     def test_solver_for_other_rho_rejected(self, coarse, model7):
-        solver = XUpdateSolver(coarse.s, coarse.ops, 1e-9)
+        solver = XUpdateSolver(coarse.s, coarse.d, 1e-9)
         with pytest.raises(ValueError, match="x_update"):
             reconstruct_fotv(
-                coarse.s, model7.dv_noisy, coarse.ops, _shipped_config(), x_update=solver
+                coarse.s, model7.dv_noisy, coarse.d, _shipped_config(), x_update=solver
             )
 
     def test_concurrent_solves_match_serial(self, coarse):
@@ -392,8 +390,8 @@ class TestXUpdateSolver:
         import threading
 
         s, rho = coarse.s, 1e-10
-        solver = XUpdateSolver(s, coarse.ops, rho)
-        rhs = [self._admm_rhs(s, coarse.ops, rho, 30 + k) for k in range(12)]
+        solver = XUpdateSolver(s, coarse.d, rho)
+        rhs = [self._admm_rhs(s, coarse.d, rho, 30 + k) for k in range(12)]
         serial = [solver.solve(r) for r in rhs]
         results = [[] for _ in rhs]
 
@@ -498,13 +496,13 @@ def _shipped_config(**overrides):
 
 class TestReconstructNwatv:
     def test_zero_data_zero_fixed_point(self, coarse):
-        res = reconstruct_nwatv(coarse.s, np.zeros(208), coarse.ops, _shipped_config())
+        res = reconstruct_nwatv(coarse.s, np.zeros(208), coarse.d, _shipped_config())
         assert res.termination == "tol"
         assert res.n_iterations == 1
         assert np.array_equal(res.final, np.zeros(coarse.mesh.n_elements))
 
     def test_model7_error_decreases(self, coarse, model7):
-        res = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.ops, _shipped_config())
+        res = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, _shipped_config())
         truth = 1.0 + model7.delta_true
         re = [
             np.linalg.norm((1.0 + h) - truth) / np.linalg.norm(truth)
@@ -514,8 +512,8 @@ class TestReconstructNwatv:
         assert res.n_iterations == 20
 
     def test_deterministic(self, coarse, model7):
-        a = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.ops, _shipped_config())
-        b = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.ops, _shipped_config())
+        a = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, _shipped_config())
+        b = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, _shipped_config())
         assert np.array_equal(a.history, b.history)
         assert np.array_equal(a.final, b.final)
 
@@ -523,25 +521,25 @@ class TestReconstructNwatv:
         n = coarse.mesh.n_elements
         mask = np.linalg.norm(coarse.mesh.element_centroids, axis=1) < 0.07
         cfg = _shipped_config(mask=mask, max_iters=5)
-        res = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.ops, cfg)
+        res = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)
         outside = ~mask
         assert np.all(res.history[:, outside] == 0.0)
 
     def test_huge_tol_stops_after_one_iteration(self, coarse, model7):
         cfg = _shipped_config(tol=1e30)
-        res = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.ops, cfg)
+        res = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)
         assert res.n_iterations == 1
         assert res.termination == "tol"
 
     def test_tol_termination_consistent(self, coarse, model7):
         cfg = _shipped_config(tol=1e-4, max_iters=200)
-        res = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.ops, cfg)
+        res = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)
         if res.termination == "tol":
             assert res.step_norm[-1] < 1e-4
             assert np.all(res.step_norm[:-1] >= 1e-4)
 
     def test_diagnostics_lengths(self, coarse, model7):
-        res = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.ops, _shipped_config())
+        res = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, _shipped_config())
         n = res.n_iterations
         assert len(res.data_residual) == n
         assert len(res.step_norm) == n
@@ -552,12 +550,11 @@ class TestReconstructNwatv:
     def test_iteration_order_matches_manual_steps(self, coarse, model7):
         """Pin the update order: x-solve, z with previous weights, weight
         refresh, dual ascent; weights start at one."""
-        s, ops = coarse.s, coarse.ops
+        s, d = coarse.s, coarse.d
         dv = model7.dv_noisy.data
         n = coarse.mesh.n_elements
         lam, rho, delta = 5e-13, 1e-10, 0.01
-        d = ops.stacked
-        solver = XUpdateSolver(s, ops, rho)
+        solver = XUpdateSolver(s, d, rho)
         z = np.zeros(2 * n)
         y = np.zeros(2 * n)
         p = np.ones(2 * n)
@@ -565,11 +562,11 @@ class TestReconstructNwatv:
         for _ in range(3):
             x = solver.solve(s.T @ dv / rho + d.T @ (z - y / rho))
             z = z_update(d @ x + y / rho, p, lam, rho)
-            p = nwatv_weights(x, ops, delta)
+            p = nwatv_weights(d @ x, delta)
             y = y + rho * (d @ x - z)
             history.append(x)
         res = reconstruct_nwatv(
-            s, model7.dv_noisy, ops, _shipped_config(max_iters=3, tol=1e-30)
+            s, model7.dv_noisy, d, _shipped_config(max_iters=3, tol=1e-30)
         )
         assert np.allclose(res.history, np.array(history), atol=1e-12, rtol=0)
 
@@ -584,14 +581,14 @@ class TestReconstructBlock:
     @pytest.mark.parametrize("variant", sorted(_SINGLE))
     def test_columns_match_single_reconstructions(self, coarse, model7, variant):
         cfg = _shipped_config(max_iters=4)
-        solver = XUpdateSolver(coarse.s, coarse.ops, cfg.rho)
+        solver = XUpdateSolver(coarse.s, coarse.d, cfg.rho)
         block = reconstruct_block(
-            coarse.s, model7.dv_noisy, coarse.ops, cfg, self.LAMS, self.DELTAS,
+            coarse.s, model7.dv_noisy, coarse.d, cfg, self.LAMS, self.DELTAS,
             variant=variant, x_update=solver,
         )
         for lam, delta, got in zip(self.LAMS, self.DELTAS, block):
             want = _SINGLE[variant](
-                coarse.s, model7.dv_noisy, coarse.ops, replace(cfg, lam=lam, delta=delta),
+                coarse.s, model7.dv_noisy, coarse.d, replace(cfg, lam=lam, delta=delta),
                 x_update=solver,
             )
             assert (got.termination, got.n_iterations) == (want.termination, want.n_iterations)
@@ -606,19 +603,54 @@ class TestReconstructBlock:
         cfg = _shipped_config(max_iters=30, tol=1e-2)
         lams, deltas = [5e-11, 5e-9], [0.01, 0.01]
         block = reconstruct_block(
-            coarse.s, model7.dv_noisy, coarse.ops, cfg, lams, deltas, variant="fotv",
+            coarse.s, model7.dv_noisy, coarse.d, cfg, lams, deltas, variant="fotv",
             keep_history=False,
         )
         assert [r.termination for r in block] == ["tol", "max_iters"]
         for lam, got in zip(lams, block):
-            want = reconstruct_fotv(coarse.s, model7.dv_noisy, coarse.ops, replace(cfg, lam=lam))
+            want = reconstruct_fotv(coarse.s, model7.dv_noisy, coarse.d, replace(cfg, lam=lam))
             assert got.n_iterations == want.n_iterations
             assert got.history.shape == (0, coarse.mesh.n_elements)
             assert np.linalg.norm(got.final - want.final) <= 1e-10 * np.linalg.norm(want.final)
 
+    def test_traces_end_where_each_column_stops(self, coarse, model7):
+        # the same two columns with histories kept: each column's traces
+        # hold its own iterations only, none of the rows after it stopped
+        cfg = _shipped_config(max_iters=30, tol=1e-2)
+        block = reconstruct_block(
+            coarse.s, model7.dv_noisy, coarse.d, cfg, [5e-11, 5e-9], [0.01, 0.01],
+            variant="fotv",
+        )
+        assert [r.n_iterations for r in block] == [13, 30]
+        for got in block:
+            m = got.n_iterations
+            assert got.history.shape == (m, coarse.mesh.n_elements)
+            assert len(got.data_residual) == len(got.wall_ms) == m
+            assert np.array_equal(got.history[-1], got.final)
+            assert np.all(np.isfinite(got.data_residual)) and np.all(np.isfinite(got.step_norm))
+        assert np.array_equal(block[0].wall_ms, block[1].wall_ms[:13])
+
+    def test_unbounded_max_iters_allocates_nothing_up_front(self, coarse, model7):
+        # max_iters has no upper bound, so nothing may be sized from it
+        import tracemalloc
+
+        cfg = _shipped_config(max_iters=10**9, tol=1e300)
+        solver = XUpdateSolver(coarse.s, coarse.d, cfg.rho)
+        tracemalloc.start()
+        try:
+            (result,) = reconstruct_block(
+                coarse.s, model7.dv_noisy, coarse.d, cfg, [cfg.lam], [cfg.delta],
+                x_update=solver,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.termination, result.n_iterations) == ("tol", 1)
+        assert peak < 4 * 2**20
+
     def test_failed_column_does_not_stop_the_others(self, coarse, model7, monkeypatch):
         cfg = _shipped_config(max_iters=3)
-        solver = XUpdateSolver(coarse.s, coarse.ops, cfg.rho)
+        solver = XUpdateSolver(coarse.s, coarse.d, cfg.rho)
         real = XUpdateSolver.solve
 
         def poisoned(self, rhs):
@@ -630,40 +662,40 @@ class TestReconstructBlock:
 
         monkeypatch.setattr(XUpdateSolver, "solve", poisoned)
         block = reconstruct_block(
-            coarse.s, model7.dv_noisy, coarse.ops, cfg, self.LAMS, self.DELTAS, x_update=solver
+            coarse.s, model7.dv_noisy, coarse.d, cfg, self.LAMS, self.DELTAS, x_update=solver
         )
         assert isinstance(block[1], SolverError)
-        assert block[1].iteration == 1 and block[1].diagnostics["column"] == 1
+        assert block[1].diagnostics["iteration"] == 1 and block[1].diagnostics["column"] == 1
         for c in (0, 2):
             assert isinstance(block[c], ReconResult) and block[c].n_iterations == 3
             assert np.all(np.isfinite(block[c].final))
 
     def test_single_reconstruction_raises_its_column_error(self, coarse, model7, monkeypatch):
-        solver = XUpdateSolver(coarse.s, coarse.ops, 1e-10)
+        solver = XUpdateSolver(coarse.s, coarse.d, 1e-10)
         real = XUpdateSolver.solve
         monkeypatch.setattr(XUpdateSolver, "solve", lambda self, rhs: real(self, rhs * np.nan))
         with pytest.raises(SolverError, match="iteration 1: x-update residual") as info:
             reconstruct_nwatv(
-                coarse.s, model7.dv_noisy, coarse.ops, _shipped_config(), x_update=solver
+                coarse.s, model7.dv_noisy, coarse.d, _shipped_config(), x_update=solver
             )
-        assert info.value.iteration == 1 and info.value.diagnostics["column"] == 0
+        assert info.value.diagnostics["iteration"] == 1 and info.value.diagnostics["column"] == 0
 
     def test_rejects_mismatched_parameters(self, coarse, model7):
         with pytest.raises(ValueError, match="lams and deltas"):
             reconstruct_block(
-                coarse.s, model7.dv_noisy, coarse.ops, _shipped_config(), [5e-13], [0.01, 0.1]
+                coarse.s, model7.dv_noisy, coarse.d, _shipped_config(), [5e-13], [0.01, 0.1]
             )
         with pytest.raises(ValueError, match="delta > 0"):
             reconstruct_block(
-                coarse.s, model7.dv_noisy, coarse.ops, _shipped_config(), [5e-13], [0.0]
+                coarse.s, model7.dv_noisy, coarse.d, _shipped_config(), [5e-13], [0.0]
             )
 
 
 class TestBaselines:
     def test_fotv_equals_nwatv_at_lambda_zero(self, coarse, model7):
         cfg = _shipped_config(lam=0.0, max_iters=5)
-        a = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.ops, cfg)
-        b = reconstruct_fotv(coarse.s, model7.dv_noisy, coarse.ops, cfg)
+        a = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)
+        b = reconstruct_fotv(coarse.s, model7.dv_noisy, coarse.d, cfg)
         assert np.array_equal(a.history, b.history)
 
     def test_lambda_zero_reaches_least_squares_fixed_point(self):
@@ -671,12 +703,12 @@ class TestBaselines:
         # the unregularized normal equations (rho small so the data term
         # dominates the stationary part and the iteration contracts fast)
         n = 40
-        ops = _chain_ops(n)
+        d = _chain_ops(n)
         rng = np.random.default_rng(21)
         s = rng.normal(size=(60, n)) / np.sqrt(n)
         b = s @ rng.normal(size=n)
         cfg = SolverConfig(lam=0.0, rho=1e-6, delta=0.01, max_iters=500, tol=1e-15)
-        res = reconstruct_fotv(s, b, ops, cfg)
+        res = reconstruct_fotv(s, b, d, cfg)
         lstsq = np.linalg.lstsq(s, b, rcond=None)[0]
         assert np.linalg.norm(res.final - lstsq) <= 1e-8 * np.linalg.norm(lstsq)
 
@@ -720,8 +752,8 @@ class TestBaselines:
 
     def test_isotropic_tv_runs_and_differs(self, coarse, model7):
         cfg = _shipped_config(max_iters=5)
-        a = reconstruct_tv_isotropic(coarse.s, model7.dv_noisy, coarse.ops, cfg)
-        b = reconstruct_fotv(coarse.s, model7.dv_noisy, coarse.ops, cfg)
+        a = reconstruct_tv_isotropic(coarse.s, model7.dv_noisy, coarse.d, cfg)
+        b = reconstruct_fotv(coarse.s, model7.dv_noisy, coarse.d, cfg)
         assert a.history.shape == b.history.shape
         assert not np.array_equal(a.final, b.final)
 
@@ -748,11 +780,11 @@ class TestPreprocessIntegration:
     def test_preprocess_flag_changes_result(self, coarse, model7):
         cfg_off = _shipped_config(max_iters=5)
         cfg_on = _shipped_config(max_iters=5, enable_preprocess=True)
-        a = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.ops, cfg_off)
+        a = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg_off)
         b = reconstruct_nwatv(
             coarse.s,
             model7.dv_noisy,
-            coarse.ops,
+            coarse.d,
             cfg_on,
             boundary_elements=coarse.mesh.boundary_elements(),
         )
@@ -761,4 +793,4 @@ class TestPreprocessIntegration:
     def test_preprocess_requires_boundary_set(self, coarse, model7):
         cfg = _shipped_config(enable_preprocess=True)
         with pytest.raises(ValueError):
-            reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.ops, cfg)
+            reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)

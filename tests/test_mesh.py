@@ -208,8 +208,9 @@ def _assert_topology_matches_reference(mesh, tmp_dir):
         _reference_boundary_elements(mesh).tobytes()
     )
 
-    ops = build_difference_operators(mesh)
-    for mat, ref in zip((ops.dx, ops.dy), _reference_difference_operators(mesh)):
+    d = build_difference_operators(mesh)
+    n = mesh.n_elements
+    for mat, ref in zip((d[:n], d[n:]), _reference_difference_operators(mesh)):
         for attr in ("indptr", "indices", "data"):
             a, b = getattr(mat, attr), getattr(ref, attr)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -366,32 +367,34 @@ class TestPlaceElectrodes:
 class TestDifferenceOperators:
     def test_constant_annihilated(self):
         mesh = generate_disk_mesh(0.1, 1024)
-        ops = build_difference_operators(mesh)
+        d = build_difference_operators(mesh)
         c = 3.7 * np.ones(mesh.n_elements)
-        assert np.max(np.abs(ops.stacked @ c)) == 0.0
+        assert np.max(np.abs(d @ c)) == 0.0
 
     def test_x_consistency_on_centroid_field(self):
         # sigma = x-centroid: each nonzero Dx row evaluates (x_l - x_k)/dx = 1
         mesh = generate_disk_mesh(0.1, 1024)
-        ops = build_difference_operators(mesh)
-        gx = ops.dx @ mesh.element_centroids[:, 0]
-        nz = np.asarray((np.abs(ops.dx) @ np.ones(mesh.n_elements)) > 0)
+        d = build_difference_operators(mesh)
+        n = mesh.n_elements
+        gx = d[:n] @ mesh.element_centroids[:, 0]
+        nz = np.asarray((np.abs(d[:n]) @ np.ones(mesh.n_elements)) > 0)
         assert nz.sum() > 0.9 * mesh.n_elements
         assert np.allclose(gx[nz], 1.0, atol=1e-9)
-        gy = ops.dy @ mesh.element_centroids[:, 1]
-        nzy = np.asarray((np.abs(ops.dy) @ np.ones(mesh.n_elements)) > 0)
+        gy = d[n:] @ mesh.element_centroids[:, 1]
+        nzy = np.asarray((np.abs(d[n:]) @ np.ones(mesh.n_elements)) > 0)
         assert np.allclose(gy[nzy], 1.0, atol=1e-9)
 
     def test_transverse_slope_bounded_by_direction_threshold(self):
         # sigma = y-centroid: |Dx sigma| = |dy/dx| of the selected neighbor;
         # rows whose neighbor is axis-aligned (|dy| < 0.2|dx|) stay below 0.2
         mesh = generate_disk_mesh(0.1, 1024)
-        ops = build_difference_operators(mesh)
-        dxc = ops.dx.tocoo()
+        d = build_difference_operators(mesh)
+        n = mesh.n_elements
+        dxc = d[:n].tocoo()
         rows = {}
         for r, c, v in zip(dxc.row, dxc.col, dxc.data):
             rows.setdefault(r, {})[c] = v
-        slope = ops.dx @ mesh.element_centroids[:, 1]
+        slope = d[:n] @ mesh.element_centroids[:, 1]
         checked = 0
         for r, entries in rows.items():
             nbr = [c for c in entries if c != r]
@@ -406,8 +409,9 @@ class TestDifferenceOperators:
 
     def test_row_structure(self):
         mesh = generate_disk_mesh(0.1, 2048)
-        ops = build_difference_operators(mesh)
-        for mat in (ops.dx, ops.dy):
+        d = build_difference_operators(mesh)
+        n = mesh.n_elements
+        for mat in (d[:n], d[n:]):
             row_sums = np.asarray(mat.sum(axis=1)).ravel()
             assert np.max(np.abs(row_sums)) < 1e-12
             counts = np.diff(mat.tocsr().indptr)
@@ -415,11 +419,11 @@ class TestDifferenceOperators:
 
     def test_stack_layout(self):
         mesh = generate_disk_mesh(0.1, 1024)
-        ops = build_difference_operators(mesh)
+        d = build_difference_operators(mesh)
         n = mesh.n_elements
-        assert ops.stacked.shape == (2 * n, n)
+        assert d.shape == (2 * n, n)
         v = np.random.default_rng(0).normal(size=n)
-        assert np.allclose(ops.stacked @ v, np.concatenate([ops.dx @ v, ops.dy @ v]))
+        assert np.allclose(d @ v, np.concatenate([d[:n] @ v, d[n:] @ v]))
 
     def test_ones_annihilated_across_random_meshes(self):
         rng = np.random.default_rng(7)
@@ -427,8 +431,8 @@ class TestDifferenceOperators:
             radius = float(rng.uniform(0.05, 2.0))
             target = int(rng.integers(64, 3000))
             mesh = generate_disk_mesh(radius, target)
-            ops = build_difference_operators(mesh)
-            assert np.max(np.abs(ops.stacked @ np.ones(mesh.n_elements))) == 0.0
+            d = build_difference_operators(mesh)
+            assert np.max(np.abs(d @ np.ones(mesh.n_elements))) == 0.0
 
 
 class TestRasterize:

@@ -640,6 +640,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert "iterate history" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("verb", VERBS)
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_out_dir_naming_a_file_exit_two(self, tmp_path, capsys, verb, where):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = {"out_dir": str(taken)} if where == "config" else {}
+        argv = [verb, "--config", str(_write_cfg(tmp_path / "run.cfg", **out))]
+        argv += ["--out", str(taken)] if where == "flag" else []
+        argv += ["--field", str(tmp_path / "field.txt")] if verb == "render" else []
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: out_dir" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "radius, verb", [(1e150, "simulate"), (1e150, "sweep"), (1e-150, "simulate")]
+    )
+    def test_phantom_changing_no_element_exit_two(self, tmp_path, capsys, radius, verb):
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"), radius=radius)
+        assert main([verb, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: phantom_model" in err and len(err.strip().splitlines()) == 1
+
+    def test_solver_error_json_names_iteration_and_column(self, tmp_path, monkeypatch):
+        import eitkit.inverse as inv
+
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"))
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        real = inv.XUpdateSolver.solve
+        monkeypatch.setattr(inv.XUpdateSolver, "solve", lambda self, rhs: real(self, rhs * np.nan))
+        assert main(["reconstruct", "--config", str(cfg_path)]) == 3
+        diag = json.loads((tmp_path / "out" / "solver_error.json").read_text())["diagnostics"]
+        assert (diag["iteration"], diag["column"]) == (1, 0)
+
     def test_solver_error_exit_three_with_diagnostics(self, tmp_path, monkeypatch, capsys):
         import eitkit.pipeline as pl
 
