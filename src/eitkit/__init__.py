@@ -33,8 +33,6 @@ from .phantom import (
 from .forward import (
     LINEARIZATION_SIGN,
     SolverError,
-    ConductivityField,
-    VoltageFrame,
     pattern_pairs,
     assemble_stiffness,
     solve_potentials,
@@ -92,8 +90,6 @@ __all__ = [
     "load_phantom",
     "LINEARIZATION_SIGN",
     "SolverError",
-    "ConductivityField",
-    "VoltageFrame",
     "pattern_pairs",
     "assemble_stiffness",
     "solve_potentials",

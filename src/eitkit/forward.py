@@ -52,30 +52,6 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ConductivityField:
-    """Per-element conductivity values, strictly positive."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"conductivity must be a 1-d vector, got shape {v.shape}")
-        if not np.all(v > 0):
-            raise ValueError("conductivity values must be strictly positive")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def homogeneous(cls, value: float, n_elements: int) -> "ConductivityField":
-        return cls(values=np.full(n_elements, float(value)))
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return bool(np.all(self.values == self.values[0]))
-
-
-@dataclass(frozen=True)
 class DrivePotentials:
     """Nodal potentials for all drive patterns.
 
@@ -89,31 +65,6 @@ class DrivePotentials:
     @property
     def n_drives(self) -> int:
         return self.potentials.shape[1]
-
-
-@dataclass(frozen=True)
-class VoltageFrame:
-    """One frame of adjacent-pair measurements, drive-major.
-
-    ``data[p]`` is u^j at electrode i minus u^j at electrode i+1, where
-    (j, i) = pattern_pairs(E)[p]; pairs touching the drive are skipped.
-    """
-
-    data: np.ndarray
-    electrode_count: int
-
-    def __post_init__(self):
-        d = np.ascontiguousarray(self.data, dtype=float)
-        e = self.electrode_count
-        if d.shape != (e * (e - 3),):
-            raise ValueError(
-                f"frame for {e} electrodes must have length {e * (e - 3)}, got {d.shape}"
-            )
-        d.setflags(write=False)
-        object.__setattr__(self, "data", d)
-
-    def __len__(self) -> int:
-        return len(self.data)
 
 
 def pattern_pairs(electrode_count: int) -> list[tuple[int, int]]:
@@ -142,18 +93,19 @@ def _gradient_coefficients(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     return b, c
 
 
-def assemble_stiffness(mesh: TriMesh, sigma: ConductivityField) -> sp.csr_matrix:
-    """P1 stiffness matrix for div(sigma grad u); symmetric PSD with the
+def assemble_stiffness(mesh: TriMesh, sigma: np.ndarray) -> sp.csr_matrix:
+    """P1 stiffness matrix for div(sigma grad u) with one strictly positive
+    conductivity per element, sigma of shape (N,); symmetric PSD with the
     constant vector as null space (pure Neumann problem)."""
-    if sigma.values.shape != (mesh.n_elements,):
-        raise ValueError(
-            f"conductivity has {sigma.values.shape[0]} entries for "
-            f"{mesh.n_elements} elements"
-        )
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (mesh.n_elements,):
+        raise ValueError(f"conductivity has shape {sigma.shape} for {mesh.n_elements} elements")
+    if not np.all(sigma > 0):
+        raise ValueError("conductivity values must be strictly positive")
     tri = mesh.triangles
     b, c = _gradient_coefficients(mesh)
     a4 = 4.0 * mesh.element_areas
-    coeff = sigma.values / a4  # (N,)
+    coeff = sigma / a4  # (N,)
     local = coeff[:, None, None] * (
         b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
     )  # (N, 3, 3)
@@ -224,19 +176,20 @@ def solve_potentials(
     return DrivePotentials(potentials=u - u[enodes].mean(axis=0), current=float(current))
 
 
-def extract_voltages(potentials: DrivePotentials, layout: ElectrodeLayout) -> VoltageFrame:
-    """Adjacent-pair differences u^j(E_i) - u^j(E_{i+1}) in flat order."""
+def extract_voltages(potentials: DrivePotentials, layout: ElectrodeLayout) -> np.ndarray:
+    """One (E(E-3),) frame: element p is u^j(E_i) - u^j(E_{i+1}) for
+    (j, i) = pattern_pairs(E)[p]."""
     e = layout.count
     ue = potentials.potentials[layout.node_ids, :]  # (E, E) electrode x drive
     j, i = np.array(pattern_pairs(e)).T
-    data = ue[i, j] - ue[(i + 1) % e, j]
-    return VoltageFrame(data=data, electrode_count=e)
+    return ue[i, j] - ue[(i + 1) % e, j]
 
 
 def simulate_frame(
-    mesh: TriMesh, layout: ElectrodeLayout, sigma: ConductivityField, current: float = 1.0
-) -> VoltageFrame:
-    """Assemble, solve, and extract one voltage frame."""
+    mesh: TriMesh, layout: ElectrodeLayout, sigma: np.ndarray, current: float = 1.0
+) -> np.ndarray:
+    """Assemble, solve, and extract one voltage frame for the (N,)
+    conductivity sigma."""
     k = assemble_stiffness(mesh, sigma)
     return extract_voltages(solve_potentials(k, layout, current), layout)
 
@@ -254,23 +207,19 @@ def _element_gradients(mesh: TriMesh, potentials: np.ndarray) -> tuple[np.ndarra
 def sensitivity_matrix(
     mesh: TriMesh,
     layout: ElectrodeLayout,
-    sigma0: ConductivityField,
+    sigma0: float = 1.0,
     current: float = 1.0,
 ) -> np.ndarray:
-    """Linearization of the voltage map about a homogeneous reference: the
-    C-contiguous (E(E-3), N) array S whose row p (pattern (j, i)) and
-    column q hold
+    """Linearization of the voltage map about the homogeneous conductivity
+    sigma0: the C-contiguous (E(E-3), N) array S whose row p (pattern
+    (j, i)) and column q hold
 
         S[p, q] = (1/I) * area(T_q) * grad(u0^i)|_q . grad(u0^j)|_q,
 
     symmetric in the drive/measure roles. The first-order voltage change
     for a perturbation d of the reference is LINEARIZATION_SIGN * S @ d.
     """
-    if sigma0.values.shape != (mesh.n_elements,):
-        raise ValueError("reference field does not match the mesh")
-    if not sigma0.is_homogeneous:
-        raise ValueError("sensitivity linearization requires a homogeneous reference")
-    k = assemble_stiffness(mesh, sigma0)
+    k = assemble_stiffness(mesh, np.full(mesh.n_elements, float(sigma0)))
     pots = solve_potentials(k, layout, current)
     gx, gy = (g.T for g in _element_gradients(mesh, pots.potentials))  # (E, N)
     area_over_i = mesh.element_areas / pots.current
@@ -278,33 +227,31 @@ def sensitivity_matrix(
     return area_over_i * (gx[i] * gx[j] + gy[i] * gy[j])
 
 
-def signed_difference(reference: VoltageFrame, perturbed: VoltageFrame) -> np.ndarray:
+def signed_difference(reference: np.ndarray, perturbed: np.ndarray) -> np.ndarray:
     """Difference data in the sign convention of the sensitivity matrix:
     returns LINEARIZATION_SIGN * (perturbed - reference), so that the result
     is approximated by S @ delta_sigma."""
-    if reference.electrode_count != perturbed.electrode_count:
-        raise ValueError("frames use different electrode counts")
-    return LINEARIZATION_SIGN * (perturbed.data - reference.data)
+    return LINEARIZATION_SIGN * np.subtract(perturbed, reference, dtype=float)
 
 
-def add_noise(frame: VoltageFrame, snr_db: float, seed: int) -> VoltageFrame:
+def add_noise(frame: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     """Add i.i.d. Gaussian noise at the requested signal-to-noise ratio.
 
     The noise standard deviation is |frame|_2 * 10^(-snr_db/20) / sqrt(L),
     so the expected noise power matches the target SNR. snr_db = +inf is a
     sentinel for "no noise". Deterministic for a fixed seed.
     """
+    frame = np.array(frame, dtype=float)
     if math.isinf(snr_db) and snr_db > 0:
-        return VoltageFrame(data=frame.data.copy(), electrode_count=frame.electrode_count)
+        return frame
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
-    norm = np.linalg.norm(frame.data)
+    norm = np.linalg.norm(frame)
     if norm == 0:
         raise ValueError("cannot scale noise to a zero frame")
-    sd = norm * 10.0 ** (-snr_db / 20.0) / math.sqrt(len(frame.data))
+    sd = norm * 10.0 ** (-snr_db / 20.0) / math.sqrt(len(frame))
     rng = np.random.default_rng(seed)
-    noisy = frame.data + rng.normal(0.0, sd, len(frame.data))
-    return VoltageFrame(data=noisy, electrode_count=frame.electrode_count)
+    return frame + rng.normal(0.0, sd, len(frame))
 
 
 # ---------------------------------------------------------------------------
@@ -312,27 +259,35 @@ def add_noise(frame: VoltageFrame, snr_db: float, seed: int) -> VoltageFrame:
 # electrode numbers) in the '# frame t rows' blocks of mesh._write_frames
 
 
-def save_frames(path, frames: list[VoltageFrame]) -> None:
+def _electrode_count(length: int, where: str = "") -> int:
+    """The E of a frame of L = E(E-3) measurements; ValueError otherwise."""
+    e = round((3 + math.sqrt(9 + 4 * length)) / 2)
+    if e < 4 or e * (e - 3) != length:
+        raise ValueError(f"{where}frame length {length} is not E*(E-3) for an integer E >= 4")
+    return e
+
+
+def save_frames(path, frames) -> None:
+    """Write a sequence of (E(E-3),) frames; E is inferred from each length."""
     columns = []
     for frame in frames:
-        pairs = np.array(pattern_pairs(frame.electrode_count)) + 1
-        columns.append([*pairs.T.tolist(), frame.data.tolist()])
+        frame = np.asarray(frame, dtype=float)
+        pairs = np.array(pattern_pairs(_electrode_count(len(frame)))) + 1
+        columns.append([*pairs.T.tolist(), frame.tolist()])
     _write_frames(path, columns)
 
 
-def load_frames(path) -> list[VoltageFrame]:
-    """Read the frames of a file written by :func:`save_frames`; E is
+def load_frames(path) -> np.ndarray:
+    """The (K, L) frames of a file written by :func:`save_frames`; E is
     inferred from the row count L = E(E-3). Raises ValueError with the line
     of the first defect."""
     blocks = _read_frames(path, 3)
     length = blocks.shape[1]
-    e = round((3 + math.sqrt(9 + 4 * length)) / 2)
-    if e < 4 or e * (e - 3) != length:
-        raise ValueError(f"{path}:1: frame length {length} is not E*(E-3) for an integer E >= 4")
+    e = _electrode_count(length, f"{path}:1: ")
     expected = np.array(pattern_pairs(e)) + 1
     wrong = np.flatnonzero((blocks[:, :, :2] != expected).any(axis=2))
     if wrong.size:
         t, row = divmod(int(wrong[0]), length)
         j, i = expected[row]
         raise ValueError(f"{path}:{t * (length + 1) + row + 2}: expected drive {j} measure {i}")
-    return [VoltageFrame(data=block[:, 2], electrode_count=e) for block in blocks]
+    return np.ascontiguousarray(blocks[:, :, 2])

@@ -35,7 +35,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .forward import SolverError, VoltageFrame
+from .forward import SolverError
 
 log = logging.getLogger(__name__)
 
@@ -116,12 +116,6 @@ class ReconResult:
     @property
     def n_iterations(self) -> int:
         return len(self.step_norm)
-
-
-def _as_data(b) -> np.ndarray:
-    if isinstance(b, VoltageFrame):
-        return b.data
-    return np.asarray(b, dtype=float)
 
 
 def _column_norms(a: np.ndarray) -> np.ndarray:
@@ -214,7 +208,7 @@ def preprocess_boundary(delta_v, s, boundary_elements, lambda_b: float) -> np.nd
     if idx.size == 0:
         raise ValueError("boundary element set is empty")
     s = np.asarray(s, dtype=float)
-    b = _as_data(delta_v)
+    b = np.asarray(delta_v, dtype=float)
     if s.shape[0] != b.shape[0]:
         raise ValueError(f"S has {s.shape[0]} rows but data has length {b.shape[0]}")
     sb = s[:, idx]
@@ -388,7 +382,7 @@ def reconstruct_block(
     ``keep_history=False`` every history is empty (0, N).
     """
     s = np.asarray(s, dtype=float)
-    b = _as_data(delta_v)
+    b = np.asarray(delta_v, dtype=float)
     if s.shape[0] != b.shape[0]:
         raise ValueError(f"S has {s.shape[0]} rows but data has length {b.shape[0]}")
     if s.shape[1] != d.shape[1]:
@@ -528,7 +522,7 @@ def reconstruct_tikhonov(s, delta_v, lam: float) -> ReconResult:
         raise ValueError(f"lam must be > 0, got {lam}")
     t0 = time.perf_counter()
     s = np.asarray(s, dtype=float)
-    b = _as_data(delta_v)
+    b = np.asarray(delta_v, dtype=float)
     factor = sla.cho_factor(s @ s.T + lam * np.eye(s.shape[0]), lower=True)
     x = s.T @ sla.cho_solve(factor, b)
     return ReconResult(

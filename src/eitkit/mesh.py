@@ -461,8 +461,9 @@ def _read_frames(path, width: int) -> np.ndarray:
     (K, rows, width) array.
 
     Raises ValueError("<path>:<line>: ...") at the first header, row count,
-    row width or value that does not parse: frames are numbered 1..K in
-    order, all hold as many rows as frame 1, and nothing follows the last.
+    row width or value that does not parse as a finite number: frames are
+    numbered 1..K in order, all hold as many rows as frame 1, and nothing
+    follows the last.
     """
     with open(path, errors="replace") as f:  # undecodable bytes fail as values
         lines = f.read().split("\n")
@@ -475,7 +476,9 @@ def _read_frames(path, width: int) -> np.ndarray:
     def parse(first: int, body: list[str]) -> list[float]:
         if width == 1:
             try:  # float() also rejects blank rows and rows of two values
-                return list(map(float, body))
+                out = list(map(float, body))
+                if all(map(math.isfinite, out)):
+                    return out
             except ValueError:
                 pass  # find the bad row below
         out = []
@@ -488,6 +491,8 @@ def _read_frames(path, width: int) -> np.ndarray:
                     out.append(float(cell))
                 except ValueError:
                     raise fail(index, f"not a number: {cell!r}") from None
+                if not math.isfinite(out[-1]):  # float() parses 'nan', 'inf', '1e999'
+                    raise fail(index, f"not a finite number: {cell!r}")
         return out
 
     values: list[float] = []

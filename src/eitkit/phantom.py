@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import ConductivityField
 from .mesh import TriMesh
 
 
@@ -75,8 +74,8 @@ def lung_model(k: int) -> PhantomSpec:
     return PhantomSpec(background=1.0, inclusions=(left, right))
 
 
-def assign_conductivity(mesh: TriMesh, spec: PhantomSpec) -> ConductivityField:
-    """Evaluate the phantom at element centroids.
+def assign_conductivity(mesh: TriMesh, spec: PhantomSpec) -> np.ndarray:
+    """Evaluate the phantom at element centroids: an (N,) array.
 
     An element takes the value of the first inclusion containing its
     centroid, or the background value when none does.
@@ -87,7 +86,7 @@ def assign_conductivity(mesh: TriMesh, spec: PhantomSpec) -> ConductivityField:
         hit = unset & inc.contains(mesh.element_centroids)
         values[hit] = inc.value
         unset &= ~hit
-    return ConductivityField(values=values)
+    return values
 
 
 def inclusion_mask(mesh: TriMesh, spec: PhantomSpec) -> np.ndarray:

@@ -246,17 +246,18 @@ def _disk(cfg: PipelineConfig, n_elements: int, angles=None) -> tuple[TriMesh, E
         raise ConfigError(f"electrode_count: {exc} ({n_elements} elements)")
 
 
-def build_inverse_problem(cfg: PipelineConfig) -> InverseProblem:
+def build_inverse_problem(cfg: PipelineConfig, disk=None) -> InverseProblem:
+    """The config's inverse problem on ``disk``, the (mesh, layout) pair of
+    ``_disk(cfg, cfg.inverse_elements)``, built here when not given."""
     t0 = time.perf_counter()
-    mesh, layout = _disk(cfg, cfg.inverse_elements)
+    mesh, layout = disk or _disk(cfg, cfg.inverse_elements)
     if cfg.mask_elements is not None and max(cfg.mask_elements, default=-1) >= mesh.n_elements:
         raise ConfigError(
             f"mask_elements: index {max(cfg.mask_elements)} outside 0..{mesh.n_elements - 1}"
         )
     d = build_difference_operators(mesh)
     t1 = time.perf_counter()
-    sigma0 = forward.ConductivityField.homogeneous(cfg.sigma0, mesh.n_elements)
-    s = forward.sensitivity_matrix(mesh, layout, sigma0, current=cfg.current_ma)
+    s = forward.sensitivity_matrix(mesh, layout, cfg.sigma0, current=cfg.current_ma)
     t2 = time.perf_counter()
     x_update = inverse.XUpdateSolver(s, d, cfg.rho) if cfg.solver in _ITERATIVE else None
     t3 = time.perf_counter()
@@ -272,11 +273,11 @@ def build_inverse_problem(cfg: PipelineConfig) -> InverseProblem:
 
 def _simulate_frames(cfg: PipelineConfig, fmesh: TriMesh, flayout: ElectrodeLayout, spec: PhantomSpec):
     """Reference/perturbed frames plus clean and noisy signed differences."""
-    sigma_ref = forward.ConductivityField.homogeneous(cfg.sigma0, fmesh.n_elements)
+    sigma_ref = np.full(fmesh.n_elements, cfg.sigma0)
     sigma_true = assign_conductivity(fmesh, spec)
     v_ref = forward.simulate_frame(fmesh, flayout, sigma_ref, current=cfg.current_ma)
     v_pert = forward.simulate_frame(fmesh, flayout, sigma_true, current=cfg.current_ma)
-    dv = forward.VoltageFrame(forward.signed_difference(v_ref, v_pert), cfg.electrode_count)
+    dv = forward.signed_difference(v_ref, v_pert)
     try:
         dv_noisy = forward.add_noise(dv, cfg.snr_db, cfg.seed)
     except ValueError:  # the only frame add_noise refuses here is a zero one
@@ -335,7 +336,7 @@ def _boundary(cfg: PipelineConfig, problem: InverseProblem):
 
 
 def run_solver(
-    cfg: PipelineConfig, problem: InverseProblem, delta_v: forward.VoltageFrame
+    cfg: PipelineConfig, problem: InverseProblem, delta_v: np.ndarray
 ) -> inverse.ReconResult:
     """Run the configured solver on one voltage frame."""
     if cfg.solver == "tikhonov":
@@ -366,8 +367,7 @@ def cmd_mesh(cfg: PipelineConfig, out_dir=None) -> dict:
     imesh, ilayout = _disk(cfg, cfg.inverse_elements)
     fmesh, flayout = _disk(cfg, cfg.forward_elements, ilayout.angles)
     spec = load_phantom_spec(cfg)
-    sigma_coarse = assign_conductivity(imesh, spec)
-    delta_true = sigma_coarse.values - cfg.sigma0
+    delta_true = assign_conductivity(imesh, spec) - cfg.sigma0
     truth = phantom_truth_image(
         spec, raster_extent(imesh), cfg.raster_resolution, cfg.radius
     )
@@ -425,16 +425,14 @@ def cmd_simulate(cfg: PipelineConfig, out_dir=None) -> dict:
     return manifest
 
 
-def _load_single_frame(path, expected_e: int) -> forward.VoltageFrame:
+def _load_single_frame(path, expected_e: int) -> np.ndarray:
     frames = _load_field(path, "voltage file", forward.load_frames)
     if len(frames) != 1:
         raise ConfigError(f"voltage file {path} holds {len(frames)} frames, expected one")
-    frame = frames[0]
-    if frame.electrode_count != expected_e:
-        raise ConfigError(
-            f"voltage file has {frame.electrode_count} electrodes, config says {expected_e}"
-        )
-    return frame
+    e = forward._electrode_count(frames.shape[1])
+    if e != expected_e:
+        raise ConfigError(f"voltage file has {e} electrodes, config says {expected_e}")
+    return frames[0]
 
 
 def cmd_reconstruct(cfg: PipelineConfig, data_path=None, out_dir=None) -> dict:
@@ -544,13 +542,14 @@ def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
     """
     out = _outdir(cfg, out_dir)
     t0 = time.perf_counter()
-    problem = build_inverse_problem(cfg)
     spec = load_phantom_spec(cfg)
+    disk = _disk(cfg, cfg.inverse_elements)
     if data_path is not None:
         dv = _load_single_frame(Path(data_path), cfg.electrode_count)
     else:
-        fmesh, flayout = _disk(cfg, cfg.forward_elements, problem.layout.angles)
+        fmesh, flayout = _disk(cfg, cfg.forward_elements, disk[1].angles)
         dv = _simulate_frames(cfg, fmesh, flayout, spec)[3]
+    problem = build_inverse_problem(cfg, disk)  # after the phantom's checks
     truth = phantom_truth_image(
         spec, raster_extent(problem.mesh), cfg.raster_resolution, cfg.radius
     )

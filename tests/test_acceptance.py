@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from eitkit import (
-    ConductivityField,
     SolverConfig,
-    VoltageFrame,
     add_noise,
     assemble_stiffness,
     assign_conductivity,
@@ -94,7 +92,7 @@ def test_acceptance_1_forward_accuracy():
     for target in (16384, 32768):
         mesh = generate_disk_mesh(0.1, target)
         layout = place_electrodes(mesh, 16)
-        k = assemble_stiffness(mesh, ConductivityField.homogeneous(1.0, mesh.n_elements))
+        k = assemble_stiffness(mesh, np.full(mesh.n_elements, 1.0))
         u = solve_potentials(k, layout, current=1.0).potentials[:, 0]
         keep = ~_hop_mask(mesh, [layout.node_ids[0], layout.node_ids[1]], 2)
         exact = _two_point_disk_potential(
@@ -120,20 +118,20 @@ def test_acceptance_1_forward_accuracy():
 def test_acceptance_2_reciprocity_and_scaling(coarse):
     t0 = time.perf_counter()
     n = coarse.mesh.n_elements
-    base = simulate_frame(coarse.mesh, coarse.layout, ConductivityField.homogeneous(1.0, n))
+    base = simulate_frame(coarse.mesh, coarse.layout, np.full(n, 1.0))
     idx = {pair: k for k, pair in enumerate(pattern_pairs(16))}
-    scale = np.abs(base.data).max()
+    scale = np.abs(base).max()
     worst_recip = max(
-        abs(base.data[idx[(j, i)]] - base.data[idx[(i, j)]]) for (j, i) in idx
+        abs(base[idx[(j, i)]] - base[idx[(i, j)]]) for (j, i) in idx
     )
     worst_scaling = 0.0
     for c in (0.5, 2.0, 10.0):
         frame_c = simulate_frame(
-            coarse.mesh, coarse.layout, ConductivityField.homogeneous(c, n)
+            coarse.mesh, coarse.layout, np.full(n, c)
         )
-        want = base.data / c
+        want = base / c
         worst_scaling = max(
-            worst_scaling, np.abs(frame_c.data - want).max() / np.abs(want).max()
+            worst_scaling, np.abs(frame_c - want).max() / np.abs(want).max()
         )
     elapsed = time.perf_counter() - t0
     ok = worst_recip <= 1e-8 * scale and worst_scaling <= 1e-10 and elapsed < 10.0
@@ -152,7 +150,7 @@ def test_acceptance_2_reciprocity_and_scaling(coarse):
 
 def test_acceptance_3_linearization_fidelity(coarse, model7):
     predicted = coarse.s @ model7.delta_true
-    observed = model7.dv_clean.data
+    observed = model7.dv_clean
     resid = np.linalg.norm(predicted - observed) / np.linalg.norm(observed)
     ok = resid < 0.15
     _report(
@@ -209,7 +207,7 @@ def standard_instance(coarse, model7):
     t0 = time.perf_counter()
     truth = phantom_truth_image(lung_model(7), raster_extent(coarse.mesh), RES, 0.1)
     result = reconstruct_nwatv(
-        coarse.s, model7.dv_noisy.data, coarse.d, SolverConfig(**SHIPPED)
+        coarse.s, model7.dv_noisy, coarse.d, SolverConfig(**SHIPPED)
     )
     re_series = _image_re_series(coarse.mesh, result.history, truth)
 
@@ -220,7 +218,7 @@ def standard_instance(coarse, model7):
             if solver is reconstruct_nwatv and factor == 1.0:
                 re = re_series[-1]
             else:
-                res = solver(coarse.s, model7.dv_noisy.data, coarse.d, cfg)
+                res = solver(coarse.s, model7.dv_noisy, coarse.d, cfg)
                 re = relative_error(rasterize(coarse.mesh, 1.0 + res.final, RES), truth)
             if best is None or re < best[1]:
                 best = (cfg.lam, re)
@@ -311,7 +309,7 @@ def test_acceptance_6_parameter_sweep(coarse, model7):
     sigma10 = assign_conductivity(model7.fine_mesh, spec10)
     v_pert = simulate_frame(model7.fine_mesh, model7.fine_layout, sigma10)
     dv = add_noise(
-        VoltageFrame(signed_difference(model7.v_reference, v_pert), 16), 50.0, seed=42
+        signed_difference(model7.v_reference, v_pert), 50.0, seed=42
     )
     truth = phantom_truth_image(spec10, raster_extent(coarse.mesh), RES, 0.1)
 
@@ -321,7 +319,7 @@ def test_acceptance_6_parameter_sweep(coarse, model7):
     for i, ratio in enumerate(ratios):
         for j, d in enumerate(deltas):
             cfg = SolverConfig(**{**SHIPPED, "lam": ratio * SHIPPED["rho"], "delta": d})
-            res = reconstruct_nwatv(coarse.s, dv.data, coarse.d, cfg)
+            res = reconstruct_nwatv(coarse.s, dv, coarse.d, cfg)
             grid[i, j] = relative_error(
                 rasterize(coarse.mesh, 1.0 + res.final, RES), truth
             )
@@ -352,7 +350,7 @@ def test_acceptance_7_per_iteration_cost(coarse, model7):
     def mean_ms(fn):
         best = np.inf
         for _ in range(3):
-            result = fn(coarse.s, model7.dv_noisy.data, coarse.d, cfg)
+            result = fn(coarse.s, model7.dv_noisy, coarse.d, cfg)
             best = min(best, float(np.mean(result.wall_ms)))
         return best
 
@@ -385,7 +383,7 @@ def test_acceptance_8_invariants_and_determinism(coarse, model7):
     mask = np.zeros(coarse.mesh.n_elements, dtype=bool)
     mask[coarse.mesh.element_centroids[:, 0] < 0] = True
     cfg = SolverConfig(**{**SHIPPED, "max_iters": 5, "mask": mask})
-    res_m = reconstruct_nwatv(coarse.s, model7.dv_noisy.data, coarse.d, cfg)
+    res_m = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)
     checks.append(np.all(res_m.history[:, ~mask] == 0.0))
 
     # shrinkage: output keeps the input sign and kills sub-threshold entries
@@ -410,8 +408,8 @@ def test_acceptance_8_invariants_and_determinism(coarse, model7):
 
     # bit-identical repeat runs
     cfg = SolverConfig(**SHIPPED)
-    r1 = reconstruct_nwatv(coarse.s, model7.dv_noisy.data, coarse.d, cfg)
-    r2 = reconstruct_nwatv(coarse.s, model7.dv_noisy.data, coarse.d, cfg)
+    r1 = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)
+    r2 = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)
     checks.append(np.array_equal(r1.history, r2.history))
 
     elapsed = time.perf_counter() - t0

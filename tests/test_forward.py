@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eitkit import (
-    ConductivityField,
     LINEARIZATION_SIGN,
-    VoltageFrame,
     add_noise,
     assemble_stiffness,
     assign_conductivity,
@@ -96,7 +94,7 @@ def _drive_block(n_nodes, layout, current=1.0):
 class TestAssembleStiffness:
     def test_nullspace_constant(self):
         mesh = generate_disk_mesh(0.1, 1024)
-        k = assemble_stiffness(mesh, ConductivityField.homogeneous(1.0, mesh.n_elements))
+        k = assemble_stiffness(mesh, np.full(mesh.n_elements, 1.0))
         resid = np.abs(k @ np.ones(mesh.n_nodes)).max()
         assert resid <= 1e-12 * np.abs(k.data).max()
 
@@ -104,11 +102,11 @@ class TestAssembleStiffness:
         mesh = generate_disk_mesh(0.1, 512)
         rng = np.random.default_rng(0)
         vals = rng.uniform(0.5, 2.0, mesh.n_elements)
-        k1 = assemble_stiffness(mesh, ConductivityField(vals))
+        k1 = assemble_stiffness(mesh, vals)
         # power-of-two scale: bit-exact; general scale: a few ulp
-        k2 = assemble_stiffness(mesh, ConductivityField(2.0 * vals))
+        k2 = assemble_stiffness(mesh, 2.0 * vals)
         assert (k2 - 2.0 * k1).nnz == 0 or np.abs((k2 - 2.0 * k1).data).max() == 0.0
-        k3 = assemble_stiffness(mesh, ConductivityField(3.0 * vals))
+        k3 = assemble_stiffness(mesh, 3.0 * vals)
         scale = np.abs(k1.data).max()
         assert np.abs((k3 - 3.0 * k1).data).max() <= 1e-14 * scale
 
@@ -126,21 +124,26 @@ class TestAssembleStiffness:
             element_areas=np.array([0.5]),
             element_neighbors=np.full((1, 3), -1),
         )
-        k = assemble_stiffness(mesh, ConductivityField(np.array([1.0]))).toarray()
+        k = assemble_stiffness(mesh, np.array([1.0])).toarray()
         want = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
         assert np.allclose(k, want, atol=1e-15)
 
     def test_rejects_nonpositive_sigma(self):
         mesh = generate_disk_mesh(0.1, 256)
-        with pytest.raises(ValueError):
-            ConductivityField(np.zeros(mesh.n_elements))
+        n = mesh.n_elements
+        for sigma in (np.zeros(n), np.r_[np.ones(n - 1), -1.0], np.r_[np.ones(n - 1), np.nan]):
+            with pytest.raises(ValueError, match="strictly positive"):
+                assemble_stiffness(mesh, sigma)
+        for sigma in (np.ones(n - 1), np.ones((n, 1)), 1.0):
+            with pytest.raises(ValueError, match="shape"):
+                assemble_stiffness(mesh, sigma)
 
 
 class TestSolvePotentials:
     def test_residual_contract(self):
         mesh = generate_disk_mesh(0.1, 1024)
         layout = place_electrodes(mesh, 16)
-        sigma = ConductivityField.homogeneous(1.0, mesh.n_elements)
+        sigma = np.full(mesh.n_elements, 1.0)
         k = assemble_stiffness(mesh, sigma)
         pots = solve_potentials(k, layout, current=1.0)
         e = layout.count
@@ -186,7 +189,7 @@ class TestSolvePotentials:
     def test_zero_mean_grounding(self):
         mesh = generate_disk_mesh(0.1, 1024)
         layout = place_electrodes(mesh, 16)
-        k = assemble_stiffness(mesh, ConductivityField.homogeneous(1.0, mesh.n_elements))
+        k = assemble_stiffness(mesh, np.full(mesh.n_elements, 1.0))
         pots = solve_potentials(k, layout)
         means = pots.potentials[layout.node_ids].mean(axis=0)
         assert np.abs(means).max() < 1e-12 * np.abs(pots.potentials).max()
@@ -195,7 +198,7 @@ class TestSolvePotentials:
         # +I/-I at exact x-mirror boundary nodes: the generated mesh is
         # node-symmetric under x -> -x, and the solution flips sign
         mesh = generate_disk_mesh(0.1, 4096)
-        k = assemble_stiffness(mesh, ConductivityField.homogeneous(1.0, mesh.n_elements))
+        k = assemble_stiffness(mesh, np.full(mesh.n_elements, 1.0))
         bn = mesh.boundary_nodes()
         ang = np.arctan2(mesh.nodes[bn, 1], mesh.nodes[bn, 0])
         src = bn[np.argmin(np.abs(np.angle(np.exp(1j * (ang - np.pi / 6)))))]
@@ -216,8 +219,8 @@ class TestSolvePotentials:
     def test_scaling_inverse_in_sigma(self):
         mesh = generate_disk_mesh(0.1, 1024)
         layout = place_electrodes(mesh, 16)
-        k1 = assemble_stiffness(mesh, ConductivityField.homogeneous(1.0, mesh.n_elements))
-        k2 = assemble_stiffness(mesh, ConductivityField.homogeneous(2.0, mesh.n_elements))
+        k1 = assemble_stiffness(mesh, np.full(mesh.n_elements, 1.0))
+        k2 = assemble_stiffness(mesh, np.full(mesh.n_elements, 2.0))
         u1 = solve_potentials(k1, layout).potentials
         u2 = solve_potentials(k2, layout).potentials
         assert np.abs(u2 - u1 / 2.0).max() <= 1e-12 * np.abs(u1).max()
@@ -226,7 +229,7 @@ class TestSolvePotentials:
         # Green's-function oracle away from the injection neighborhood
         mesh = generate_disk_mesh(0.1, 4096)
         layout = place_electrodes(mesh, 16)
-        k = assemble_stiffness(mesh, ConductivityField.homogeneous(1.0, mesh.n_elements))
+        k = assemble_stiffness(mesh, np.full(mesh.n_elements, 1.0))
         pots = solve_potentials(k, layout, current=1.0)
         u = pots.potentials[:, 0]
         src = mesh.nodes[layout.node_ids[0]]
@@ -259,19 +262,19 @@ class TestVoltageProtocol:
 
     def test_frame_length(self, coarse):
         frame = simulate_frame(
-            coarse.mesh, coarse.layout, ConductivityField.homogeneous(1.0, coarse.mesh.n_elements)
+            coarse.mesh, coarse.layout, np.full(coarse.mesh.n_elements, 1.0)
         )
         assert len(frame) == 208
 
     def test_reciprocity(self, coarse):
         fields = [
-            ConductivityField.homogeneous(1.0, coarse.mesh.n_elements),
+            np.full(coarse.mesh.n_elements, 1.0),
             assign_conductivity(coarse.mesh, lung_model(7)),
         ]
         pairs = pattern_pairs(16)
         index = {pq: n for n, pq in enumerate(pairs)}
         for sigma in fields:
-            v = simulate_frame(coarse.mesh, coarse.layout, sigma).data
+            v = simulate_frame(coarse.mesh, coarse.layout, sigma)
             vmax = np.abs(v).max()
             for (j, i), n in index.items():
                 m = index.get((i, j))
@@ -279,14 +282,14 @@ class TestVoltageProtocol:
                     assert abs(v[n] - v[m]) <= 1e-8 * vmax
 
     def test_conductivity_scaling(self, coarse):
-        base = ConductivityField.homogeneous(1.0, coarse.mesh.n_elements)
-        v1 = simulate_frame(coarse.mesh, coarse.layout, base).data
+        base = np.full(coarse.mesh.n_elements, 1.0)
+        v1 = simulate_frame(coarse.mesh, coarse.layout, base)
         for c in (0.5, 2.0, 10.0):
             vc = simulate_frame(
                 coarse.mesh,
                 coarse.layout,
-                ConductivityField.homogeneous(c, coarse.mesh.n_elements),
-            ).data
+                np.full(coarse.mesh.n_elements, c),
+            )
             assert np.abs(vc - v1 / c).max() <= 1e-10 * np.abs(v1).max()
 
     @pytest.mark.parametrize("e", [4, 7, 16])
@@ -294,12 +297,13 @@ class TestVoltageProtocol:
         layout = place_electrodes(coarse.mesh, e)
         rng = np.random.default_rng(e)
         pots = DrivePotentials(rng.normal(size=(coarse.mesh.n_nodes, e)), current=1.0)
-        got = extract_voltages(pots, layout).data
+        got = extract_voltages(pots, layout)
         assert got.tobytes() == _reference_extract_voltages(pots, layout).tobytes()
 
-    def test_voltage_frame_validates_length(self):
-        with pytest.raises(ValueError):
-            VoltageFrame(np.zeros(207), 16)
+    def test_voltage_frame_validates_length(self, tmp_path):
+        for length in (0, 3, 5, 207):
+            with pytest.raises(ValueError, match=f"frame length {length} is not E\\*\\(E-3\\)"):
+                save_frames(tmp_path / "frames.txt", [np.zeros(208), np.zeros(length)])
 
 
 class TestSensitivityMatrix:
@@ -308,7 +312,7 @@ class TestSensitivityMatrix:
         assert coarse.s.shape == (208, coarse.mesh.n_elements)
 
     def test_matches_loop_oracle(self, coarse):
-        sigma0 = ConductivityField.homogeneous(1.0, coarse.mesh.n_elements)
+        sigma0 = np.full(coarse.mesh.n_elements, 1.0)
         pots = solve_potentials(assemble_stiffness(coarse.mesh, sigma0), coarse.layout)
         want = _reference_sensitivity_rows(coarse.mesh, coarse.layout, pots)
         assert coarse.s.flags.c_contiguous
@@ -322,12 +326,6 @@ class TestSensitivityMatrix:
             swapped = index.get((i, j))
             if swapped is not None:
                 assert np.array_equal(m[n], m[swapped])
-
-    def test_rejects_nonhomogeneous_reference(self, coarse):
-        rng = np.random.default_rng(1)
-        bumpy = ConductivityField(rng.uniform(0.9, 1.1, coarse.mesh.n_elements))
-        with pytest.raises(ValueError):
-            sensitivity_matrix(coarse.mesh, coarse.layout, bumpy)
 
     def test_column_correlation_decays_with_distance(self, coarse):
         m = coarse.s
@@ -351,9 +349,9 @@ class TestSensitivityMatrix:
         # difference of two forward solves at sigma0 and sigma0*(1+eps)
         eps = 1e-3
         n = coarse.mesh.n_elements
-        v0 = simulate_frame(coarse.mesh, coarse.layout, ConductivityField.homogeneous(1.0, n))
+        v0 = simulate_frame(coarse.mesh, coarse.layout, np.full(n, 1.0))
         v1 = simulate_frame(
-            coarse.mesh, coarse.layout, ConductivityField.homogeneous(1.0 + eps, n)
+            coarse.mesh, coarse.layout, np.full(n, 1.0 + eps)
         )
         observed = signed_difference(v0, v1)
         predicted = coarse.s @ (eps * np.ones(n))
@@ -363,11 +361,7 @@ class TestSensitivityMatrix:
         assert predicted @ observed > 0
 
     def test_reference_scaling(self, coarse):
-        s2 = sensitivity_matrix(
-            coarse.mesh,
-            coarse.layout,
-            ConductivityField.homogeneous(2.0, coarse.mesh.n_elements),
-        )
+        s2 = sensitivity_matrix(coarse.mesh, coarse.layout, 2.0)
         assert np.allclose(s2 * 4.0, coarse.s, rtol=1e-10, atol=0)
 
     def test_sign_constant_exposed(self):
@@ -377,7 +371,7 @@ class TestSensitivityMatrix:
 class TestLinearization:
     def test_model7_residual_under_15_percent(self, coarse, model7):
         predicted = coarse.s @ model7.delta_true
-        observed = model7.dv_clean.data
+        observed = model7.dv_clean
         rel = np.linalg.norm(predicted - observed) / np.linalg.norm(observed)
         assert rel < 0.15
 
@@ -385,34 +379,34 @@ class TestLinearization:
 class TestAddNoise:
     def _frame(self):
         rng = np.random.default_rng(5)
-        return VoltageFrame(rng.normal(size=208) * 1e-3, 16)
+        return rng.normal(size=208) * 1e-3
 
     def test_infinite_snr_identity(self):
         f = self._frame()
         out = add_noise(f, np.inf, seed=0)
-        assert np.array_equal(out.data, f.data)
+        assert np.array_equal(out, f)
         assert out is not f
 
     def test_zero_frame_rejected(self):
         with pytest.raises(ValueError):
-            add_noise(VoltageFrame(np.zeros(208), 16), 50.0, seed=0)
+            add_noise(np.zeros(208), 50.0, seed=0)
 
     def test_deterministic(self):
         f = self._frame()
         a = add_noise(f, 50.0, seed=123)
         b = add_noise(f, 50.0, seed=123)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
         c = add_noise(f, 50.0, seed=124)
-        assert not np.array_equal(a.data, c.data)
+        assert not np.array_equal(a, c)
 
     def test_empirical_snr_monte_carlo(self):
         f = self._frame()
         ratios = []
         for seed in range(100):
             noisy = add_noise(f, 50.0, seed=seed)
-            noise = noisy.data - f.data
+            noise = noisy - f
             ratios.append(
-                20 * np.log10(np.linalg.norm(f.data) / np.linalg.norm(noise))
+                20 * np.log10(np.linalg.norm(f) / np.linalg.norm(noise))
             )
         assert np.mean(ratios) == pytest.approx(50.0, abs=0.5)
 
@@ -424,14 +418,12 @@ class TestAddNoise:
 class TestFrameIO:
     def test_multi_frame_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
-        frames = [VoltageFrame(rng.normal(size=208) * 1e-4, 16) for _ in range(3)]
+        frames = [rng.normal(size=208) * 1e-4 for _ in range(3)]
         path = tmp_path / "frames.txt"
         save_frames(path, frames)
         back = load_frames(path)
-        assert len(back) == 3
-        for a, b in zip(back, frames):
-            assert np.array_equal(a.data, b.data)
-            assert a.electrode_count == 16
+        assert back.shape == (3, 208) and back.dtype == float
+        assert np.array_equal(back, frames)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -441,17 +433,16 @@ class TestFrameIO:
     )
     def test_roundtrip_property(self, tmp_path_factory, e, k, seed):
         rng = np.random.default_rng(seed)
-        frames = [VoltageFrame(rng.normal(size=e * (e - 3)), e) for _ in range(k)]
+        frames = [rng.normal(size=e * (e - 3)) for _ in range(k)]
         path = tmp_path_factory.mktemp("frames") / "frames.txt"
         save_frames(path, frames)
         back = load_frames(path)
-        assert [f.electrode_count for f in back] == [e] * k
-        for a, b in zip(back, frames):
-            assert np.array_equal(a.data, b.data)
+        assert back.shape == (k, e * (e - 3)) and back.dtype == float
+        assert np.array_equal(back, frames)
 
     def test_layout(self, tmp_path):
         path = tmp_path / "frames.txt"
-        save_frames(path, [VoltageFrame([0.5, -1.0, 2.0, 1e-7], 4)])
+        save_frames(path, [[0.5, -1.0, 2.0, 1e-7]])
         assert path.read_text() == "# frame 1 4\n1 3 0.5\n2 4 -1.0\n3 1 2.0\n4 2 1e-07\n"
 
     @pytest.mark.parametrize(
@@ -471,6 +462,6 @@ class TestFrameIO:
 
     def test_signed_difference_definition(self, tmp_path):
         rng = np.random.default_rng(13)
-        a = VoltageFrame(rng.normal(size=208), 16)
-        b = VoltageFrame(rng.normal(size=208), 16)
-        assert np.array_equal(signed_difference(a, b), LINEARIZATION_SIGN * (b.data - a.data))
+        a = rng.normal(size=208)
+        b = rng.normal(size=208)
+        assert np.array_equal(signed_difference(a, b), LINEARIZATION_SIGN * (b - a))

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eitkit import (
-    ConductivityField,
     SolverConfig,
     SolverError,
     assign_conductivity,
@@ -152,7 +151,7 @@ class TestNwatvWeights:
 
     def test_min_weight_on_sharpest_edge(self):
         mesh, d = self._disk()
-        field = assign_conductivity(mesh, lung_model(7)).values - 1.0
+        field = assign_conductivity(mesh, lung_model(7)) - 1.0
         p = nwatv_weights(d @ field, 0.01)
         n = mesh.n_elements
         gx, gy = d[:n] @ field, d[n:] @ field
@@ -551,7 +550,7 @@ class TestReconstructNwatv:
         """Pin the update order: x-solve, z with previous weights, weight
         refresh, dual ascent; weights start at one."""
         s, d = coarse.s, coarse.d
-        dv = model7.dv_noisy.data
+        dv = model7.dv_noisy
         n = coarse.mesh.n_elements
         lam, rho, delta = 5e-13, 1e-10, 0.01
         solver = XUpdateSolver(s, d, rho)
@@ -735,13 +734,13 @@ class TestBaselines:
         assert np.linalg.norm(out - e3) <= 1e-6
 
     def test_tikhonov_linear_in_data(self, coarse, model7):
-        a = reconstruct_tikhonov(coarse.s, model7.dv_noisy.data, 1e-6).final
-        b = reconstruct_tikhonov(coarse.s, 2.0 * model7.dv_noisy.data, 1e-6).final
+        a = reconstruct_tikhonov(coarse.s, model7.dv_noisy, 1e-6).final
+        b = reconstruct_tikhonov(coarse.s, 2.0 * model7.dv_noisy, 1e-6).final
         assert np.allclose(b, 2.0 * a, rtol=1e-12, atol=0)
 
     def test_tikhonov_matches_primal_normal_equations(self, coarse, model7):
         # the M x M form S^T (S S^T + lam I)^-1 b equals the N x N ridge solve
-        s, b, lam = coarse.s, model7.dv_noisy.data, 1e-6
+        s, b, lam = coarse.s, model7.dv_noisy, 1e-6
         want = np.linalg.solve(s.T @ s + lam * np.eye(s.shape[1]), s.T @ b)
         got = reconstruct_tikhonov(coarse.s, model7.dv_noisy, lam).final
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)

@@ -12,7 +12,6 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eitkit import (
-    VoltageFrame,
     assign_conductivity,
     build_difference_operators,
     generate_disk_mesh,
@@ -446,7 +445,7 @@ class TestRasterize:
 
     def test_two_level_histogram(self):
         mesh = generate_disk_mesh(0.1, 1024)
-        vals = assign_conductivity(mesh, lung_model(7)).values
+        vals = assign_conductivity(mesh, lung_model(7))
         img = rasterize(mesh, vals, 256)
         levels = np.unique(img[np.isfinite(img)])
         assert set(levels.tolist()) == {1.0, 1.1}
@@ -491,7 +490,7 @@ class TestRasterize:
     def test_assign_rasterize_idempotent(self):
         # looking up each element's centroid pixel recovers its own value
         mesh = generate_disk_mesh(0.1, 1024)
-        vals = assign_conductivity(mesh, lung_model(7)).values
+        vals = assign_conductivity(mesh, lung_model(7))
         img = rasterize(mesh, vals, 256)
         ext = raster_extent(mesh)
         step = 2.0 * ext / 256
@@ -797,7 +796,7 @@ class TestFrameFiles:
             path = Path(d) / "frames.txt"
             if voltages:
                 loader = load_frames
-                save_frames(path, [VoltageFrame(rng.normal(size=4), 4) for _ in range(2)])
+                save_frames(path, [rng.normal(size=4) for _ in range(2)])
             else:
                 loader = load_field_series
                 save_element_values(path, rng.normal(size=(2, 5)))

@@ -107,7 +107,7 @@ class TestProfile:
 
     def test_step_phantom_two_values(self):
         mesh = generate_disk_mesh(0.1, 1024)
-        vals = assign_conductivity(mesh, lung_model(7)).values
+        vals = assign_conductivity(mesh, lung_model(7))
         img = rasterize(mesh, vals, 256)
         # horizontal line through the inclusions (y ~ -0.01 -> row ~ 115)
         out = profile(img, (115, 0), (115, 255), 256)

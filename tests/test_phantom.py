@@ -82,7 +82,7 @@ class TestAssignConductivity:
         mesh = generate_disk_mesh(0.1, 1024)
         spec = PhantomSpec(background=0.8, inclusions=[])
         field = assign_conductivity(mesh, spec)
-        assert np.all(field.values == 0.8)
+        assert np.all(field == 0.8)
 
     def test_two_connected_components(self):
         # flood-fill over element adjacency restricted to inclusion elements
@@ -109,13 +109,13 @@ class TestAssignConductivity:
                 Inclusion(center=(10.0, 10.0), axis_a=(0.01, 0.0), axis_b=(0.0, 0.01), value=2.0)
             ],
         )
-        assert np.all(assign_conductivity(mesh, spec).values == 1.0)
+        assert np.all(assign_conductivity(mesh, spec) == 1.0)
 
     def test_first_inclusion_wins_on_overlap(self):
         mesh = generate_disk_mesh(0.1, 1024)
         a = Inclusion(center=(0.0, 0.0), axis_a=(0.05, 0.0), axis_b=(0.0, 0.05), value=2.0)
         b = Inclusion(center=(0.0, 0.0), axis_a=(0.03, 0.0), axis_b=(0.0, 0.03), value=3.0)
-        vals = assign_conductivity(mesh, PhantomSpec(1.0, [a, b])).values
+        vals = assign_conductivity(mesh, PhantomSpec(1.0, [a, b]))
         inner = np.linalg.norm(mesh.element_centroids, axis=1) < 0.02
         assert np.all(vals[inner] == 2.0)
 
@@ -129,7 +129,7 @@ class TestAssignConductivity:
         # the generated mesh has an exact x -> -x node symmetry, so element
         # centroids pair up and the assigned values must match
         mesh = generate_disk_mesh(0.1, 1024)
-        vals = assign_conductivity(mesh, lung_model(7)).values
+        vals = assign_conductivity(mesh, lung_model(7))
         key = np.round(mesh.element_centroids / 1e-12).astype(np.int64)
         lookup = {(int(x), int(y)): k for k, (x, y) in enumerate(key)}
         for k, (x, y) in enumerate(key):
@@ -170,6 +170,6 @@ class TestPhantomIO:
         spec = lung_model(9)
         path = tmp_path / "phantom.json"
         save_phantom(path, spec)
-        v1 = assign_conductivity(mesh, spec).values
-        v2 = assign_conductivity(mesh, load_phantom(path)).values
+        v1 = assign_conductivity(mesh, spec)
+        v2 = assign_conductivity(mesh, load_phantom(path))
         assert np.array_equal(v1, v2)

@@ -640,6 +640,54 @@ class TestCli:
         err = capsys.readouterr().err
         assert "iterate history" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.fixture(scope="class")
+    def chain_outputs(self, tmp_path_factory):
+        """Config and out directory of one mesh, simulate, reconstruct chain."""
+        root = tmp_path_factory.mktemp("chain")
+        cfg_path = _write_cfg(root / "run.cfg", out_dir=str(root / "out"))
+        for verb in ("mesh", "simulate", "reconstruct"):
+            assert main([verb, "--config", str(cfg_path)]) == 0
+        return cfg_path, root / "out"
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize(
+        "verb, flag, source",
+        [
+            ("reconstruct", "--data", "dv_noisy.txt"),
+            ("sweep", "--data", "dv_noisy.txt"),
+            ("render", "--field", "delta_sigma.txt"),
+            ("evaluate", "--reference", "delta_sigma_true.txt"),
+            ("evaluate", "--result", "iterates.txt"),
+        ],
+    )
+    def test_non_finite_input_value_exit_two(
+        self, chain_outputs, tmp_path, capsys, verb, flag, source, token
+    ):
+        cfg_path, out = chain_outputs
+        lines = (out / source).read_text().splitlines()
+        lines[2] = " ".join([*lines[2].split()[:-1], token])  # the second row's value
+        bad = tmp_path / source
+        bad.write_text("\n".join(lines) + "\n")
+        where = str(tmp_path if flag == "--result" else bad)
+        argv = [verb, "--config", str(cfg_path), flag, where, "--out", str(tmp_path / "run")]
+        argv += ["--result", str(out)] if flag == "--reference" else []
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:3: not a finite number: '{token}'" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_sweep_checks_the_phantom_before_factoring(self, tmp_path, capsys, monkeypatch):
+        import eitkit.inverse as inv
+
+        def never(*args, **kwargs):
+            raise AssertionError("the x-update was factored")
+
+        monkeypatch.setattr(inv, "XUpdateSolver", never)
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"), radius=1e-150)
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: phantom_model" in err and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("verb", VERBS)
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_out_dir_naming_a_file_exit_two(self, tmp_path, capsys, verb, where):
