@@ -44,7 +44,6 @@ from .forward import (
     load_frames,
 )
 from .inverse import (
-    SolverConfig,
     ReconResult,
     XUpdateSolver,
     soft_threshold,
@@ -99,7 +98,6 @@ __all__ = [
     "add_noise",
     "save_frames",
     "load_frames",
-    "SolverConfig",
     "ReconResult",
     "XUpdateSolver",
     "soft_threshold",

@@ -14,10 +14,12 @@ splitting variable z = D x is handled by ADMM:
     y  <- y + rho (D x - z)
 
 The x-update's operator depends only on (S, D, rho): an ``XUpdateSolver``
-factors it once, and every reconstruction given it as ``x_update`` shares
-that factorization. ``reconstruct_block`` runs K reconstructions of one
-data vector, differing in lam and delta, as one iteration on (N, K)
-blocks; the single reconstructions are its K = 1 case.
+holds the three and factors the operator once. Every ADMM entry point takes
+it as the problem, so all reconstructions on one solver share that
+factorization. ``reconstruct_block`` runs K reconstructions of one data
+vector, differing in lam and delta, as one iteration on (N, K) blocks; the
+single reconstructions are its K = 1 case. Boundary-data preprocessing
+(``preprocess_boundary``) is applied by the caller, to the data.
 
 Baselines: the same loop with frozen unit weights (anisotropic TV), a
 group-shrinkage variant coupling the x/y difference pairs (isotropic TV),
@@ -58,42 +60,6 @@ _UPDATE_RESIDUAL_TOL = 1e-8
 
 # a positive-definite operator recovers the probe vector to this accuracy
 _PROBE_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Reconstruction parameters.
-
-    lam        l1 penalty weight (0 switches the penalty off)
-    rho        ADMM coupling weight, > 0
-    delta      floor in the nonlinear weights, > 0
-    max_iters  iteration cap M
-    tol        stop when the iterate step |x_new - x| drops below this
-    mask       optional element indices outside of which x is forced to 0
-    lambda_b   ridge weight of the boundary-data preprocessing
-    enable_preprocess   subtract the boundary-element-explainable part of b
-    """
-
-    lam: float
-    rho: float
-    delta: float = 0.01
-    max_iters: int = 20
-    tol: float = 1e-5
-    mask: np.ndarray | None = None
-    lambda_b: float = 1e-7
-    enable_preprocess: bool = False
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if not self.rho > 0:
-            raise ValueError(f"rho must be > 0, got {self.rho}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -351,42 +317,32 @@ class XUpdateSolver:
             },
         )
 
-    def built_for(self, s: np.ndarray, d: sp.csr_matrix, rho: float) -> bool:
-        """Whether this solver's operator is the one for (s, d, rho)."""
-        return (
-            rho == self.rho
-            and d.shape == self.d.shape
-            and (s is self.s or np.array_equal(s, self.s))
-            and (d is self.d or (d != self.d).nnz == 0)
-        )
-
 
 _VARIANTS = ("nwatv", "fotv", "tv")
 
 
 def reconstruct_block(
-    s, delta_v, d: sp.csr_matrix, config: SolverConfig, lams, deltas,
-    boundary_elements=None, *, variant: str = "nwatv",
-    x_update: XUpdateSolver | None = None, keep_history: bool = True,
+    x_update: XUpdateSolver, delta_v, lams, deltas, *, variant: str = "nwatv",
+    max_iters: int = 20, tol: float = 1e-5, mask=None, keep_history: bool = True,
 ) -> list[ReconResult | SolverError]:
     """K reconstructions of one data vector, run as one ADMM iteration on
     (N, K) blocks.
 
-    Column k has the penalty ``lams[k]`` and the weight floor ``deltas[k]``
-    (``config.lam`` and ``config.delta`` are not read); S, D, rho, the data
-    and the x-update factors are shared. ``variant`` is "nwatv" (weights
-    refreshed from each iterate), "fotv" (weights frozen at one) or "tv"
-    (isotropic group shrinkage). Each column stops on its own step
-    tolerance or x-update failure while the others go on, and its entry in
-    the returned list is then its ReconResult or its SolverError. With
+    Column k has the penalty ``lams[k]`` (0 switches the penalty off) and
+    the weight floor ``deltas[k]``; S, D and rho are those of ``x_update``,
+    and every column shares its factors and the data. ``variant`` is
+    "nwatv" (weights refreshed from each iterate), "fotv" (weights frozen
+    at one) or "tv" (isotropic group shrinkage). Each column stops when its
+    step |x_new - x| drops below ``tol``, after ``max_iters`` iterations or
+    on an x-update failure, while the others go on; its entry in the
+    returned list is then its ReconResult or its SolverError. ``mask``
+    (boolean array or index list) forces x to 0 outside it. With
     ``keep_history=False`` every history is empty (0, N).
     """
-    s = np.asarray(s, dtype=float)
+    s, d, dt, rho = x_update.s, x_update.d, x_update.dt, x_update.rho
     b = np.asarray(delta_v, dtype=float)
     if s.shape[0] != b.shape[0]:
         raise ValueError(f"S has {s.shape[0]} rows but data has length {b.shape[0]}")
-    if s.shape[1] != d.shape[1]:
-        raise ValueError("difference operators do not match the sensitivity columns")
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     lams = np.asarray(lams, dtype=float)
@@ -395,17 +351,11 @@ def reconstruct_block(
         raise ValueError("lams and deltas must be nonempty sequences of one length")
     if not (np.all(lams >= 0) and np.all(deltas > 0)):
         raise ValueError(f"need every lam >= 0 and every delta > 0, got {lams} and {deltas}")
-    if config.enable_preprocess:
-        if boundary_elements is None:
-            raise ValueError("preprocessing enabled but no boundary element set given")
-        b = preprocess_boundary(b, s, boundary_elements, config.lambda_b)
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
 
-    rho = config.rho
-    if x_update is None:
-        x_update = XUpdateSolver(s, d, rho)
-    elif not x_update.built_for(s, d, rho):
-        raise ValueError("x_update was built for a different S, D or rho")
-    dt = x_update.dt
     n, k = s.shape[1], len(lams)
     st_b = (s.T @ b / rho)[:, None]
 
@@ -419,7 +369,7 @@ def reconstruct_block(
     errors: dict[int, SolverError] = {}
 
     live = np.arange(k)  # the running columns
-    for it in range(1, config.max_iters + 1):
+    for it in range(1, max_iters + 1):
         t0 = time.perf_counter()
         rhs = st_b + dt @ (z[:, live] - y[:, live] / rho)
         while live.size:
@@ -436,8 +386,8 @@ def reconstruct_block(
                 live, rhs = np.delete(live, j), np.delete(rhs, j, axis=1)
         if not live.size:
             break
-        if config.mask is not None:
-            x_new = apply_mask(x_new, config.mask)
+        if mask is not None:
+            x_new = apply_mask(x_new, mask)
         d_x = d @ x_new
         w = d_x + y[:, live] / rho
         if variant == "tv":
@@ -460,7 +410,7 @@ def reconstruct_block(
         if keep_history:
             history.append(x.copy())
         iters[live] = it
-        live = live[~(step[live] < config.tol)]
+        live = live[~(step[live] < tol)]
 
     history = np.array(history) if keep_history else np.empty((0, n, k))
     residuals, steps, walls = np.array(residuals), np.array(steps), np.array(walls)
@@ -471,48 +421,48 @@ def reconstruct_block(
             data_residual=residuals[:m, c].copy(),
             step_norm=steps[:m, c].copy(),
             wall_ms=walls[:m].copy(),
-            termination="tol" if steps[m - 1, c] < config.tol else "max_iters",
+            termination="tol" if steps[m - 1, c] < tol else "max_iters",
         )
         for c, m in enumerate(iters)
     ]
 
 
-def _single(variant: str, s, delta_v, d, config, boundary_elements, x_update) -> ReconResult:
+def _single(variant: str, x_update, delta_v, lam, delta, **options) -> ReconResult:
     """The K = 1 case of reconstruct_block; a failed column raises its error."""
-    (result,) = reconstruct_block(
-        s, delta_v, d, config, [config.lam], [config.delta], boundary_elements,
-        variant=variant, x_update=x_update,
-    )
+    (result,) = reconstruct_block(x_update, delta_v, [lam], [delta], variant=variant, **options)
     if isinstance(result, SolverError):
         raise result
     return result
 
 
 def reconstruct_nwatv(
-    s, delta_v, d: sp.csr_matrix, config: SolverConfig, boundary_elements=None,
-    *, x_update: XUpdateSolver | None = None,
+    x_update: XUpdateSolver, delta_v, lam: float, delta: float = 0.01,
+    *, max_iters: int = 20, tol: float = 1e-5, mask=None,
 ) -> ReconResult:
     """ADMM with the nonlinear reweighted anisotropic penalty (weights
     recomputed from the current iterate each iteration)."""
-    return _single("nwatv", s, delta_v, d, config, boundary_elements, x_update)
+    return _single("nwatv", x_update, delta_v, lam, delta,
+                   max_iters=max_iters, tol=tol, mask=mask)
 
 
 def reconstruct_fotv(
-    s, delta_v, d: sp.csr_matrix, config: SolverConfig, boundary_elements=None,
-    *, x_update: XUpdateSolver | None = None,
+    x_update: XUpdateSolver, delta_v, lam: float, delta: float = 0.01,
+    *, max_iters: int = 20, tol: float = 1e-5, mask=None,
 ) -> ReconResult:
     """Same ADMM loop with the weights frozen at one (plain anisotropic TV)."""
-    return _single("fotv", s, delta_v, d, config, boundary_elements, x_update)
+    return _single("fotv", x_update, delta_v, lam, delta,
+                   max_iters=max_iters, tol=tol, mask=mask)
 
 
 def reconstruct_tv_isotropic(
-    s, delta_v, d: sp.csr_matrix, config: SolverConfig, boundary_elements=None,
-    *, x_update: XUpdateSolver | None = None,
+    x_update: XUpdateSolver, delta_v, lam: float, delta: float = 0.01,
+    *, max_iters: int = 20, tol: float = 1e-5, mask=None,
 ) -> ReconResult:
     """ADMM with rotation-invariant group shrinkage coupling the (x, y)
     difference pairs. This baseline is algorithmically unrelated to the
     historical primal-dual TV solvers; timings are not comparable to them."""
-    return _single("tv", s, delta_v, d, config, boundary_elements, x_update)
+    return _single("tv", x_update, delta_v, lam, delta,
+                   max_iters=max_iters, tol=tol, mask=mask)
 
 
 def reconstruct_tikhonov(s, delta_v, lam: float) -> ReconResult:

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import forward, inverse, metrics
 from .mesh import (
@@ -111,8 +110,8 @@ def _validate_config(cfg: PipelineConfig) -> None:
         bad("snr_db", f"must be finite or +inf, got {cfg.snr_db}")
     if cfg.solver not in _SOLVERS:
         bad("solver", f"must be one of {_SOLVERS}, got {cfg.solver!r}")
-    if cfg.lam < 0:
-        bad("lam", f"must be >= 0, got {cfg.lam}")
+    if cfg.lam < 0 or (cfg.lam == 0 and cfg.solver == "tikhonov"):
+        bad("lam", f"must be >= 0, and > 0 for solver tikhonov; got {cfg.lam}")
     if not cfg.sweep_lambda_over_rho or any(r <= 0 for r in cfg.sweep_lambda_over_rho):
         bad("sweep_lambda_over_rho", "must be a nonempty list of positive ratios")
     if not cfg.sweep_delta or any(d <= 0 for d in cfg.sweep_delta):
@@ -213,13 +212,12 @@ def _load_field(path, what: str, loader=load_element_values, n_elements: int | N
 
 @dataclass
 class InverseProblem:
-    """Coarse mesh, electrodes, difference matrix D, sensitivity matrix,
-    and the factored x-update shared by every ADMM solve on the problem
-    (None for the one-shot ridge solver)."""
+    """Coarse mesh, electrodes, sensitivity matrix, and the factored
+    x-update that every ADMM solve on the problem takes, which holds the
+    difference matrix D (None for the one-shot ridge solver)."""
 
     mesh: TriMesh
     layout: ElectrodeLayout
-    d: sp.csr_matrix
     s: np.ndarray
     x_update: inverse.XUpdateSolver | None
     timings_s: dict
@@ -264,7 +262,6 @@ def build_inverse_problem(cfg: PipelineConfig, disk=None) -> InverseProblem:
     return InverseProblem(
         mesh=mesh,
         layout=layout,
-        d=d,
         s=s,
         x_update=x_update,
         timings_s={"assembly": t1 - t0, "sensitivity": t2 - t1, "factorization": t3 - t2},
@@ -318,32 +315,25 @@ _ITERATIVE = {
 }
 
 
-def _solver_config(cfg: PipelineConfig) -> inverse.SolverConfig:
-    return inverse.SolverConfig(
-        lam=cfg.lam,
-        rho=cfg.rho,
-        delta=cfg.delta,
-        max_iters=cfg.max_iters,
-        tol=cfg.tol,
-        mask=None if cfg.mask_elements is None else np.asarray(cfg.mask_elements, dtype=int),
-        lambda_b=cfg.lambda_b,
-        enable_preprocess=cfg.enable_preprocess,
-    )
-
-
-def _boundary(cfg: PipelineConfig, problem: InverseProblem):
-    return problem.mesh.boundary_elements() if cfg.enable_preprocess else None
+def _solver_data(cfg: PipelineConfig, problem: InverseProblem, delta_v: np.ndarray) -> np.ndarray:
+    """The data the solvers see: ``delta_v``, less the part the boundary
+    elements explain when ``enable_preprocess`` is set."""
+    if not cfg.enable_preprocess:
+        return delta_v
+    boundary = problem.mesh.boundary_elements()
+    return inverse.preprocess_boundary(delta_v, problem.s, boundary, cfg.lambda_b)
 
 
 def run_solver(
     cfg: PipelineConfig, problem: InverseProblem, delta_v: np.ndarray
 ) -> inverse.ReconResult:
     """Run the configured solver on one voltage frame."""
+    delta_v = _solver_data(cfg, problem, delta_v)
     if cfg.solver == "tikhonov":
         return inverse.reconstruct_tikhonov(problem.s, delta_v, cfg.lam)
     return _ITERATIVE[cfg.solver](
-        problem.s, delta_v, problem.d, _solver_config(cfg),
-        boundary_elements=_boundary(cfg, problem), x_update=problem.x_update,
+        problem.x_update, delta_v, cfg.lam, cfg.delta,
+        max_iters=cfg.max_iters, tol=cfg.tol, mask=cfg.mask_elements,
     )
 
 
@@ -563,14 +553,15 @@ def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
     ]
     lams = [ratio * cfg.rho for ratio, _ in cells]
     try:
+        dv = _solver_data(cfg, problem, dv)
         if cfg.solver == "tikhonov":
             solved = {lam: inverse.reconstruct_tikhonov(problem.s, dv, lam) for lam in set(lams)}
             results = [solved[lam] for lam in lams]
         else:
             results = inverse.reconstruct_block(
-                problem.s, dv, problem.d, _solver_config(cfg), lams,
-                [delta for _, delta in cells], _boundary(cfg, problem),
-                variant=cfg.solver, x_update=problem.x_update, keep_history=False,
+                problem.x_update, dv, lams, [delta for _, delta in cells],
+                variant=cfg.solver, max_iters=cfg.max_iters, tol=cfg.tol,
+                mask=cfg.mask_elements, keep_history=False,
             )
     except Exception as exc:  # a failure shared by every cell
         results = [exc] * len(cells)

@@ -21,10 +21,12 @@ from eitkit import (
     sensitivity_matrix,
     signed_difference,
     simulate_frame,
+    XUpdateSolver,
 )
 
 RADIUS = 0.1
 E = 16
+RHO = 1e-10  # the shipped ADMM coupling weight
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,13 @@ def coarse() -> CoarseProblem:
     d = build_difference_operators(mesh)
     s = sensitivity_matrix(mesh, layout, 1.0)
     return CoarseProblem(mesh=mesh, layout=layout, d=d, s=s)
+
+
+@pytest.fixture(scope="session")
+def x_update(coarse) -> XUpdateSolver:
+    """The coarse problem's factored x-update at the shipped rho, which
+    every ADMM reconstruction on it takes."""
+    return XUpdateSolver(coarse.s, coarse.d, RHO)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

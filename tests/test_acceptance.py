@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from eitkit import (
-    SolverConfig,
     add_noise,
     assemble_stiffness,
     assign_conductivity,
@@ -32,6 +31,7 @@ from eitkit import (
     simulate_frame,
     soft_threshold,
     solve_potentials,
+    XUpdateSolver,
 )
 from eitkit.inverse import z_update
 from eitkit.pipeline import phantom_truth_image
@@ -39,7 +39,8 @@ from eitkit.pipeline import phantom_truth_image
 ACCEPTANCE_LINES = []  # echoed by conftest at the end of the run
 
 RES = 256
-SHIPPED = dict(lam=5e-13, rho=1e-10, delta=0.01, max_iters=20, tol=1e-5)
+RHO = 1e-10  # the shipped coupling weight, that of the x_update fixture
+SHIPPED = dict(lam=5e-13, delta=0.01, max_iters=20, tol=1e-5)
 # one penalty grid for tuning both solvers in 5b, as multiples of SHIPPED["lam"]
 PENALTY_FACTORS = (1e-2, 1e-1, 1.0, 1e1, 1e2)
 
@@ -198,7 +199,7 @@ def test_acceptance_4_shrinkage_closed_form():
 
 
 @pytest.fixture(scope="module")
-def standard_instance(coarse, model7):
+def standard_instance(coarse, model7, x_update):
     """Reconstructions of the standard two-lung instance at 50 dB noise:
     the weighted solver at shipped parameters, plus both the weighted
     solver and the first-order baseline tuned against the true image over
@@ -206,22 +207,20 @@ def standard_instance(coarse, model7):
     the shipped weighted run is reused for factor 1)."""
     t0 = time.perf_counter()
     truth = phantom_truth_image(lung_model(7), raster_extent(coarse.mesh), RES, 0.1)
-    result = reconstruct_nwatv(
-        coarse.s, model7.dv_noisy, coarse.d, SolverConfig(**SHIPPED)
-    )
+    result = reconstruct_nwatv(x_update, model7.dv_noisy, **SHIPPED)
     re_series = _image_re_series(coarse.mesh, result.history, truth)
 
     def tune(solver):
         best = None
         for factor in PENALTY_FACTORS:
-            cfg = SolverConfig(**{**SHIPPED, "lam": SHIPPED["lam"] * factor})
+            lam = SHIPPED["lam"] * factor
             if solver is reconstruct_nwatv and factor == 1.0:
                 re = re_series[-1]
             else:
-                res = solver(coarse.s, model7.dv_noisy, coarse.d, cfg)
+                res = solver(x_update, model7.dv_noisy, **{**SHIPPED, "lam": lam})
                 re = relative_error(rasterize(coarse.mesh, 1.0 + res.final, RES), truth)
             if best is None or re < best[1]:
-                best = (cfg.lam, re)
+                best = (lam, re)
         return best
 
     nwatv_best = tune(reconstruct_nwatv)
@@ -303,7 +302,7 @@ def test_acceptance_5c_inclusion_overlap(standard_instance):
     assert all(d >= 0.5 for d in dices)
 
 
-def test_acceptance_6_parameter_sweep(coarse, model7):
+def test_acceptance_6_parameter_sweep(coarse, model7, x_update):
     t0 = time.perf_counter()
     spec10 = lung_model(10)
     sigma10 = assign_conductivity(model7.fine_mesh, spec10)
@@ -318,8 +317,7 @@ def test_acceptance_6_parameter_sweep(coarse, model7):
     grid = np.empty((len(ratios), len(deltas)))
     for i, ratio in enumerate(ratios):
         for j, d in enumerate(deltas):
-            cfg = SolverConfig(**{**SHIPPED, "lam": ratio * SHIPPED["rho"], "delta": d})
-            res = reconstruct_nwatv(coarse.s, dv, coarse.d, cfg)
+            res = reconstruct_nwatv(x_update, dv, **{**SHIPPED, "lam": ratio * RHO, "delta": d})
             grid[i, j] = relative_error(
                 rasterize(coarse.mesh, 1.0 + res.final, RES), truth
             )
@@ -344,13 +342,11 @@ def test_acceptance_6_parameter_sweep(coarse, model7):
     assert elapsed < 300.0
 
 
-def test_acceptance_7_per_iteration_cost(coarse, model7):
-    cfg = SolverConfig(**SHIPPED)
-
+def test_acceptance_7_per_iteration_cost(model7, x_update):
     def mean_ms(fn):
         best = np.inf
         for _ in range(3):
-            result = fn(coarse.s, model7.dv_noisy, coarse.d, cfg)
+            result = fn(x_update, model7.dv_noisy, **SHIPPED)
             best = min(best, float(np.mean(result.wall_ms)))
         return best
 
@@ -368,7 +364,7 @@ def test_acceptance_7_per_iteration_cost(coarse, model7):
     assert 0.5 <= ratio <= 2.0
 
 
-def test_acceptance_8_invariants_and_determinism(coarse, model7):
+def test_acceptance_8_invariants_and_determinism(coarse, model7, x_update):
     t0 = time.perf_counter()
     checks = []
 
@@ -382,8 +378,7 @@ def test_acceptance_8_invariants_and_determinism(coarse, model7):
     # masked reconstruction never leaks outside the mask
     mask = np.zeros(coarse.mesh.n_elements, dtype=bool)
     mask[coarse.mesh.element_centroids[:, 0] < 0] = True
-    cfg = SolverConfig(**{**SHIPPED, "max_iters": 5, "mask": mask})
-    res_m = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)
+    res_m = reconstruct_nwatv(x_update, model7.dv_noisy, **{**SHIPPED, "max_iters": 5}, mask=mask)
     checks.append(np.all(res_m.history[:, ~mask] == 0.0))
 
     # shrinkage: output keeps the input sign and kills sub-threshold entries
@@ -407,9 +402,8 @@ def test_acceptance_8_invariants_and_determinism(coarse, model7):
     checks.append(abs(psnr(2 * img, 2 * img + 0.1) - psnr(img, img + 0.05)) < 1e-9)
 
     # bit-identical repeat runs
-    cfg = SolverConfig(**SHIPPED)
-    r1 = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)
-    r2 = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)
+    r1 = reconstruct_nwatv(x_update, model7.dv_noisy, **SHIPPED)
+    r2 = reconstruct_nwatv(XUpdateSolver(coarse.s, coarse.d, RHO), model7.dv_noisy, **SHIPPED)
     checks.append(np.array_equal(r1.history, r2.history))
 
     elapsed = time.perf_counter() - t0

@@ -1,13 +1,10 @@
 """ADMM reconstruction: proximal updates, solver loop, baselines."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eitkit import (
-    SolverConfig,
     SolverError,
     assign_conductivity,
     build_difference_operators,
@@ -29,6 +26,9 @@ from eitkit.inverse import (
     preprocess_boundary,
     z_update,
 )
+
+
+LAM, RHO = 5e-13, 1e-10  # the shipped penalty and coupling weight
 
 
 def _chain_ops(n=40, h=0.1):
@@ -368,19 +368,11 @@ class TestXUpdateSolver:
         with pytest.raises(ValueError, match="S has non-finite"):
             XUpdateSolver(s, build_difference_operators(mesh), 1e-10)
 
-    def test_shared_solver_gives_identical_iterates(self, coarse, model7):
-        cfg = _shipped_config(max_iters=3)
-        solver = XUpdateSolver(coarse.s, coarse.d, cfg.rho)
-        a = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg, x_update=solver)
-        b = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)
+    def test_shared_solver_gives_identical_iterates(self, coarse, model7, x_update):
+        fresh = XUpdateSolver(coarse.s, coarse.d, RHO)
+        a = reconstruct_nwatv(x_update, model7.dv_noisy, LAM, max_iters=3)
+        b = reconstruct_nwatv(fresh, model7.dv_noisy, LAM, max_iters=3)
         assert np.array_equal(a.history, b.history)
-
-    def test_solver_for_other_rho_rejected(self, coarse, model7):
-        solver = XUpdateSolver(coarse.s, coarse.d, 1e-9)
-        with pytest.raises(ValueError, match="x_update"):
-            reconstruct_fotv(
-                coarse.s, model7.dv_noisy, coarse.d, _shipped_config(), x_update=solver
-            )
 
     def test_concurrent_solves_match_serial(self, coarse):
         # solve() keeps no per-call state on the solver, so one shared
@@ -487,21 +479,15 @@ class TestApplyMask:
         assert np.array_equal(out, [0, 1, 0, 0, 4, 0])
 
 
-def _shipped_config(**overrides):
-    base = dict(lam=5e-13, rho=1e-10, delta=0.01, max_iters=20, tol=1e-5)
-    base.update(overrides)
-    return SolverConfig(**base)
-
-
 class TestReconstructNwatv:
-    def test_zero_data_zero_fixed_point(self, coarse):
-        res = reconstruct_nwatv(coarse.s, np.zeros(208), coarse.d, _shipped_config())
+    def test_zero_data_zero_fixed_point(self, coarse, x_update):
+        res = reconstruct_nwatv(x_update, np.zeros(208), LAM)
         assert res.termination == "tol"
         assert res.n_iterations == 1
         assert np.array_equal(res.final, np.zeros(coarse.mesh.n_elements))
 
-    def test_model7_error_decreases(self, coarse, model7):
-        res = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, _shipped_config())
+    def test_model7_error_decreases(self, coarse, model7, x_update):
+        res = reconstruct_nwatv(x_update, model7.dv_noisy, LAM)
         truth = 1.0 + model7.delta_true
         re = [
             np.linalg.norm((1.0 + h) - truth) / np.linalg.norm(truth)
@@ -510,35 +496,31 @@ class TestReconstructNwatv:
         assert re[19] < re[0]
         assert res.n_iterations == 20
 
-    def test_deterministic(self, coarse, model7):
-        a = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, _shipped_config())
-        b = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, _shipped_config())
+    def test_deterministic(self, model7, x_update):
+        a = reconstruct_nwatv(x_update, model7.dv_noisy, LAM)
+        b = reconstruct_nwatv(x_update, model7.dv_noisy, LAM)
         assert np.array_equal(a.history, b.history)
         assert np.array_equal(a.final, b.final)
 
-    def test_mask_confinement(self, coarse, model7):
-        n = coarse.mesh.n_elements
+    def test_mask_confinement(self, coarse, model7, x_update):
         mask = np.linalg.norm(coarse.mesh.element_centroids, axis=1) < 0.07
-        cfg = _shipped_config(mask=mask, max_iters=5)
-        res = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)
+        res = reconstruct_nwatv(x_update, model7.dv_noisy, LAM, mask=mask, max_iters=5)
         outside = ~mask
         assert np.all(res.history[:, outside] == 0.0)
 
-    def test_huge_tol_stops_after_one_iteration(self, coarse, model7):
-        cfg = _shipped_config(tol=1e30)
-        res = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)
+    def test_huge_tol_stops_after_one_iteration(self, model7, x_update):
+        res = reconstruct_nwatv(x_update, model7.dv_noisy, LAM, tol=1e30)
         assert res.n_iterations == 1
         assert res.termination == "tol"
 
-    def test_tol_termination_consistent(self, coarse, model7):
-        cfg = _shipped_config(tol=1e-4, max_iters=200)
-        res = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)
+    def test_tol_termination_consistent(self, model7, x_update):
+        res = reconstruct_nwatv(x_update, model7.dv_noisy, LAM, tol=1e-4, max_iters=200)
         if res.termination == "tol":
             assert res.step_norm[-1] < 1e-4
             assert np.all(res.step_norm[:-1] >= 1e-4)
 
-    def test_diagnostics_lengths(self, coarse, model7):
-        res = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, _shipped_config())
+    def test_diagnostics_lengths(self, model7, x_update):
+        res = reconstruct_nwatv(x_update, model7.dv_noisy, LAM)
         n = res.n_iterations
         assert len(res.data_residual) == n
         assert len(res.step_norm) == n
@@ -564,9 +546,7 @@ class TestReconstructNwatv:
             p = nwatv_weights(d @ x, delta)
             y = y + rho * (d @ x - z)
             history.append(x)
-        res = reconstruct_nwatv(
-            s, model7.dv_noisy, d, _shipped_config(max_iters=3, tol=1e-30)
-        )
+        res = reconstruct_nwatv(solver, model7.dv_noisy, lam, delta, max_iters=3, tol=1e-30)
         assert np.allclose(res.history, np.array(history), atol=1e-12, rtol=0)
 
 
@@ -578,47 +558,39 @@ class TestReconstructBlock:
     DELTAS = [0.001, 0.01, 0.1]
 
     @pytest.mark.parametrize("variant", sorted(_SINGLE))
-    def test_columns_match_single_reconstructions(self, coarse, model7, variant):
-        cfg = _shipped_config(max_iters=4)
-        solver = XUpdateSolver(coarse.s, coarse.d, cfg.rho)
+    def test_columns_match_single_reconstructions(self, model7, x_update, variant):
         block = reconstruct_block(
-            coarse.s, model7.dv_noisy, coarse.d, cfg, self.LAMS, self.DELTAS,
-            variant=variant, x_update=solver,
+            x_update, model7.dv_noisy, self.LAMS, self.DELTAS, variant=variant, max_iters=4
         )
         for lam, delta, got in zip(self.LAMS, self.DELTAS, block):
-            want = _SINGLE[variant](
-                coarse.s, model7.dv_noisy, coarse.d, replace(cfg, lam=lam, delta=delta),
-                x_update=solver,
-            )
+            want = _SINGLE[variant](x_update, model7.dv_noisy, lam, delta, max_iters=4)
             assert (got.termination, got.n_iterations) == (want.termination, want.n_iterations)
             assert got.history.shape == want.history.shape
             gap = np.linalg.norm(got.history - want.history)
             assert gap <= 1e-10 * np.linalg.norm(want.history)
             assert np.allclose(got.data_residual, want.data_residual, rtol=1e-10, atol=0)
 
-    def test_columns_stop_on_their_own_tol(self, coarse, model7):
+    def test_columns_stop_on_their_own_tol(self, coarse, model7, x_update):
         # at tol 1e-2 the lam = 5e-11 column stops at iteration 13 and the
         # lam = 5e-9 column runs out its 30 iterations
-        cfg = _shipped_config(max_iters=30, tol=1e-2)
         lams, deltas = [5e-11, 5e-9], [0.01, 0.01]
         block = reconstruct_block(
-            coarse.s, model7.dv_noisy, coarse.d, cfg, lams, deltas, variant="fotv",
+            x_update, model7.dv_noisy, lams, deltas, variant="fotv", max_iters=30, tol=1e-2,
             keep_history=False,
         )
         assert [r.termination for r in block] == ["tol", "max_iters"]
         for lam, got in zip(lams, block):
-            want = reconstruct_fotv(coarse.s, model7.dv_noisy, coarse.d, replace(cfg, lam=lam))
+            want = reconstruct_fotv(x_update, model7.dv_noisy, lam, max_iters=30, tol=1e-2)
             assert got.n_iterations == want.n_iterations
             assert got.history.shape == (0, coarse.mesh.n_elements)
             assert np.linalg.norm(got.final - want.final) <= 1e-10 * np.linalg.norm(want.final)
 
-    def test_traces_end_where_each_column_stops(self, coarse, model7):
+    def test_traces_end_where_each_column_stops(self, coarse, model7, x_update):
         # the same two columns with histories kept: each column's traces
         # hold its own iterations only, none of the rows after it stopped
-        cfg = _shipped_config(max_iters=30, tol=1e-2)
         block = reconstruct_block(
-            coarse.s, model7.dv_noisy, coarse.d, cfg, [5e-11, 5e-9], [0.01, 0.01],
-            variant="fotv",
+            x_update, model7.dv_noisy, [5e-11, 5e-9], [0.01, 0.01], variant="fotv",
+            max_iters=30, tol=1e-2,
         )
         assert [r.n_iterations for r in block] == [13, 30]
         for got in block:
@@ -629,17 +601,14 @@ class TestReconstructBlock:
             assert np.all(np.isfinite(got.data_residual)) and np.all(np.isfinite(got.step_norm))
         assert np.array_equal(block[0].wall_ms, block[1].wall_ms[:13])
 
-    def test_unbounded_max_iters_allocates_nothing_up_front(self, coarse, model7):
+    def test_unbounded_max_iters_allocates_nothing_up_front(self, model7, x_update):
         # max_iters has no upper bound, so nothing may be sized from it
         import tracemalloc
 
-        cfg = _shipped_config(max_iters=10**9, tol=1e300)
-        solver = XUpdateSolver(coarse.s, coarse.d, cfg.rho)
         tracemalloc.start()
         try:
             (result,) = reconstruct_block(
-                coarse.s, model7.dv_noisy, coarse.d, cfg, [cfg.lam], [cfg.delta],
-                x_update=solver,
+                x_update, model7.dv_noisy, [LAM], [0.01], max_iters=10**9, tol=1e300
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -647,9 +616,7 @@ class TestReconstructBlock:
         assert (result.termination, result.n_iterations) == ("tol", 1)
         assert peak < 4 * 2**20
 
-    def test_failed_column_does_not_stop_the_others(self, coarse, model7, monkeypatch):
-        cfg = _shipped_config(max_iters=3)
-        solver = XUpdateSolver(coarse.s, coarse.d, cfg.rho)
+    def test_failed_column_does_not_stop_the_others(self, model7, x_update, monkeypatch):
         real = XUpdateSolver.solve
 
         def poisoned(self, rhs):
@@ -660,41 +627,31 @@ class TestReconstructBlock:
             return real(self, rhs)
 
         monkeypatch.setattr(XUpdateSolver, "solve", poisoned)
-        block = reconstruct_block(
-            coarse.s, model7.dv_noisy, coarse.d, cfg, self.LAMS, self.DELTAS, x_update=solver
-        )
+        block = reconstruct_block(x_update, model7.dv_noisy, self.LAMS, self.DELTAS, max_iters=3)
         assert isinstance(block[1], SolverError)
         assert block[1].diagnostics["iteration"] == 1 and block[1].diagnostics["column"] == 1
         for c in (0, 2):
             assert isinstance(block[c], ReconResult) and block[c].n_iterations == 3
             assert np.all(np.isfinite(block[c].final))
 
-    def test_single_reconstruction_raises_its_column_error(self, coarse, model7, monkeypatch):
-        solver = XUpdateSolver(coarse.s, coarse.d, 1e-10)
+    def test_single_reconstruction_raises_its_column_error(self, model7, x_update, monkeypatch):
         real = XUpdateSolver.solve
         monkeypatch.setattr(XUpdateSolver, "solve", lambda self, rhs: real(self, rhs * np.nan))
         with pytest.raises(SolverError, match="iteration 1: x-update residual") as info:
-            reconstruct_nwatv(
-                coarse.s, model7.dv_noisy, coarse.d, _shipped_config(), x_update=solver
-            )
+            reconstruct_nwatv(x_update, model7.dv_noisy, LAM)
         assert info.value.diagnostics["iteration"] == 1 and info.value.diagnostics["column"] == 0
 
-    def test_rejects_mismatched_parameters(self, coarse, model7):
+    def test_rejects_mismatched_parameters(self, model7, x_update):
         with pytest.raises(ValueError, match="lams and deltas"):
-            reconstruct_block(
-                coarse.s, model7.dv_noisy, coarse.d, _shipped_config(), [5e-13], [0.01, 0.1]
-            )
+            reconstruct_block(x_update, model7.dv_noisy, [5e-13], [0.01, 0.1])
         with pytest.raises(ValueError, match="delta > 0"):
-            reconstruct_block(
-                coarse.s, model7.dv_noisy, coarse.d, _shipped_config(), [5e-13], [0.0]
-            )
+            reconstruct_block(x_update, model7.dv_noisy, [5e-13], [0.0])
 
 
 class TestBaselines:
-    def test_fotv_equals_nwatv_at_lambda_zero(self, coarse, model7):
-        cfg = _shipped_config(lam=0.0, max_iters=5)
-        a = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)
-        b = reconstruct_fotv(coarse.s, model7.dv_noisy, coarse.d, cfg)
+    def test_fotv_equals_nwatv_at_lambda_zero(self, model7, x_update):
+        a = reconstruct_nwatv(x_update, model7.dv_noisy, 0.0, max_iters=5)
+        b = reconstruct_fotv(x_update, model7.dv_noisy, 0.0, max_iters=5)
         assert np.array_equal(a.history, b.history)
 
     def test_lambda_zero_reaches_least_squares_fixed_point(self):
@@ -706,8 +663,7 @@ class TestBaselines:
         rng = np.random.default_rng(21)
         s = rng.normal(size=(60, n)) / np.sqrt(n)
         b = s @ rng.normal(size=n)
-        cfg = SolverConfig(lam=0.0, rho=1e-6, delta=0.01, max_iters=500, tol=1e-15)
-        res = reconstruct_fotv(s, b, d, cfg)
+        res = reconstruct_fotv(XUpdateSolver(s, d, 1e-6), b, 0.0, max_iters=500, tol=1e-15)
         lstsq = np.linalg.lstsq(s, b, rcond=None)[0]
         assert np.linalg.norm(res.final - lstsq) <= 1e-8 * np.linalg.norm(lstsq)
 
@@ -749,47 +705,30 @@ class TestBaselines:
         with pytest.raises(ValueError):
             reconstruct_tikhonov(coarse.s, model7.dv_noisy, 0.0)
 
-    def test_isotropic_tv_runs_and_differs(self, coarse, model7):
-        cfg = _shipped_config(max_iters=5)
-        a = reconstruct_tv_isotropic(coarse.s, model7.dv_noisy, coarse.d, cfg)
-        b = reconstruct_fotv(coarse.s, model7.dv_noisy, coarse.d, cfg)
+    def test_isotropic_tv_runs_and_differs(self, model7, x_update):
+        a = reconstruct_tv_isotropic(x_update, model7.dv_noisy, LAM, max_iters=5)
+        b = reconstruct_fotv(x_update, model7.dv_noisy, LAM, max_iters=5)
         assert a.history.shape == b.history.shape
         assert not np.array_equal(a.final, b.final)
 
 
-class TestSolverConfigValidation:
+class TestParameterValidation:
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(lam=-1e-13),
-            dict(rho=0.0),
-            dict(delta=0.0),
-            dict(max_iters=0),
-            dict(tol=0.0),
-        ],
+        "name, value",
+        [("lam", -1e-13), ("rho", 0.0), ("delta", 0.0), ("max_iters", 0), ("tol", 0.0)],
     )
-    def test_rejected(self, kwargs):
-        base = dict(lam=5e-13, rho=1e-10, delta=0.01, max_iters=20, tol=1e-5)
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            SolverConfig(**base)
+    def test_rejected(self, coarse, x_update, name, value):
+        with pytest.raises(ValueError, match=name):
+            if name == "rho":
+                XUpdateSolver(coarse.s, coarse.d, value)
+            else:
+                reconstruct_nwatv(x_update, np.zeros(208), **{"lam": LAM, name: value})
 
 
 class TestPreprocessIntegration:
-    def test_preprocess_flag_changes_result(self, coarse, model7):
-        cfg_off = _shipped_config(max_iters=5)
-        cfg_on = _shipped_config(max_iters=5, enable_preprocess=True)
-        a = reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg_off)
-        b = reconstruct_nwatv(
-            coarse.s,
-            model7.dv_noisy,
-            coarse.d,
-            cfg_on,
-            boundary_elements=coarse.mesh.boundary_elements(),
-        )
+    def test_preprocess_changes_result(self, coarse, model7, x_update):
+        boundary = coarse.mesh.boundary_elements()
+        cleaned = preprocess_boundary(model7.dv_noisy, coarse.s, boundary, 1e-7)
+        a = reconstruct_nwatv(x_update, model7.dv_noisy, LAM, max_iters=5)
+        b = reconstruct_nwatv(x_update, cleaned, LAM, max_iters=5)
         assert not np.array_equal(a.final, b.final)
-
-    def test_preprocess_requires_boundary_set(self, coarse, model7):
-        cfg = _shipped_config(enable_preprocess=True)
-        with pytest.raises(ValueError):
-            reconstruct_nwatv(coarse.s, model7.dv_noisy, coarse.d, cfg)

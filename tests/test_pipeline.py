@@ -276,6 +276,17 @@ class TestCmdReconstruct:
         assert len(rows) == 1
         assert manifest["termination"] == "direct"
 
+    def test_tikhonov_preprocess_changes_result(self, small_cfg, tmp_path):
+        import dataclasses
+
+        cfg = dataclasses.replace(small_cfg, solver="tikhonov", lam=1e-6)
+        cmd_simulate(cfg)
+        for name, flag in (("off", False), ("on", True)):
+            cmd_reconstruct(dataclasses.replace(cfg, enable_preprocess=flag),
+                            tmp_path / "out" / "dv_noisy.txt", tmp_path / name)
+        off, on = (load_element_values(tmp_path / d / "delta_sigma.txt") for d in ("off", "on"))
+        assert not np.array_equal(off, on)
+
     def test_huge_tol_single_iteration(self, small_cfg, tmp_path):
         import dataclasses
 
@@ -338,13 +349,21 @@ class TestCmdEvaluate:
 
 
 class TestCmdSweep:
-    def test_single_cell_matches_reconstruct_evaluate(self, tmp_path):
+    # each case sets a config field that both verbs must hand to the solver
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"enable_preprocess": True}, {"mask_elements": list(range(64, 192))},
+         {"solver": "fotv"}, {"solver": "tv"}],
+        ids=["shipped", "preprocess", "mask", "fotv", "tv"],
+    )
+    def test_single_cell_matches_reconstruct_evaluate(self, tmp_path, overrides):
         cfg = load_config(
             _write_cfg(
                 tmp_path / "c.cfg",
                 out_dir=str(tmp_path / "o"),
                 sweep_lambda_over_rho=[5e-3],
                 sweep_delta=[0.01],
+                **overrides,
             )
         )
         cmd_simulate(cfg)
@@ -590,6 +609,18 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "config error: seed" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_tikhonov_zero_lam_exit_two(self, tmp_path, capsys, verb):
+        cfg_path = _write_cfg(
+            tmp_path / "run.cfg", out_dir=str(tmp_path / "out"), solver="tikhonov", lam=0.0
+        )
+        argv = [verb, "--config", str(cfg_path)]
+        if verb == "render":
+            argv += ["--field", str(tmp_path / "field.txt")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: lam" in err and len(err.strip().splitlines()) == 1
 
     def test_mask_index_out_of_range_exit_two(self, tmp_path, capsys):
         cfg_path = _write_cfg(
