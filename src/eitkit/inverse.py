@@ -28,7 +28,6 @@ and one-shot ridge-regularized least squares.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 
@@ -38,13 +37,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .forward import SolverError
-
-log = logging.getLogger(__name__)
-
-# identity floor, relative to the operator's mean diagonal, added to the
-# x-update operator when it is not positive definite (S and D share a null
-# vector)
-_PIVOT_FLOOR = 1e-12
 
 # identity shift, relative to the operator's mean diagonal, that makes the
 # sparse base D^T D + eps I of the x-update factorization invertible
@@ -57,9 +49,6 @@ _REFINE_STEPS = 5
 
 # relative residual required of the quadratic x-update solve
 _UPDATE_RESIDUAL_TOL = 1e-8
-
-# a positive-definite operator recovers the probe vector to this accuracy
-_PROBE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,13 +75,18 @@ class ReconResult:
 
 def _column_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each column of a 2-D array, each computed as the
-    norm of that column on its own (a single vector's norm, bit for bit)."""
-    return np.array([np.linalg.norm(c) for c in a.T])
+    norm of that column on its own (a single vector's norm, bit for bit). A
+    column whose squares overflow takes BLAS's scaled norm instead of inf."""
+    with np.errstate(over="ignore"):
+        norms = np.array([np.linalg.norm(c) for c in a.T])
+    big = np.flatnonzero(norms == np.inf)
+    norms[big] = [sla.norm(a[:, j], check_finite=False) for j in big]
+    return norms
 
 
 def _data_residual(s: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|S x - b| / |b| for each column of x (N, K), or |S x| when b = 0."""
-    b_norm = np.linalg.norm(b)
+    b_norm = _column_norms(b[:, None])[0]
     resid = _column_norms(s @ x - b[:, None])
     return resid / b_norm if b_norm > 0 else resid
 
@@ -140,7 +134,8 @@ def nwatv_weights(d_x: np.ndarray, delta) -> np.ndarray:
         raise ValueError(f"delta must be > 0, got {delta}")
     n = len(d_x) // 2
     gx, gy = d_x[:n], d_x[n:]
-    zeta = 1.0 / (gx * gx + gy * gy + delta)
+    with np.errstate(over="ignore"):  # an overflowed |g_k|^2 gives the weight 0
+        zeta = 1.0 / (gx * gx + gy * gy + delta)
     return np.concatenate([zeta, zeta])
 
 
@@ -197,11 +192,8 @@ class XUpdateSolver:
     M x M capacitance matrix I + U^T A^-1 U; no N x N array is formed. The
     shift eps (a small multiple of the operator's mean diagonal) makes A
     invertible, since D annihilates constants; iterative refinement against
-    the exact operator, applied matrix-free, removes it.
-
-    If a probe vector is not recovered (S and D share a null vector, e.g.
-    S = 0, or, at very small rho, the solve loses accuracy), a trace-scaled
-    identity floor is added and the factorization redone with it as shift.
+    the exact operator, applied matrix-free, removes it. A capacitance
+    matrix that is not positive definite is a SolverError at set-up.
     """
 
     def __init__(self, s, d: sp.csr_matrix, rho: float):
@@ -213,43 +205,23 @@ class XUpdateSolver:
         self.d = d
         self.dt = self.d.T  # one CSC view of D^T, reused by every product
         self.rho = rho
-        n = self.s.shape[1]
+        m, n = self.s.shape
         if self.d.shape[1] != n:
             raise ValueError("difference operators do not match the sensitivity columns")
-        # trace of the operator per unknown: sets the scale of both shifts
+        # trace of the operator per unknown sets the scale of the shift
         mean_diag = (np.vdot(self.s, self.s) / rho + np.vdot(self.d.data, self.d.data)) / n
-        self.floor = 0.0
+        base = (self.dt @ self.d + _BASE_SHIFT * mean_diag * sp.identity(n)).tocsc()
+        self._lu = spla.splu(base)
+        a_inv_u = self._lu.solve(self.s.T / np.sqrt(rho))
+        self._capacitance = np.eye(m) + self.s @ a_inv_u / np.sqrt(rho)
         try:
-            self._factor(_BASE_SHIFT * mean_diag)
-            definite = self._recovers_probe()
-        except np.linalg.LinAlgError:
-            definite = False
-        if definite:
-            return
-        self.floor = _PIVOT_FLOOR * mean_diag
-        log.warning(
-            "x-update operator not positive definite; adding identity floor %.3e",
-            self.floor,
-        )
-        try:
-            self._factor(self.floor)
+            low = sla.cholesky(self._capacitance, lower=True)
         except np.linalg.LinAlgError as exc:
             raise SolverError(
-                "x-update operator is not positive definite even with floor",
-                diagnostics={
-                    "capacitance_condition": float(np.linalg.cond(self._capacitance)),
-                    "floor": self.floor,
-                },
+                "x-update capacitance matrix is not positive definite",
+                diagnostics={"capacitance_condition": float(np.linalg.cond(self._capacitance))},
             ) from exc
-
-    def _factor(self, shift: float) -> None:
-        """Factor A = D^T D + shift I and form the gain G = A^-1 U C^-1."""
-        base = (self.dt @ self.d + shift * sp.identity(self.s.shape[1])).tocsc()
-        self._lu = spla.splu(base)
-        a_inv_u = self._lu.solve(self.s.T / np.sqrt(self.rho))
-        self._capacitance = np.eye(self.s.shape[0]) + self.s @ a_inv_u / np.sqrt(self.rho)
         # G = A^-1 U (L L^T)^-1, with C = L L^T: two triangular solves in place
-        low = sla.cholesky(self._capacitance, lower=True)
         trsm = sla.get_blas_funcs("trsm", (low,))
         y = trsm(1.0, low, a_inv_u, side=1, lower=1, trans_a=1, overwrite_b=1)
         self._gain = trsm(1.0, low, y, side=1, lower=1, overwrite_b=1)
@@ -261,24 +233,8 @@ class XUpdateSolver:
         return a_inv_r - self._gain @ (self.s @ a_inv_r / np.sqrt(self.rho))
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        """The exact operator ((1/rho) S^T S + D^T D + floor I) x, matrix-free."""
-        out = self.s.T @ (self.s @ x) / self.rho + self.dt @ (self.d @ x)
-        if self.floor:
-            out += self.floor * x
-        return out
-
-    def _recovers_probe(self) -> bool:
-        """Whether solving for a fixed vector recovers it. A null vector of
-        the operator is not recovered: the shifted inverse and refinement
-        leave that component of the solution at zero. The probe holds the
-        constant vector, which D annihilates, plus a generic perturbation."""
-        n = self.s.shape[1]
-        v = 1.0 + np.random.default_rng(0).standard_normal(n)
-        try:
-            x = self.solve(self._apply(v))
-        except SolverError:
-            return False
-        return bool(np.linalg.norm(x - v) <= _PROBE_TOL * np.linalg.norm(v))
+        """The exact operator ((1/rho) S^T S + D^T D) x, matrix-free."""
+        return self.s.T @ (self.s @ x) / self.rho + self.dt @ (self.d @ x)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side (N,) or a block (N, K).
@@ -333,8 +289,9 @@ def reconstruct_block(
     and every column shares its factors and the data. ``variant`` is
     "nwatv" (weights refreshed from each iterate), "fotv" (weights frozen
     at one) or "tv" (isotropic group shrinkage). Each column stops when its
-    step |x_new - x| drops below ``tol``, after ``max_iters`` iterations or
-    on an x-update failure, while the others go on; its entry in the
+    step |x_new - x| drops below ``tol``, after ``max_iters`` iterations, on
+    an x-update failure or on reweighted weights that are not all > 0 (an
+    overflowed |D x|^2), while the others go on; its entry in the
     returned list is then its ReconResult or its SolverError. ``mask``
     (boolean array or index list) forces x to 0 outside it. With
     ``keep_history=False`` every history is empty (0, N).
@@ -396,6 +353,12 @@ def reconstruct_block(
             z_new = z_update(w, p[:, live], lams[live], rho)
         if variant == "nwatv":
             p[:, live] = nwatv_weights(d_x, deltas[live])
+            for j in np.flatnonzero(~np.all(p[:, live] > 0, axis=0)):
+                c = int(live[j])
+                errors[c] = SolverError(
+                    f"iteration {it}: NWATV weights are not all > 0 after the reweight",
+                    diagnostics={"column": c, "iteration": it},
+                )
         y[:, live] = y[:, live] + rho * (d_x - z_new)
         z[:, live] = z_new
 
@@ -410,7 +373,7 @@ def reconstruct_block(
         if keep_history:
             history.append(x.copy())
         iters[live] = it
-        live = live[~(step[live] < tol)]
+        live = live[~(step[live] < tol) & ~np.isin(live, list(errors))]
 
     history = np.array(history) if keep_history else np.empty((0, n, k))
     residuals, steps, walls = np.array(residuals), np.array(steps), np.array(walls)

@@ -123,6 +123,8 @@ def _validate_config(cfg: PipelineConfig) -> None:
         not cfg.mask_elements or any(i < 0 for i in cfg.mask_elements)
     ):
         bad("mask_elements", "must be a nonempty list of nonnegative element indices")
+    if cfg.mask_elements is not None and cfg.solver == "tikhonov":
+        bad("mask_elements", "must be unset for solver tikhonov, which does not mask")
 
 
 def _json_fits(value, hint) -> bool:

@@ -158,6 +158,11 @@ class TestNwatvWeights:
         mag = gx**2 + gy**2
         assert np.argmin(p[:n]) == np.argmax(mag)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_gradient_gives_zero_weight_silently(self):
+        p = nwatv_weights(np.array([1e200, 0.0, 0.0, 0.0]), 0.01)
+        assert np.array_equal(p, [0.0, 100.0, 0.0, 100.0])
+
     def test_positive_delta_required(self):
         mesh, d = self._disk()
         with pytest.raises(ValueError):
@@ -229,22 +234,20 @@ class TestSigmaUpdate:
         b = XUpdateSolver(s0, coarse.d, 0.5).solve(rhs)
         assert np.allclose(a, b, atol=1e-12 * max(1.0, np.abs(a).max()))
 
-    def test_singular_operator_floored_and_solved(self, caplog):
+    def test_singular_operator_solved_to_min_norm(self):
         # S = 0 with the chain D leaves D^T D singular (constants are in its
-        # null space): the solver warns, floors the operator, and still
-        # solves the consistent system close to its minimum-norm solution
+        # null space): the consistent system is still solved, to its
+        # minimum-norm solution
         d = _chain_ops()
         n = d.shape[1]
         z = np.random.default_rng(24).normal(size=2 * n)
         rhs = d.T @ z
-        with caplog.at_level("WARNING", logger="eitkit.inverse"):
-            x = XUpdateSolver(np.zeros((60, n)), d, 1.0).solve(rhs)
-        assert "not positive definite" in caplog.text
+        x = XUpdateSolver(np.zeros((60, n)), d, 1.0).solve(rhs)
         dtd = (d.T @ d).toarray()
         assert np.all(np.isfinite(x))
         assert np.linalg.norm(dtd @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
         min_norm = np.linalg.pinv(dtd) @ rhs
-        assert np.linalg.norm(x - min_norm) <= 1e-4 * np.linalg.norm(min_norm)
+        assert np.linalg.norm(x - min_norm) <= 1e-8 * np.linalg.norm(min_norm)
 
 
 def _dense_x_update(s, d, rho, rhs):
@@ -272,16 +275,14 @@ class TestXUpdateSolver:
         rho = 1e-6
         rhs = self._admm_rhs(s, d, rho, 27)
         solver = XUpdateSolver(s, d, rho)
-        assert solver.floor == 0.0
         want = _dense_x_update(s, d, rho, rhs)
         assert np.linalg.norm(solver.solve(rhs) - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_inconsistent_rhs_on_singular_operator_raises(self):
-        # the floored operator is nearly singular: a right-hand side with a
-        # component along the constants misses the residual contract
+        # the operator is singular: a right-hand side with a component
+        # along the constants misses the residual contract
         d = _chain_ops()
         solver = XUpdateSolver(np.zeros((60, 40)), d, 1.0)
-        assert solver.floor > 0
         rhs = d.T @ np.random.default_rng(28).normal(size=80) + 1.0
         with pytest.raises(SolverError, match="residual") as info:
             solver.solve(rhs)
@@ -349,16 +350,38 @@ class TestXUpdateSolver:
             r = rhs[:, j] - (s.T @ (s @ x[:, j]) / rho + d.T @ (d @ x[:, j]))
             assert np.linalg.norm(r) <= 1e-13 * np.linalg.norm(rhs[:, j])
 
-    def test_block_solve_on_floored_operator(self):
+    def test_block_solve_on_singular_operator(self):
         d = _chain_ops()
         solver = XUpdateSolver(np.zeros((60, 40)), d, 1.0)
-        assert solver.floor > 0
         rng = np.random.default_rng(31)
         rhs = d.T @ rng.normal(size=(80, 5))  # consistent: no constants
         x = solver.solve(rhs)
         dtd = d.T @ d
         for j in range(5):
             assert np.linalg.norm(dtd @ x[:, j] - rhs[:, j]) <= 1e-8 * np.linalg.norm(rhs[:, j])
+
+    @pytest.mark.filterwarnings("error")
+    def test_residual_contract_holds_where_squares_overflow(self, coarse):
+        # |rhs|^2 overflows at this scale: the norms are taken scaled, so the
+        # solve is refined as at unit scale rather than passed as inf <= inf
+        s, rho = coarse.s, 1e-10
+        solver = XUpdateSolver(s, coarse.d, rho)
+        rhs = self._admm_rhs(s, coarse.d, rho, 25)
+        x = solver.solve(rhs)
+        big = solver.solve(rhs * 1e160)
+        assert np.linalg.norm(big / 1e160 - x) <= 1e-10 * np.linalg.norm(x)
+
+    def test_failed_capacitance_factorization_is_a_solver_error(self, monkeypatch):
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cholesky", fail)
+        s = np.random.default_rng(26).normal(size=(60, 40))
+        with pytest.raises(SolverError, match="capacitance") as info:
+            XUpdateSolver(s, _chain_ops(), 1e-6)
+        assert info.value.diagnostics["capacitance_condition"] >= 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sensitivity_rejected(self, bad):
@@ -495,6 +518,13 @@ class TestReconstructNwatv:
         ]
         assert re[19] < re[0]
         assert res.n_iterations == 20
+
+    @pytest.mark.parametrize("rho", [1e-17, 1e-20])
+    def test_small_rho_runs_every_iteration(self, coarse, model7, rho):
+        # the x-update solves the exact operator at any rho, so every
+        # iteration meets the residual contract
+        res = reconstruct_nwatv(XUpdateSolver(coarse.s, coarse.d, rho), model7.dv_noisy, LAM)
+        assert (res.n_iterations, res.termination) == (20, "max_iters")
 
     def test_deterministic(self, model7, x_update):
         a = reconstruct_nwatv(x_update, model7.dv_noisy, LAM)
@@ -640,6 +670,15 @@ class TestReconstructBlock:
         with pytest.raises(SolverError, match="iteration 1: x-update residual") as info:
             reconstruct_nwatv(x_update, model7.dv_noisy, LAM)
         assert info.value.diagnostics["iteration"] == 1 and info.value.diagnostics["column"] == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_weights_stop_their_column(self, model7, x_update):
+        # x 1e154 the first reweight overflows |g|^2: the weights reach 0,
+        # which the next shrink would refuse, so each column stops there
+        block = reconstruct_block(x_update, model7.dv_noisy * 1e154, [LAM, 0.0], [0.01, 0.01])
+        for c, got in enumerate(block):
+            assert isinstance(got, SolverError) and "weights" in str(got)
+            assert got.diagnostics == {"column": c, "iteration": 1}
 
     def test_rejects_mismatched_parameters(self, model7, x_update):
         with pytest.raises(ValueError, match="lams and deltas"):

@@ -612,15 +612,18 @@ class TestCli:
 
     @pytest.mark.parametrize("verb", VERBS)
     def test_tikhonov_zero_lam_exit_two(self, tmp_path, capsys, verb):
-        cfg_path = _write_cfg(
-            tmp_path / "run.cfg", out_dir=str(tmp_path / "out"), solver="tikhonov", lam=0.0
-        )
-        argv = [verb, "--config", str(cfg_path)]
-        if verb == "render":
-            argv += ["--field", str(tmp_path / "field.txt")]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "config error: lam" in err and len(err.strip().splitlines()) == 1
+        # the second case: the one-shot ridge solve cannot honour a mask
+        for field, value in (("lam", 0.0), ("mask_elements", [0, 1, 2])):
+            cfg_path = _write_cfg(
+                tmp_path / "run.cfg", out_dir=str(tmp_path / "out"),
+                solver="tikhonov", **{field: value},
+            )
+            argv = [verb, "--config", str(cfg_path)]
+            if verb == "render":
+                argv += ["--field", str(tmp_path / "field.txt")]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"config error: {field}" in err and len(err.strip().splitlines()) == 1
 
     def test_mask_index_out_of_range_exit_two(self, tmp_path, capsys):
         cfg_path = _write_cfg(
@@ -706,6 +709,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{bad}:3: not a finite number: '{token}'" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+    def test_data_of_huge_scale_exit_three(self, chain_outputs, tmp_path, capsys):
+        # x 1e153 the reweight overflows |g|^2, so NWATV weights reach 0:
+        # reconstruct stops with one line, and every sweep cell records it
+        _, out = chain_outputs
+        huge = tmp_path / "dv_huge.txt"
+        save_frames(huge, load_frames(out / "dv_noisy.txt") * 1e153)
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "run"), max_iters=20)
+        assert main(["reconstruct", "--config", str(cfg_path), "--data", str(huge)]) == 3
+        err = capsys.readouterr().err
+        assert "weights" in err and len(err.strip().splitlines()) == 1
+        assert main(["sweep", "--config", str(cfg_path), "--data", str(huge)]) == 0
+        with open(tmp_path / "run" / "sweep.csv") as f:
+            assert {row["termination"] for row in csv.DictReader(f)} == {"error:SolverError"}
 
     def test_sweep_checks_the_phantom_before_factoring(self, tmp_path, capsys, monkeypatch):
         import eitkit.inverse as inv
