@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -49,6 +50,57 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, *, diagnostics: dict | None = None):
         super().__init__(message)
         self.diagnostics = dict(diagnostics or {})
+
+
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of a 2-D array, summed from BLAS dot
+    products of contiguous 8192-row pieces. A column of up to 8192 entries
+    so has a single vector's norm, bit for bit, and OpenBLAS threads no
+    piece: a threaded 33k-entry dot slowed the SuperLU solve after it by a
+    third. A column whose squares overflow takes BLAS's scaled norm."""
+    squares = np.zeros(a.shape[1])
+    with np.errstate(over="ignore"):
+        for i in range(0, len(a), 8192):
+            squares += [c @ c for c in a[i:i + 8192].T.copy()]
+        norms = np.sqrt(squares)
+    big = np.flatnonzero(norms == np.inf)
+    norms[big] = [sla.norm(a[:, j], check_finite=False) for j in big]
+    return norms
+
+
+def _refine(solve, apply, rhs, *, target, steps, accept, what, key) -> np.ndarray:
+    """Solve apply(x) = rhs for one right-hand side (n,) or a block (n, k),
+    given an approximate inverse ``solve`` of the operator ``apply``.
+
+    Each column is solved once and then corrected, for at most ``steps``
+    corrections, until its residual is at most ``target`` of its
+    right-hand side; only the columns that still miss are corrected again,
+    and a zero column has the zero solution. If a column's residual then
+    stays above ``accept`` (a NaN residual counts), SolverError names the
+    worst one as ``diagnostics[key]``."""
+    b = rhs.reshape(len(rhs), -1)
+    norm_b = _column_norms(b)
+    cols = np.flatnonzero(norm_b != 0)
+    live = slice(None) if cols.size == b.shape[1] else cols  # no block copies while all run
+    x = solve(b) if cols.size == b.shape[1] else np.zeros(b.shape)
+    if 0 < cols.size < b.shape[1]:
+        x[:, cols] = solve(b[:, cols])
+    for correction in range(steps + 1):
+        r = b[:, live] - apply(x[:, live])
+        norm_r = _column_norms(r)
+        miss = ~(norm_r <= (target if correction < steps else accept) * norm_b[live])
+        if not miss.any():
+            return x.reshape(rhs.shape)
+        cols, r, norm_r = cols[miss], r[:, miss], norm_r[miss]
+        live = cols
+        if correction < steps:
+            x[:, cols] += solve(r)
+    rel = norm_r / norm_b[cols]
+    worst = int(np.argmax(rel))  # argmax takes a NaN as the largest
+    raise SolverError(
+        f"{what} residual {rel[worst]:.3e} above {accept:.0e}",
+        diagnostics={key: int(cols[worst]), "relative_residual": float(rel[worst])},
+    )
 
 
 @dataclass(frozen=True)
@@ -117,62 +169,34 @@ def assemble_stiffness(mesh: TriMesh, sigma: np.ndarray) -> sp.csr_matrix:
     return k.tocsr()
 
 
-class _GroundedSolver:
-    """Shared factorization for all drive patterns of one stiffness matrix.
-
-    The pure-Neumann matrix is singular (constants); we pin node 0 to zero
-    and factorize the remaining SPD block once. The block is symmetric, so
-    its columns are ordered by minimum degree on A + A^T: SuperLU's default
-    COLAMD ordering targets unsymmetric matrices and leaves 1.8x the fill
-    on the 64k-element disk.
-    """
-
-    def __init__(self, stiffness: sp.csr_matrix):
-        self.k = stiffness
-        reduced = stiffness[1:, :][:, 1:].tocsc()
-        try:
-            self.lu = spla.splu(reduced, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:
-            raise SolverError(f"stiffness factorization failed: {exc}") from exc
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve K u = rhs with u[0] = 0 for one right-hand side (n,) or a
-        block (n, k). Every column is refined until its residual is at most
-        _RESIDUAL_TOL of its right-hand side; SolverError names the worst
-        column as ``diagnostics["drive"]`` otherwise."""
-        b = rhs.reshape(len(rhs), -1)
-        u = np.zeros(b.shape)
-        u[1:] = self.lu.solve(b[1:])
-        norm_b = np.linalg.norm(b, axis=0)
-        for refinement in range(9):
-            r = b - self.k @ u
-            norm_r = np.linalg.norm(r, axis=0)
-            bad = ~(norm_r <= _RESIDUAL_TOL * norm_b)  # NaN counts as a miss
-            if not bad.any():
-                return u.reshape(rhs.shape)
-            if refinement < 8:
-                u[1:, bad] += self.lu.solve(r[1:, bad])
-        rel = np.divide(norm_r, norm_b, out=np.zeros_like(norm_r), where=bad)
-        worst = int(np.argmax(rel))
-        raise SolverError(
-            f"FEM solve residual {rel[worst]:.3e} above {_RESIDUAL_TOL:.0e}",
-            diagnostics={"drive": worst, "relative_residual": float(rel[worst])},
-        )
-
-
 def solve_potentials(
     stiffness: sp.csr_matrix, layout: ElectrodeLayout, current: float = 1.0
 ) -> DrivePotentials:
     """Solve every adjacent-pair drive: +current at electrode j, -current
-    at electrode j+1, grounded to zero mean over electrode nodes. All E
-    drives share one factorization and one block solve."""
+    at electrode j+1, grounded to zero mean over electrode nodes. Node 0 is
+    pinned to make the pure-Neumann matrix SPD; all E drives share one
+    factorization and one block solve, refined to _RESIDUAL_TOL per drive."""
     e = layout.count
     enodes = layout.node_ids
     drives = np.arange(e)
     rhs = np.zeros((stiffness.shape[0], e))
     np.add.at(rhs, (np.r_[enodes, np.roll(enodes, -1)], np.r_[drives, drives]),
               np.repeat([current, -current], e))
-    u = _GroundedSolver(stiffness).solve(rhs)
+    try:
+        # the block is symmetric, so its columns are ordered by minimum degree
+        # on A + A^T: SuperLU's default COLAMD ordering targets unsymmetric
+        # matrices and leaves 1.8x the fill on the 64k-element disk
+        lu = spla.splu(stiffness[1:, :][:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SolverError(f"stiffness factorization failed: {exc}") from exc
+
+    def pinned(f):  # the solution with u[0] = 0
+        u = np.zeros(f.shape)
+        u[1:] = lu.solve(f[1:])
+        return u
+
+    u = _refine(pinned, stiffness.dot, rhs, target=_RESIDUAL_TOL, steps=8,
+                accept=_RESIDUAL_TOL, what="FEM solve", key="drive")
     return DrivePotentials(potentials=u - u[enodes].mean(axis=0), current=float(current))
 
 
@@ -246,7 +270,7 @@ def add_noise(frame: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
         return frame
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
-    norm = np.linalg.norm(frame)
+    norm = _column_norms(frame[:, None])[0]
     if norm == 0:
         raise ValueError("cannot scale noise to a zero frame")
     sd = norm * 10.0 ** (-snr_db / 20.0) / math.sqrt(len(frame))

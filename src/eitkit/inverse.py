@@ -36,7 +36,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .forward import SolverError
+from .forward import SolverError, _column_norms, _refine
 
 # identity shift, relative to the operator's mean diagonal, that makes the
 # sparse base D^T D + eps I of the x-update factorization invertible
@@ -73,17 +73,6 @@ class ReconResult:
         return len(self.step_norm)
 
 
-def _column_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column of a 2-D array, each computed as the
-    norm of that column on its own (a single vector's norm, bit for bit). A
-    column whose squares overflow takes BLAS's scaled norm instead of inf."""
-    with np.errstate(over="ignore"):
-        norms = np.array([np.linalg.norm(c) for c in a.T])
-    big = np.flatnonzero(norms == np.inf)
-    norms[big] = [sla.norm(a[:, j], check_finite=False) for j in big]
-    return norms
-
-
 def _data_residual(s: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|S x - b| / |b| for each column of x (N, K), or |S x| when b = 0."""
     b_norm = _column_norms(b[:, None])[0]
@@ -101,7 +90,9 @@ def soft_threshold(x, g):
     if np.any(g_arr < 0):
         raise ValueError("threshold must be nonnegative")
     x_arr = np.asarray(x, dtype=float)
-    out = np.where(np.abs(x_arr) > g_arr, x_arr - g_arr * np.sign(x_arr), 0.0)
+    # where |x| > g, x - copysign(g, x) is x - g*sgn(x), and it is not NaN
+    # where the unused branch has g = inf and x = 0
+    out = np.where(np.abs(x_arr) > g_arr, x_arr - np.copysign(g_arr, x_arr), 0.0)
     if np.isscalar(x) or x_arr.ndim == 0:
         return float(out)
     return out
@@ -141,11 +132,10 @@ def nwatv_weights(d_x: np.ndarray, delta) -> np.ndarray:
 
 def z_update(w: np.ndarray, p: np.ndarray, lam, rho: float) -> np.ndarray:
     """Elementwise shrinkage of w = Dx + y/rho with thresholds lam*p/rho; on
-    a block w (2N, K), lam may hold one penalty per column."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0):
-        raise ValueError("weights must be strictly positive")
-    return soft_threshold(w, lam * p / rho)
+    a block w (2N, K), lam may hold one penalty per column. A threshold that
+    overflows is inf, which shrinks every entry to 0."""
+    with np.errstate(over="ignore"):
+        return soft_threshold(w, lam * np.asarray(p, dtype=float) / rho)
 
 
 def apply_mask(delta_sigma: np.ndarray, mask) -> np.ndarray:
@@ -237,41 +227,16 @@ class XUpdateSolver:
         return self.s.T @ (self.s @ x) / self.rho + self.dt @ (self.d @ x)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for one right-hand side (N,) or a block (N, K).
-
-        Each column is refined until its residual is at most _REFINE_TOL of
-        its right-hand side, for at most _REFINE_STEPS corrections, and only
-        the columns that miss are corrected again. If a column's residual
-        then stays above _UPDATE_RESIDUAL_TOL (a NaN residual counts),
-        SolverError names the worst one as ``diagnostics["column"]``.
-        """
-        b = rhs.reshape(len(rhs), -1)
-        norm_b = _column_norms(b)
-        x = np.zeros(b.shape)
-        cols = np.flatnonzero(norm_b != 0)  # a zero column has the zero solution
-        if cols.size:
-            x[:, cols] = self._shifted_inverse(b[:, cols])
-        for refinement in range(_REFINE_STEPS + 1):
-            r = b[:, cols] - self._apply(x[:, cols])
-            norm_r = _column_norms(r)
-            miss = ~(norm_r <= _REFINE_TOL * norm_b[cols])
-            cols, r, norm_r = cols[miss], r[:, miss], norm_r[miss]
-            if not cols.size:
-                return x.reshape(rhs.shape)
-            if refinement < _REFINE_STEPS:
-                x[:, cols] += self._shifted_inverse(r)
-        rel = norm_r / norm_b[cols]
-        worst = int(np.argmax(rel))  # argmax takes a NaN as the largest
-        if rel[worst] <= _UPDATE_RESIDUAL_TOL:
-            return x.reshape(rhs.shape)
-        raise SolverError(
-            f"x-update residual {rel[worst]:.3e} above {_UPDATE_RESIDUAL_TOL:.0e}",
-            diagnostics={
-                "column": int(cols[worst]),
-                "relative_residual": float(rel[worst]),
-                "capacitance_condition": float(np.linalg.cond(self._capacitance)),
-            },
-        )
+        """Solve for one right-hand side (N,) or a block (N, K) under the
+        refinement contract of forward._refine; a SolverError names its
+        ``"column"`` and the capacitance matrix's condition number."""
+        try:
+            return _refine(self._shifted_inverse, self._apply, rhs, target=_REFINE_TOL,
+                           steps=_REFINE_STEPS, accept=_UPDATE_RESIDUAL_TOL,
+                           what="x-update", key="column")
+        except SolverError as exc:
+            exc.diagnostics["capacitance_condition"] = float(np.linalg.cond(self._capacitance))
+            raise
 
 
 _VARIANTS = ("nwatv", "fotv", "tv")
@@ -348,7 +313,9 @@ def reconstruct_block(
         d_x = d @ x_new
         w = d_x + y[:, live] / rho
         if variant == "tv":
-            z_new = group_shrink(w, lams[live] / rho)
+            with np.errstate(over="ignore"):  # an overflowed threshold shrinks every pair to 0
+                g = lams[live] / rho
+            z_new = group_shrink(w, g)
         else:
             z_new = z_update(w, p[:, live], lams[live], rho)
         if variant == "nwatv":

@@ -23,6 +23,10 @@ class Inclusion:
     value: float  # S/m
 
     def __post_init__(self):
+        if any(len(v) != 2 for v in (self.center, self.axis_a, self.axis_b)):
+            raise ValueError("inclusion center and semi-axes must have two components each")
+        if not np.all(np.isfinite([*self.center, *self.axis_a, *self.axis_b, self.value])):
+            raise ValueError("inclusion center, semi-axes and conductivity must be finite")
         if not self.value > 0:
             raise ValueError(f"inclusion conductivity must be positive, got {self.value}")
         det = self.axis_a[0] * self.axis_b[1] - self.axis_a[1] * self.axis_b[0]
@@ -43,8 +47,8 @@ class PhantomSpec:
     inclusions: tuple[Inclusion, ...]
 
     def __post_init__(self):
-        if not self.background > 0:
-            raise ValueError(f"background conductivity must be positive, got {self.background}")
+        if not 0 < self.background < np.inf:
+            raise ValueError(f"background conductivity must be finite and > 0, got {self.background}")
 
 
 def lung_model(k: int) -> PhantomSpec:

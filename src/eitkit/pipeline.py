@@ -257,7 +257,11 @@ def build_inverse_problem(cfg: PipelineConfig, disk=None) -> InverseProblem:
         )
     d = build_difference_operators(mesh)
     t1 = time.perf_counter()
-    s = forward.sensitivity_matrix(mesh, layout, cfg.sigma0, current=cfg.current_ma)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught as a non-finite S
+        s = forward.sensitivity_matrix(mesh, layout, cfg.sigma0, current=cfg.current_ma)
+    if not np.all(np.isfinite(s)):
+        raise ConfigError(f"sigma0/current_ma: {cfg.sigma0} S/m and {cfg.current_ma} mA "
+                          f"give a sensitivity matrix that is not finite")
     t2 = time.perf_counter()
     x_update = inverse.XUpdateSolver(s, d, cfg.rho) if cfg.solver in _ITERATIVE else None
     t3 = time.perf_counter()

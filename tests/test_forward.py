@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import splu
 
 from eitkit import (
     LINEARIZATION_SIGN,
@@ -24,11 +25,20 @@ from eitkit import forward
 from eitkit.forward import (
     DrivePotentials,
     SolverError,
-    _GroundedSolver,
     _element_gradients,
+    _refine,
     extract_voltages,
 )
 from eitkit.mesh import TriMesh
+
+
+def _grounded_solve(k, f):
+    """K u = f with u[0] = 0 for one right-hand side (n,) or a block (n, k),
+    through the refinement contract of solve_potentials."""
+    lu = splu(k[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return _refine(lambda r: np.insert(lu.solve(r[1:]), 0, 0.0, axis=0), k.dot, f,
+                   target=forward._RESIDUAL_TOL, steps=8, accept=forward._RESIDUAL_TOL,
+                   what="FEM solve", key="drive")
 
 
 def _two_point_disk_potential(nodes, src, snk, current=1.0, sigma=1.0):
@@ -169,22 +179,25 @@ class TestSolvePotentials:
 
     def test_block_solve_matches_single_columns(self, block4k):
         k, _, f = block4k
-        solver = _GroundedSolver(k)
-        block = solver.solve(f)
+        block = _grounded_solve(k, f)
         assert block.shape == f.shape
         for j in range(f.shape[1]):
-            single = solver.solve(f[:, j])
+            single = _grounded_solve(k, f[:, j])
             assert single.shape == (k.shape[0],)
             assert np.linalg.norm(block[:, j] - single) <= 1e-12 * np.linalg.norm(single)
 
-    def test_missed_residual_names_a_drive(self, block4k, monkeypatch):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("current", [1.0, 1e300])
+    def test_missed_residual_names_a_drive(self, block4k, monkeypatch, current):
+        # no reachable residual meets 1e-18; at 1e300 mA the squares of the
+        # right-hand side overflow, and the residual must still be measured
         k, layout, _ = block4k
-        monkeypatch.setattr(forward, "_RESIDUAL_TOL", 0.0)
-        with pytest.raises(SolverError) as info:
-            solve_potentials(k, layout)
+        monkeypatch.setattr(forward, "_RESIDUAL_TOL", 1e-18)
+        with pytest.raises(SolverError, match="FEM solve residual") as info:
+            solve_potentials(k, layout, current=current)
         drive = info.value.diagnostics["drive"]
         assert isinstance(drive, int) and 0 <= drive < layout.count
-        assert info.value.diagnostics["relative_residual"] > 0
+        assert 0 < info.value.diagnostics["relative_residual"] < 1e-12
 
     def test_zero_mean_grounding(self):
         mesh = generate_disk_mesh(0.1, 1024)
@@ -208,11 +221,9 @@ class TestSolvePotentials:
         snk = mirror[src]
         assert snk != src
 
-        from eitkit.forward import _GroundedSolver
-
         f = np.zeros(mesh.n_nodes)
         f[src], f[snk] = 1.0, -1.0
-        u = _GroundedSolver(k).solve(f)
+        u = _grounded_solve(k, f)
         u -= u.mean()
         assert np.abs(u + u[mirror]).max() <= 1e-8 * np.abs(u).max()
 
@@ -390,6 +401,13 @@ class TestAddNoise:
     def test_zero_frame_rejected(self):
         with pytest.raises(ValueError):
             add_noise(np.zeros(208), 50.0, seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_frame_whose_squares_overflow(self):
+        # |frame|^2 overflows, and the noise is still scaled to |frame|
+        f = self._frame()
+        scaled = add_noise(f * 1e305, 50.0, seed=0) / 1e305
+        assert np.allclose(scaled, add_noise(f, 50.0, seed=0), rtol=1e-14, atol=0)
 
     def test_deterministic(self):
         f = self._frame()

@@ -83,6 +83,19 @@ class TestSoftThreshold:
         g = np.array([2.0, 1.0, 1.0])
         assert np.array_equal(soft_threshold(x, g), [3.0, -4.0, 0.0])
 
+    def test_bits_of_the_sign_product_form(self):
+        # x - g*sgn(x) where |x| > g, else +0.0: the reference form, bit for bit
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=1000)
+        g = rng.uniform(0.0, 2.0, size=1000)
+        want = np.where(np.abs(x) > g, x - g * np.sign(x), 0.0)
+        assert soft_threshold(x, g).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_threshold_gives_positive_zeros_silently(self):
+        out = soft_threshold(np.array([-2.0, 0.0, -0.0, 3.0]), np.inf)
+        assert out.tobytes() == np.zeros(4).tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(
         x=st.floats(-1e6, 1e6, allow_nan=False),
@@ -203,9 +216,15 @@ class TestZUpdate:
             want = _grid_argmin_1d(w[k], ratio[k] * p[k])
             assert abs(z - want) <= 2e-6
 
-    def test_positive_weights_required(self):
-        with pytest.raises(ValueError):
-            z_update(np.ones(4), np.zeros(4), 1.0, 1.0)
+    def test_negative_weights_rejected(self):
+        # their thresholds lam*p/rho are negative
+        with pytest.raises(ValueError, match="threshold"):
+            z_update(np.ones(4), -np.ones(4), 1.0, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_threshold_shrinks_to_zero_silently(self):
+        z = z_update(np.array([-1.0, 0.0, 2.0]), np.ones(3), 1e300, RHO)
+        assert z.tobytes() == np.zeros(3).tobytes()
 
 
 class TestSigmaUpdate:

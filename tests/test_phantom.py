@@ -150,6 +150,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             Inclusion(center=(0, 0), axis_a=(1.0, 1.0), axis_b=(2.0, 2.0), value=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("center", (0.0, 0.0, 0.0), "two components"),
+            ("axis_b", (1.0,), "two components"),
+            ("value", np.inf, "finite"),
+            ("axis_a", (np.nan, 1.0), "finite"),
+            ("center", (0.0, -np.inf), "finite"),
+        ],
+    )
+    def test_rejects_wrong_length_or_non_finite_inclusion(self, field, value, match):
+        fields = dict(center=(0.0, 0.0), axis_a=(1.0, 0.0), axis_b=(0.0, 1.0), value=1.0)
+        with pytest.raises(ValueError, match=match):
+            Inclusion(**{**fields, field: value})
+
+    def test_rejects_infinite_background(self):
+        with pytest.raises(ValueError, match="finite"):
+            PhantomSpec(background=np.inf, inclusions=())
+
 
 class TestPhantomIO:
     def test_roundtrip(self, tmp_path):

@@ -759,6 +759,47 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error: phantom_model" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("center", [0.04, -0.01, 0.0]), ("value", math.inf), ("axis_a", [math.nan, 0.038])],
+        ids=["center_3d", "value_inf", "axis_a_nan"],
+    )
+    def test_malformed_phantom_document_exit_two(self, tmp_path, capsys, field, value):
+        inclusion = {"center": [0.04, -0.01], "axis_a": [0.019, 0.038],
+                     "axis_b": [-0.019, 0.0095], "value": 1.1, field: value}
+        phantom = tmp_path / "phantom.json"
+        phantom.write_text(json.dumps({"background": 1.0, "inclusions": [inclusion]}))
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"),
+                              phantom_model=None, phantom_file=str(phantom))
+        for verb in ("mesh", "simulate", "sweep"):
+            assert main([verb, "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert "config error: phantom_file" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a stderr line
+    @pytest.mark.parametrize("field, value", [("sigma0", 1e-300), ("current_ma", 1e300)])
+    def test_extreme_scale_simulates_then_exit_two(self, tmp_path, capsys, field, value):
+        # the frames stay finite, but S = grad u . grad u / I does not
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"), **{field: value})
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert np.all(np.isfinite(load_frames(tmp_path / "out" / "dv_noisy.txt")))
+        for verb in ("reconstruct", "sweep"):
+            assert main([verb, "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert "config error: sigma0/current_ma" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a stderr line
+    @pytest.mark.parametrize("solver", ["nwatv", "tv"])
+    def test_overflowing_shrink_threshold_is_silent(self, chain_outputs, tmp_path, capsys, solver):
+        # lam/rho = 1e310 overflows: every shrink gives 0, and nothing is printed
+        _, out = chain_outputs
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "run"),
+                              lam=1e300, solver=solver)
+        data = str(out / "dv_noisy.txt")
+        assert main(["reconstruct", "--config", str(cfg_path), "--data", data]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_solver_error_json_names_iteration_and_column(self, tmp_path, monkeypatch):
         import eitkit.inverse as inv
 
