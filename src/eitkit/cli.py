@@ -3,7 +3,8 @@
 Verbs: mesh, simulate, reconstruct, evaluate, sweep, render. Every verb
 takes --config (JSON) plus optional --seed and --out overrides. Exit
 codes: 0 success, 2 config error, 3 solver failure (diagnostics written
-next to the outputs).
+next to the outputs). A verb runs with numpy's and scipy's OpenBLAS on one
+thread each (``blas.single_thread``); the caller's counts return after it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import logging
 import sys
 from pathlib import Path
 
+from . import blas
 from .forward import SolverError
 from .pipeline import (
     ConfigError,
@@ -75,6 +77,12 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    with blas.single_thread():
+        return _run(args)
+
+
+def _run(args) -> int:
+    """Run the parsed verb; returns the exit code."""
     try:
         cfg = _load(args)
         if args.command == "mesh":

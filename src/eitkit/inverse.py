@@ -218,8 +218,9 @@ class XUpdateSolver:
 
     def _shifted_inverse(self, r: np.ndarray) -> np.ndarray:
         """(A + U U^T)^-1 r = a - G U^T a with a = A^-1 r, for a block r (N, k);
-        SuperLU solves column by column (faster than its multi-column solve)."""
-        a_inv_r = np.column_stack([self._lu.solve(c) for c in r.T])
+        one multi-column SuperLU solve, which with two BLAS threads is slower
+        than k single solves and with one is faster (README, "The x-update")."""
+        a_inv_r = self._lu.solve(r)
         return a_inv_r - self._gain @ (self.s @ a_inv_r / np.sqrt(self.rho))
 
     def _apply(self, x: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import forward, inverse, metrics
+from . import blas, forward, inverse, metrics
 from .mesh import (
     TriMesh,
     ElectrodeLayout,
@@ -257,11 +257,16 @@ def build_inverse_problem(cfg: PipelineConfig, disk=None) -> InverseProblem:
         )
     d = build_difference_operators(mesh)
     t1 = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):  # caught as a non-finite S
+    # the x-update's scale |S|^2/rho must be a positive finite number: a
+    # non-finite S, one whose squares overflow and one that underflows to
+    # zero all fail here rather than as warnings or a solver failure later
+    with np.errstate(over="ignore", invalid="ignore"):
         s = forward.sensitivity_matrix(mesh, layout, cfg.sigma0, current=cfg.current_ma)
-    if not np.all(np.isfinite(s)):
-        raise ConfigError(f"sigma0/current_ma: {cfg.sigma0} S/m and {cfg.current_ma} mA "
-                          f"give a sensitivity matrix that is not finite")
+        scale = np.vdot(s, s) / cfg.rho
+    if not 0 < scale < math.inf:
+        raise ConfigError(f"sigma0/current_ma: {cfg.sigma0} S/m and {cfg.current_ma} mA give "
+                          f"a sensitivity matrix S with |S|^2/rho = {scale:.3g} at rho {cfg.rho}, "
+                          f"not a positive finite number")
     t2 = time.perf_counter()
     x_update = inverse.XUpdateSolver(s, d, cfg.rho) if cfg.solver in _ITERATIVE else None
     t3 = time.perf_counter()
@@ -284,8 +289,11 @@ def _simulate_frames(cfg: PipelineConfig, fmesh: TriMesh, flayout: ElectrodeLayo
     try:
         dv_noisy = forward.add_noise(dv, cfg.snr_db, cfg.seed)
     except ValueError:  # the only frame add_noise refuses here is a zero one
-        raise ConfigError(f"phantom_model/phantom_file: the phantom changes no forward element "
-                          f"at radius {cfg.radius}, so noise cannot be scaled to its zero frame")
+        if np.array_equal(sigma_true, sigma_ref):
+            raise ConfigError(f"phantom_model/phantom_file: the phantom changes no forward element "
+                              f"at radius {cfg.radius}, so noise cannot be scaled to its zero frame")
+        raise ConfigError(f"current_ma/sigma0: at {cfg.current_ma} mA and {cfg.sigma0} S/m the "
+                          f"difference frame underflowed to zero, so noise cannot be scaled to it")
     return v_ref, v_pert, dv, dv_noisy
 
 
@@ -382,6 +390,7 @@ def cmd_mesh(cfg: PipelineConfig, out_dir=None) -> dict:
         "forward_nodes": fmesh.n_nodes,
         "electrode_count": cfg.electrode_count,
         "timings_s": {"assembly": elapsed},
+        "blas_threads": blas.threads(),
         "config": _config_json(cfg),
     }
     _write_json(out / "mesh.json", manifest)
@@ -415,6 +424,7 @@ def cmd_simulate(cfg: PipelineConfig, out_dir=None) -> dict:
         "noise_applied_to": "difference_frame",
         "files": ["v_reference.txt", "v_perturbed.txt", "dv_clean.txt", "dv_noisy.txt"],
         "timings_s": {"assembly": t1 - t0, "solve": t2 - t1},
+        "blas_threads": blas.threads(),
         "config": _config_json(cfg),
     }
     _write_json(out / "simulate.json", manifest)
@@ -463,6 +473,7 @@ def cmd_reconstruct(cfg: PipelineConfig, data_path=None, out_dir=None) -> dict:
             "recon_image.pgm",
         ],
         "timings_s": {**problem.timings_s, "iterations": iterations_s},
+        "blas_threads": blas.threads(),
         "config": _config_json(cfg),
     }
     _write_json(out / "result.json", manifest)
@@ -521,6 +532,7 @@ def cmd_evaluate(cfg: PipelineConfig, result_dir=None, out_dir=None, reference=N
         "final_psnr": psnr_list[-1],
         "reference": None if reference is None else str(reference),
         "files": ["eval.csv", "profiles.csv"],
+        "blas_threads": blas.threads(),
         "config": _config_json(cfg),
     }
     _write_json(out / "evaluate.json", manifest)
@@ -606,6 +618,7 @@ def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
             "failures": sum(1 for r in rows if r["termination"].startswith("error")),
             "timings_s": {"setup": t1 - t0, "cells": t2 - t1},
             "files": ["sweep.csv"],
+            "blas_threads": blas.threads(),
             "config": _config_json(cfg),
         },
     )

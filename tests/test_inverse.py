@@ -331,6 +331,16 @@ class TestXUpdateSolver:
             assert single.shape == (s.shape[1],)
             assert np.linalg.norm(block[:, j] - single) <= 1e-10 * np.linalg.norm(single)
 
+    def test_shipped_size_block_matches_single_solves(self, coarse):
+        # one multi-column SuperLU solve of a 35-column sweep block rounds
+        # differently from 35 single solves, but refinement leaves the two
+        # within 1e-14 of each other
+        s, rho = coarse.s, 1e-10
+        solver = XUpdateSolver(s, coarse.d, rho)
+        rhs = self._rhs_block(s, coarse.d, rho, 35)
+        singles = np.column_stack([solver.solve(rhs[:, j]) for j in range(35)])
+        assert np.linalg.norm(solver.solve(rhs) - singles) <= 1e-14 * np.linalg.norm(singles)
+
     def test_one_column_block_is_bitwise_the_vector_solve(self, coarse):
         s, rho = coarse.s, 1e-10
         solver = XUpdateSolver(s, coarse.d, rho)

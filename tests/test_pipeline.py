@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from eitkit import ConfigError, SolverError, load_config, load_frames, save_frames
+from eitkit import ConfigError, SolverError, blas, load_config, load_frames, save_frames
 from eitkit.cli import main
 from eitkit.pipeline import (
     PipelineConfig,
@@ -759,6 +759,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error: phantom_model" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a stderr line
+    @pytest.mark.parametrize("verb", ["simulate", "sweep"])
+    def test_underflowed_difference_frame_names_the_scale(self, tmp_path, capsys, verb):
+        # at 1e-300 mA the phantom changes elements, but the frame difference is 0
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"),
+                              current_ma=1e-300)
+        assert main([verb, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: current_ma/sigma0" in err and "underflowed" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize(
         "field, value",
         [("center", [0.04, -0.01, 0.0]), ("value", math.inf), ("axis_a", [math.nan, 0.038])],
@@ -777,9 +788,14 @@ class TestCli:
             assert "config error: phantom_file" in err and len(err.strip().splitlines()) == 1
 
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a stderr line
-    @pytest.mark.parametrize("field, value", [("sigma0", 1e-300), ("current_ma", 1e300)])
+    @pytest.mark.parametrize("field, value", [
+        ("sigma0", 1e-300), ("current_ma", 1e300),
+        ("current_ma", 1e150), ("sigma0", 1e-150), ("sigma0", 1e300),
+    ])
     def test_extreme_scale_simulates_then_exit_two(self, tmp_path, capsys, field, value):
-        # the frames stay finite, but S = grad u . grad u / I does not
+        # the frames stay finite, but S = grad u . grad u / I does not, or
+        # |S|^2/rho overflows (1e150 mA, 1e-150 S/m) or underflows to 0
+        # (1e300 S/m)
         cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"), **{field: value})
         assert main(["simulate", "--config", str(cfg_path)]) == 0
         assert capsys.readouterr().err == ""
@@ -825,6 +841,66 @@ class TestCli:
         assert rc == 3
         diag = json.loads((tmp_path / "out" / "solver_error.json").read_text())
         assert "forced failure" in diag["error"]
+
+
+class TestBlasPin:
+    """cli.main runs its verb with both OpenBLAS runtimes on one thread and
+    gives the caller its counts back, whatever the exit code."""
+
+    @pytest.fixture()
+    def runtimes(self):
+        found = blas._runtimes()
+        if not found:
+            pytest.skip("numpy and scipy bundle no OpenBLAS runtime here")
+        before = [get() for get, _ in found]
+        for _, put in found:
+            put(2)  # a caller's count that is not the verb's
+        yield found
+        for (_, put), count in zip(found, before):
+            put(count)
+
+    @pytest.mark.parametrize("code, verb, extra", [
+        (0, "mesh", []), (2, "render", ["--field", "missing.txt"]), (3, "reconstruct", []),
+    ])
+    def test_verb_runs_on_one_thread(self, tmp_path, monkeypatch, runtimes, code, verb, extra):
+        import eitkit.cli as cli
+        import eitkit.inverse as inv
+
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"))
+        if code == 3:
+            assert main(["simulate", "--config", str(cfg_path)]) == 0
+            real_solve = inv.XUpdateSolver.solve
+            monkeypatch.setattr(inv.XUpdateSolver, "solve",
+                                lambda self, rhs: real_solve(self, rhs * np.nan))
+        seen = []
+        real = getattr(cli, f"cmd_{verb}")
+
+        def spy(*args, **kwargs):
+            seen.append([get() for get, _ in runtimes])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, f"cmd_{verb}", spy)
+        assert main([verb, "--config", str(cfg_path), *extra]) == code
+        assert seen == [[1] * len(runtimes)]
+        assert [get() for get, _ in runtimes] == [2] * len(runtimes)
+
+    def test_manifests_record_the_count_that_ran(self, tmp_path, runtimes):
+        out = tmp_path / "out"
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(out))
+        manifests = {"mesh": "mesh.json", "simulate": "simulate.json",
+                     "reconstruct": "result.json", "evaluate": "evaluate.json",
+                     "sweep": "sweep.json"}
+        for verb, name in manifests.items():
+            assert main([verb, "--config", str(cfg_path)]) == 0
+            assert json.loads((out / name).read_text())["blas_threads"] == 1
+        # a library caller runs at its own count
+        assert cmd_mesh(load_config(cfg_path))["blas_threads"] == 2
+
+    def test_verb_runs_without_a_runtime(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(blas, "_runtimes", lambda: ())
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"))
+        assert main(["mesh", "--config", str(cfg_path)]) == 0
+        assert json.loads((tmp_path / "out" / "mesh.json").read_text())["blas_threads"] is None
 
 
 def test_version_matches_pyproject():
