@@ -12,37 +12,50 @@ import math
 import numpy as np
 
 
-def relative_error(sigma_n: np.ndarray, sigma_star: np.ndarray) -> float:
-    """Euclidean-norm ratio |sigma_n - sigma_star| / |sigma_star| over the
-    jointly in-domain entries."""
+def _in_domain(sigma_n: np.ndarray, sigma_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries finite in both inputs. When a sum of their squared
+    differences could overflow, both are scaled by one power of two that
+    puts the largest magnitude just below that bound, so the smaller values
+    keep as much range as they can. A power of two changes neither RE nor
+    PSNR, and below the bound no value is touched."""
     a = np.asarray(sigma_n, dtype=float)
     b = np.asarray(sigma_star, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     m = np.isfinite(a) & np.isfinite(b)
-    ref = np.linalg.norm(b[m])
+    a, b = a[m], b[m]
+    peak = float(max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0)))
+    if not 4.0 * a.size * peak * peak < math.inf:  # |a - b|^2 <= 4 peak^2 per entry
+        top = (1021 - a.size.bit_length()) // 2  # 4 * size * 4**top < 2**1023
+        scale = math.ldexp(1.0, top - math.frexp(peak)[1])
+        a, b = a * scale, b * scale
+    return a, b
+
+
+def relative_error(sigma_n: np.ndarray, sigma_star: np.ndarray) -> float:
+    """Euclidean-norm ratio |sigma_n - sigma_star| / |sigma_star| over the
+    jointly in-domain entries."""
+    a, b = _in_domain(sigma_n, sigma_star)
+    ref = np.linalg.norm(b)
     if ref == 0:
         raise ValueError("reference has zero norm")
-    return float(np.linalg.norm(a[m] - b[m]) / ref)
+    return float(np.linalg.norm(a - b) / ref)
 
 
 def psnr(sigma_n: np.ndarray, sigma_star: np.ndarray) -> float:
     """10*log10(max(sigma_n^2) / mean squared error), in-domain pixels only.
 
-    Identical images return +inf.
+    Identical images return +inf; otherwise an estimate that is 0 on every
+    in-domain pixel returns -inf.
     """
-    a = np.asarray(sigma_n, dtype=float)
-    b = np.asarray(sigma_star, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    m = np.isfinite(a) & np.isfinite(b)
-    if not m.any():
+    a, b = _in_domain(sigma_n, sigma_star)
+    if not a.size:
         raise ValueError("no jointly in-domain pixels")
-    mse = float(np.mean((a[m] - b[m]) ** 2))
+    mse = float(np.mean((a - b) ** 2))
     if mse == 0:
         return math.inf
-    peak = float(np.max(a[m] ** 2))
-    return 10.0 * math.log10(peak / mse)
+    peak = float(np.max(a**2))
+    return 10.0 * math.log10(peak / mse) if peak > 0 else -math.inf
 
 
 def profile(image: np.ndarray, start, end, samples: int) -> np.ndarray:

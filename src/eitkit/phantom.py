@@ -50,6 +50,17 @@ class PhantomSpec:
         if not 0 < self.background < np.inf:
             raise ValueError(f"background conductivity must be finite and > 0, got {self.background}")
 
+    def conductivity_at(self, points: np.ndarray) -> np.ndarray:
+        """Conductivity at an (n, 2) array of points: the value of the first
+        inclusion containing a point, or the background when none does."""
+        values = np.full(len(points), self.background, dtype=float)
+        unset = np.ones(len(points), dtype=bool)
+        for inc in self.inclusions:
+            hit = unset & inc.contains(points)
+            values[hit] = inc.value
+            unset &= ~hit
+        return values
+
 
 def lung_model(k: int) -> PhantomSpec:
     """Two-ellipse lung phantom, size parameter k in 1..10.
@@ -84,13 +95,7 @@ def assign_conductivity(mesh: TriMesh, spec: PhantomSpec) -> np.ndarray:
     An element takes the value of the first inclusion containing its
     centroid, or the background value when none does.
     """
-    values = np.full(mesh.n_elements, spec.background, dtype=float)
-    unset = np.ones(mesh.n_elements, dtype=bool)
-    for inc in spec.inclusions:
-        hit = unset & inc.contains(mesh.element_centroids)
-        values[hit] = inc.value
-        unset &= ~hit
-    return values
+    return spec.conductivity_at(mesh.element_centroids)
 
 
 def inclusion_mask(mesh: TriMesh, spec: PhantomSpec) -> np.ndarray:

@@ -170,13 +170,6 @@ def load_config(path) -> PipelineConfig:
     return PipelineConfig(**raw)
 
 
-def _config_json(cfg: PipelineConfig) -> dict:
-    d = asdict(cfg)
-    if math.isinf(d["snr_db"]):
-        d["snr_db"] = "inf"
-    return d
-
-
 def _write_table(path, header, rows) -> None:
     """CSV with a header line; floats are written as repr (exact, with inf
     and nan as such), every other cell as str."""
@@ -187,10 +180,17 @@ def _write_table(path, header, rows) -> None:
             f.write(",".join(cells) + "\n")
 
 
-def _write_json(path, obj) -> None:
+def _write_manifest(path, cfg: PipelineConfig, manifest: dict) -> dict:
+    """``manifest`` with the BLAS thread count that ran and the config (an
+    ``snr_db`` of +inf as ``"inf"``) appended, written as indented JSON."""
+    config = asdict(cfg)
+    if math.isinf(config["snr_db"]):
+        config["snr_db"] = "inf"
+    manifest.update(blas_threads=blas.threads(), config=config)
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2)
+        json.dump(manifest, f, indent=2)
         f.write("\n")
+    return manifest
 
 
 def _load_field(path, what: str, loader=load_element_values, n_elements: int | None = None):
@@ -214,12 +214,11 @@ def _load_field(path, what: str, loader=load_element_values, n_elements: int | N
 
 @dataclass
 class InverseProblem:
-    """Coarse mesh, electrodes, sensitivity matrix, and the factored
-    x-update that every ADMM solve on the problem takes, which holds the
-    difference matrix D (None for the one-shot ridge solver)."""
+    """Coarse mesh, sensitivity matrix, and the factored x-update that
+    every ADMM solve on the problem takes, which holds the difference
+    matrix D (None for the one-shot ridge solver)."""
 
     mesh: TriMesh
-    layout: ElectrodeLayout
     s: np.ndarray
     x_update: inverse.XUpdateSolver | None
     timings_s: dict
@@ -272,7 +271,6 @@ def build_inverse_problem(cfg: PipelineConfig, disk=None) -> InverseProblem:
     t3 = time.perf_counter()
     return InverseProblem(
         mesh=mesh,
-        layout=layout,
         s=s,
         x_update=x_update,
         timings_s={"assembly": t1 - t0, "sensitivity": t2 - t1, "factorization": t3 - t2},
@@ -307,15 +305,22 @@ def phantom_truth_image(spec: PhantomSpec, extent: float, resolution: int, radiu
     centers = pixel_centers(extent, resolution)
     xx, yy = np.meshgrid(centers, centers)  # yy varies along rows
     points = np.column_stack([xx.ravel(), yy.ravel()])
-    inside = (points[:, 0] ** 2 + points[:, 1] ** 2) <= radius**2
-    img = np.full(resolution * resolution, np.nan)
-    img[inside] = spec.background
-    claimed = np.zeros(len(points), dtype=bool)
-    for inc in spec.inclusions:
-        hit = inside & inc.contains(points) & ~claimed
-        img[hit] = inc.value
-        claimed |= hit
+    img = spec.conductivity_at(points)
+    img[(points[:, 0] ** 2 + points[:, 1] ** 2) > radius**2] = np.nan
     return img.reshape(resolution, resolution)
+
+
+def _truth_image(cfg: PipelineConfig, spec: PhantomSpec, mesh: TriMesh) -> np.ndarray:
+    """The analytic truth on the raster grid of ``mesh``."""
+    return phantom_truth_image(spec, raster_extent(mesh), cfg.raster_resolution, cfg.radius)
+
+
+def _score(cfg: PipelineConfig, index: np.ndarray, delta_sigma: np.ndarray,
+           truth: np.ndarray) -> tuple[float, float]:
+    """RE and PSNR against ``truth`` of the image of sigma0 + ``delta_sigma``
+    gathered on ``index``."""
+    image = raster_image(index, cfg.sigma0 + delta_sigma)
+    return metrics.relative_error(image, truth), metrics.psnr(image, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +360,8 @@ def run_solver(
 # commands
 
 
-def _outdir(cfg: PipelineConfig, out_dir) -> Path:
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+def _outdir(cfg: PipelineConfig) -> Path:
+    out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -364,17 +369,15 @@ def _outdir(cfg: PipelineConfig, out_dir) -> Path:
     return out
 
 
-def cmd_mesh(cfg: PipelineConfig, out_dir=None) -> dict:
+def cmd_mesh(cfg: PipelineConfig) -> dict:
     """Write meshes, the phantom, the true perturbation, and a truth image."""
-    out = _outdir(cfg, out_dir)
+    out = _outdir(cfg)
     t0 = time.perf_counter()
     imesh, ilayout = _disk(cfg, cfg.inverse_elements)
     fmesh, flayout = _disk(cfg, cfg.forward_elements, ilayout.angles)
     spec = load_phantom_spec(cfg)
     delta_true = assign_conductivity(imesh, spec) - cfg.sigma0
-    truth = phantom_truth_image(
-        spec, raster_extent(imesh), cfg.raster_resolution, cfg.radius
-    )
+    truth = _truth_image(cfg, spec, imesh)
     elapsed = time.perf_counter() - t0
 
     save_mesh(out / "inverse_mesh.txt", imesh, ilayout)
@@ -382,7 +385,7 @@ def cmd_mesh(cfg: PipelineConfig, out_dir=None) -> dict:
     save_phantom(out / "phantom.json", spec)
     save_element_values(out / "delta_sigma_true.txt", delta_true)
     metrics.write_image_pgm(out / "truth_image.pgm", truth)
-    manifest = {
+    return _write_manifest(out / "mesh.json", cfg, {
         "command": "mesh",
         "inverse_elements": imesh.n_elements,
         "inverse_nodes": imesh.n_nodes,
@@ -390,17 +393,13 @@ def cmd_mesh(cfg: PipelineConfig, out_dir=None) -> dict:
         "forward_nodes": fmesh.n_nodes,
         "electrode_count": cfg.electrode_count,
         "timings_s": {"assembly": elapsed},
-        "blas_threads": blas.threads(),
-        "config": _config_json(cfg),
-    }
-    _write_json(out / "mesh.json", manifest)
-    return manifest
+    })
 
 
-def cmd_simulate(cfg: PipelineConfig, out_dir=None) -> dict:
+def cmd_simulate(cfg: PipelineConfig) -> dict:
     """Forward-simulate reference and perturbed frames; write the signed
     difference and its noisy copy."""
-    out = _outdir(cfg, out_dir)
+    out = _outdir(cfg)
     t0 = time.perf_counter()
     imesh, ilayout = _disk(cfg, cfg.inverse_elements)
     fmesh, flayout = _disk(cfg, cfg.forward_elements, ilayout.angles)
@@ -413,7 +412,7 @@ def cmd_simulate(cfg: PipelineConfig, out_dir=None) -> dict:
     forward.save_frames(out / "v_perturbed.txt", [v_pert])
     forward.save_frames(out / "dv_clean.txt", [dv])
     forward.save_frames(out / "dv_noisy.txt", [dv_noisy])
-    manifest = {
+    return _write_manifest(out / "simulate.json", cfg, {
         "command": "simulate",
         "seed": cfg.seed,
         "snr_db": "inf" if math.isinf(cfg.snr_db) else cfg.snr_db,
@@ -424,11 +423,7 @@ def cmd_simulate(cfg: PipelineConfig, out_dir=None) -> dict:
         "noise_applied_to": "difference_frame",
         "files": ["v_reference.txt", "v_perturbed.txt", "dv_clean.txt", "dv_noisy.txt"],
         "timings_s": {"assembly": t1 - t0, "solve": t2 - t1},
-        "blas_threads": blas.threads(),
-        "config": _config_json(cfg),
-    }
-    _write_json(out / "simulate.json", manifest)
-    return manifest
+    })
 
 
 def _load_single_frame(path, expected_e: int) -> np.ndarray:
@@ -441,10 +436,10 @@ def _load_single_frame(path, expected_e: int) -> np.ndarray:
     return frames[0]
 
 
-def cmd_reconstruct(cfg: PipelineConfig, data_path=None, out_dir=None) -> dict:
+def cmd_reconstruct(cfg: PipelineConfig, data_path=None) -> dict:
     """Reconstruct from a measured-difference file; write the final field,
     the iterate history and CSV, and a raster image."""
-    out = _outdir(cfg, out_dir)
+    out = _outdir(cfg)
     data_path = Path(data_path) if data_path is not None else out / "dv_noisy.txt"
     problem = build_inverse_problem(cfg)
     dv = _load_single_frame(data_path, cfg.electrode_count)
@@ -459,7 +454,7 @@ def cmd_reconstruct(cfg: PipelineConfig, data_path=None, out_dir=None) -> dict:
                  zip(range(1, result.n_iterations + 1), *history))
     image = rasterize(problem.mesh, cfg.sigma0 + result.final, cfg.raster_resolution)
     metrics.write_image_pgm(out / "recon_image.pgm", image)
-    manifest = {
+    return _write_manifest(out / "result.json", cfg, {
         "command": "reconstruct",
         "solver": cfg.solver,
         "data_file": str(data_path),
@@ -473,48 +468,33 @@ def cmd_reconstruct(cfg: PipelineConfig, data_path=None, out_dir=None) -> dict:
             "recon_image.pgm",
         ],
         "timings_s": {**problem.timings_s, "iterations": iterations_s},
-        "blas_threads": blas.threads(),
-        "config": _config_json(cfg),
-    }
-    _write_json(out / "result.json", manifest)
-    return manifest
+    })
 
 
-def _truth_image_for(cfg: PipelineConfig, mesh: TriMesh, reference=None) -> np.ndarray:
-    """Total-conductivity ground-truth image: analytic from the phantom, or
-    a stored perturbation field used as a surrogate reference."""
-    if reference is not None:
-        ref = _load_field(reference, "reference field", n_elements=mesh.n_elements)
-        return rasterize(mesh, cfg.sigma0 + ref, cfg.raster_resolution)
-    spec = load_phantom_spec(cfg)
-    return phantom_truth_image(
-        spec, raster_extent(mesh), cfg.raster_resolution, cfg.radius
-    )
-
-
-def cmd_evaluate(cfg: PipelineConfig, result_dir=None, out_dir=None, reference=None) -> dict:
+def cmd_evaluate(cfg: PipelineConfig, result_dir=None, reference=None) -> dict:
     """Score a reconstruction run: per-iterate RE/PSNR plus line profiles.
 
-    ``reference`` (a stored perturbation field) replaces the analytic
-    phantom truth when given. All outputs are computed before anything is
-    written, so a failure leaves no partial files.
+    The iterate history is read from ``result_dir`` (by default the output
+    directory). ``reference`` (a stored perturbation field) replaces the
+    analytic phantom truth when given. All outputs are computed before
+    anything is written, so a failure leaves no partial files.
     """
-    result_dir = Path(result_dir if result_dir is not None else cfg.out_dir)
-    out = _outdir(cfg, out_dir if out_dir is not None else result_dir)
+    out = _outdir(cfg)
     mesh = _disk(cfg, cfg.inverse_elements)[0]
-    series_path = result_dir / "iterates.txt"
+    series_path = Path(result_dir if result_dir is not None else out) / "iterates.txt"
     series = _load_field(series_path, "iterate history", load_field_series, mesh.n_elements)
-    truth = _truth_image_for(cfg, mesh, reference)
-
     res = cfg.raster_resolution
     index = raster_index(mesh, res)
-    re_list, psnr_list = [], []
-    final_image = None
-    for row in series:
-        image = raster_image(index, cfg.sigma0 + row)
-        re_list.append(metrics.relative_error(image, truth))
-        psnr_list.append(metrics.psnr(image, truth))
-        final_image = image
+    if reference is None:
+        truth = _truth_image(cfg, load_phantom_spec(cfg), mesh)
+    else:
+        ref = cfg.sigma0 + _load_field(reference, "reference field", n_elements=mesh.n_elements)
+        if not np.all(ref > 0):
+            raise ConfigError(f"reference field {reference}: sigma0 + reference must be > 0 "
+                              f"everywhere, its minimum is {ref.min():g}")
+        truth = raster_image(index, ref)
+    scores = [_score(cfg, index, row, truth) for row in series]
+    final_image = raster_image(index, cfg.sigma0 + series[-1])
 
     profiles = {}
     for r in cfg.profile_rows:
@@ -522,24 +502,20 @@ def cmd_evaluate(cfg: PipelineConfig, result_dir=None, out_dir=None, reference=N
         profiles[f"truth_row{r}"] = metrics.profile(truth, (r, 0), (r, res - 1), res)
 
     _write_table(out / "eval.csv", ("iteration", "re", "psnr"),
-                 zip(range(1, len(re_list) + 1), re_list, psnr_list))
+                 ((i, *score) for i, score in enumerate(scores, 1)))
     _write_table(out / "profiles.csv", ("position", *profiles),
                  zip(range(res), *profiles.values()))
-    manifest = {
+    return _write_manifest(out / "evaluate.json", cfg, {
         "command": "evaluate",
-        "n_iterations": len(re_list),
-        "final_re": re_list[-1],
-        "final_psnr": psnr_list[-1],
+        "n_iterations": len(scores),
+        "final_re": scores[-1][0],
+        "final_psnr": scores[-1][1],
         "reference": None if reference is None else str(reference),
         "files": ["eval.csv", "profiles.csv"],
-        "blas_threads": blas.threads(),
-        "config": _config_json(cfg),
-    }
-    _write_json(out / "evaluate.json", manifest)
-    return manifest
+    })
 
 
-def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
+def cmd_sweep(cfg: PipelineConfig, data_path=None) -> list[dict]:
     """Grid-sweep lam/rho x delta; one reconstruction per cell, scored
     against the analytic truth image.
 
@@ -548,7 +524,7 @@ def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
     rows keep grid order (ratio-major). A cell that fails is recorded in
     the table while the others go on.
     """
-    out = _outdir(cfg, out_dir)
+    out = _outdir(cfg)
     t0 = time.perf_counter()
     spec = load_phantom_spec(cfg)
     disk = _disk(cfg, cfg.inverse_elements)
@@ -558,9 +534,7 @@ def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
         fmesh, flayout = _disk(cfg, cfg.forward_elements, disk[1].angles)
         dv = _simulate_frames(cfg, fmesh, flayout, spec)[3]
     problem = build_inverse_problem(cfg, disk)  # after the phantom's checks
-    truth = phantom_truth_image(
-        spec, raster_extent(problem.mesh), cfg.raster_resolution, cfg.radius
-    )
+    truth = _truth_image(cfg, spec, problem.mesh)
     index = raster_index(problem.mesh, cfg.raster_resolution)
     t1 = time.perf_counter()
 
@@ -594,12 +568,12 @@ def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
                 psnr=math.nan,
             )
         else:
-            image = raster_image(index, cfg.sigma0 + result.final)
+            re, psnr = _score(cfg, index, result.final, truth)
             row.update(
                 iterations=result.n_iterations,
                 termination=result.termination,
-                re=metrics.relative_error(image, truth),
-                psnr=metrics.psnr(image, truth),
+                re=re,
+                psnr=psnr,
             )
         rows.append(row)
     t2 = time.perf_counter()
@@ -607,31 +581,26 @@ def cmd_sweep(cfg: PipelineConfig, out_dir=None, data_path=None) -> list[dict]:
     columns = ("lambda_over_rho", "delta", "iterations", "termination", "re", "psnr")
     _write_table(out / "sweep.csv", ("index", *columns),
                  ((i, *(row[k] for k in columns)) for i, row in enumerate(rows)))
-    _write_json(
-        out / "sweep.json",
-        {
-            "command": "sweep",
-            "n_cells": len(cells),
-            "seed": cfg.seed,
-            "solver": cfg.solver,
-            "data_file": None if data_path is None else str(data_path),
-            "failures": sum(1 for r in rows if r["termination"].startswith("error")),
-            "timings_s": {"setup": t1 - t0, "cells": t2 - t1},
-            "files": ["sweep.csv"],
-            "blas_threads": blas.threads(),
-            "config": _config_json(cfg),
-        },
-    )
+    _write_manifest(out / "sweep.json", cfg, {
+        "command": "sweep",
+        "n_cells": len(cells),
+        "seed": cfg.seed,
+        "solver": cfg.solver,
+        "data_file": None if data_path is None else str(data_path),
+        "failures": sum(1 for r in rows if r["termination"].startswith("error")),
+        "timings_s": {"setup": t1 - t0, "cells": t2 - t1},
+        "files": ["sweep.csv"],
+    })
     return rows
 
 
-def cmd_render(cfg: PipelineConfig, field_path, out_dir=None, name=None) -> Path:
+def cmd_render(cfg: PipelineConfig, field_path, name=None) -> Path:
     """Rasterize a stored element-value field to a grayscale image.
 
     Values are rendered verbatim (no background offset); the sidecar map
     records the value range.
     """
-    out = _outdir(cfg, out_dir)
+    out = _outdir(cfg)
     field_path = Path(field_path)
     mesh = _disk(cfg, cfg.inverse_elements)[0]
     values = _load_field(field_path, "field file", n_elements=mesh.n_elements)

@@ -69,6 +69,9 @@ class TestPsnr:
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert psnr(a, a) == math.inf
 
+    def test_zero_estimate_negative_infinity(self):
+        assert psnr(np.zeros((2, 2)), np.ones((2, 2))) == -math.inf
+
     def test_monotone_decreasing_in_noise(self):
         rng = np.random.default_rng(1)
         truth = rng.uniform(0.5, 1.5, size=(32, 32))
@@ -97,6 +100,19 @@ class TestPsnr:
         # the NaN pixel must not contribute to peak or mse
         want = 10 * math.log10(1.21 / 0.01)
         assert psnr(est, truth) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [600, 1000])
+def test_scores_keep_their_bits_when_squares_overflow(k):
+    # at 2**k the squares leave the float range; one power of two rescales
+    # both images, which changes neither score
+    rng = np.random.default_rng(3)
+    truth = rng.uniform(0.5, 1.5, size=(32, 32))
+    est = truth + rng.normal(scale=0.05, size=(32, 32))
+    scale = 2.0**k
+    assert relative_error(est * scale, truth * scale) == relative_error(est, truth)
+    assert psnr(est * scale, truth * scale) == psnr(est, truth)
 
 
 class TestProfile:

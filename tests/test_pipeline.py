@@ -1,6 +1,7 @@
 """End-to-end pipeline commands, config handling, CLI exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -267,8 +268,6 @@ class TestCmdReconstruct:
                 float(cell)
 
     def test_tikhonov_single_row(self, small_cfg, tmp_path):
-        import dataclasses
-
         cfg = dataclasses.replace(small_cfg, solver="tikhonov", lam=1e-6)
         cmd_simulate(cfg)
         manifest = cmd_reconstruct(cfg)
@@ -277,19 +276,15 @@ class TestCmdReconstruct:
         assert manifest["termination"] == "direct"
 
     def test_tikhonov_preprocess_changes_result(self, small_cfg, tmp_path):
-        import dataclasses
-
         cfg = dataclasses.replace(small_cfg, solver="tikhonov", lam=1e-6)
         cmd_simulate(cfg)
         for name, flag in (("off", False), ("on", True)):
-            cmd_reconstruct(dataclasses.replace(cfg, enable_preprocess=flag),
-                            tmp_path / "out" / "dv_noisy.txt", tmp_path / name)
+            run = dataclasses.replace(cfg, enable_preprocess=flag, out_dir=str(tmp_path / name))
+            cmd_reconstruct(run, tmp_path / "out" / "dv_noisy.txt")
         off, on = (load_element_values(tmp_path / d / "delta_sigma.txt") for d in ("off", "on"))
         assert not np.array_equal(off, on)
 
     def test_huge_tol_single_iteration(self, small_cfg, tmp_path):
-        import dataclasses
-
         cfg = dataclasses.replace(small_cfg, tol=1e30)
         cmd_simulate(cfg)
         manifest = cmd_reconstruct(cfg)
@@ -326,12 +321,15 @@ class TestCmdEvaluate:
         assert float(lines[1].split(",")[2]) == math.inf
         assert (manifest["final_re"], manifest["final_psnr"]) == (0.0, math.inf)
 
-    def test_builds_raster_index_once(self, small_cfg, monkeypatch):
+    def test_builds_raster_index_once(self, small_cfg, tmp_path, monkeypatch):
         cmd_simulate(small_cfg)
         cmd_reconstruct(small_cfg)
         built = _count_raster_index_builds(monkeypatch)
         assert cmd_evaluate(small_cfg)["n_iterations"] == 3
-        assert built == [64]
+        # a stored reference is gathered on the same table as the iterates
+        reference = tmp_path / "out" / "delta_sigma.txt"
+        assert cmd_evaluate(small_cfg, reference=reference)["n_iterations"] == 3
+        assert built == [64, 64]
 
     def test_missing_history_no_partial_output(self, small_cfg, tmp_path):
         with pytest.raises(ConfigError, match="iterates"):
@@ -369,7 +367,7 @@ class TestCmdSweep:
         cmd_simulate(cfg)
         cmd_reconstruct(cfg)
         manifest = cmd_evaluate(cfg)
-        rows = cmd_sweep(cfg, out_dir=tmp_path / "sweep")
+        rows = cmd_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / "sweep")))
         assert len(rows) == 1
         assert rows[0]["re"] == manifest["final_re"]
         assert rows[0]["psnr"] == manifest["final_psnr"]
@@ -385,12 +383,12 @@ class TestCmdSweep:
                 sweep_delta=[0.001, 0.1],
             )
         )
-        rows = cmd_sweep(cfg, out_dir=tmp_path / "s1")
+        rows = cmd_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / "s1")))
         ratios = [r["lambda_over_rho"] for r in rows]
         deltas = [r["delta"] for r in rows]
         assert ratios == [1e-3, 1e-3, 5e-3, 5e-3]
         assert deltas == [0.001, 0.1, 0.001, 0.1]
-        cmd_sweep(cfg, out_dir=tmp_path / "s2")
+        cmd_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / "s2")))
         assert (tmp_path / "s1" / "sweep.csv").read_bytes() == (
             tmp_path / "s2" / "sweep.csv"
         ).read_bytes()
@@ -460,7 +458,7 @@ class TestCmdSweep:
             return real(self, rhs)
 
         monkeypatch.setattr(inv.XUpdateSolver, "solve", poisoned)
-        rows = cmd_sweep(cfg, out_dir=tmp_path / "s")
+        rows = cmd_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / "s")))
         assert rows[0]["termination"] == "error:SolverError"
         assert math.isnan(rows[0]["re"])
         assert rows[1]["termination"] in ("max_iters", "tol")
@@ -472,7 +470,8 @@ class TestCmdRender:
         cmd_simulate(small_cfg)
         cmd_reconstruct(small_cfg)
         out = tmp_path / "out"
-        target = cmd_render(small_cfg, out / "delta_sigma.txt", out_dir=tmp_path / "r")
+        target = cmd_render(dataclasses.replace(small_cfg, out_dir=str(tmp_path / "r")),
+                            out / "delta_sigma.txt")
         # value-to-gray map is affine-invariant: shifting by the background
         # changes only the sidecar, not the gray matrix
         recon_gray = (out / "recon_image.pgm").read_text().split()[4:]
@@ -708,6 +707,51 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"{bad}:3: not a finite number: '{token}'" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_evaluate_reads_result_and_writes_out(self, chain_outputs, tmp_path):
+        cfg_path, out = chain_outputs
+        before = sorted(out.iterdir())
+        scored = tmp_path / "scored"
+        argv = ["evaluate", "--config", str(cfg_path), "--result", str(out), "--out", str(scored)]
+        assert main(argv) == 0
+        assert {"eval.csv", "profiles.csv", "evaluate.json"} <= {p.name for p in scored.iterdir()}
+        assert sorted(out.iterdir()) == before
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a stderr line
+    @pytest.mark.parametrize("sigma0", [1e200, 1e300])
+    def test_evaluate_at_huge_sigma0_scores_finite(self, chain_outputs, tmp_path, capsys, sigma0):
+        # the images hold values near sigma0, whose squares overflow unscaled
+        _, out = chain_outputs
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "run"), sigma0=sigma0)
+        assert main(["evaluate", "--config", str(cfg_path), "--result", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "run" / "eval.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 3
+        assert all(math.isfinite(float(row[k])) for row in rows for k in ("re", "psnr"))
+
+    def test_evaluate_zero_conductivity_iterate_psnr_minus_inf(self, chain_outputs, tmp_path):
+        # sigma0 + (-sigma0) is 0 on every pixel: an image with no peak
+        cfg_path, out = chain_outputs
+        n = load_element_values(out / "delta_sigma.txt").size
+        save_element_values(tmp_path / "iterates.txt", np.full((1, n), -SMALL["sigma0"]))
+        argv = ["evaluate", "--config", str(cfg_path), "--result", str(tmp_path),
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == 0
+        lines = (tmp_path / "run" / "eval.csv").read_text().splitlines()
+        assert lines == ["iteration,re,psnr", "1,1.0,-inf"]
+
+    def test_evaluate_zero_conductivity_reference_exit_two(self, chain_outputs, tmp_path, capsys):
+        cfg_path, out = chain_outputs
+        n = load_element_values(out / "delta_sigma.txt").size
+        reference = tmp_path / "reference.txt"
+        save_element_values(reference, np.full(n, -SMALL["sigma0"]))
+        argv = ["evaluate", "--config", str(cfg_path), "--result", str(out),
+                "--reference", str(reference), "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: reference field {reference}" in err
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
