@@ -17,7 +17,6 @@ from .mesh import (
     raster_index,
     raster_image,
     save_mesh,
-    load_mesh,
     save_element_values,
     load_element_values,
 )
@@ -26,7 +25,6 @@ from .phantom import (
     PhantomSpec,
     lung_model,
     assign_conductivity,
-    inclusion_mask,
     save_phantom,
     load_phantom,
 )
@@ -60,7 +58,6 @@ from .metrics import (
     psnr,
     profile,
     write_image_pgm,
-    read_image_pgm,
 )
 from .pipeline import ConfigError, PipelineConfig, load_config
 
@@ -77,14 +74,12 @@ __all__ = [
     "raster_index",
     "raster_image",
     "save_mesh",
-    "load_mesh",
     "save_element_values",
     "load_element_values",
     "Inclusion",
     "PhantomSpec",
     "lung_model",
     "assign_conductivity",
-    "inclusion_mask",
     "save_phantom",
     "load_phantom",
     "LINEARIZATION_SIGN",
@@ -112,7 +107,6 @@ __all__ = [
     "psnr",
     "profile",
     "write_image_pgm",
-    "read_image_pgm",
     "ConfigError",
     "PipelineConfig",
     "load_config",

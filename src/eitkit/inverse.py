@@ -92,10 +92,7 @@ def soft_threshold(x, g):
     x_arr = np.asarray(x, dtype=float)
     # where |x| > g, x - copysign(g, x) is x - g*sgn(x), and it is not NaN
     # where the unused branch has g = inf and x = 0
-    out = np.where(np.abs(x_arr) > g_arr, x_arr - np.copysign(g_arr, x_arr), 0.0)
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(out)
-    return out
+    return np.where(np.abs(x_arr) > g_arr, x_arr - np.copysign(g_arr, x_arr), 0.0)
 
 
 def group_shrink(w: np.ndarray, g) -> np.ndarray:

@@ -367,7 +367,7 @@ def rasterize(mesh: TriMesh, values: np.ndarray, resolution: int) -> np.ndarray:
 # plain-text serialization
 
 
-def save_mesh(path, mesh: TriMesh, layout: ElectrodeLayout | None = None) -> None:
+def save_mesh(path, mesh: TriMesh, layout: ElectrodeLayout) -> None:
     """Write nodes, triangles and electrode node ids as plain text."""
     with open(path, "w") as f:
         f.write(f"{mesh.n_nodes}\n")
@@ -376,54 +376,9 @@ def save_mesh(path, mesh: TriMesh, layout: ElectrodeLayout | None = None) -> Non
         f.write(f"{mesh.n_elements}\n")
         for a, b, c in mesh.triangles.tolist():
             f.write(f"{a} {b} {c}\n")
-        n_el = 0 if layout is None else layout.count
-        f.write(f"{n_el}\n")
-        if layout is not None:
-            for nid in layout.node_ids:
-                f.write(f"{nid}\n")
-
-
-def load_mesh(path) -> tuple[TriMesh, ElectrodeLayout | None]:
-    """Read a mesh file written by :func:`save_mesh`.
-
-    Raises ValueError when the file is truncated or garbled, when a
-    triangle or electrode names a node id outside 0..n_nodes-1, or when
-    the triangles do not form a mesh with one boundary loop.
-    """
-    with open(path) as f:
-        rows = [ln.split() for ln in f.read().splitlines() if ln.strip()]
-    pos = 0
-
-    def block(what: str, width: int, kind) -> list[list]:
-        # a count line, then that many lines of `width` values each
-        nonlocal pos
-        count = int(rows[pos][0]) if pos < len(rows) and len(rows[pos]) == 1 else -1
-        body = rows[pos + 1 : pos + 1 + count]
-        if count < 0 or len(body) < count or any(len(r) != width for r in body):
-            raise ValueError(f"mesh file is truncated or garbled in its {what} block")
-        pos += 1 + count
-        return [[kind(v) for v in r] for r in body]
-
-    nodes = np.array(block("node", 2, float), dtype=float).reshape(-1, 2)
-    if not np.isfinite(nodes).all():
-        raise ValueError("mesh file has non-finite node coordinates")
-    triangles = block("triangle", 3, int)
-    electrodes = [i for (i,) in block("electrode", 1, int)]
-    corners = [i for t in triangles for i in t]
-    for what, ids in (("triangle", corners), ("electrode", electrodes)):
-        bad = [i for i in ids if not 0 <= i < len(nodes)]
-        if bad:
-            raise ValueError(f"{what} node id {bad[0]} is outside 0..{len(nodes) - 1}")
-    mesh = _finish_mesh(nodes, np.array(triangles, dtype=int).reshape(-1, 3))
-    layout = None
-    if electrodes:
-        node_ids = np.array(electrodes, dtype=int)
-        xy = nodes[node_ids]
-        angles = np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * np.pi)
-        layout = ElectrodeLayout(
-            count=len(node_ids), angles=_freeze(angles), node_ids=_freeze(node_ids)
-        )
-    return mesh, layout
+        f.write(f"{layout.count}\n")
+        for nid in layout.node_ids:
+            f.write(f"{nid}\n")
 
 
 def _boundary_loop(heads: np.ndarray, tails: np.ndarray) -> np.ndarray:

@@ -8,45 +8,51 @@ functions (no sentinel present).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 
 def _in_domain(sigma_n: np.ndarray, sigma_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The entries finite in both inputs. When a sum of their squared
-    differences could overflow, both are scaled by one power of two that
-    puts the largest magnitude just below that bound, so the smaller values
-    keep as much range as they can. A power of two changes neither RE nor
-    PSNR, and below the bound no value is touched."""
+    differences could overflow, or the squares of either input underflow,
+    both are scaled by one power of two that puts the largest magnitude
+    just below the overflow bound, so the smaller values keep as much range
+    as they can. A power of two changes neither RE nor PSNR, and between
+    the two bounds no value is touched."""
     a = np.asarray(sigma_n, dtype=float)
     b = np.asarray(sigma_star, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     m = np.isfinite(a) & np.isfinite(b)
     a, b = a[m], b[m]
-    peak = float(max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0)))
-    if not 4.0 * a.size * peak * peak < math.inf:  # |a - b|^2 <= 4 peak^2 per entry
+    peaks = [p for p in (float(np.max(np.abs(x), initial=0.0)) for x in (a, b)) if p > 0]
+    hi, lo = max(peaks, default=0.0), min(peaks, default=0.0)
+    # |a - b|^2 <= 4 hi^2 per entry
+    if peaks and not (4.0 * a.size * hi * hi < math.inf and lo * lo >= sys.float_info.min):
         top = (1021 - a.size.bit_length()) // 2  # 4 * size * 4**top < 2**1023
-        scale = math.ldexp(1.0, top - math.frexp(peak)[1])
-        a, b = a * scale, b * scale
+        shift = top - math.frexp(hi)[1]
+        a, b = np.ldexp(a, shift), np.ldexp(b, shift)
     return a, b
 
 
 def relative_error(sigma_n: np.ndarray, sigma_star: np.ndarray) -> float:
     """Euclidean-norm ratio |sigma_n - sigma_star| / |sigma_star| over the
-    jointly in-domain entries."""
+    jointly in-domain entries; +inf when the reference is nonzero but more
+    than about 2**1000 times smaller than the estimate."""
     a, b = _in_domain(sigma_n, sigma_star)
-    ref = np.linalg.norm(b)
-    if ref == 0:
+    if not b.any():
         raise ValueError("reference has zero norm")
-    return float(np.linalg.norm(a - b) / ref)
+    ref = float(np.linalg.norm(b))  # 0 only past that ratio, where b^2 underflows
+    return float(np.linalg.norm(a - b)) / ref if ref else math.inf
 
 
 def psnr(sigma_n: np.ndarray, sigma_star: np.ndarray) -> float:
     """10*log10(max(sigma_n^2) / mean squared error), in-domain pixels only.
 
     Identical images return +inf; otherwise an estimate that is 0 on every
-    in-domain pixel returns -inf.
+    in-domain pixel, or so small against the error that the ratio
+    underflows, returns -inf.
     """
     a, b = _in_domain(sigma_n, sigma_star)
     if not a.size:
@@ -54,8 +60,8 @@ def psnr(sigma_n: np.ndarray, sigma_star: np.ndarray) -> float:
     mse = float(np.mean((a - b) ** 2))
     if mse == 0:
         return math.inf
-    peak = float(np.max(a**2))
-    return 10.0 * math.log10(peak / mse) if peak > 0 else -math.inf
+    ratio = float(np.max(a**2)) / mse
+    return 10.0 * math.log10(ratio) if ratio > 0 else -math.inf
 
 
 def profile(image: np.ndarray, start, end, samples: int) -> np.ndarray:
@@ -121,26 +127,3 @@ def write_image_pgm(path, image: np.ndarray) -> None:
         f.write(f"value_lo {lo!r}\n")
         f.write(f"value_hi {hi!r}\n")
 
-
-def read_image_pgm(path) -> np.ndarray:
-    """Invert :func:`write_image_pgm` using the sidecar (NaN outside)."""
-    with open(path) as f:
-        tokens = f.read().split()
-    if tokens[0] != "P2":
-        raise ValueError("not an ASCII PGM file")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    gray = np.array(tokens[4 : 4 + w * h], dtype=int).reshape(h, w)
-    params: dict[str, float] = {}
-    with open(str(path) + ".map") as f:
-        for line in f:
-            key, val = line.split()
-            params[key] = float(val)
-    lo, hi = params["value_lo"], params["value_hi"]
-    glo, ghi = params["gray_lo"], params["gray_hi"]
-    image = np.full(gray.shape, np.nan)
-    inside = gray > 0
-    if ghi > glo:
-        image[inside] = lo + (gray[inside] - glo) * (hi - lo) / (ghi - glo)
-    else:
-        image[inside] = lo
-    return image

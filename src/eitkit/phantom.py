@@ -98,14 +98,6 @@ def assign_conductivity(mesh: TriMesh, spec: PhantomSpec) -> np.ndarray:
     return spec.conductivity_at(mesh.element_centroids)
 
 
-def inclusion_mask(mesh: TriMesh, spec: PhantomSpec) -> np.ndarray:
-    """Boolean per-element mask of centroids inside any inclusion."""
-    mask = np.zeros(mesh.n_elements, dtype=bool)
-    for inc in spec.inclusions:
-        mask |= inc.contains(mesh.element_centroids)
-    return mask
-
-
 def save_phantom(path, spec: PhantomSpec) -> None:
     doc = {
         "background": spec.background,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
@@ -88,13 +89,19 @@ def _validate_config(cfg: PipelineConfig) -> None:
     def bad(name, why):
         raise ConfigError(f"{name}: {why}")
 
-    # NaN fails no `x < 0` style check below, so finiteness comes first;
-    # snr_db keeps +inf as its "no noise" sentinel and is checked on its own
-    for name, hint in get_type_hints(PipelineConfig).items():
-        if hint in (float, list[float]) and name != "snr_db":
-            value = getattr(cfg, name)
-            if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
-                bad(name, f"must be finite, got {value}")
+    # types and then finiteness come first, as the checks below compare
+    # numbers and NaN fails every `x < 0`; a float field is finite when it
+    # fits a float, which an int past 1e308 does not; snr_db keeps +inf as
+    # its "no noise" sentinel and is checked on its own
+    hints = get_type_hints(PipelineConfig)
+    for f in fields(PipelineConfig):
+        value = getattr(cfg, f.name)
+        if not _json_fits(value, hints[f.name]):
+            bad(f.name, f"expected {f.type}, got {json.dumps(value, default=repr)}")
+        if hints[f.name] in (float, list[float]) and f.name != "snr_db":
+            values = value if isinstance(value, list) else [value]
+            if not all(abs(v) <= sys.float_info.max for v in values):
+                bad(f.name, f"must be finite, got {value}")
     for name in ("radius", "current_ma", "sigma0", "rho", "delta", "tol", "lambda_b"):
         if not getattr(cfg, name) > 0:
             bad(name, f"must be > 0, got {getattr(cfg, name)}")
@@ -128,7 +135,7 @@ def _validate_config(cfg: PipelineConfig) -> None:
 
 
 def _json_fits(value, hint) -> bool:
-    """Whether a JSON value has a field's type: a bool is not a number, an
+    """Whether a value has a field's JSON type: a bool is not a number, an
     int is fine where a float is expected, and every list item is checked."""
     if get_origin(hint) is list:
         return isinstance(value, list) and all(_json_fits(v, get_args(hint)[0]) for v in value)
@@ -163,10 +170,6 @@ def load_config(path) -> PipelineConfig:
             raw["snr_db"] = math.inf
         else:
             raise ConfigError(f"snr_db: unrecognized string {raw['snr_db']!r}")
-    hints = get_type_hints(PipelineConfig)
-    for f in fields(PipelineConfig):
-        if f.name in raw and not _json_fits(raw[f.name], hints[f.name]):
-            raise ConfigError(f"{f.name}: expected {f.type}, got {json.dumps(raw[f.name])}")
     return PipelineConfig(**raw)
 
 

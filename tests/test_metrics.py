@@ -1,4 +1,4 @@
-"""RE, PSNR, profiles, grayscale image round-trips."""
+"""RE, PSNR, profiles, grayscale image output."""
 
 import math
 
@@ -12,7 +12,6 @@ from eitkit import (
     profile,
     psnr,
     rasterize,
-    read_image_pgm,
     relative_error,
     write_image_pgm,
 )
@@ -115,6 +114,37 @@ def test_scores_keep_their_bits_when_squares_overflow(k):
     assert psnr(est * scale, truth * scale) == psnr(est, truth)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-700, -1000])
+def test_scores_keep_their_bits_when_squares_underflow(k):
+    # at 2**k the squares fall below the float range; one power of two
+    # rescales both images, which changes neither score
+    rng = np.random.default_rng(3)
+    truth = rng.uniform(0.5, 1.5, size=(32, 32))
+    est = truth + rng.normal(scale=0.05, size=(32, 32))
+    scale = 2.0**k
+    assert relative_error(est * scale, truth * scale) == relative_error(est, truth)
+    assert psnr(est * scale, truth * scale) == psnr(est, truth)
+
+
+@pytest.mark.filterwarnings("error")
+def test_scores_of_a_reference_far_below_the_estimate():
+    # the reference's squares underflow while the estimate's do not; at
+    # 2**364 times both, every square is in range and no value is scaled
+    rng = np.random.default_rng(3)
+    est = rng.uniform(0.5, 1.5, size=(32, 32))
+    truth = rng.uniform(0.5, 1.5, size=(32, 32)) * 2.0**-660
+    up = 2.0**364
+    assert relative_error(est, truth) == relative_error(est * up, truth * up)
+    assert psnr(est, truth) == psnr(est * up, truth * up)
+    assert math.isfinite(relative_error(est, truth))
+    # the other way round, the peak's ratio to the error underflows
+    assert psnr(truth, est) == -math.inf
+    # past about 2**1000 apart, the reference's squares underflow at any
+    # common scale, and its RE is past the float range
+    assert relative_error(est, truth * 2.0**-400) == math.inf
+
+
 class TestProfile:
     def test_constant_image(self):
         img = np.full((32, 32), 2.5)
@@ -160,6 +190,17 @@ class TestProfile:
         assert np.array_equal(a, b)
 
 
+def _read_pgm(path):
+    """The gray levels of an ASCII PGM file and the fields of its sidecar."""
+    tokens = path.read_text().split()
+    width, height = int(tokens[1]), int(tokens[2])
+    gray = np.array(tokens[4:], dtype=int)
+    assert gray.size == width * height
+    with open(str(path) + ".map") as f:
+        sidecar = dict(line.split() for line in f)
+    return gray.reshape(height, width), sidecar
+
+
 class TestImagePgm:
     def test_roundtrip_quantization_bound(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -167,20 +208,27 @@ class TestImagePgm:
         img[rng.random((40, 40)) < 0.2] = np.nan
         path = tmp_path / "img.pgm"
         write_image_pgm(path, img)
-        back = read_image_pgm(path)
-        assert np.array_equal(np.isnan(back), np.isnan(img))
+        gray, sidecar = _read_pgm(path)
         finite = np.isfinite(img)
-        q = (1.2 - 0.9) / 65534  # one gray step
-        assert np.abs(back[finite] - img[finite]).max() <= q
+        lo, hi = float(np.min(img[finite])), float(np.max(img[finite]))
+        assert sidecar["value_lo"] == repr(lo) and sidecar["value_hi"] == repr(hi)
+        assert np.array_equal(gray == 0, ~finite)
+        assert gray[finite].min() == 1 and gray[finite].max() == 65535
+        # the sidecar's affine map takes each gray level back to within
+        # one gray step of the value it encodes
+        q = (hi - lo) / 65534  # one gray step
+        back = lo + (gray[finite] - 1) * q
+        assert np.abs(back - img[finite]).max() <= q
 
     def test_constant_image(self, tmp_path):
         img = np.full((8, 8), 1.5)
         img[0, 0] = np.nan
         path = tmp_path / "flat.pgm"
         write_image_pgm(path, img)
-        back = read_image_pgm(path)
-        assert np.isnan(back[0, 0])
-        assert np.all(back[np.isfinite(back)] == 1.5)
+        gray, sidecar = _read_pgm(path)
+        assert gray[0, 0] == 0
+        assert np.all(gray.ravel()[1:] == 1)
+        assert sidecar["value_lo"] == sidecar["value_hi"] == "1.5"
 
     def test_header_format(self, tmp_path):
         img = np.ones((4, 6))

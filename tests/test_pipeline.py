@@ -20,8 +20,8 @@ from eitkit.pipeline import (
     cmd_sweep,
     phantom_truth_image,
 )
-from eitkit import lung_model
-from eitkit.mesh import load_mesh, save_element_values, load_element_values, load_field_series
+from eitkit import generate_disk_mesh, lung_model, place_electrodes, save_mesh
+from eitkit.mesh import save_element_values, load_element_values, load_field_series
 
 
 SMALL = dict(
@@ -132,6 +132,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="profile_rows"):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "field, value, want",
+        [("seed", 1.5, "int"), ("enable_preprocess", "yes", "bool"),
+         ("inverse_elements", "x", "int"), ("lam", "1", "float")],
+    )
+    def test_field_types_checked_wherever_built(self, field, value, want):
+        for build in (PipelineConfig, lambda **kw: dataclasses.replace(PipelineConfig(), **kw)):
+            with pytest.raises(ConfigError) as info:
+                build(**{field: value})
+            assert str(info.value) == f"{field}: expected {want}, got {json.dumps(value)}"
+
     def test_field_level_message(self, tmp_path):
         p = _write_cfg(tmp_path / "bad.cfg", rho=0.0)
         with pytest.raises(ConfigError, match="rho"):
@@ -184,8 +195,15 @@ class TestCmdMesh:
     def test_artifacts(self, small_cfg, tmp_path):
         manifest = cmd_mesh(small_cfg)
         out = tmp_path / "out"
-        imesh, ilayout = load_mesh(out / "inverse_mesh.txt")
-        fmesh, flayout = load_mesh(out / "forward_mesh.txt")
+        # the meshes and electrodes rebuilt from the config, saved byte for byte
+        imesh = generate_disk_mesh(small_cfg.radius, small_cfg.inverse_elements)
+        ilayout = place_electrodes(imesh, small_cfg.electrode_count)
+        fmesh = generate_disk_mesh(small_cfg.radius, small_cfg.forward_elements)
+        flayout = place_electrodes(fmesh, small_cfg.electrode_count, angles=ilayout.angles)
+        for name, mesh, layout in (("inverse_mesh.txt", imesh, ilayout),
+                                   ("forward_mesh.txt", fmesh, flayout)):
+            save_mesh(tmp_path / name, mesh, layout)
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
         assert ilayout.count == 16 and flayout.count == 16
         assert manifest["inverse_elements"] == imesh.n_elements
         assert fmesh.n_elements > 3 * imesh.n_elements
@@ -556,12 +574,14 @@ class TestCli:
             ({"rho": float("inf")}, "rho"),
             ({"sweep_delta": [0.01, float("nan")]}, "sweep_delta"),
             ({"sweep_lambda_over_rho": [float("nan")]}, "sweep_lambda_over_rho"),
+            ({"lam": 10**400}, "lam"),
         ],
         ids=[
             "lam_string", "radius_string", "snr_null", "ratios_not_list", "deltas_string",
             "profile_rows_strings", "model_string", "model_11", "max_iters_bool",
             "mask_bool", "mask_empty", "phantom_not_json", "phantom_no_inclusions",
             "lam_nan", "lam_inf", "lam_neg_inf", "rho_inf", "deltas_nan", "ratios_nan",
+            "lam_int_past_float",
         ],
     )
     def test_malformed_config_value_exit_two(self, tmp_path, capsys, overrides, field):
@@ -725,6 +745,24 @@ class TestCli:
         _, out = chain_outputs
         cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "run"), sigma0=sigma0)
         assert main(["evaluate", "--config", str(cfg_path), "--result", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "run" / "eval.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 3
+        assert all(math.isfinite(float(row[k])) for row in rows for k in ("re", "psnr"))
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a stderr line
+    def test_evaluate_at_tiny_sigma0_against_zero_reference(self, chain_outputs, tmp_path, capsys):
+        # the reference image holds 1e-200 on every pixel, whose squares
+        # underflow unscaled; the estimate adds the run's iterates to it
+        _, out = chain_outputs
+        n = load_element_values(out / "delta_sigma.txt").size
+        reference = tmp_path / "zeros.txt"
+        save_element_values(reference, np.zeros(n))
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "run"), sigma0=1e-200)
+        argv = ["evaluate", "--config", str(cfg_path), "--result", str(out),
+                "--reference", str(reference)]
+        assert main(argv) == 0
         assert capsys.readouterr().err == ""
         with open(tmp_path / "run" / "eval.csv") as f:
             rows = list(csv.DictReader(f))
