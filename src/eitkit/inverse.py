@@ -238,6 +238,7 @@ class XUpdateSolver:
 
 
 _VARIANTS = ("nwatv", "fotv", "tv")
+_READS_DELTA = ("nwatv",)  # the variants whose result depends on delta
 
 
 def reconstruct_block(
@@ -316,7 +317,7 @@ def reconstruct_block(
             z_new = group_shrink(w, g)
         else:
             z_new = z_update(w, p[:, live], lams[live], rho)
-        if variant == "nwatv":
+        if variant in _READS_DELTA:
             p[:, live] = nwatv_weights(d_x, deltas[live])
             for j in np.flatnonzero(~np.all(p[:, live] > 0, axis=0)):
                 c = int(live[j])

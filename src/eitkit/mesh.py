@@ -143,23 +143,19 @@ def generate_disk_mesh(radius: float, target_elements: int) -> TriMesh:
         np.where(outer_first, inner(t), inner(t + 1)),
     ])])
 
-    # enforce counter-clockwise orientation
-    p = nodes[triangles]
-    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    signed = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    flip = signed < 0
-    triangles[flip] = triangles[flip][:, ::-1]
-
-    return _finish_mesh(nodes, triangles)
+    # every triangle above is counter-clockwise, and the boundary is ring M
+    # traced counter-clockwise from its first (lowest) node
+    loop = np.arange(_ring_start(n_rings), len(nodes))
+    return _finish_mesh(nodes, triangles, np.column_stack([loop, np.roll(loop, -1)]))
 
 
-def _finish_mesh(nodes: np.ndarray, triangles: np.ndarray) -> TriMesh:
-    """Geometry and topology of a triangulation with CCW triangles.
+def _finish_mesh(nodes: np.ndarray, triangles: np.ndarray, boundary_edges: np.ndarray) -> TriMesh:
+    """Geometry and topology of a triangulation with CCW triangles whose
+    boundary loop is ``boundary_edges``.
 
-    Topology comes from one edge table: the 3N directed edges, triangle k's
-    edge j running from node j to node j + 1 mod 3, sorted by their
-    undirected key. Equal keys are an interior edge and pair its two
-    owners as neighbours; a key seen once is a boundary edge.
+    Neighbours come from one edge table: the 3N edges, triangle k's edge j
+    joining node j to node j + 1 mod 3, sorted by their undirected key.
+    Equal keys are an interior edge and pair its two owners.
     """
     p = nodes[triangles]
     e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
@@ -173,26 +169,18 @@ def _finish_mesh(nodes: np.ndarray, triangles: np.ndarray) -> TriMesh:
     tails = np.roll(triangles, -1, axis=1).ravel()
     keys = np.minimum(heads, tails) * len(nodes) + np.maximum(heads, tails)
     order = np.argsort(keys)
-    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    owners = np.diff(starts, append=len(keys))
-    if owners.max(initial=0) > 2:
-        e = order[starts[np.argmax(owners)]]
-        raise ValueError(
-            f"edge ({heads[e]}, {tails[e]}) is shared by {owners.max()} triangles"
-        )
-    pairs = starts[owners == 2]
+    pairs = np.flatnonzero(np.diff(keys[order]) == 0)
     first, second = order[pairs], order[pairs + 1]
     neighbors = np.full(3 * n, n)  # n sorts last, then becomes the -1 padding
     neighbors[first] = second // 3
     neighbors[second] = first // 3
     neighbors = np.sort(neighbors.reshape(n, 3), axis=1)
     neighbors[neighbors == n] = -1
-    single = order[starts[owners == 1]]
 
     return TriMesh(
         nodes=_freeze(np.ascontiguousarray(nodes, dtype=float)),
         triangles=_freeze(np.ascontiguousarray(triangles, dtype=int)),
-        boundary_edges=_freeze(_boundary_loop(heads[single], tails[single])),
+        boundary_edges=_freeze(boundary_edges),
         element_centroids=_freeze(centroids),
         element_areas=_freeze(areas),
         element_neighbors=_freeze(neighbors),
@@ -379,24 +367,6 @@ def save_mesh(path, mesh: TriMesh, layout: ElectrodeLayout) -> None:
         f.write(f"{layout.count}\n")
         for nid in layout.node_ids:
             f.write(f"{nid}\n")
-
-
-def _boundary_loop(heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """Order the boundary edges (directed head -> tail as their owning CCW
-    triangles traverse them) into one counter-clockwise loop starting at
-    the lowest node."""
-    nxt = dict(zip(heads.tolist(), tails.tolist()))
-    if not nxt:
-        raise ValueError("mesh has no boundary")
-    start = min(nxt)
-    loop = [start]
-    cur = nxt[start]
-    while cur != start and cur in nxt and len(loop) < len(heads):
-        loop.append(cur)
-        cur = nxt[cur]
-    if cur != start or len(loop) != len(heads):
-        raise ValueError("boundary edges do not form a single closed loop")
-    return np.column_stack([loop, np.roll(loop, -1)])
 
 
 def _write_frames(path, frames) -> None:

@@ -105,10 +105,13 @@ def _validate_config(cfg: PipelineConfig) -> None:
     for name in ("radius", "current_ma", "sigma0", "rho", "delta", "tol", "lambda_b"):
         if not getattr(cfg, name) > 0:
             bad(name, f"must be > 0, got {getattr(cfg, name)}")
-    for name, low in (("inverse_elements", 64), ("forward_elements", 64), ("electrode_count", 4),
-                      ("max_iters", 1), ("raster_resolution", 16), ("seed", 0)):
-        if getattr(cfg, name) < low:
-            bad(name, f"must be an integer >= {low}, got {getattr(cfg, name)!r}")
+    # the sizes stop at 4x the largest documented ones, before anything is built
+    for name, low, high in (("inverse_elements", 64, 1 << 16), ("forward_elements", 64, 1 << 18),
+                            ("electrode_count", 4, math.inf), ("max_iters", 1, math.inf),
+                            ("raster_resolution", 16, 1 << 12), ("seed", 0, math.inf)):
+        if not low <= getattr(cfg, name) <= high:
+            bounds = f">= {low}" if high == math.inf else f"in {low}..{high}"
+            bad(name, f"must be an integer {bounds}, got {getattr(cfg, name)!r}")
     if (cfg.phantom_model is None) == (cfg.phantom_file is None):
         bad("phantom_model/phantom_file", "exactly one must be set")
     if cfg.phantom_model is not None and not 1 <= cfg.phantom_model <= 10:
@@ -156,7 +159,7 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(f"config file {path} cannot be read: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past int()'s digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -519,13 +522,13 @@ def cmd_evaluate(cfg: PipelineConfig, result_dir=None, reference=None) -> dict:
 
 
 def cmd_sweep(cfg: PipelineConfig, data_path=None) -> list[dict]:
-    """Grid-sweep lam/rho x delta; one reconstruction per cell, scored
-    against the analytic truth image.
+    """Grid-sweep lam/rho x delta, scored against the analytic truth image.
 
-    All cells run together as the columns of one ADMM block
-    (``inverse.reconstruct_block``) on the problem's factored x-update, and
-    rows keep grid order (ratio-major). A cell that fails is recorded in
-    the table while the others go on.
+    Each distinct problem is solved once: (lam, delta) for nwatv, (lam) for
+    the solvers that do not read delta. The iterative ones run together as
+    the columns of one ADMM block (``inverse.reconstruct_block``) on the
+    problem's factored x-update, and rows keep grid order (ratio-major). A
+    cell that fails is recorded in the table while the others go on.
     """
     out = _outdir(cfg)
     t0 = time.perf_counter()
@@ -546,39 +549,33 @@ def cmd_sweep(cfg: PipelineConfig, data_path=None) -> list[dict]:
         for ratio in cfg.sweep_lambda_over_rho
         for delta in cfg.sweep_delta
     ]
-    lams = [ratio * cfg.rho for ratio, _ in cells]
+    # a cell's problem is the parameters its solver reads
+    reads_delta = cfg.solver in inverse._READS_DELTA
+    keys = [(ratio * cfg.rho, delta if reads_delta else cfg.sweep_delta[0]) for ratio, delta in cells]
+    problems = list(dict.fromkeys(keys))
     try:
         dv = _solver_data(cfg, problem, dv)
         if cfg.solver == "tikhonov":
-            solved = {lam: inverse.reconstruct_tikhonov(problem.s, dv, lam) for lam in set(lams)}
-            results = [solved[lam] for lam in lams]
+            solved = [inverse.reconstruct_tikhonov(problem.s, dv, lam) for lam, _ in problems]
         else:
-            results = inverse.reconstruct_block(
-                problem.x_update, dv, lams, [delta for _, delta in cells],
+            solved = inverse.reconstruct_block(
+                problem.x_update, dv, *zip(*problems),
                 variant=cfg.solver, max_iters=cfg.max_iters, tol=cfg.tol,
                 mask=cfg.mask_elements, keep_history=False,
             )
     except Exception as exc:  # a failure shared by every cell
-        results = [exc] * len(cells)
-    rows = []
-    for (ratio, delta), result in zip(cells, results):
-        row = {"lambda_over_rho": ratio, "delta": delta}
+        solved = [exc] * len(problems)
+    outcome = {}  # each problem scored once
+    for key, result in zip(problems, solved):
         if isinstance(result, Exception):
-            row.update(
-                iterations=0,
-                termination=f"error:{type(result).__name__}",
-                re=math.nan,
-                psnr=math.nan,
-            )
+            outcome[key] = dict(iterations=0, termination=f"error:{type(result).__name__}",
+                                re=math.nan, psnr=math.nan)
         else:
             re, psnr = _score(cfg, index, result.final, truth)
-            row.update(
-                iterations=result.n_iterations,
-                termination=result.termination,
-                re=re,
-                psnr=psnr,
-            )
-        rows.append(row)
+            outcome[key] = dict(iterations=result.n_iterations, termination=result.termination,
+                                re=re, psnr=psnr)
+    rows = [{"lambda_over_rho": ratio, "delta": delta, **outcome[key]}
+            for (ratio, delta), key in zip(cells, keys)]
     t2 = time.perf_counter()
 
     columns = ("lambda_over_rho", "delta", "iterations", "termination", "re", "psnr")

@@ -53,7 +53,7 @@ def _reference_disk_mesh(radius, n_rings):
     e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
     triangles[flip] = triangles[flip][:, ::-1]
-    return _finish_mesh(nodes, triangles)
+    return _finish_mesh(nodes, triangles, _reference_boundary_loop(triangles))
 
 
 def _reference_rasterize(mesh, values, resolution):
@@ -227,8 +227,7 @@ def _assert_topology_matches_reference(mesh, tmp_dir):
     assert nodes.tobytes() == mesh.nodes.tobytes()
     assert triangles.tobytes() == mesh.triangles.tobytes()
     assert electrodes.tobytes() == layout.node_ids.tobytes()
-    rebuilt = _finish_mesh(nodes, triangles)
-    assert rebuilt.boundary_edges.tobytes() == loop.tobytes()
+    rebuilt = _finish_mesh(nodes, triangles, loop)
     assert rebuilt.element_neighbors.tobytes() == got.tobytes()
 
     assert mesh.boundary_elements().tobytes() == (
@@ -321,8 +320,13 @@ class TestGenerateDiskMesh:
 
 
 class TestEdgeTable:
-    # 54, 1014, 4056 and 16224 elements
-    @pytest.mark.parametrize("target", [64, 1024, 4096, 16384])
+    # every ring count M from 3 to 40 (64, 1024 and 4096 give M = 3, 13 and
+    # 26), then M = 52 and 105 (16384 and 65536 give the 16224- and
+    # 66150-element meshes)
+    @pytest.mark.parametrize("target", [
+        64, 1024, 4096, 16384, 65536,
+        *(RING_GROWTH * m * m for m in range(4, 41) if m not in (13, 26)),
+    ])
     def test_matches_reference(self, target, tmp_path):
         _assert_topology_matches_reference(generate_disk_mesh(0.1, target), tmp_path)
 
@@ -616,21 +620,6 @@ class TestMeshIO:
         assert triangles.tobytes() == mesh.triangles.tobytes()
         assert electrodes.tolist() == layout.node_ids.tolist()
         assert len(electrodes) == 16
-
-    def test_edge_with_three_owners(self):
-        # three CCW triangles on edge 0-1: two above it, one below
-        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, -1.0]])
-        triangles = np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]])
-        with pytest.raises(ValueError, match=r"edge \(0, 1\) is shared by 3 triangles"):
-            _finish_mesh(nodes, triangles)
-
-    def test_boundary_not_one_closed_loop(self):
-        # two disjoint CCW triangles: two boundary loops of three edges each
-        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
-                          [3.0, 0.0], [4.0, 0.0], [3.0, 1.0]])
-        triangles = np.array([[0, 1, 2], [3, 4, 5]])
-        with pytest.raises(ValueError, match="do not form a single closed loop"):
-            _finish_mesh(nodes, triangles)
 
     def test_element_values_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)

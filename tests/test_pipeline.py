@@ -433,27 +433,44 @@ class TestCmdSweep:
         ]
         assert abs(row["re"] - want) <= 1e-10 * want
 
-    def test_tikhonov_solves_once_per_lambda(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("solver, n_solved", [
+        ("nwatv", 35), ("fotv", 7), ("tv", 7), ("tikhonov", 7),
+    ])
+    def test_solves_each_distinct_problem_once(self, tmp_path, monkeypatch, solver, n_solved):
         import eitkit.inverse as inv
 
         cfg = load_config(
-            _write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "o"), solver="tikhonov")
+            _write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "o"), solver=solver)
         )
-        calls = []
-        real = inv.reconstruct_tikhonov
+        solved = []  # (lam, delta) of every column solved
+        real_block, real_tikhonov = inv.reconstruct_block, inv.reconstruct_tikhonov
 
-        def spy(s, delta_v, lam):
-            calls.append(lam)
-            return real(s, delta_v, lam)
+        def block(x_update, delta_v, lams, deltas, **options):
+            solved.extend(zip(lams, deltas))
+            return real_block(x_update, delta_v, lams, deltas, **options)
 
-        monkeypatch.setattr(inv, "reconstruct_tikhonov", spy)
+        def tikhonov(s, delta_v, lam):
+            solved.append((lam, None))
+            return real_tikhonov(s, delta_v, lam)
+
+        monkeypatch.setattr(inv, "reconstruct_block", block)
+        monkeypatch.setattr(inv, "reconstruct_tikhonov", tikhonov)
         rows = cmd_sweep(cfg)
-        assert len(rows) == 35
-        assert sorted(calls) == sorted({r["lambda_over_rho"] * cfg.rho for r in rows})
-        assert len(calls) == 7
-        for row in rows:  # the delta cells of one lam share its solution
-            first = next(r for r in rows if r["lambda_over_rho"] == row["lambda_over_rho"])
-            assert (row["termination"], row["re"]) == ("direct", first["re"])
+        assert len(rows) == 35 and len(solved) == n_solved
+        terminations = {r["termination"] for r in rows}
+        if solver == "tikhonov":
+            assert terminations == {"direct"}
+        else:
+            assert not any(t.startswith("error") for t in terminations)
+        problems = {(r["lambda_over_rho"] * cfg.rho, r["delta"]) for r in rows}
+        if solver != "nwatv":  # only nwatv reads delta
+            problems = {lam for lam, _ in problems}
+            solved = [lam for lam, _ in solved]
+            columns = ("iterations", "termination", "re", "psnr")
+            for row in rows:  # the delta cells of one lam share its solution
+                first = next(r for r in rows if r["lambda_over_rho"] == row["lambda_over_rho"])
+                assert [row[c] for c in columns] == [first[c] for c in columns]
+        assert sorted(solved) == sorted(problems)
 
     def test_cell_failure_recorded_and_continues(self, tmp_path, monkeypatch):
         import eitkit.inverse as inv
@@ -544,6 +561,13 @@ class TestCli:
         assert "config error" in err and "cannot be read" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_config_integer_of_5001_digits_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(json.dumps(SMALL)[:-1] + ', "inverse_elements": 1' + "0" * 5000 + "}")
+        assert main(["mesh", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and len(err.strip().splitlines()) == 1
+
     def test_config_not_utf8_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_bytes(b"\xff\xfe" + json.dumps(SMALL).encode("utf-16-le"))
@@ -593,6 +617,21 @@ class TestCli:
         assert main(["mesh", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert f"config error: {field}" in err and len(err.strip().splitlines()) == 1
+
+    # each size passes its bound's check and fails it one higher; far past
+    # the float range, every verb that reads it stops at the config
+    @pytest.mark.parametrize("field, high", [
+        ("inverse_elements", 1 << 16), ("forward_elements", 1 << 18), ("raster_resolution", 1 << 12),
+    ])
+    def test_size_fields_bounded_before_anything_is_built(self, tmp_path, capsys, field, high):
+        PipelineConfig(**{field: high})
+        with pytest.raises(ConfigError, match=f"^{field}: must be an integer in .*, got {high + 1}$"):
+            PipelineConfig(**{field: high + 1})
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"), **{field: 10**400})
+        for verb in ("mesh", "simulate", "reconstruct", "sweep"):
+            assert main([verb, "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert f"config error: {field}" in err and len(err.strip().splitlines()) == 1
 
     # every verb builds the inverse mesh; mesh, simulate and sweep the forward one
     GEOMETRY_CASES = {
