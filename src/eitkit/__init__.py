@@ -56,7 +56,6 @@ from .inverse import (
 from .metrics import (
     relative_error,
     psnr,
-    profile,
     write_image_pgm,
 )
 from .pipeline import ConfigError, PipelineConfig, load_config
@@ -105,7 +104,6 @@ __all__ = [
     "reconstruct_tikhonov",
     "relative_error",
     "psnr",
-    "profile",
     "write_image_pgm",
     "ConfigError",
     "PipelineConfig",

@@ -30,8 +30,6 @@ from .pipeline import (
     cmd_render,
 )
 
-log = logging.getLogger(__name__)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

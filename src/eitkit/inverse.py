@@ -148,8 +148,10 @@ def preprocess_boundary(delta_v, s, boundary_elements, lambda_b: float) -> np.nd
 
     Projects b onto the column space of the boundary-element columns of S
     (ridge-stabilized by lambda_b) and subtracts that component; interior
-    contrasts survive while near-electrode artifacts shrink.
+    contrasts survive while near-electrode artifacts shrink. A Gram matrix
+    singular to working precision (rcond < eps) is a SolverError.
     """
+    import warnings
     if not lambda_b > 0:
         raise ValueError(f"lambda_b must be > 0, got {lambda_b}")
     idx = np.asarray(boundary_elements, dtype=int)
@@ -161,7 +163,13 @@ def preprocess_boundary(delta_v, s, boundary_elements, lambda_b: float) -> np.nd
         raise ValueError(f"S has {s.shape[0]} rows but data has length {b.shape[0]}")
     sb = s[:, idx]
     gram = sb.T @ sb + lambda_b * np.eye(idx.size)
-    coef = sla.solve(gram, sb.T @ b, assume_a="pos")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", sla.LinAlgWarning)
+            coef = sla.solve(gram, sb.T @ b, assume_a="pos")
+    except (np.linalg.LinAlgError, sla.LinAlgWarning) as exc:
+        raise SolverError(f"boundary Gram matrix is numerically singular at lambda_b {lambda_b:g}",
+                          diagnostics={"gram_condition": float(np.linalg.cond(gram))}) from exc
     return b - sb @ coef
 
 
@@ -396,13 +404,19 @@ def reconstruct_tv_isotropic(
 
 def reconstruct_tikhonov(s, delta_v, lam: float) -> ReconResult:
     """One-shot ridge solution (S^T S + lam I)^{-1} S^T b, computed as
-    S^T (S S^T + lam I)^{-1} b: an M x M factorization instead of N x N."""
+    S^T (S S^T + lam I)^{-1} b: an M x M factorization instead of N x N,
+    whose failure is a SolverError."""
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
     t0 = time.perf_counter()
     s = np.asarray(s, dtype=float)
     b = np.asarray(delta_v, dtype=float)
-    factor = sla.cho_factor(s @ s.T + lam * np.eye(s.shape[0]), lower=True)
+    ridge = s @ s.T + lam * np.eye(s.shape[0])
+    try:
+        factor = sla.cho_factor(ridge, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"ridge matrix S S^T + lam I is not positive definite at lam {lam:g}",
+                          diagnostics={"ridge_condition": float(np.linalg.cond(ridge))}) from exc
     x = s.T @ sla.cho_solve(factor, b)
     return ReconResult(
         final=x,

@@ -35,7 +35,7 @@ class TriMesh:
 
     nodes              (n_nodes, 2) coordinates in meters
     triangles          (n_elements, 3) node indices, counter-clockwise
-    boundary_edges     (n_boundary, 2) node pairs tracing the boundary loop
+    boundary_nodes     (n_boundary,) the boundary loop's nodes,
                        counter-clockwise from its lowest node
     element_centroids  (n_elements, 2)
     element_areas      (n_elements,)
@@ -46,7 +46,7 @@ class TriMesh:
 
     nodes: np.ndarray
     triangles: np.ndarray
-    boundary_edges: np.ndarray
+    boundary_nodes: np.ndarray
     element_centroids: np.ndarray
     element_areas: np.ndarray
     element_neighbors: np.ndarray
@@ -58,10 +58,6 @@ class TriMesh:
     @property
     def n_elements(self) -> int:
         return self.triangles.shape[0]
-
-    def boundary_nodes(self) -> np.ndarray:
-        """Node indices on the boundary, in loop order."""
-        return self.boundary_edges[:, 0]
 
     def boundary_elements(self) -> np.ndarray:
         """Indices of elements owning at least one boundary edge."""
@@ -145,13 +141,12 @@ def generate_disk_mesh(radius: float, target_elements: int) -> TriMesh:
 
     # every triangle above is counter-clockwise, and the boundary is ring M
     # traced counter-clockwise from its first (lowest) node
-    loop = np.arange(_ring_start(n_rings), len(nodes))
-    return _finish_mesh(nodes, triangles, np.column_stack([loop, np.roll(loop, -1)]))
+    return _finish_mesh(nodes, triangles, np.arange(_ring_start(n_rings), len(nodes)))
 
 
-def _finish_mesh(nodes: np.ndarray, triangles: np.ndarray, boundary_edges: np.ndarray) -> TriMesh:
+def _finish_mesh(nodes: np.ndarray, triangles: np.ndarray, boundary_nodes: np.ndarray) -> TriMesh:
     """Geometry and topology of a triangulation with CCW triangles whose
-    boundary loop is ``boundary_edges``.
+    boundary loop is ``boundary_nodes``.
 
     Neighbours come from one edge table: the 3N edges, triangle k's edge j
     joining node j to node j + 1 mod 3, sorted by their undirected key.
@@ -180,7 +175,7 @@ def _finish_mesh(nodes: np.ndarray, triangles: np.ndarray, boundary_edges: np.nd
     return TriMesh(
         nodes=_freeze(np.ascontiguousarray(nodes, dtype=float)),
         triangles=_freeze(np.ascontiguousarray(triangles, dtype=int)),
-        boundary_edges=_freeze(boundary_edges),
+        boundary_nodes=_freeze(boundary_nodes),
         element_centroids=_freeze(centroids),
         element_areas=_freeze(areas),
         element_neighbors=_freeze(neighbors),
@@ -198,7 +193,7 @@ def place_electrodes(
     """
     if count < 4:
         raise ValueError(f"electrode count must be >= 4, got {count}")
-    bnodes = mesh.boundary_nodes()
+    bnodes = mesh.boundary_nodes
     if len(bnodes) < count:
         raise ValueError(
             f"mesh boundary has {len(bnodes)} nodes, fewer than {count} electrodes"

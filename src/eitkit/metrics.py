@@ -64,27 +64,6 @@ def psnr(sigma_n: np.ndarray, sigma_star: np.ndarray) -> float:
     return 10.0 * math.log10(ratio) if ratio > 0 else -math.inf
 
 
-def profile(image: np.ndarray, start, end, samples: int) -> np.ndarray:
-    """Nearest-pixel samples along the segment start -> end.
-
-    ``start`` and ``end`` are (row, col) pixel coordinates (fractional
-    allowed) and must lie inside the image; outside-domain pixels yield
-    NaN samples. A zero-length segment repeats the start pixel.
-    """
-    image = np.asarray(image, dtype=float)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
-    for pt in (start, end):
-        if not (0 <= pt[0] <= image.shape[0] - 1 and 0 <= pt[1] <= image.shape[1] - 1):
-            raise ValueError(f"profile endpoint {pt} outside the image")
-    t = np.linspace(0.0, 1.0, samples) if samples > 1 else np.zeros(1)
-    rows = np.rint(start[0] + t * (end[0] - start[0])).astype(int)
-    cols = np.rint(start[1] + t * (end[1] - start[1])).astype(int)
-    return image[rows, cols]
-
-
 # ---------------------------------------------------------------------------
 # portable grayscale output (16-bit ASCII PGM) with a gray<->value sidecar
 

@@ -122,8 +122,11 @@ def _validate_config(cfg: PipelineConfig) -> None:
         bad("solver", f"must be one of {_SOLVERS}, got {cfg.solver!r}")
     if cfg.lam < 0 or (cfg.lam == 0 and cfg.solver == "tikhonov"):
         bad("lam", f"must be >= 0, and > 0 for solver tikhonov; got {cfg.lam}")
-    if not cfg.sweep_lambda_over_rho or any(r <= 0 for r in cfg.sweep_lambda_over_rho):
+    ratios = cfg.sweep_lambda_over_rho
+    if not ratios or any(r <= 0 for r in ratios):
         bad("sweep_lambda_over_rho", "must be a nonempty list of positive ratios")
+    if cfg.solver == "tikhonov" and not all(0 < r * cfg.rho < math.inf for r in ratios):
+        bad("sweep_lambda_over_rho", f"times rho {cfg.rho} must give a positive finite tikhonov lam")
     if not cfg.sweep_delta or any(d <= 0 for d in cfg.sweep_delta):
         bad("sweep_delta", "must be a nonempty list of positive floors")
     for r in cfg.profile_rows:
@@ -504,8 +507,8 @@ def cmd_evaluate(cfg: PipelineConfig, result_dir=None, reference=None) -> dict:
 
     profiles = {}
     for r in cfg.profile_rows:
-        profiles[f"recon_row{r}"] = metrics.profile(final_image, (r, 0), (r, res - 1), res)
-        profiles[f"truth_row{r}"] = metrics.profile(truth, (r, 0), (r, res - 1), res)
+        profiles[f"recon_row{r}"] = final_image[r]
+        profiles[f"truth_row{r}"] = truth[r]
 
     _write_table(out / "eval.csv", ("iteration", "re", "psnr"),
                  ((i, *score) for i, score in enumerate(scores, 1)))
@@ -521,6 +524,14 @@ def cmd_evaluate(cfg: PipelineConfig, result_dir=None, reference=None) -> dict:
     })
 
 
+def _ridge(s: np.ndarray, delta_v: np.ndarray, lam: float):
+    """The ridge solution at ``lam``, or the SolverError that ended it."""
+    try:
+        return inverse.reconstruct_tikhonov(s, delta_v, lam)
+    except forward.SolverError as exc:
+        return exc
+
+
 def cmd_sweep(cfg: PipelineConfig, data_path=None) -> list[dict]:
     """Grid-sweep lam/rho x delta, scored against the analytic truth image.
 
@@ -528,7 +539,8 @@ def cmd_sweep(cfg: PipelineConfig, data_path=None) -> list[dict]:
     the solvers that do not read delta. The iterative ones run together as
     the columns of one ADMM block (``inverse.reconstruct_block``) on the
     problem's factored x-update, and rows keep grid order (ratio-major). A
-    cell that fails is recorded in the table while the others go on.
+    problem whose solve raises a SolverError is recorded in its cells while
+    the others go on; a boundary-preprocessing failure fills every cell.
     """
     out = _outdir(cfg)
     t0 = time.perf_counter()
@@ -555,16 +567,17 @@ def cmd_sweep(cfg: PipelineConfig, data_path=None) -> list[dict]:
     problems = list(dict.fromkeys(keys))
     try:
         dv = _solver_data(cfg, problem, dv)
+    except forward.SolverError as exc:  # a failure shared by every cell
+        solved = [exc] * len(problems)
+    else:
         if cfg.solver == "tikhonov":
-            solved = [inverse.reconstruct_tikhonov(problem.s, dv, lam) for lam, _ in problems]
+            solved = [_ridge(problem.s, dv, lam) for lam, _ in problems]
         else:
             solved = inverse.reconstruct_block(
                 problem.x_update, dv, *zip(*problems),
                 variant=cfg.solver, max_iters=cfg.max_iters, tol=cfg.tol,
                 mask=cfg.mask_elements, keep_history=False,
             )
-    except Exception as exc:  # a failure shared by every cell
-        solved = [exc] * len(problems)
     outcome = {}  # each problem scored once
     for key, result in zip(problems, solved):
         if isinstance(result, Exception):

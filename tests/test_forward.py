@@ -129,7 +129,7 @@ class TestAssembleStiffness:
         mesh = TriMesh(
             nodes=nodes,
             triangles=tris,
-            boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
+            boundary_nodes=np.array([0, 1, 2]),
             element_centroids=nodes.mean(axis=0, keepdims=True),
             element_areas=np.array([0.5]),
             element_neighbors=np.full((1, 3), -1),
@@ -212,7 +212,7 @@ class TestSolvePotentials:
         # node-symmetric under x -> -x, and the solution flips sign
         mesh = generate_disk_mesh(0.1, 4096)
         k = assemble_stiffness(mesh, np.full(mesh.n_elements, 1.0))
-        bn = mesh.boundary_nodes()
+        bn = mesh.boundary_nodes
         ang = np.arctan2(mesh.nodes[bn, 1], mesh.nodes[bn, 0])
         src = bn[np.argmin(np.abs(np.angle(np.exp(1j * (ang - np.pi / 6)))))]
         key = np.round(mesh.nodes / 1e-12).astype(np.int64)

@@ -53,7 +53,7 @@ def _reference_disk_mesh(radius, n_rings):
     e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
     triangles[flip] = triangles[flip][:, ::-1]
-    return _finish_mesh(nodes, triangles, _reference_boundary_loop(triangles))
+    return _finish_mesh(nodes, triangles, _reference_boundary_loop(triangles)[:, 0])
 
 
 def _reference_rasterize(mesh, values, resolution):
@@ -143,7 +143,8 @@ def _reference_disk_boundary(mesh):
 
 
 def _reference_boundary_elements(mesh):
-    edge_set = {tuple(sorted(e)) for e in mesh.boundary_edges.tolist()}
+    loop = mesh.boundary_nodes.tolist()
+    edge_set = {tuple(sorted(e)) for e in zip(loop, loop[1:] + loop[:1])}
     hits = []
     for k, tri in enumerate(mesh.triangles.tolist()):
         for a, b in ((0, 1), (1, 2), (2, 0)):
@@ -214,10 +215,10 @@ def _assert_topology_matches_reference(mesh, tmp_dir):
     # -1 pads the end of each row
     assert ((got < 0) <= (np.roll(got, -1, axis=1) < 0))[:, :2].all()
 
-    loop = _reference_boundary_loop(mesh.triangles)
-    assert mesh.boundary_edges.shape == loop.shape
-    assert mesh.boundary_edges.tobytes() == loop.tobytes()
-    assert mesh.boundary_edges.tobytes() == _reference_disk_boundary(mesh).tobytes()
+    loop = _reference_boundary_loop(mesh.triangles)[:, 0]
+    assert mesh.boundary_nodes.shape == loop.shape
+    assert mesh.boundary_nodes.tobytes() == loop.tobytes()
+    assert mesh.boundary_nodes.tobytes() == _reference_disk_boundary(mesh)[:, 0].tobytes()
     # the saved text holds the exact mesh, and its triangles give the same
     # topology again
     path = Path(tmp_dir) / "mesh.txt"
@@ -264,15 +265,14 @@ class TestGenerateDiskMesh:
         for tri in mesh.triangles:
             assert _signed_area(mesh.nodes, tri) > 0  # CCW
         # boundary edges: single closed loop, each owned by exactly one triangle
-        loop = mesh.boundary_edges
-        assert (loop[:-1, 1] == loop[1:, 0]).all()
-        assert loop[-1, 1] == loop[0, 0]
+        loop = mesh.boundary_nodes
+        assert len(set(loop.tolist())) == len(loop)
         edge_owner = {}
         for k, tri in enumerate(mesh.triangles):
             for a, b in ((0, 1), (1, 2), (2, 0)):
                 key = frozenset((tri[a], tri[b]))
                 edge_owner.setdefault(key, []).append(k)
-        for a, b in loop:
+        for a, b in zip(loop, np.roll(loop, -1)):
             assert len(edge_owner[frozenset((a, b))]) == 1
         # neighbor symmetry
         for k, nbrs in enumerate(mesh.element_neighbors.tolist()):
@@ -282,7 +282,7 @@ class TestGenerateDiskMesh:
 
     def test_boundary_nodes_on_circle(self):
         mesh = generate_disk_mesh(0.1, 1024)
-        r = np.linalg.norm(mesh.nodes[mesh.boundary_nodes()], axis=1)
+        r = np.linalg.norm(mesh.nodes[mesh.boundary_nodes], axis=1)
         assert np.max(np.abs(r - 0.1)) <= 1e-9 * 0.1
         assert np.linalg.norm(mesh.nodes, axis=1).max() <= 0.1 + 1e-12
 
@@ -305,7 +305,7 @@ class TestGenerateDiskMesh:
     def test_matches_loop_oracle(self, target, tmp_path):
         mesh = generate_disk_mesh(0.1, target)
         want = _reference_disk_mesh(0.1, math.isqrt(mesh.n_elements // RING_GROWTH))
-        for name in ("nodes", "triangles", "boundary_edges", "element_centroids",
+        for name in ("nodes", "triangles", "boundary_nodes", "element_centroids",
                      "element_areas", "element_neighbors"):
             a, b = getattr(mesh, name), getattr(want, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -343,7 +343,7 @@ class TestEdgeTable:
         mesh = generate_disk_mesh(0.1, 1024)
         padded = (mesh.element_neighbors < 0).sum(axis=1)
         # each boundary edge leaves one -1 in the row of its one owner
-        assert padded.sum() == len(mesh.boundary_edges)
+        assert padded.sum() == len(mesh.boundary_nodes)
         assert np.array_equal(mesh.boundary_elements(), np.flatnonzero(padded))
 
     def test_neighbors_frozen(self):
@@ -357,12 +357,12 @@ class TestPlaceElectrodes:
         mesh = generate_disk_mesh(0.1, 1024)
         layout = place_electrodes(mesh, 16)
         assert len(set(layout.node_ids.tolist())) == 16
-        bn = set(mesh.boundary_nodes().tolist())
+        bn = set(mesh.boundary_nodes.tolist())
         assert all(i in bn for i in layout.node_ids)
         # consecutive gaps within one boundary-edge length of 22.5 deg
         ang = np.sort(np.mod(layout.angles, 2 * np.pi))
         gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
-        edge_angle = 2 * np.pi / len(mesh.boundary_nodes())
+        edge_angle = 2 * np.pi / len(mesh.boundary_nodes)
         assert np.all(np.abs(gaps - 2 * np.pi / 16) <= edge_angle + 1e-12)
 
     def test_four_at_quadrants(self):
@@ -370,7 +370,7 @@ class TestPlaceElectrodes:
         layout = place_electrodes(mesh, 4)
         pts = mesh.nodes[layout.node_ids]
         want = 0.1 * np.array([[1, 0], [0, 1], [-1, 0], [0, -1]])
-        edge_len = 2 * np.pi * 0.1 / len(mesh.boundary_nodes())
+        edge_len = 2 * np.pi * 0.1 / len(mesh.boundary_nodes)
         for p, w in zip(pts, want):
             assert np.linalg.norm(p - w) <= edge_len
 

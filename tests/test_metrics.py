@@ -1,20 +1,11 @@
-"""RE, PSNR, profiles, grayscale image output."""
+"""RE, PSNR, grayscale image output."""
 
 import math
 
 import numpy as np
 import pytest
 
-from eitkit import (
-    assign_conductivity,
-    generate_disk_mesh,
-    lung_model,
-    profile,
-    psnr,
-    rasterize,
-    relative_error,
-    write_image_pgm,
-)
+from eitkit import psnr, relative_error, write_image_pgm
 
 
 class TestRelativeError:
@@ -143,51 +134,6 @@ def test_scores_of_a_reference_far_below_the_estimate():
     # past about 2**1000 apart, the reference's squares underflow at any
     # common scale, and its RE is past the float range
     assert relative_error(est, truth * 2.0**-400) == math.inf
-
-
-class TestProfile:
-    def test_constant_image(self):
-        img = np.full((32, 32), 2.5)
-        out = profile(img, (10, 0), (10, 31), 16)
-        assert np.all(out == 2.5)
-
-    def test_step_phantom_two_values(self):
-        mesh = generate_disk_mesh(0.1, 1024)
-        vals = assign_conductivity(mesh, lung_model(7))
-        img = rasterize(mesh, vals, 256)
-        # horizontal line through the inclusions (y ~ -0.01 -> row ~ 115)
-        out = profile(img, (115, 0), (115, 255), 256)
-        levels = set(np.unique(out[np.isfinite(out)]).tolist())
-        assert levels == {1.0, 1.1}
-
-    def test_zero_length_line(self):
-        img = np.arange(16.0).reshape(4, 4)
-        out = profile(img, (2, 1), (2, 1), 5)
-        assert np.all(out == img[2, 1])
-
-    def test_single_sample(self):
-        img = np.arange(16.0).reshape(4, 4)
-        assert profile(img, (1, 1), (3, 3), 1)[0] == img[1, 1]
-
-    def test_sentinel_propagation(self):
-        img = np.ones((8, 8))
-        img[4, :] = np.nan
-        out = profile(img, (0, 3), (7, 3), 8)
-        assert np.isnan(out).sum() == 1
-
-    def test_endpoint_outside_rejected(self):
-        img = np.ones((8, 8))
-        with pytest.raises(ValueError):
-            profile(img, (0, 0), (8, 0), 4)
-        with pytest.raises(ValueError):
-            profile(img, (-1, 0), (3, 0), 4)
-
-    def test_transposition_commutes(self):
-        rng = np.random.default_rng(3)
-        img = rng.normal(size=(24, 16))
-        a = profile(img, (3, 2), (20, 14), 11)
-        b = profile(img.T, (2, 3), (14, 20), 11)
-        assert np.array_equal(a, b)
 
 
 def _read_pgm(path):

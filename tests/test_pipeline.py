@@ -20,7 +20,7 @@ from eitkit.pipeline import (
     cmd_sweep,
     phantom_truth_image,
 )
-from eitkit import generate_disk_mesh, lung_model, place_electrodes, save_mesh
+from eitkit import generate_disk_mesh, lung_model, place_electrodes, rasterize, save_mesh
 from eitkit.mesh import save_element_values, load_element_values, load_field_series
 
 
@@ -329,9 +329,14 @@ class TestCmdEvaluate:
         profiles = list(csv.DictReader((out / "profiles.csv").open()))
         assert len(profiles) == 64
         assert "recon_row20" in profiles[0] and "truth_row45" in profiles[0]
+        # each recon_row{r} column is row r of the final image
+        final = load_element_values(out / "delta_sigma.txt")
+        image = rasterize(generate_disk_mesh(0.1, 256), small_cfg.sigma0 + final, 64)
+        for r in small_cfg.profile_rows:
+            column = [float(row[f"recon_row{r}"]) for row in profiles]
+            assert np.array_equal(column, image[r], equal_nan=True)
 
         # surrogate reference equal to the stored result -> exact zero error
-        final = load_element_values(out / "delta_sigma.txt")
         save_element_values(out / "iterates.txt", final[None, :])
         manifest = cmd_evaluate(small_cfg, reference=out / "delta_sigma.txt")
         lines = (out / "eval.csv").read_text().splitlines()
@@ -498,6 +503,36 @@ class TestCmdSweep:
         assert math.isnan(rows[0]["re"])
         assert rows[1]["termination"] in ("max_iters", "tol")
         assert math.isfinite(rows[1]["re"])
+
+    def test_tikhonov_failure_stays_with_its_lam(self, small_cfg):
+        # at rho 1e-14 only ratio 5e-5 (lam 5e-19) leaves S S^T + lam I
+        # indefinite in floating point; the other six lam solve
+        rows = cmd_sweep(dataclasses.replace(small_cfg, solver="tikhonov", rho=1e-14))
+        failed = [r for r in rows if r["lambda_over_rho"] == 5e-5]
+        solved = [r for r in rows if r["lambda_over_rho"] != 5e-5]
+        assert len(failed) == 5 and {r["termination"] for r in failed} == {"error:SolverError"}
+        assert len(solved) == 30 and {r["termination"] for r in solved} == {"direct"}
+        assert all(math.isfinite(r["re"]) for r in solved)
+
+    def test_preprocessing_failure_fills_every_cell(self, small_cfg, model7, tmp_path):
+        # the 1024-element mesh's boundary Gram matrix is singular at lambda_b 1e-30
+        data = tmp_path / "dv_noisy.txt"
+        save_frames(data, [model7.dv_noisy])
+        cfg = dataclasses.replace(small_cfg, inverse_elements=1024, enable_preprocess=True,
+                                  lambda_b=1e-30, sweep_lambda_over_rho=[1e-3, 5e-3],
+                                  sweep_delta=[0.01])
+        rows = cmd_sweep(cfg, data_path=data)
+        assert [r["termination"] for r in rows] == ["error:SolverError"] * 2
+
+    def test_bug_in_the_block_propagates(self, small_cfg, monkeypatch):
+        import eitkit.inverse as inv
+
+        def broken(d_x, delta):
+            raise TypeError("not a solver failure")
+
+        monkeypatch.setattr(inv, "nwatv_weights", broken)
+        with pytest.raises(TypeError, match="not a solver failure"):
+            cmd_sweep(small_cfg)
 
 
 class TestCmdRender:
@@ -682,6 +717,16 @@ class TestCli:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert f"config error: {field}" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("rho, ratio", [(1e300, 1e10), (1e-300, 1e-30)],
+                             ids=["overflow", "underflow"])
+    def test_tikhonov_sweep_lam_out_of_range_exit_two(self, tmp_path, capsys, rho, ratio):
+        # ratio x rho is a sweep cell's ridge lam, which must be positive and finite
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"),
+                              solver="tikhonov", rho=rho, sweep_lambda_over_rho=[ratio, 1.0])
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: sweep_lambda_over_rho" in err and len(err.strip().splitlines()) == 1
 
     def test_mask_index_out_of_range_exit_two(self, tmp_path, capsys):
         cfg_path = _write_cfg(
@@ -962,6 +1007,23 @@ class TestCli:
         assert rc == 3
         diag = json.loads((tmp_path / "out" / "solver_error.json").read_text())
         assert "forced failure" in diag["error"]
+
+    @pytest.mark.filterwarnings("error")  # a LinAlgWarning would be a stderr line
+    @pytest.mark.parametrize("overrides, key", [
+        ({"solver": "tikhonov", "lam": 1e-20}, "ridge_condition"),
+        ({"enable_preprocess": True, "lambda_b": 1e-30}, "gram_condition"),  # singular
+        ({"enable_preprocess": True, "lambda_b": 1e-20}, "gram_condition"),  # rcond < eps
+    ], ids=["ridge", "preprocess_singular", "preprocess_ill_conditioned"])
+    def test_indefinite_ridge_or_gram_exit_three(self, model7, tmp_path, capsys, overrides, key):
+        data = tmp_path / "dv_noisy.txt"
+        save_frames(data, [model7.dv_noisy])
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"),
+                              inverse_elements=1024, forward_elements=16384, **overrides)
+        assert main(["reconstruct", "--config", str(cfg_path), "--data", str(data)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: ") and len(err.strip().splitlines()) == 1
+        diag = json.loads((tmp_path / "out" / "solver_error.json").read_text())["diagnostics"]
+        assert diag[key] > 1 / np.finfo(float).eps
 
 
 class TestBlasPin:
