@@ -91,10 +91,11 @@ def _refine(solve, apply, rhs, *, target, steps, accept, what, key) -> np.ndarra
         miss = ~(norm_r <= (target if correction < steps else accept) * norm_b[live])
         if not miss.any():
             return x.reshape(rhs.shape)
-        cols, r, norm_r = cols[miss], r[:, miss], norm_r[miss]
-        live = cols
+        if not miss.all():  # while every live column misses, live keeps its slice
+            cols, r, norm_r = cols[miss], r[:, miss], norm_r[miss]
+            live = cols
         if correction < steps:
-            x[:, cols] += solve(r)
+            x[:, live] += solve(r)
     rel = norm_r / norm_b[cols]
     worst = int(np.argmax(rel))  # argmax takes a NaN as the largest
     raise SolverError(

@@ -73,10 +73,9 @@ class ReconResult:
         return len(self.step_norm)
 
 
-def _data_residual(s: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|S x - b| / |b| for each column of x (N, K), or |S x| when b = 0."""
-    b_norm = _column_norms(b[:, None])[0]
-    resid = _column_norms(s @ x - b[:, None])
+def _data_residual(s_x: np.ndarray, b: np.ndarray, b_norm: float) -> np.ndarray:
+    """|S x - b| / b_norm for each column of S x (M, K), or |S x| when b = 0."""
+    resid = _column_norms(s_x - b[:, None])
     return resid / b_norm if b_norm > 0 else resid
 
 
@@ -122,9 +121,11 @@ def nwatv_weights(d_x: np.ndarray, delta) -> np.ndarray:
         raise ValueError(f"delta must be > 0, got {delta}")
     n = len(d_x) // 2
     gx, gy = d_x[:n], d_x[n:]
+    zeta = np.empty((2 * n, *d_x.shape[1:]))
     with np.errstate(over="ignore"):  # an overflowed |g_k|^2 gives the weight 0
-        zeta = 1.0 / (gx * gx + gy * gy + delta)
-    return np.concatenate([zeta, zeta])
+        np.divide(1.0, gx * gx + gy * gy + delta, out=zeta[:n])
+    zeta[n:] = zeta[:n]
+    return zeta
 
 
 def z_update(w: np.ndarray, p: np.ndarray, lam, rho: float) -> np.ndarray:
@@ -189,9 +190,14 @@ class XUpdateSolver:
     invertible, since D annihilates constants; iterative refinement against
     the exact operator, applied matrix-free, removes it. A capacitance
     matrix that is not positive definite is a SolverError at set-up.
+
+    A block solve whose last residual check read every column keeps S x
+    and D x of its result for ``products``, per thread, so one solver may
+    serve callers on several threads.
     """
 
     def __init__(self, s, d: sp.csr_matrix, rho: float):
+        import threading
         if not rho > 0:
             raise ValueError(f"rho must be > 0, got {rho}")
         self.s = np.asarray(s, dtype=float)
@@ -220,6 +226,7 @@ class XUpdateSolver:
         trsm = sla.get_blas_funcs("trsm", (low,))
         y = trsm(1.0, low, a_inv_u, side=1, lower=1, trans_a=1, overwrite_b=1)
         self._gain = trsm(1.0, low, y, side=1, lower=1, overwrite_b=1)
+        self._checked = threading.local()  # .products: (x, S x, D x) of the last solve
 
     def _shifted_inverse(self, r: np.ndarray) -> np.ndarray:
         """(A + U U^T)^-1 r = a - G U^T a with a = A^-1 r, for a block r (N, k);
@@ -228,21 +235,34 @@ class XUpdateSolver:
         a_inv_r = self._lu.solve(r)
         return a_inv_r - self._gain @ (self.s @ a_inv_r / np.sqrt(self.rho))
 
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        """The exact operator ((1/rho) S^T S + D^T D) x, matrix-free."""
-        return self.s.T @ (self.s @ x) / self.rho + self.dt @ (self.d @ x)
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side (N,) or a block (N, K) under the
         refinement contract of forward._refine; a SolverError names its
         ``"column"`` and the capacitance matrix's condition number."""
+        checked = []  # the shape, S x and D x of the last residual check's x
+
+        def apply(x):  # the exact operator ((1/rho) S^T S + D^T D) x, matrix-free
+            checked[:] = x.shape, self.s @ x, self.d @ x
+            return self.s.T @ checked[1] / self.rho + self.dt @ checked[2]
+
         try:
-            return _refine(self._shifted_inverse, self._apply, rhs, target=_REFINE_TOL,
-                           steps=_REFINE_STEPS, accept=_UPDATE_RESIDUAL_TOL,
-                           what="x-update", key="column")
+            x = _refine(self._shifted_inverse, apply, rhs, target=_REFINE_TOL,
+                        steps=_REFINE_STEPS, accept=_UPDATE_RESIDUAL_TOL,
+                        what="x-update", key="column")
         except SolverError as exc:
             exc.diagnostics["capacitance_condition"] = float(np.linalg.cond(self._capacitance))
             raise
+        covered = checked[0] == x.shape  # the last check read all of a block x
+        self._checked.products = (x, checked[1], checked[2]) if covered else None
+        return x
+
+    def products(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """S x and D x for a block x (N, K): those of this thread's last solve
+        when x is its result, else computed."""
+        kept, self._checked.products = getattr(self._checked, "products", None), None
+        if kept is not None and kept[0] is x:
+            return kept[1], kept[2]
+        return self.s @ x, self.d @ x
 
 
 _VARIANTS = ("nwatv", "fotv", "tv")
@@ -287,6 +307,7 @@ def reconstruct_block(
 
     n, k = s.shape[1], len(lams)
     st_b = (s.T @ b / rho)[:, None]
+    b_norm = _column_norms(b[:, None])[0]
 
     x = np.zeros((n, k))
     z = np.zeros((2 * n, k))
@@ -297,10 +318,14 @@ def reconstruct_block(
     iters = np.zeros(k, dtype=int)  # iterations completed by each column
     errors: dict[int, SolverError] = {}
 
+    spent = np.zeros(4)  # ms in the x-update, shrink, reweight and dual phases
     live = np.arange(k)  # the running columns
     for it in range(1, max_iters + 1):
         t0 = time.perf_counter()
-        rhs = st_b + dt @ (z[:, live] - y[:, live] / rho)
+        # while every column runs, the state is indexed by a full slice: views, no copies
+        cols = slice(None) if live.size == k else live
+        y_rho = y[:, cols] / rho
+        rhs = st_b + dt @ (z[:, cols] - y_rho)
         while live.size:
             try:
                 x_new = x_update.solve(rhs)
@@ -312,36 +337,41 @@ def reconstruct_block(
                     f"iteration {it}: {exc}",
                     diagnostics={**exc.diagnostics, "column": c, "iteration": it},
                 )
-                live, rhs = np.delete(live, j), np.delete(rhs, j, axis=1)
+                live, rhs, y_rho = (np.delete(a, j, axis=-1) for a in (live, rhs, y_rho))
         if not live.size:
             break
+        cols = slice(None) if live.size == k else live
         if mask is not None:
             x_new = apply_mask(x_new, mask)
-        d_x = d @ x_new
-        w = d_x + y[:, live] / rho
+        s_x, d_x = x_update.products(x_new)
+        t1 = time.perf_counter()
+        w = np.add(d_x, y_rho, out=y_rho)
         if variant == "tv":
             with np.errstate(over="ignore"):  # an overflowed threshold shrinks every pair to 0
                 g = lams[live] / rho
             z_new = group_shrink(w, g)
         else:
-            z_new = z_update(w, p[:, live], lams[live], rho)
+            z_new = z_update(w, p[:, cols], lams[live], rho)
+        t2 = time.perf_counter()
         if variant in _READS_DELTA:
-            p[:, live] = nwatv_weights(d_x, deltas[live])
-            for j in np.flatnonzero(~np.all(p[:, live] > 0, axis=0)):
+            p[:, cols] = nwatv_weights(d_x, deltas[live])
+            for j in np.flatnonzero(~np.all(p[:n, cols] > 0, axis=0)):
                 c = int(live[j])
                 errors[c] = SolverError(
                     f"iteration {it}: NWATV weights are not all > 0 after the reweight",
                     diagnostics={"column": c, "iteration": it},
                 )
-        y[:, live] = y[:, live] + rho * (d_x - z_new)
-        z[:, live] = z_new
-
+        t3 = time.perf_counter()
+        y[:, cols] += rho * (d_x - z_new)
+        z[:, cols] = z_new
         step = np.full(k, np.nan)
-        step[live] = _column_norms(x_new - x[:, live])
-        x[:, live] = x_new
+        step[live] = _column_norms(x_new - x[:, cols])
+        x[:, cols] = x_new
         resid = np.full(k, np.nan)
-        resid[live] = _data_residual(s, x_new, b)
-        walls.append((time.perf_counter() - t0) * 1000.0)
+        resid[live] = _data_residual(s_x, b, b_norm)
+        t4 = time.perf_counter()
+        spent += np.array([t1 - t0, t2 - t1, t3 - t2, t4 - t3]) * 1000.0
+        walls.append((t4 - t0) * 1000.0)
         residuals.append(resid)
         steps.append(step)
         if keep_history:
@@ -349,6 +379,10 @@ def reconstruct_block(
         iters[live] = it
         live = live[~(step[live] < tol) & ~np.isin(live, list(errors))]
 
+    import logging  # the message is formatted only where DEBUG is enabled
+    logging.getLogger(__name__).debug(
+        "ADMM block of %d columns, %d iterations: x-update %.1f ms, shrink %.1f ms, "
+        "reweight %.1f ms, dual %.1f ms", k, iters.max(), *spent)
     history = np.array(history) if keep_history else np.empty((0, n, k))
     residuals, steps, walls = np.array(residuals), np.array(steps), np.array(walls)
     return [
@@ -421,7 +455,7 @@ def reconstruct_tikhonov(s, delta_v, lam: float) -> ReconResult:
     return ReconResult(
         final=x,
         history=x[None, :],
-        data_residual=_data_residual(s, x[:, None], b),
+        data_residual=_data_residual(s @ x[:, None], b, _column_norms(b[:, None])[0]),
         step_norm=np.array([np.linalg.norm(x)]),
         wall_ms=np.array([(time.perf_counter() - t0) * 1e3]),
         termination="direct",

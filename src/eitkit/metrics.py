@@ -40,11 +40,7 @@ def relative_error(sigma_n: np.ndarray, sigma_star: np.ndarray) -> float:
     """Euclidean-norm ratio |sigma_n - sigma_star| / |sigma_star| over the
     jointly in-domain entries; +inf when the reference is nonzero but more
     than about 2**1000 times smaller than the estimate."""
-    a, b = _in_domain(sigma_n, sigma_star)
-    if not b.any():
-        raise ValueError("reference has zero norm")
-    ref = float(np.linalg.norm(b))  # 0 only past that ratio, where b^2 underflows
-    return float(np.linalg.norm(a - b)) / ref if ref else math.inf
+    return _relative_error(*_in_domain(sigma_n, sigma_star))
 
 
 def psnr(sigma_n: np.ndarray, sigma_star: np.ndarray) -> float:
@@ -54,7 +50,23 @@ def psnr(sigma_n: np.ndarray, sigma_star: np.ndarray) -> float:
     in-domain pixel, or so small against the error that the ratio
     underflows, returns -inf.
     """
+    return _psnr(*_in_domain(sigma_n, sigma_star))
+
+
+def score(sigma_n: np.ndarray, sigma_star: np.ndarray) -> tuple[float, float]:
+    """(relative_error, psnr) of one pair, from one pass over its entries."""
     a, b = _in_domain(sigma_n, sigma_star)
+    return _relative_error(a, b), _psnr(a, b)
+
+
+def _relative_error(a: np.ndarray, b: np.ndarray) -> float:
+    if not b.any():
+        raise ValueError("reference has zero norm")
+    ref = float(np.linalg.norm(b))  # 0 only past that ratio, where b^2 underflows
+    return float(np.linalg.norm(a - b)) / ref if ref else math.inf
+
+
+def _psnr(a: np.ndarray, b: np.ndarray) -> float:
     if not a.size:
         raise ValueError("no jointly in-domain pixels")
     mse = float(np.mean((a - b) ** 2))

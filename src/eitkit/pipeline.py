@@ -329,7 +329,7 @@ def _score(cfg: PipelineConfig, index: np.ndarray, delta_sigma: np.ndarray,
     """RE and PSNR against ``truth`` of the image of sigma0 + ``delta_sigma``
     gathered on ``index``."""
     image = raster_image(index, cfg.sigma0 + delta_sigma)
-    return metrics.relative_error(image, truth), metrics.psnr(image, truth)
+    return metrics.score(image, truth)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,279 @@
+"""Bit-identity of the block ADMM core and the refinement loop against
+reference loops that gather and scatter the running columns on every pass."""
+
+import logging
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from eitkit import ReconResult, SolverError, XUpdateSolver, reconstruct_block
+from eitkit.forward import _column_norms, _refine
+from eitkit.inverse import apply_mask, group_shrink, nwatv_weights, z_update
+
+LAMS = [5e-14, 5e-13, 5e-12]
+DELTAS = [0.001, 0.01, 0.1]
+
+
+def _reference_block(x_update, b, lams, deltas, *, variant="nwatv", max_iters=20, tol=1e-5,
+                     mask=None):
+    """reconstruct_block's iteration with every (2N, K) state array indexed
+    by the running columns, S x and D x formed afresh after each x-update,
+    and |b| taken once per residual."""
+    s, d, dt, rho = x_update.s, x_update.d, x_update.dt, x_update.rho
+    lams, deltas = np.asarray(lams, dtype=float), np.asarray(deltas, dtype=float)
+    n, k = s.shape[1], len(lams)
+    st_b = (s.T @ b / rho)[:, None]
+    x, z, y, p = np.zeros((n, k)), np.zeros((2 * n, k)), np.zeros((2 * n, k)), np.ones((2 * n, k))
+    history, residuals, steps = [], [], []
+    iters = np.zeros(k, dtype=int)
+    errors = {}
+    live = np.arange(k)
+    for it in range(1, max_iters + 1):
+        rhs = st_b + dt @ (z[:, live] - y[:, live] / rho)
+        while live.size:
+            try:
+                x_new = x_update.solve(rhs)
+                break
+            except SolverError as exc:
+                j = exc.diagnostics["column"]
+                c = int(live[j])
+                errors[c] = SolverError(f"iteration {it}: {exc}",
+                                        diagnostics={**exc.diagnostics, "column": c, "iteration": it})
+                live, rhs = np.delete(live, j), np.delete(rhs, j, axis=1)
+        if not live.size:
+            break
+        if mask is not None:
+            x_new = apply_mask(x_new, mask)
+        d_x = d @ x_new
+        w = d_x + y[:, live] / rho
+        if variant == "tv":
+            z_new = group_shrink(w, lams[live] / rho)
+        else:
+            z_new = z_update(w, p[:, live], lams[live], rho)
+        if variant == "nwatv":
+            p[:, live] = nwatv_weights(d_x, deltas[live])
+            for j in np.flatnonzero(~np.all(p[:, live] > 0, axis=0)):
+                c = int(live[j])
+                errors[c] = SolverError("weights", diagnostics={"column": c, "iteration": it})
+        y[:, live] = y[:, live] + rho * (d_x - z_new)
+        z[:, live] = z_new
+        step = np.full(k, np.nan)
+        step[live] = _column_norms(x_new - x[:, live])
+        x[:, live] = x_new
+        resid = np.full(k, np.nan)
+        b_norm = _column_norms(b[:, None])[0]
+        resid[live] = _column_norms(s @ x_new - b[:, None]) / b_norm
+        residuals.append(resid)
+        steps.append(step)
+        history.append(x.copy())
+        iters[live] = it
+        live = live[~(step[live] < tol) & ~np.isin(live, list(errors))]
+    history, residuals, steps = np.array(history), np.array(residuals), np.array(steps)
+    return [
+        errors[c] if c in errors else (x[:, c], history[:m, :, c], residuals[:m, c], steps[:m, c])
+        for c, m in enumerate(iters)
+    ]
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, SolverError):
+            assert isinstance(g, SolverError)
+            assert (g.diagnostics["column"], g.diagnostics["iteration"]) == (
+                w.diagnostics["column"], w.diagnostics["iteration"])
+            continue
+        assert isinstance(g, ReconResult)
+        for a, b in zip((g.final, g.history, g.data_residual, g.step_norm), w):
+            assert np.array_equal(a, b)
+
+
+class TestBlockMatchesGatheringLoop:
+    @pytest.mark.parametrize("variant", ["nwatv", "fotv", "tv"])
+    def test_every_column_running(self, model7, x_update, variant):
+        kw = dict(variant=variant, max_iters=4, tol=1e-30)
+        _assert_same(reconstruct_block(x_update, model7.dv_noisy, LAMS, DELTAS, **kw),
+                     _reference_block(x_update, model7.dv_noisy, LAMS, DELTAS, **kw))
+
+    def test_columns_stopping_on_tol(self, model7, x_update):
+        # at tol 1e-2 the four columns stop at different iterations, so the
+        # block runs both with every column and with some stopped
+        lams, deltas = [5e-11, 5e-10, 5e-9, 5e-12], [0.01, 0.1, 0.01, 0.001]
+        kw = dict(max_iters=30, tol=1e-2)
+        got = reconstruct_block(x_update, model7.dv_noisy, lams, deltas, **kw)
+        assert len({r.n_iterations for r in got}) > 1
+        _assert_same(got, _reference_block(x_update, model7.dv_noisy, lams, deltas, **kw))
+
+    def test_column_failing_mid_block(self, model7, x_update, monkeypatch):
+        real = XUpdateSolver.solve
+        calls = []
+
+        def poisoned(self, rhs):
+            # a NaN right-hand side in column 1 of the second full block
+            if rhs.ndim == 2 and rhs.shape[1] == 3:
+                calls.append(1)
+                if len(calls) == 2:
+                    rhs = rhs.copy()
+                    rhs[:, 1] = np.nan
+            return real(self, rhs)
+
+        monkeypatch.setattr(XUpdateSolver, "solve", poisoned)
+        got = reconstruct_block(x_update, model7.dv_noisy, LAMS, DELTAS, max_iters=5)
+        calls.clear()
+        want = _reference_block(x_update, model7.dv_noisy, LAMS, DELTAS, max_iters=5)
+        assert got[1].diagnostics["iteration"] == 2
+        _assert_same(got, want)
+
+    def test_mask(self, coarse, model7, x_update):
+        mask = np.linalg.norm(coarse.mesh.element_centroids, axis=1) < 0.07
+        kw = dict(max_iters=5, mask=mask)
+        _assert_same(reconstruct_block(x_update, model7.dv_noisy, LAMS, DELTAS, **kw),
+                     _reference_block(x_update, model7.dv_noisy, LAMS, DELTAS, **kw))
+
+
+class TestProductsOfTheSolve:
+    def test_block_solve_keeps_its_checked_products(self, coarse, x_update):
+        rhs = np.random.default_rng(5).normal(size=(coarse.mesh.n_elements, 4))
+        x = x_update.solve(rhs)
+        kept = x_update._checked.products
+        s_x, d_x = x_update.products(x)
+        assert s_x is kept[1] and d_x is kept[2]
+        assert np.array_equal(s_x, coarse.s @ x) and np.array_equal(d_x, coarse.d @ x)
+        # the record is used once; after it, the products are computed
+        again = x_update.products(x)
+        assert again[0] is not s_x and np.array_equal(again[0], s_x)
+
+    def test_products_of_another_array_are_computed(self, coarse, x_update):
+        rhs = np.random.default_rng(6).normal(size=(coarse.mesh.n_elements, 2))
+        x = x_update.solve(rhs)
+        other = x.copy()
+        other[0] = 1.0
+        s_x, d_x = x_update.products(other)
+        assert np.array_equal(s_x, coarse.s @ other) and np.array_equal(d_x, coarse.d @ other)
+
+    def test_each_thread_gets_its_own_products(self, coarse, x_update):
+        # the record is per thread: a solve on one thread never hands its
+        # products to another thread's x
+        import sys
+        import threading
+
+        n = coarse.mesh.n_elements
+        rhs = [np.random.default_rng(40 + t).normal(size=(n, 3)) for t in range(8)]
+        wrong = []
+
+        def worker(t):
+            for _ in range(4):
+                x = x_update.solve(rhs[t])
+                s_x, d_x = x_update.products(x)
+                if not (np.array_equal(s_x, coarse.s @ x) and np.array_equal(d_x, coarse.d @ x)):
+                    wrong.append(t)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(len(rhs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_zero_column_leaves_no_record(self, coarse, x_update):
+        # the residual check then covers only the nonzero columns
+        rhs = np.random.default_rng(7).normal(size=(coarse.mesh.n_elements, 3))
+        rhs[:, 1] = 0.0
+        x = x_update.solve(rhs)
+        assert x_update._checked.products is None
+        s_x, _ = x_update.products(x)
+        assert np.array_equal(s_x, coarse.s @ x)
+
+
+def test_block_logs_one_debug_line(model7, x_update, caplog):
+    with caplog.at_level(logging.DEBUG, logger="eitkit.inverse"):
+        reconstruct_block(x_update, model7.dv_noisy, LAMS, DELTAS, max_iters=3, tol=1e-30)
+    (record,) = [r for r in caplog.records if r.name == "eitkit.inverse"]
+    assert record.levelno == logging.DEBUG
+    message = record.getMessage()
+    assert message.startswith("ADMM block of 3 columns, 3 iterations: x-update ")
+    for phase in ("shrink", "reweight", "dual"):
+        assert f"{phase} " in message and " ms" in message
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="eitkit.inverse"):
+        reconstruct_block(x_update, model7.dv_noisy, LAMS, DELTAS, max_iters=1)
+    assert not [r for r in caplog.records if r.name == "eitkit.inverse"]
+
+
+def _reference_refine(solve, apply, rhs, *, target, steps, accept):
+    """_refine with the missing columns gathered after every check."""
+    b = rhs.reshape(len(rhs), -1)
+    norm_b = _column_norms(b)
+    cols = np.flatnonzero(norm_b != 0)
+    live = slice(None) if cols.size == b.shape[1] else cols
+    x = solve(b) if cols.size == b.shape[1] else np.zeros(b.shape)
+    if 0 < cols.size < b.shape[1]:
+        x[:, cols] = solve(b[:, cols])
+    for correction in range(steps + 1):
+        r = b[:, live] - apply(x[:, live])
+        norm_r = _column_norms(r)
+        miss = ~(norm_r <= (target if correction < steps else accept) * norm_b[live])
+        if not miss.any():
+            return x.reshape(rhs.shape)
+        cols, r, norm_r = cols[miss], r[:, miss], norm_r[miss]
+        live = cols
+        if correction < steps:
+            x[:, cols] += solve(r)
+    raise SolverError("missed")
+
+
+class TestRefineMatchesGatheringLoop:
+    N = 60
+
+    def _run(self, rhs, seed=11):
+        """_refine and the reference on a sparse tridiagonal problem whose
+        approximate inverse (a SuperLU factor, as in the library) is exact on
+        the first half of the unknowns and gains about two digits per
+        correction on the second; returns _refine's result and the arrays
+        its residual checks saw."""
+        rng = np.random.default_rng(seed)
+        n, h = self.N, self.N // 2
+        off = rng.uniform(-1.0, 1.0, size=n - 1)
+        off[h - 1] = 0.0  # no coupling between the halves
+        diag = rng.uniform(4.0, 5.0, size=n)
+        a = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+        shift = np.where(np.arange(n) < h, 0.0, 0.05 * rng.uniform(0.5, 1.0, size=n))
+        lu = spla.splu((a + sp.diags(shift)).tocsc())
+        seen = []
+
+        def apply(x):
+            seen.append(x)
+            return a @ x
+
+        kw = dict(target=1e-13, steps=8, accept=1e-10)
+        got = _refine(lu.solve, apply, rhs, what="test", key="column", **kw)
+        want = _reference_refine(lu.solve, lambda x: a @ x, rhs, **kw)
+        assert np.array_equal(got, want)
+        return got, seen
+
+    def test_every_column_missing_keeps_the_whole_block(self):
+        rhs = np.random.default_rng(12).normal(size=(self.N, 5))
+        got, seen = self._run(rhs)
+        # the second check reads the block itself, not a gathered copy
+        assert len(seen) > 2 and seen[1].shape == (self.N, 5)
+        assert np.shares_memory(seen[1], got)
+
+    def test_columns_meeting_the_target_at_once(self):
+        rhs = np.random.default_rng(13).normal(size=(self.N, 4))
+        rhs[self.N // 2:, [0, 2]] = 0.0  # solved exactly by the first solve
+        got, seen = self._run(rhs)
+        assert seen[0].shape[1] == 4 and {x.shape[1] for x in seen[1:]} == {2}
+
+    def test_zero_column(self):
+        rhs = np.random.default_rng(14).normal(size=(self.N, 3))
+        rhs[:, 1] = 0.0
+        got, seen = self._run(rhs)
+        assert not got[:, 1].any() and {x.shape[1] for x in seen} == {2}

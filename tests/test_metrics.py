@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eitkit import psnr, relative_error, write_image_pgm
+from eitkit import metrics, psnr, relative_error, write_image_pgm
 
 
 class TestRelativeError:
@@ -134,6 +134,32 @@ def test_scores_of_a_reference_far_below_the_estimate():
     # past about 2**1000 apart, the reference's squares underflow at any
     # common scale, and its RE is past the float range
     assert relative_error(est, truth * 2.0**-400) == math.inf
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("est_scale, truth_scale", [
+    (1.0, 1.0), (2.0**1000, 2.0**1000), (2.0**-1000, 2.0**-1000), (1.0, 2.0**-660),
+    (2.0**-660, 1.0), (1.0, 2.0**-1060),
+])
+def test_score_is_both_scores_from_one_pass(monkeypatch, est_scale, truth_scale):
+    # the same bits as relative_error and psnr, also where _in_domain
+    # rescales or the scores leave the float range, from one _in_domain call
+    rng = np.random.default_rng(4)
+    truth = rng.uniform(0.5, 1.5, size=(32, 32))
+    est = truth + rng.normal(scale=0.05, size=(32, 32))
+    truth[0, 0] = np.nan
+    est, truth = est * est_scale, truth * truth_scale
+    want = (relative_error(est, truth), psnr(est, truth))
+    calls = []
+    real = metrics._in_domain
+    monkeypatch.setattr(metrics, "_in_domain", lambda a, b: calls.append(1) or real(a, b))
+    assert metrics.score(est, truth) == want
+    assert len(calls) == 1
+
+
+def test_score_of_a_zero_reference_raises_as_relative_error():
+    with pytest.raises(ValueError, match="reference has zero norm"):
+        metrics.score(np.ones(4), np.zeros(4))
 
 
 def _read_pgm(path):
