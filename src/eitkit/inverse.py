@@ -189,15 +189,11 @@ class XUpdateSolver:
     shift eps (a small multiple of the operator's mean diagonal) makes A
     invertible, since D annihilates constants; iterative refinement against
     the exact operator, applied matrix-free, removes it. A capacitance
-    matrix that is not positive definite is a SolverError at set-up.
-
-    A block solve whose last residual check read every column keeps S x
-    and D x of its result for ``products``, per thread, so one solver may
-    serve callers on several threads.
+    matrix that is not positive definite is a SolverError at set-up. A solve
+    keeps no state, so one solver may serve callers on several threads.
     """
 
     def __init__(self, s, d: sp.csr_matrix, rho: float):
-        import threading
         if not rho > 0:
             raise ValueError(f"rho must be > 0, got {rho}")
         self.s = np.asarray(s, dtype=float)
@@ -226,7 +222,6 @@ class XUpdateSolver:
         trsm = sla.get_blas_funcs("trsm", (low,))
         y = trsm(1.0, low, a_inv_u, side=1, lower=1, trans_a=1, overwrite_b=1)
         self._gain = trsm(1.0, low, y, side=1, lower=1, overwrite_b=1)
-        self._checked = threading.local()  # .products: (x, S x, D x) of the last solve
 
     def _shifted_inverse(self, r: np.ndarray) -> np.ndarray:
         """(A + U U^T)^-1 r = a - G U^T a with a = A^-1 r, for a block r (N, k);
@@ -235,10 +230,12 @@ class XUpdateSolver:
         a_inv_r = self._lu.solve(r)
         return a_inv_r - self._gain @ (self.s @ a_inv_r / np.sqrt(self.rho))
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Solve for one right-hand side (N,) or a block (N, K) under the
-        refinement contract of forward._refine; a SolverError names its
-        ``"column"`` and the capacitance matrix's condition number."""
+        refinement contract of forward._refine, and return x with S x and
+        D x: those of the refinement's last residual check when it read all
+        of x, else computed. A SolverError names its ``"column"`` and the
+        capacitance matrix's condition number."""
         checked = []  # the shape, S x and D x of the last residual check's x
 
         def apply(x):  # the exact operator ((1/rho) S^T S + D^T D) x, matrix-free
@@ -252,17 +249,9 @@ class XUpdateSolver:
         except SolverError as exc:
             exc.diagnostics["capacitance_condition"] = float(np.linalg.cond(self._capacitance))
             raise
-        covered = checked[0] == x.shape  # the last check read all of a block x
-        self._checked.products = (x, checked[1], checked[2]) if covered else None
-        return x
-
-    def products(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """S x and D x for a block x (N, K): those of this thread's last solve
-        when x is its result, else computed."""
-        kept, self._checked.products = getattr(self._checked, "products", None), None
-        if kept is not None and kept[0] is x:
-            return kept[1], kept[2]
-        return self.s @ x, self.d @ x
+        if checked[0] == x.shape:
+            return x, checked[1], checked[2]
+        return x, self.s @ x, self.d @ x
 
 
 _VARIANTS = ("nwatv", "fotv", "tv")
@@ -284,7 +273,8 @@ def reconstruct_block(
     step |x_new - x| drops below ``tol``, after ``max_iters`` iterations, on
     an x-update failure or on reweighted weights that are not all > 0 (an
     overflowed |D x|^2), while the others go on; its entry in the
-    returned list is then its ReconResult or its SolverError. ``mask``
+    returned list is then its ReconResult or its SolverError, and it
+    leaves the ADMM state, which holds only the running columns. ``mask``
     (boolean array or index list) forces x to 0 outside it. With
     ``keep_history=False`` every history is empty (0, N).
     """
@@ -309,26 +299,26 @@ def reconstruct_block(
     st_b = (s.T @ b / rho)[:, None]
     b_norm = _column_norms(b[:, None])[0]
 
+    # the state of the running columns, in the order of live
+    live = np.arange(k)
     x = np.zeros((n, k))
     z = np.zeros((2 * n, k))
     p = np.ones((2 * n, k))
     y = np.zeros((2 * n, k))
+    last = np.zeros((n, k))  # each column's last iterate
     # traces grow one row per iteration, NaN in the columns that no longer run
     history, residuals, steps, walls = [], [], [], []
     iters = np.zeros(k, dtype=int)  # iterations completed by each column
     errors: dict[int, SolverError] = {}
 
     spent = np.zeros(4)  # ms in the x-update, shrink, reweight and dual phases
-    live = np.arange(k)  # the running columns
     for it in range(1, max_iters + 1):
         t0 = time.perf_counter()
-        # while every column runs, the state is indexed by a full slice: views, no copies
-        cols = slice(None) if live.size == k else live
-        y_rho = y[:, cols] / rho
-        rhs = st_b + dt @ (z[:, cols] - y_rho)
+        y_rho = y / rho
+        rhs = st_b + dt @ (z - y_rho)
         while live.size:
             try:
-                x_new = x_update.solve(rhs)
+                x_new, s_x, d_x = x_update.solve(rhs)
                 break
             except SolverError as exc:
                 j = exc.diagnostics["column"]
@@ -337,13 +327,13 @@ def reconstruct_block(
                     f"iteration {it}: {exc}",
                     diagnostics={**exc.diagnostics, "column": c, "iteration": it},
                 )
-                live, rhs, y_rho = (np.delete(a, j, axis=-1) for a in (live, rhs, y_rho))
+                live, rhs, y_rho, x, z, p, y = (
+                    np.delete(a, j, axis=-1) for a in (live, rhs, y_rho, x, z, p, y))
         if not live.size:
             break
-        cols = slice(None) if live.size == k else live
         if mask is not None:
             x_new = apply_mask(x_new, mask)
-        s_x, d_x = x_update.products(x_new)
+            s_x, d_x = s @ x_new, d @ x_new
         t1 = time.perf_counter()
         w = np.add(d_x, y_rho, out=y_rho)
         if variant == "tv":
@@ -351,22 +341,22 @@ def reconstruct_block(
                 g = lams[live] / rho
             z_new = group_shrink(w, g)
         else:
-            z_new = z_update(w, p[:, cols], lams[live], rho)
+            z_new = z_update(w, p, lams[live], rho)
         t2 = time.perf_counter()
         if variant in _READS_DELTA:
-            p[:, cols] = nwatv_weights(d_x, deltas[live])
-            for j in np.flatnonzero(~np.all(p[:n, cols] > 0, axis=0)):
-                c = int(live[j])
+            p = nwatv_weights(d_x, deltas[live])
+            for c in live[~np.all(p[:n] > 0, axis=0)].tolist():
                 errors[c] = SolverError(
                     f"iteration {it}: NWATV weights are not all > 0 after the reweight",
                     diagnostics={"column": c, "iteration": it},
                 )
         t3 = time.perf_counter()
-        y[:, cols] += rho * (d_x - z_new)
-        z[:, cols] = z_new
+        y += rho * (d_x - z_new)
+        z = z_new
         step = np.full(k, np.nan)
-        step[live] = _column_norms(x_new - x[:, cols])
-        x[:, cols] = x_new
+        step[live] = _column_norms(x_new - x)
+        x = x_new
+        last[:, live] = x
         resid = np.full(k, np.nan)
         resid[live] = _data_residual(s_x, b, b_norm)
         t4 = time.perf_counter()
@@ -375,9 +365,11 @@ def reconstruct_block(
         residuals.append(resid)
         steps.append(step)
         if keep_history:
-            history.append(x.copy())
+            history.append(last.copy())
         iters[live] = it
-        live = live[~(step[live] < tol) & ~np.isin(live, list(errors))]
+        stop = (step[live] < tol) | np.isin(live, list(errors))
+        if stop.any():
+            live, x, z, p, y = (a[..., ~stop] for a in (live, x, z, p, y))
 
     import logging  # the message is formatted only where DEBUG is enabled
     logging.getLogger(__name__).debug(
@@ -387,7 +379,7 @@ def reconstruct_block(
     residuals, steps, walls = np.array(residuals), np.array(steps), np.array(walls)
     return [
         errors[c] if c in errors else ReconResult(
-            final=x[:, c].copy(),
+            final=last[:, c].copy(),
             history=history[:m, :, c].copy(),  # each result owns its arrays
             data_residual=residuals[:m, c].copy(),
             step_norm=steps[:m, c].copy(),

@@ -34,7 +34,7 @@ def _reference_block(x_update, b, lams, deltas, *, variant="nwatv", max_iters=20
         rhs = st_b + dt @ (z[:, live] - y[:, live] / rho)
         while live.size:
             try:
-                x_new = x_update.solve(rhs)
+                x_new, _, _ = x_update.solve(rhs)
                 break
             except SolverError as exc:
                 j = exc.diagnostics["column"]
@@ -132,65 +132,51 @@ class TestBlockMatchesGatheringLoop:
         _assert_same(reconstruct_block(x_update, model7.dv_noisy, LAMS, DELTAS, **kw),
                      _reference_block(x_update, model7.dv_noisy, LAMS, DELTAS, **kw))
 
+    def test_mask_with_columns_stopping_on_tol(self, coarse, model7, x_update):
+        mask = np.linalg.norm(coarse.mesh.element_centroids, axis=1) < 0.07
+        lams, deltas = [5e-11, 5e-10, 5e-9, 5e-12], [0.01, 0.1, 0.01, 0.001]
+        kw = dict(max_iters=30, tol=1e-2, mask=mask)
+        got = reconstruct_block(x_update, model7.dv_noisy, lams, deltas, **kw)
+        assert len({r.n_iterations for r in got}) > 1
+        _assert_same(got, _reference_block(x_update, model7.dv_noisy, lams, deltas, **kw))
 
-class TestProductsOfTheSolve:
-    def test_block_solve_keeps_its_checked_products(self, coarse, x_update):
-        rhs = np.random.default_rng(5).normal(size=(coarse.mesh.n_elements, 4))
-        x = x_update.solve(rhs)
-        kept = x_update._checked.products
-        s_x, d_x = x_update.products(x)
-        assert s_x is kept[1] and d_x is kept[2]
-        assert np.array_equal(s_x, coarse.s @ x) and np.array_equal(d_x, coarse.d @ x)
-        # the record is used once; after it, the products are computed
-        again = x_update.products(x)
-        assert again[0] is not s_x and np.array_equal(again[0], s_x)
+    def test_column_failing_after_another_stopped(self, model7, x_update, monkeypatch):
+        # column 3 stops on tol at iteration 20; column 1 then fails in the
+        # first solve of the three remaining columns, so it leaves a block
+        # that has already dropped a column
+        lams, deltas = [5e-11, 5e-10, 5e-9, 5e-12], [0.01, 0.1, 0.01, 0.001]
+        kw = dict(max_iters=30, tol=1e-2)
+        real = XUpdateSolver.solve
+        calls = []
 
-    def test_products_of_another_array_are_computed(self, coarse, x_update):
-        rhs = np.random.default_rng(6).normal(size=(coarse.mesh.n_elements, 2))
-        x = x_update.solve(rhs)
-        other = x.copy()
-        other[0] = 1.0
-        s_x, d_x = x_update.products(other)
-        assert np.array_equal(s_x, coarse.s @ other) and np.array_equal(d_x, coarse.d @ other)
+        def poisoned(self, rhs):
+            if rhs.shape[1] == 3:
+                calls.append(1)
+                if len(calls) == 1:
+                    rhs = rhs.copy()
+                    rhs[:, 1] = np.nan
+            return real(self, rhs)
 
-    def test_each_thread_gets_its_own_products(self, coarse, x_update):
-        # the record is per thread: a solve on one thread never hands its
-        # products to another thread's x
-        import sys
-        import threading
+        monkeypatch.setattr(XUpdateSolver, "solve", poisoned)
+        got = reconstruct_block(x_update, model7.dv_noisy, lams, deltas, **kw)
+        calls.clear()
+        want = _reference_block(x_update, model7.dv_noisy, lams, deltas, **kw)
+        assert (got[3].termination, got[3].n_iterations) == ("tol", 20)
+        assert got[1].diagnostics["iteration"] == 21
+        assert got[0].termination == "tol" and got[2].n_iterations == 30
+        _assert_same(got, want)
 
-        n = coarse.mesh.n_elements
-        rhs = [np.random.default_rng(40 + t).normal(size=(n, 3)) for t in range(8)]
-        wrong = []
 
-        def worker(t):
-            for _ in range(4):
-                x = x_update.solve(rhs[t])
-                s_x, d_x = x_update.products(x)
-                if not (np.array_equal(s_x, coarse.s @ x) and np.array_equal(d_x, coarse.d @ x)):
-                    wrong.append(t)
-
-        threads = [threading.Thread(target=worker, args=(t,)) for t in range(len(rhs))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert wrong == []
-
-    def test_zero_column_leaves_no_record(self, coarse, x_update):
-        # the residual check then covers only the nonzero columns
-        rhs = np.random.default_rng(7).normal(size=(coarse.mesh.n_elements, 3))
-        rhs[:, 1] = 0.0
-        x = x_update.solve(rhs)
-        assert x_update._checked.products is None
-        s_x, _ = x_update.products(x)
-        assert np.array_equal(s_x, coarse.s @ x)
+@pytest.mark.parametrize("cols, zero", [((), None), ((3,), None), ((3,), 1)],
+                         ids=["vector", "block", "zero-column"])
+def test_solve_returns_the_products_of_its_x(coarse, x_update, cols, zero):
+    # the products come from the refinement's last residual check when it
+    # read all of x, else they are formed after it; either way they are x's
+    rhs = np.random.default_rng(5).normal(size=(coarse.mesh.n_elements, *cols))
+    if zero is not None:
+        rhs[:, zero] = 0.0
+    x, s_x, d_x = x_update.solve(rhs)
+    assert np.array_equal(s_x, coarse.s @ x) and np.array_equal(d_x, coarse.d @ x)
 
 
 def test_block_logs_one_debug_line(model7, x_update, caplog):

@@ -236,12 +236,12 @@ class TestSigmaUpdate:
         s = coarse.s
         rho = 1e-10
         rhs = s.T @ (s @ target) / rho + coarse.d.T @ (coarse.d @ target)
-        out = XUpdateSolver(s, coarse.d, rho).solve(rhs)
+        out, _, _ = XUpdateSolver(s, coarse.d, rho).solve(rhs)
         assert np.linalg.norm(out - target) <= 1e-6 * np.linalg.norm(target)
 
     def test_zero_inputs_zero_output(self, coarse):
         n = coarse.mesh.n_elements
-        out = XUpdateSolver(coarse.s, coarse.d, 1e-10).solve(np.zeros(n))
+        out, _, _ = XUpdateSolver(coarse.s, coarse.d, 1e-10).solve(np.zeros(n))
         assert np.array_equal(out, np.zeros(n))
 
     def test_rho_cancels_when_s_zero(self, coarse):
@@ -249,8 +249,8 @@ class TestSigmaUpdate:
         z = np.random.default_rng(9).normal(size=2 * n)
         s0 = np.zeros((208, n))
         rhs = coarse.d.T @ z  # S^T b = 0 and y = 0 for either rho
-        a = XUpdateSolver(s0, coarse.d, 1.0).solve(rhs)
-        b = XUpdateSolver(s0, coarse.d, 0.5).solve(rhs)
+        a, _, _ = XUpdateSolver(s0, coarse.d, 1.0).solve(rhs)
+        b, _, _ = XUpdateSolver(s0, coarse.d, 0.5).solve(rhs)
         assert np.allclose(a, b, atol=1e-12 * max(1.0, np.abs(a).max()))
 
     def test_singular_operator_solved_to_min_norm(self):
@@ -261,7 +261,7 @@ class TestSigmaUpdate:
         n = d.shape[1]
         z = np.random.default_rng(24).normal(size=2 * n)
         rhs = d.T @ z
-        x = XUpdateSolver(np.zeros((60, n)), d, 1.0).solve(rhs)
+        x, _, _ = XUpdateSolver(np.zeros((60, n)), d, 1.0).solve(rhs)
         dtd = (d.T @ d).toarray()
         assert np.all(np.isfinite(x))
         assert np.linalg.norm(dtd @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
@@ -284,7 +284,7 @@ class TestXUpdateSolver:
     def test_matches_dense_solve_coarse(self, coarse):
         s, rho = coarse.s, 1e-10
         rhs = self._admm_rhs(s, coarse.d, rho, 25)
-        x = XUpdateSolver(s, coarse.d, rho).solve(rhs)
+        x, _, _ = XUpdateSolver(s, coarse.d, rho).solve(rhs)
         want = _dense_x_update(s, coarse.d, rho, rhs)
         assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -295,7 +295,7 @@ class TestXUpdateSolver:
         rhs = self._admm_rhs(s, d, rho, 27)
         solver = XUpdateSolver(s, d, rho)
         want = _dense_x_update(s, d, rho, rhs)
-        assert np.linalg.norm(solver.solve(rhs) - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.linalg.norm(solver.solve(rhs)[0] - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_inconsistent_rhs_on_singular_operator_raises(self):
         # the operator is singular: a right-hand side with a component
@@ -314,7 +314,7 @@ class TestXUpdateSolver:
     def test_block_solve_meets_residual_per_column(self, coarse):
         s, rho, d = coarse.s, 1e-10, coarse.d
         rhs = self._rhs_block(s, coarse.d, rho, 6)
-        x = XUpdateSolver(s, coarse.d, rho).solve(rhs)
+        x, _, _ = XUpdateSolver(s, coarse.d, rho).solve(rhs)
         assert x.shape == rhs.shape
         for j in range(rhs.shape[1]):
             r = rhs[:, j] - (s.T @ (s @ x[:, j]) / rho + d.T @ (d @ x[:, j]))
@@ -325,9 +325,9 @@ class TestXUpdateSolver:
         solver = XUpdateSolver(s, coarse.d, rho)
         rhs = self._rhs_block(s, coarse.d, rho, 6)
         rhs[:, 2] = 0.0  # a zero column keeps the zero solution
-        block = solver.solve(rhs)
+        block, _, _ = solver.solve(rhs)
         for j in range(rhs.shape[1]):
-            single = solver.solve(rhs[:, j])
+            single, _, _ = solver.solve(rhs[:, j])
             assert single.shape == (s.shape[1],)
             assert np.linalg.norm(block[:, j] - single) <= 1e-10 * np.linalg.norm(single)
 
@@ -338,14 +338,14 @@ class TestXUpdateSolver:
         s, rho = coarse.s, 1e-10
         solver = XUpdateSolver(s, coarse.d, rho)
         rhs = self._rhs_block(s, coarse.d, rho, 35)
-        singles = np.column_stack([solver.solve(rhs[:, j]) for j in range(35)])
-        assert np.linalg.norm(solver.solve(rhs) - singles) <= 1e-14 * np.linalg.norm(singles)
+        singles = np.column_stack([solver.solve(rhs[:, j])[0] for j in range(35)])
+        assert np.linalg.norm(solver.solve(rhs)[0] - singles) <= 1e-14 * np.linalg.norm(singles)
 
     def test_one_column_block_is_bitwise_the_vector_solve(self, coarse):
         s, rho = coarse.s, 1e-10
         solver = XUpdateSolver(s, coarse.d, rho)
         rhs = self._admm_rhs(s, coarse.d, rho, 47)
-        assert np.array_equal(solver.solve(rhs[:, None])[:, 0], solver.solve(rhs))
+        assert np.array_equal(solver.solve(rhs[:, None])[0][:, 0], solver.solve(rhs)[0])
 
     def test_block_column_missing_residual_is_named(self):
         d = _chain_ops()
@@ -373,7 +373,7 @@ class TestXUpdateSolver:
             return real(self, r)
 
         monkeypatch.setattr(XUpdateSolver, "_shifted_inverse", spy)
-        x = solver.solve(rhs)
+        x, _, _ = solver.solve(rhs)
         assert applied[0] == 35 and len(applied) <= 2
         for j in range(35):
             r = rhs[:, j] - (s.T @ (s @ x[:, j]) / rho + d.T @ (d @ x[:, j]))
@@ -384,7 +384,7 @@ class TestXUpdateSolver:
         solver = XUpdateSolver(np.zeros((60, 40)), d, 1.0)
         rng = np.random.default_rng(31)
         rhs = d.T @ rng.normal(size=(80, 5))  # consistent: no constants
-        x = solver.solve(rhs)
+        x, _, _ = solver.solve(rhs)
         dtd = d.T @ d
         for j in range(5):
             assert np.linalg.norm(dtd @ x[:, j] - rhs[:, j]) <= 1e-8 * np.linalg.norm(rhs[:, j])
@@ -396,8 +396,8 @@ class TestXUpdateSolver:
         s, rho = coarse.s, 1e-10
         solver = XUpdateSolver(s, coarse.d, rho)
         rhs = self._admm_rhs(s, coarse.d, rho, 25)
-        x = solver.solve(rhs)
-        big = solver.solve(rhs * 1e160)
+        x, _, _ = solver.solve(rhs)
+        big, _, _ = solver.solve(rhs * 1e160)
         assert np.linalg.norm(big / 1e160 - x) <= 1e-10 * np.linalg.norm(x)
 
     def test_failed_capacitance_factorization_is_a_solver_error(self, monkeypatch):
@@ -455,7 +455,7 @@ class TestXUpdateSolver:
         assert not any(t.is_alive() for t in threads)
         for want, got in zip(serial, results):
             assert len(got) == 4
-            assert all(np.array_equal(x, want) for x in got)
+            assert all(np.array_equal(a, w) for out in got for a, w in zip(out, want))
 
     def test_sweep_factors_once(self, tmp_path, monkeypatch):
         import eitkit.inverse as inv
@@ -600,7 +600,7 @@ class TestReconstructNwatv:
         p = np.ones(2 * n)
         history = []
         for _ in range(3):
-            x = solver.solve(s.T @ dv / rho + d.T @ (z - y / rho))
+            x, _, _ = solver.solve(s.T @ dv / rho + d.T @ (z - y / rho))
             z = z_update(d @ x + y / rho, p, lam, rho)
             p = nwatv_weights(d @ x, delta)
             y = y + rho * (d @ x - z)
