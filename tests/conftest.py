@@ -68,8 +68,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the one-line acceptance verdicts after the normal summary."""
     import sys
 
-    mod = sys.modules.get("test_acceptance") or sys.modules.get("tests.test_acceptance")
-    lines = getattr(mod, "ACCEPTANCE_LINES", None) if mod else None
+    lines = []
+    for name in ("test_acceptance", "test_golden"):
+        mod = sys.modules.get(name) or sys.modules.get(f"tests.{name}")
+        lines += getattr(mod, "ACCEPTANCE_LINES", [])
     if lines:
         terminalreporter.section("acceptance summary")
         for line in lines:
