@@ -7,7 +7,8 @@ main solver reweights the penalty each iteration with
     weight(k) = 1 / (|gradient at k|^2 + delta),
 
 so strong edges are penalized weakly and flat regions strongly. The
-splitting variable z = D x is handled by ADMM:
+splitting variable z = D x, with D the stacked x and y differences of
+``build_difference_operators``, is handled by ADMM:
 
     x  <- argmin (1/(2 rho))|S x - b|^2 + (1/2)|D x - z + y/rho|^2
     z  <- shrink(D x + y/rho)        (closed form, per component)
@@ -50,6 +51,11 @@ _REFINE_STEPS = 5
 # relative residual required of the quadratic x-update solve
 _UPDATE_RESIDUAL_TOL = 1e-8
 
+# A neighbor qualifies for the x (or y) difference only if the centroid
+# displacement has an x (or y) component exceeding this fraction of the
+# centroid distance.
+DIRECTION_THRESHOLD = 0.2
+
 
 @dataclass(frozen=True)
 class ReconResult:
@@ -79,19 +85,57 @@ def _data_residual(s_x: np.ndarray, b: np.ndarray, b_norm: float) -> np.ndarray:
     return resid / b_norm if b_norm > 0 else resid
 
 
-def soft_threshold(x, g):
-    """Shrink toward zero: x - g*sgn(x) where |x| > g, else 0.
+def build_difference_operators(mesh) -> sp.csr_matrix:
+    """Single-neighbor forward differences on the element values of a
+    ``mesh.TriMesh``, as the 2N x N matrix D whose first N rows are the x
+    differences and last N rows the y differences. Every row sums to zero,
+    so D annihilates constants.
 
-    Elementwise on arrays; g may be a scalar or an array of thresholds.
-    The |x| = g boundary maps to 0.
+    For the x operator, element k is paired with the edge-neighbor whose
+    centroid displacement has the largest x component, provided that
+    component exceeds ``DIRECTION_THRESHOLD`` times the centroid distance;
+    the row is then (value[l] - value[k]) / dx. On a tie the lowest
+    neighbor index wins (``argmax`` over the ascending neighbor columns
+    keeps the first maximum). Rows with no qualifying neighbor are zero.
+    The y operator is built the same way.
     """
-    g_arr = np.asarray(g, dtype=float)
-    if np.any(g_arr < 0):
+    n = mesh.n_elements
+    c = mesh.element_centroids
+    nbrs = mesh.element_neighbors
+    d = c[nbrs] - c[:, None, :]  # (n, 3, 2) centroid displacements
+    dist = np.hypot(d[:, :, 0], d[:, :, 1])
+    qualifies = (nbrs >= 0)[:, :, None] & (d > DIRECTION_THRESHOLD * dist[:, :, None])
+    d = np.where(qualifies, d, 0.0)  # qualifying components are > 0
+    best = d.argmax(axis=1)  # (n, 2)
+    step = np.take_along_axis(d, best[:, None, :], axis=1)[:, 0]
+    blocks = []
+    for axis in (0, 1):
+        rows = np.flatnonzero(step[:, axis] > 0)
+        cols = nbrs[rows, best[rows, axis]]
+        h = step[rows, axis]
+        vals = np.column_stack([-1.0 / h, 1.0 / h]).ravel()
+        coords = (np.repeat(rows, 2), np.column_stack([rows, cols]).ravel())
+        blocks.append(sp.csr_matrix((vals, coords), shape=(n, n)))
+    return sp.vstack(blocks).tocsr()
+
+
+def soft_threshold(x, g):
+    """Shrink toward zero: sgn(x) max(|x| - g, 0).
+
+    Elementwise on arrays; g may be a scalar or an array of thresholds that
+    broadcasts against x. Every zero of the result is +0.0: the |x| = g
+    boundary, and an infinite x against an infinite g, map to +0.0.
+    """
+    g = np.asarray(g, dtype=float)
+    if np.any(g < 0):
         raise ValueError("threshold must be nonnegative")
-    x_arr = np.asarray(x, dtype=float)
-    # where |x| > g, x - copysign(g, x) is x - g*sgn(x), and it is not NaN
-    # where the unused branch has g = inf and x = 0
-    return np.where(np.abs(x_arr) > g_arr, x_arr - np.copysign(g_arr, x_arr), 0.0)
+    x = np.asarray(x, dtype=float)
+    out = np.empty(np.broadcast_shapes(x.shape, g.shape))
+    with np.errstate(invalid="ignore"):  # |x| - g is NaN where both are inf
+        np.subtract(np.abs(x, out=out), g, out=out)
+    np.fmax(out, 0.0, out=out)  # fmax, unlike maximum, takes 0 over NaN
+    np.copysign(out, x, out=out)
+    return np.add(out, 0.0, out=out)  # -0.0 + 0.0 is +0.0
 
 
 def group_shrink(w: np.ndarray, g) -> np.ndarray:
@@ -113,27 +157,28 @@ def group_shrink(w: np.ndarray, g) -> np.ndarray:
 
 
 def nwatv_weights(d_x: np.ndarray, delta) -> np.ndarray:
-    """Edge-adaptive weights 1/(|g_k|^2 + delta) from the stacked
-    differences d_x = D x (2N,), duplicated over the x and y blocks;
-    |g_k|^2 = d_x[k]^2 + d_x[N+k]^2 is the squared difference magnitude at
-    element k. On a block d_x (2N, K), delta may hold one floor per column."""
+    """Edge-adaptive weights 1/(|g_k|^2 + delta), one per element (N,),
+    from the stacked differences d_x = D x (2N,); |g_k|^2 = d_x[k]^2 +
+    d_x[N+k]^2 is the squared difference magnitude at element k. On a block
+    d_x (2N, K) the weights are (N, K), and delta may hold one floor per
+    column."""
     if not np.all(np.asarray(delta) > 0):
         raise ValueError(f"delta must be > 0, got {delta}")
     n = len(d_x) // 2
     gx, gy = d_x[:n], d_x[n:]
-    zeta = np.empty((2 * n, *d_x.shape[1:]))
     with np.errstate(over="ignore"):  # an overflowed |g_k|^2 gives the weight 0
-        np.divide(1.0, gx * gx + gy * gy + delta, out=zeta[:n])
-    zeta[n:] = zeta[:n]
-    return zeta
+        return 1.0 / (gx * gx + gy * gy + delta)
 
 
 def z_update(w: np.ndarray, p: np.ndarray, lam, rho: float) -> np.ndarray:
-    """Elementwise shrinkage of w = Dx + y/rho with thresholds lam*p/rho; on
-    a block w (2N, K), lam may hold one penalty per column. A threshold that
-    overflows is inf, which shrinks every entry to 0."""
+    """Shrinkage of w = Dx + y/rho (2N,) with the thresholds lam*p/rho of
+    the element weights p (N,), each shared by its element's x and y rows;
+    on a block w (2N, K) and p (N, K), lam may hold one penalty per column.
+    A threshold that overflows is inf, which shrinks every entry to 0."""
     with np.errstate(over="ignore"):
-        return soft_threshold(w, lam * np.asarray(p, dtype=float) / rho)
+        g = lam * np.asarray(p, dtype=float) / rho
+    w = np.asarray(w, dtype=float)
+    return soft_threshold(w.reshape(2, *g.shape), g).reshape(w.shape)
 
 
 def apply_mask(delta_sigma: np.ndarray, mask) -> np.ndarray:
@@ -303,7 +348,7 @@ def reconstruct_block(
     live = np.arange(k)
     x = np.zeros((n, k))
     z = np.zeros((2 * n, k))
-    p = np.ones((2 * n, k))
+    p = np.ones((n, k))
     y = np.zeros((2 * n, k))
     last = np.zeros((n, k))  # each column's last iterate
     # traces grow one row per iteration, NaN in the columns that no longer run
@@ -345,7 +390,7 @@ def reconstruct_block(
         t2 = time.perf_counter()
         if variant in _READS_DELTA:
             p = nwatv_weights(d_x, deltas[live])
-            for c in live[~np.all(p[:n] > 0, axis=0)].tolist():
+            for c in live[~np.all(p > 0, axis=0)].tolist():
                 errors[c] = SolverError(
                     f"iteration {it}: NWATV weights are not all > 0 after the reweight",
                     diagnostics={"column": c, "iteration": it},

@@ -1,5 +1,4 @@
-"""Triangular meshes of a disk, electrode placement, difference operators,
-and pixel rasterization.
+"""Triangular meshes of a disk, electrode placement and pixel rasterization.
 
 The mesh generator is fully deterministic: nodes are laid out on concentric
 rings (6*m nodes on ring m) and triangulated sextant by sextant, so a given
@@ -13,16 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 # Nodes added per ring. 6 makes radial and tangential spacing nearly equal,
 # i.e. close-to-equilateral triangles.
 RING_GROWTH = 6
-
-# A neighbor qualifies for the x (or y) difference only if the centroid
-# displacement has an x (or y) component exceeding this fraction of the
-# centroid distance.
-DIRECTION_THRESHOLD = 0.2
 
 # (element, pixel) candidates tested per batch by raster_index. Caps its
 # working memory at a few MiB whatever the raster resolution.
@@ -222,39 +215,6 @@ def place_electrodes(
         angles=_freeze(node_angles[chosen].copy()),
         node_ids=_freeze(np.asarray(node_ids, dtype=int)),
     )
-
-
-def build_difference_operators(mesh: TriMesh) -> sp.csr_matrix:
-    """Single-neighbor forward differences on element values, as the 2N x N
-    matrix D whose first N rows are the x differences and last N rows the y
-    differences. Every row sums to zero, so D annihilates constants.
-
-    For the x operator, element k is paired with the edge-neighbor whose
-    centroid displacement has the largest x component, provided that
-    component exceeds ``DIRECTION_THRESHOLD`` times the centroid distance;
-    the row is then (value[l] - value[k]) / dx. On a tie the lowest
-    neighbor index wins (``argmax`` over the ascending neighbor columns
-    keeps the first maximum). Rows with no qualifying neighbor are zero.
-    The y operator is built the same way.
-    """
-    n = mesh.n_elements
-    c = mesh.element_centroids
-    nbrs = mesh.element_neighbors
-    d = c[nbrs] - c[:, None, :]  # (n, 3, 2) centroid displacements
-    dist = np.hypot(d[:, :, 0], d[:, :, 1])
-    qualifies = (nbrs >= 0)[:, :, None] & (d > DIRECTION_THRESHOLD * dist[:, :, None])
-    d = np.where(qualifies, d, 0.0)  # qualifying components are > 0
-    best = d.argmax(axis=1)  # (n, 2)
-    step = np.take_along_axis(d, best[:, None, :], axis=1)[:, 0]
-    blocks = []
-    for axis in (0, 1):
-        rows = np.flatnonzero(step[:, axis] > 0)
-        cols = nbrs[rows, best[rows, axis]]
-        h = step[rows, axis]
-        vals = np.column_stack([-1.0 / h, 1.0 / h]).ravel()
-        coords = (np.repeat(rows, 2), np.column_stack([rows, cols]).ravel())
-        blocks.append(sp.csr_matrix((vals, coords), shape=(n, n)))
-    return sp.vstack(blocks).tocsr()
 
 
 def raster_extent(mesh: TriMesh) -> float:

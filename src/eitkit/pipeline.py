@@ -26,7 +26,6 @@ from .mesh import (
     ElectrodeLayout,
     generate_disk_mesh,
     place_electrodes,
-    build_difference_operators,
     pixel_centers,
     raster_extent,
     raster_image,
@@ -263,7 +262,7 @@ def build_inverse_problem(cfg: PipelineConfig, disk=None) -> InverseProblem:
         raise ConfigError(
             f"mask_elements: index {max(cfg.mask_elements)} outside 0..{mesh.n_elements - 1}"
         )
-    d = build_difference_operators(mesh)
+    d = inverse.build_difference_operators(mesh)
     t1 = time.perf_counter()
     # the x-update's scale |S|^2/rho must be a positive finite number: a
     # non-finite S, one whose squares overflow and one that underflows to

@@ -11,18 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from eitkit import (
-    add_noise,
-    assign_conductivity,
-    build_difference_operators,
-    generate_disk_mesh,
-    lung_model,
-    place_electrodes,
-    sensitivity_matrix,
-    signed_difference,
-    simulate_frame,
-    XUpdateSolver,
-)
+from eitkit.forward import add_noise, sensitivity_matrix, signed_difference, simulate_frame
+from eitkit.inverse import XUpdateSolver, build_difference_operators
+from eitkit.mesh import generate_disk_mesh, place_electrodes
+from eitkit.phantom import assign_conductivity, lung_model
 
 RADIUS = 0.1
 E = 16

@@ -8,19 +8,36 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from eitkit import ReconResult, SolverError, XUpdateSolver, reconstruct_block
-from eitkit.forward import _column_norms, _refine
-from eitkit.inverse import apply_mask, group_shrink, nwatv_weights, z_update
+from eitkit.forward import SolverError, _column_norms, _refine
+from eitkit.inverse import ReconResult, XUpdateSolver, apply_mask, group_shrink, reconstruct_block
 
 LAMS = [5e-14, 5e-13, 5e-12]
 DELTAS = [0.001, 0.01, 0.1]
 
 
+def _reference_weights(d_x, deltas):
+    """1/(|g_k|^2 + delta) on all 2N rows: element k's weight in row k and
+    again in row N + k."""
+    n = len(d_x) // 2
+    with np.errstate(over="ignore"):
+        half = 1.0 / (d_x[:n] * d_x[:n] + d_x[n:] * d_x[n:] + deltas)
+    return np.concatenate([half, half])
+
+
+def _reference_shrink(w, p, lams, rho):
+    """w - copysign(g, w) where |w| > g, else +0.0, with the thresholds
+    g = lam p / rho formed on all 2N rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = lams * p / rho
+        return np.where(np.abs(w) > g, w - np.copysign(g, w), 0.0)
+
+
 def _reference_block(x_update, b, lams, deltas, *, variant="nwatv", max_iters=20, tol=1e-5,
                      mask=None):
     """reconstruct_block's iteration with every (2N, K) state array indexed
-    by the running columns, S x and D x formed afresh after each x-update,
-    and |b| taken once per residual."""
+    by the running columns, the weights held on all 2N rows, the shrink as
+    a select, S x and D x formed afresh after each x-update, and |b| taken
+    once per residual."""
     s, d, dt, rho = x_update.s, x_update.d, x_update.dt, x_update.rho
     lams, deltas = np.asarray(lams, dtype=float), np.asarray(deltas, dtype=float)
     n, k = s.shape[1], len(lams)
@@ -51,9 +68,9 @@ def _reference_block(x_update, b, lams, deltas, *, variant="nwatv", max_iters=20
         if variant == "tv":
             z_new = group_shrink(w, lams[live] / rho)
         else:
-            z_new = z_update(w, p[:, live], lams[live], rho)
+            z_new = _reference_shrink(w, p[:, live], lams[live], rho)
         if variant == "nwatv":
-            p[:, live] = nwatv_weights(d_x, deltas[live])
+            p[:, live] = _reference_weights(d_x, deltas[live])
             for j in np.flatnonzero(~np.all(p[:, live] > 0, axis=0)):
                 c = int(live[j])
                 errors[c] = SolverError("weights", diagnostics={"column": c, "iteration": it})

@@ -5,31 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
-from eitkit import (
+from eitkit import forward
+from eitkit.forward import (
     LINEARIZATION_SIGN,
+    DrivePotentials,
+    SolverError,
+    _element_gradients,
+    _refine,
     add_noise,
     assemble_stiffness,
-    assign_conductivity,
-    generate_disk_mesh,
+    extract_voltages,
     load_frames,
-    lung_model,
     pattern_pairs,
-    place_electrodes,
     save_frames,
     sensitivity_matrix,
     signed_difference,
     simulate_frame,
     solve_potentials,
 )
-from eitkit import forward
-from eitkit.forward import (
-    DrivePotentials,
-    SolverError,
-    _element_gradients,
-    _refine,
-    extract_voltages,
-)
-from eitkit.mesh import TriMesh
+from eitkit.mesh import TriMesh, generate_disk_mesh, place_electrodes
+from eitkit.phantom import assign_conductivity, lung_model
 
 
 def _grounded_solve(k, f):

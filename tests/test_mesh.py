@@ -11,22 +11,22 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eitkit import (
-    assign_conductivity,
-    build_difference_operators,
+from eitkit.forward import load_frames, save_frames
+from eitkit.inverse import DIRECTION_THRESHOLD, build_difference_operators
+from eitkit.mesh import (
+    RING_GROWTH,
+    _finish_mesh,
     generate_disk_mesh,
     load_element_values,
-    load_frames,
-    lung_model,
+    load_field_series,
     place_electrodes,
     raster_extent,
     raster_index,
     rasterize,
     save_element_values,
-    save_frames,
     save_mesh,
 )
-from eitkit.mesh import DIRECTION_THRESHOLD, RING_GROWTH, _finish_mesh, load_field_series
+from eitkit.phantom import assign_conductivity, lung_model
 
 
 def _reference_disk_mesh(radius, n_rings):

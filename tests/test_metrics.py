@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from eitkit import metrics, psnr, relative_error, write_image_pgm
+from eitkit import metrics
+from eitkit.metrics import psnr, relative_error, write_image_pgm
 
 
 class TestRelativeError:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from eitkit import (
+from eitkit.mesh import generate_disk_mesh
+from eitkit.phantom import (
     Inclusion,
     PhantomSpec,
     assign_conductivity,
-    generate_disk_mesh,
     load_phantom,
     lung_model,
     save_phantom,

@@ -8,9 +8,21 @@ import math
 import numpy as np
 import pytest
 
-from eitkit import ConfigError, SolverError, blas, load_config, load_frames, save_frames
+from eitkit import blas
 from eitkit.cli import main
+from eitkit.forward import SolverError, load_frames, save_frames
+from eitkit.mesh import (
+    generate_disk_mesh,
+    load_element_values,
+    load_field_series,
+    place_electrodes,
+    rasterize,
+    save_element_values,
+    save_mesh,
+)
+from eitkit.phantom import lung_model
 from eitkit.pipeline import (
+    ConfigError,
     PipelineConfig,
     cmd_evaluate,
     cmd_mesh,
@@ -18,10 +30,9 @@ from eitkit.pipeline import (
     cmd_render,
     cmd_simulate,
     cmd_sweep,
+    load_config,
     phantom_truth_image,
 )
-from eitkit import generate_disk_mesh, lung_model, place_electrodes, rasterize, save_mesh
-from eitkit.mesh import save_element_values, load_element_values, load_field_series
 
 
 SMALL = dict(
