@@ -4,20 +4,21 @@ Verbs: mesh, simulate, reconstruct, evaluate, sweep, render. Every verb
 takes --config (JSON) plus optional --seed and --out overrides. Exit
 codes: 0 success, 2 config error, 3 solver failure (diagnostics written
 next to the outputs). A verb runs with numpy's and scipy's OpenBLAS on one
-thread each (``blas.single_thread``); the caller's counts return after it.
+thread each (``blas.single_thread``) and the ``eitkit`` logger at INFO, or
+DEBUG under -v; the caller's thread counts and level return after it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
 
 from . import blas
 from .forward import SolverError
+from .mesh import _write_json
 from .pipeline import (
     ConfigError,
     PipelineConfig,
@@ -71,12 +72,15 @@ def _load(args) -> PipelineConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    with blas.single_thread():
-        return _run(args)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log = logging.getLogger("eitkit")
+    level = log.level
+    log.setLevel(logging.DEBUG if args.verbose else logging.INFO)
+    try:
+        with blas.single_thread():
+            return _run(args)
+    finally:
+        log.setLevel(level)
 
 
 def _run(args) -> int:
@@ -131,14 +135,7 @@ def _run(args) -> int:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         diag_path = out / "solver_error.json"
-        with open(diag_path, "w") as f:
-            json.dump(
-                {"error": str(exc), "diagnostics": exc.diagnostics},
-                f,
-                indent=2,
-                default=str,
-            )
-            f.write("\n")
+        _write_json(diag_path, {"error": str(exc), "diagnostics": exc.diagnostics})
         print(f"solver failure: {exc} (diagnostics: {diag_path})", file=sys.stderr)
         return 3
 

@@ -8,6 +8,7 @@ sit exactly on the circle.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -312,28 +313,47 @@ def rasterize(mesh: TriMesh, values: np.ndarray, resolution: int) -> np.ndarray:
 
 def save_mesh(path, mesh: TriMesh, layout: ElectrodeLayout) -> None:
     """Write nodes, triangles and electrode node ids as plain text."""
+    _write_text(path, [
+        ([str(mesh.n_nodes)], mesh.nodes.T.tolist()),
+        ([str(mesh.n_elements)], mesh.triangles.T.tolist()),
+        ([str(layout.count)], [layout.node_ids.tolist()]),
+    ])
+
+
+def _write_text(path, blocks, sep: str = " ") -> None:
+    """Write blocks of (head lines, columns): the head lines, then row t
+    as the t-th cell of each column joined by ``sep``. A column of strings
+    is written as it is, any other as the ``repr`` of each cell, so numbers
+    must be Python ones (``tolist()``: numpy 2 scalars repr with their
+    type). Cells are formatted a column at a time, with no join per row in
+    a one-column block."""
     with open(path, "w") as f:
-        f.write(f"{mesh.n_nodes}\n")
-        for x, y in mesh.nodes.tolist():
-            f.write(f"{x!r} {y!r}\n")
-        f.write(f"{mesh.n_elements}\n")
-        for a, b, c in mesh.triangles.tolist():
-            f.write(f"{a} {b} {c}\n")
-        f.write(f"{layout.count}\n")
-        for nid in layout.node_ids:
-            f.write(f"{nid}\n")
+        for head, columns in blocks:
+            cells = [c if c and isinstance(c[0], str) else map(repr, c) for c in columns]
+            rows = cells[0] if len(cells) == 1 else map(sep.join, zip(*cells))
+            f.write("\n".join([*head, *rows]) + "\n")
+
+
+def _write_json(path, doc) -> None:
+    """Write ``doc`` as strict JSON, indented by 2 and ending in a newline:
+    a non-finite float is the string of its repr ('inf', '-inf', 'nan'),
+    and a value JSON has no type for is its ``str``."""
+    def strict(v):
+        if isinstance(v, dict):
+            return {k: strict(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [strict(x) for x in v]
+        return repr(float(v)) if isinstance(v, float) and not math.isfinite(v) else v
+
+    with open(path, "w") as f:
+        json.dump(strict(doc), f, indent=2, default=str)
+        f.write("\n")
 
 
 def _write_frames(path, frames) -> None:
-    """Write a frame file: for t = 1..K, a '# frame t rows' line, then one
-    line per row holding the ``repr`` of that row's entry in each column,
-    space-separated. Each frame is a list of equal-length columns (lists of
-    Python ints or floats)."""
-    with open(path, "w") as f:
-        for t, columns in enumerate(frames, start=1):
-            cells = [map(repr, column) for column in columns]
-            rows = cells[0] if len(cells) == 1 else map(" ".join, zip(*cells))
-            f.write("\n".join([f"# frame {t} {len(columns[0])}", *rows]) + "\n")
+    """Write a frame file: for t = 1..K, a '# frame t rows' line, then the
+    rows of frame t, a list of equal-length columns (see _write_text)."""
+    _write_text(path, (([f"# frame {t} {len(c[0])}"], c) for t, c in enumerate(frames, start=1)))
 
 
 def _read_frames(path, width: int) -> np.ndarray:

@@ -12,6 +12,8 @@ import sys
 
 import numpy as np
 
+from .mesh import _write_text
+
 
 def _in_domain(sigma_n: np.ndarray, sigma_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The entries finite in both inputs. When a sum of their squared
@@ -104,17 +106,9 @@ def write_image_pgm(path, image: np.ndarray) -> None:
         ).astype(int)
     else:
         gray[finite] = 1
-    with open(path, "w") as f:
-        f.write("P2\n")
-        f.write(f"{image.shape[1]} {image.shape[0]}\n")
-        f.write(f"{_GRAY_MAX}\n")
-        for row in gray:
-            f.write(" ".join(str(v) for v in row.tolist()))
-            f.write("\n")
-    with open(str(path) + ".map", "w") as f:
-        f.write("outside_gray 0\n")
-        f.write("gray_lo 1\n")
-        f.write(f"gray_hi {_GRAY_MAX}\n")
-        f.write(f"value_lo {lo!r}\n")
-        f.write(f"value_hi {hi!r}\n")
-
+    _write_text(path, [(["P2", f"{image.shape[1]} {image.shape[0]}", str(_GRAY_MAX)],
+                        gray.T.tolist())])
+    _write_text(str(path) + ".map", [([], [
+        ["outside_gray", "gray_lo", "gray_hi", "value_lo", "value_hi"],
+        [0, 1, _GRAY_MAX, lo, hi],
+    ])])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriMesh
+from .mesh import TriMesh, _write_json
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def assign_conductivity(mesh: TriMesh, spec: PhantomSpec) -> np.ndarray:
 
 
 def save_phantom(path, spec: PhantomSpec) -> None:
-    doc = {
+    _write_json(path, {
         "background": spec.background,
         "inclusions": [
             {
@@ -110,10 +110,7 @@ def save_phantom(path, spec: PhantomSpec) -> None:
             }
             for inc in spec.inclusions
         ],
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    })
 
 
 def load_phantom(path) -> PhantomSpec:

@@ -33,6 +33,8 @@ from .mesh import (
     rasterize,
     save_mesh,
     save_element_values,
+    _write_json,
+    _write_text,
     load_element_values,
     load_field_series,
 )
@@ -178,26 +180,11 @@ def load_config(path) -> PipelineConfig:
     return PipelineConfig(**raw)
 
 
-def _write_table(path, header, rows) -> None:
-    """CSV with a header line; floats are written as repr (exact, with inf
-    and nan as such), every other cell as str."""
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            cells = (repr(float(c)) if isinstance(c, float) else str(c) for c in row)
-            f.write(",".join(cells) + "\n")
-
-
 def _write_manifest(path, cfg: PipelineConfig, manifest: dict) -> dict:
-    """``manifest`` with the BLAS thread count that ran and the config (an
-    ``snr_db`` of +inf as ``"inf"``) appended, written as indented JSON."""
-    config = asdict(cfg)
-    if math.isinf(config["snr_db"]):
-        config["snr_db"] = "inf"
-    manifest.update(blas_threads=blas.threads(), config=config)
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
+    """``manifest`` with the BLAS thread count that ran and the config
+    appended, written as JSON (``mesh._write_json``)."""
+    manifest.update(blas_threads=blas.threads(), config=asdict(cfg))
+    _write_json(path, manifest)
     return manifest
 
 
@@ -423,7 +410,7 @@ def cmd_simulate(cfg: PipelineConfig) -> dict:
     return _write_manifest(out / "simulate.json", cfg, {
         "command": "simulate",
         "seed": cfg.seed,
-        "snr_db": "inf" if math.isinf(cfg.snr_db) else cfg.snr_db,
+        "snr_db": cfg.snr_db,
         "electrode_count": cfg.electrode_count,
         "current_ma": cfg.current_ma,
         "n_measurements": len(dv),
@@ -457,9 +444,10 @@ def cmd_reconstruct(cfg: PipelineConfig, data_path=None) -> dict:
 
     save_element_values(out / "delta_sigma.txt", result.final)
     save_element_values(out / "iterates.txt", result.history)
-    history = (result.data_residual, result.step_norm, result.wall_ms)
-    _write_table(out / "iterates.csv", ("iteration", "data_residual", "step_norm", "wall_ms"),
-                 zip(range(1, result.n_iterations + 1), *history))
+    table = {"iteration": list(range(1, result.n_iterations + 1)),
+             "data_residual": result.data_residual.tolist(),
+             "step_norm": result.step_norm.tolist(), "wall_ms": result.wall_ms.tolist()}
+    _write_text(out / "iterates.csv", [([",".join(table)], list(table.values()))], ",")
     image = rasterize(problem.mesh, cfg.sigma0 + result.final, cfg.raster_resolution)
     metrics.write_image_pgm(out / "recon_image.pgm", image)
     return _write_manifest(out / "result.json", cfg, {
@@ -504,15 +492,15 @@ def cmd_evaluate(cfg: PipelineConfig, result_dir=None, reference=None) -> dict:
     scores = [_score(cfg, index, row, truth) for row in series]
     final_image = raster_image(index, cfg.sigma0 + series[-1])
 
-    profiles = {}
+    profiles = {"position": list(range(res))}
     for r in cfg.profile_rows:
-        profiles[f"recon_row{r}"] = final_image[r]
-        profiles[f"truth_row{r}"] = truth[r]
+        profiles[f"recon_row{r}"] = final_image[r].tolist()
+        profiles[f"truth_row{r}"] = truth[r].tolist()
 
-    _write_table(out / "eval.csv", ("iteration", "re", "psnr"),
-                 ((i, *score) for i, score in enumerate(scores, 1)))
-    _write_table(out / "profiles.csv", ("position", *profiles),
-                 zip(range(res), *profiles.values()))
+    table = {"iteration": list(range(1, len(scores) + 1)),
+             "re": [re for re, _ in scores], "psnr": [psnr for _, psnr in scores]}
+    _write_text(out / "eval.csv", [([",".join(table)], list(table.values()))], ",")
+    _write_text(out / "profiles.csv", [([",".join(profiles)], list(profiles.values()))], ",")
     return _write_manifest(out / "evaluate.json", cfg, {
         "command": "evaluate",
         "n_iterations": len(scores),
@@ -590,9 +578,10 @@ def cmd_sweep(cfg: PipelineConfig, data_path=None) -> list[dict]:
             for (ratio, delta), key in zip(cells, keys)]
     t2 = time.perf_counter()
 
-    columns = ("lambda_over_rho", "delta", "iterations", "termination", "re", "psnr")
-    _write_table(out / "sweep.csv", ("index", *columns),
-                 ((i, *(row[k] for k in columns)) for i, row in enumerate(rows)))
+    table = {"index": list(range(len(rows))), **{
+        k: [row[k] for row in rows]
+        for k in ("lambda_over_rho", "delta", "iterations", "termination", "re", "psnr")}}
+    _write_text(out / "sweep.csv", [([",".join(table)], list(table.values()))], ",")
     _write_manifest(out / "sweep.json", cfg, {
         "command": "sweep",
         "n_cells": len(cells),

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import logging
 import math
 
 import numpy as np
@@ -534,6 +535,12 @@ class TestCmdSweep:
                                   sweep_delta=[0.01])
         rows = cmd_sweep(cfg, data_path=data)
         assert [r["termination"] for r in rows] == ["error:SolverError"] * 2
+        # integer, float, string and nan cells, each as its column writes it
+        assert (tmp_path / "out" / "sweep.csv").read_text() == (
+            "index,lambda_over_rho,delta,iterations,termination,re,psnr\n"
+            "0,0.001,0.01,0,error:SolverError,nan,nan\n"
+            "1,0.005,0.01,0,error:SolverError,nan,nan\n"
+        )
 
     def test_bug_in_the_block_propagates(self, small_cfg, monkeypatch):
         import eitkit.inverse as inv
@@ -564,6 +571,7 @@ class TestCmdRender:
             cmd_render(small_cfg, tmp_path / "nope.txt")
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a stderr line
 class TestCli:
     def test_full_chain_exit_zero(self, tmp_path, capsys):
         cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"))
@@ -833,7 +841,6 @@ class TestCli:
         assert {"eval.csv", "profiles.csv", "evaluate.json"} <= {p.name for p in scored.iterdir()}
         assert sorted(out.iterdir()) == before
 
-    @pytest.mark.filterwarnings("error")  # a numpy warning would be a stderr line
     @pytest.mark.parametrize("sigma0", [1e200, 1e300])
     def test_evaluate_at_huge_sigma0_scores_finite(self, chain_outputs, tmp_path, capsys, sigma0):
         # the images hold values near sigma0, whose squares overflow unscaled
@@ -846,7 +853,6 @@ class TestCli:
         assert len(rows) == 3
         assert all(math.isfinite(float(row[k])) for row in rows for k in ("re", "psnr"))
 
-    @pytest.mark.filterwarnings("error")  # a numpy warning would be a stderr line
     def test_evaluate_at_tiny_sigma0_against_zero_reference(self, chain_outputs, tmp_path, capsys):
         # the reference image holds 1e-200 on every pixel, whose squares
         # underflow unscaled; the estimate adds the run's iterates to it
@@ -875,6 +881,13 @@ class TestCli:
         lines = (tmp_path / "run" / "eval.csv").read_text().splitlines()
         assert lines == ["iteration,re,psnr", "1,1.0,-inf"]
 
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        # the manifest is strict JSON, with the non-finite number as a string
+        text = (tmp_path / "run" / "evaluate.json").read_text()
+        assert json.loads(text, parse_constant=refuse)["final_psnr"] == "-inf"
+
     def test_evaluate_zero_conductivity_reference_exit_two(self, chain_outputs, tmp_path, capsys):
         cfg_path, out = chain_outputs
         n = load_element_values(out / "delta_sigma.txt").size
@@ -887,7 +900,6 @@ class TestCli:
         assert f"config error: reference field {reference}" in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_data_of_huge_scale_exit_three(self, chain_outputs, tmp_path, capsys):
         # x 1e153 the reweight overflows |g|^2, so NWATV weights reach 0:
         # reconstruct stops with one line, and every sweep cell records it
@@ -936,7 +948,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error: phantom_model" in err and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.filterwarnings("error")  # a numpy warning would be a stderr line
     @pytest.mark.parametrize("verb", ["simulate", "sweep"])
     def test_underflowed_difference_frame_names_the_scale(self, tmp_path, capsys, verb):
         # at 1e-300 mA the phantom changes elements, but the frame difference is 0
@@ -964,7 +975,6 @@ class TestCli:
             err = capsys.readouterr().err
             assert "config error: phantom_file" in err and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.filterwarnings("error")  # a numpy warning would be a stderr line
     @pytest.mark.parametrize("field, value", [
         ("sigma0", 1e-300), ("current_ma", 1e300),
         ("current_ma", 1e150), ("sigma0", 1e-150), ("sigma0", 1e300),
@@ -982,7 +992,6 @@ class TestCli:
             err = capsys.readouterr().err
             assert "config error: sigma0/current_ma" in err and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.filterwarnings("error")  # a numpy warning would be a stderr line
     @pytest.mark.parametrize("solver", ["nwatv", "tv"])
     def test_overflowing_shrink_threshold_is_silent(self, chain_outputs, tmp_path, capsys, solver):
         # lam/rho = 1e310 overflows: every shrink gives 0, and nothing is printed
@@ -992,6 +1001,30 @@ class TestCli:
         data = str(out / "dv_noisy.txt")
         assert main(["reconstruct", "--config", str(cfg_path), "--data", data]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_tiny_radius_on_shipped_data_exit_three(self, model7, tmp_path, capsys):
+        # the data of a 0.1 m disk on a 1e-150 m one: the x-update cannot
+        # meet its residual bound at iteration 1
+        data = tmp_path / "dv_noisy.txt"
+        save_frames(data, [model7.dv_noisy])
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"),
+                              inverse_elements=1024, forward_elements=16384, radius=1e-150)
+        assert main(["reconstruct", "--config", str(cfg_path), "--data", str(data)]) == 3
+        err = capsys.readouterr().err
+        assert "x-update residual" in err and len(err.strip().splitlines()) == 1
+
+    def test_verbose_flag_holds_for_its_own_call(self, tmp_path, caplog):
+        cfg_path = str(_write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out")))
+        log = logging.getLogger("eitkit")
+        lines = []
+        for argv in (["sweep"], ["-v", "sweep"], ["sweep"]):
+            level = log.level
+            caplog.clear()
+            assert main([*argv, "--config", cfg_path]) == 0
+            assert log.level == level
+            lines.append([r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG])
+        assert [len(found) for found in lines] == [0, 1, 0]
+        assert lines[1][0].startswith("ADMM block of 35 columns, ")
 
     def test_solver_error_json_names_iteration_and_column(self, tmp_path, monkeypatch):
         import eitkit.inverse as inv
@@ -1019,7 +1052,6 @@ class TestCli:
         diag = json.loads((tmp_path / "out" / "solver_error.json").read_text())
         assert "forced failure" in diag["error"]
 
-    @pytest.mark.filterwarnings("error")  # a LinAlgWarning would be a stderr line
     @pytest.mark.parametrize("overrides, key", [
         ({"solver": "tikhonov", "lam": 1e-20}, "ridge_condition"),
         ({"enable_preprocess": True, "lambda_b": 1e-30}, "gram_condition"),  # singular
