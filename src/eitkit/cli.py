@@ -2,10 +2,11 @@
 
 Verbs: mesh, simulate, reconstruct, evaluate, sweep, render. Every verb
 takes --config (JSON) plus optional --seed and --out overrides. Exit
-codes: 0 success, 2 config error, 3 solver failure (diagnostics written
-next to the outputs). A verb runs with numpy's and scipy's OpenBLAS on one
-thread each (``blas.single_thread``) and the ``eitkit`` logger at INFO, or
-DEBUG under -v; the caller's thread counts and level return after it.
+codes: 0 success, 2 config error (an output that cannot be written
+included), 3 solver failure (diagnostics written next to the outputs). A
+verb runs with numpy's and scipy's OpenBLAS on one thread each
+(``blas.single_thread``) and the ``eitkit`` logger at INFO, or DEBUG under
+-v; the caller's thread counts and level return after it.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None, help="difference-frame file (default: simulate in memory)")
     p = add("render", "rasterize a stored element-value field to an image")
     p.add_argument("--field", required=True, help="element-value file to render")
-    p.add_argument("--name", default=None, help="output image stem (default: field file stem)")
     return parser
 
 
@@ -97,12 +97,12 @@ def _run(args) -> int:
             manifest = cmd_simulate(cfg)
             print(
                 f"simulated {manifest['n_measurements']} measurements "
-                f"(seed {manifest['seed']}, snr {manifest['snr_db']} dB) -> {cfg.out_dir}"
+                f"(seed {cfg.seed}, snr {cfg.snr_db} dB) -> {cfg.out_dir}"
             )
         elif args.command == "reconstruct":
             manifest = cmd_reconstruct(cfg, data_path=args.data)
             print(
-                f"{manifest['solver']}: {manifest['n_iterations']} iterations, "
+                f"{cfg.solver}: {manifest['n_iterations']} iterations, "
                 f"stopped by {manifest['termination']}, "
                 f"data residual {manifest['final_data_residual']:.4g} -> {cfg.out_dir}"
             )
@@ -125,11 +125,15 @@ def _run(args) -> int:
             )
             print(f"swept {len(rows)} cells: {line} -> {cfg.out_dir}")
         elif args.command == "render":
-            target = cmd_render(cfg, args.field, name=args.name)
+            target = cmd_render(cfg, args.field)
             print(f"rendered {args.field} -> {target}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # every read failure is a ConfigError, so this is a write
+        print(f"config error: out_dir: cannot write {exc.filename or cfg.out_dir}: "
+              f"{exc.strerror}", file=sys.stderr)
         return 2
     except SolverError as exc:
         out = Path(cfg.out_dir)

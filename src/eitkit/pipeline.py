@@ -180,11 +180,18 @@ def load_config(path) -> PipelineConfig:
     return PipelineConfig(**raw)
 
 
-def _write_manifest(path, cfg: PipelineConfig, manifest: dict) -> dict:
-    """``manifest`` with the BLAS thread count that ran and the config
-    appended, written as JSON (``mesh._write_json``)."""
-    manifest.update(blas_threads=blas.threads(), config=asdict(cfg))
-    _write_json(path, manifest)
+def _write_outputs(cfg: PipelineConfig, name: str, artifacts: dict, manifest: dict,
+                   timings: dict) -> dict:
+    """Write each artifact ``{file: (writer, *args)}`` as ``writer(out_dir /
+    file, *args)``, then the manifest ``name``: ``manifest`` with ``files``
+    (the artifact names), ``timings_s``, the BLAS thread count that ran and
+    the config appended, as JSON (``mesh._write_json``)."""
+    out = Path(cfg.out_dir)
+    for file, (writer, *args) in artifacts.items():
+        writer(out / file, *args)
+    manifest.update(files=list(artifacts), timings_s=timings, blas_threads=blas.threads(),
+                    config=asdict(cfg))
+    _write_json(out / name, manifest)
     return manifest
 
 
@@ -366,7 +373,7 @@ def _outdir(cfg: PipelineConfig) -> Path:
 
 def cmd_mesh(cfg: PipelineConfig) -> dict:
     """Write meshes, the phantom, the true perturbation, and a truth image."""
-    out = _outdir(cfg)
+    _outdir(cfg)
     t0 = time.perf_counter()
     imesh, ilayout = _disk(cfg, cfg.inverse_elements)
     fmesh, flayout = _disk(cfg, cfg.forward_elements, ilayout.angles)
@@ -374,27 +381,25 @@ def cmd_mesh(cfg: PipelineConfig) -> dict:
     delta_true = assign_conductivity(imesh, spec) - cfg.sigma0
     truth = _truth_image(cfg, spec, imesh)
     elapsed = time.perf_counter() - t0
-
-    save_mesh(out / "inverse_mesh.txt", imesh, ilayout)
-    save_mesh(out / "forward_mesh.txt", fmesh, flayout)
-    save_phantom(out / "phantom.json", spec)
-    save_element_values(out / "delta_sigma_true.txt", delta_true)
-    metrics.write_image_pgm(out / "truth_image.pgm", truth)
-    return _write_manifest(out / "mesh.json", cfg, {
+    return _write_outputs(cfg, "mesh.json", {
+        "inverse_mesh.txt": (save_mesh, imesh, ilayout),
+        "forward_mesh.txt": (save_mesh, fmesh, flayout),
+        "phantom.json": (save_phantom, spec),
+        "delta_sigma_true.txt": (save_element_values, delta_true),
+        "truth_image.pgm": (metrics.write_image_pgm, truth),
+    }, {
         "command": "mesh",
         "inverse_elements": imesh.n_elements,
         "inverse_nodes": imesh.n_nodes,
         "forward_elements": fmesh.n_elements,
         "forward_nodes": fmesh.n_nodes,
-        "electrode_count": cfg.electrode_count,
-        "timings_s": {"assembly": elapsed},
-    })
+    }, {"assembly": elapsed})
 
 
 def cmd_simulate(cfg: PipelineConfig) -> dict:
     """Forward-simulate reference and perturbed frames; write the signed
     difference and its noisy copy."""
-    out = _outdir(cfg)
+    _outdir(cfg)
     t0 = time.perf_counter()
     imesh, ilayout = _disk(cfg, cfg.inverse_elements)
     fmesh, flayout = _disk(cfg, cfg.forward_elements, ilayout.angles)
@@ -402,23 +407,17 @@ def cmd_simulate(cfg: PipelineConfig) -> dict:
     t1 = time.perf_counter()
     v_ref, v_pert, dv, dv_noisy = _simulate_frames(cfg, fmesh, flayout, spec)
     t2 = time.perf_counter()
-
-    forward.save_frames(out / "v_reference.txt", [v_ref])
-    forward.save_frames(out / "v_perturbed.txt", [v_pert])
-    forward.save_frames(out / "dv_clean.txt", [dv])
-    forward.save_frames(out / "dv_noisy.txt", [dv_noisy])
-    return _write_manifest(out / "simulate.json", cfg, {
+    return _write_outputs(cfg, "simulate.json", {
+        "v_reference.txt": (forward.save_frames, [v_ref]),
+        "v_perturbed.txt": (forward.save_frames, [v_pert]),
+        "dv_clean.txt": (forward.save_frames, [dv]),
+        "dv_noisy.txt": (forward.save_frames, [dv_noisy]),
+    }, {
         "command": "simulate",
-        "seed": cfg.seed,
-        "snr_db": cfg.snr_db,
-        "electrode_count": cfg.electrode_count,
-        "current_ma": cfg.current_ma,
         "n_measurements": len(dv),
         "sign_convention": "reference_minus_perturbed",
         "noise_applied_to": "difference_frame",
-        "files": ["v_reference.txt", "v_perturbed.txt", "dv_clean.txt", "dv_noisy.txt"],
-        "timings_s": {"assembly": t1 - t0, "solve": t2 - t1},
-    })
+    }, {"assembly": t1 - t0, "solve": t2 - t1})
 
 
 def _load_single_frame(path, expected_e: int) -> np.ndarray:
@@ -441,30 +440,22 @@ def cmd_reconstruct(cfg: PipelineConfig, data_path=None) -> dict:
     t0 = time.perf_counter()
     result = run_solver(cfg, problem, dv)
     iterations_s = time.perf_counter() - t0
-
-    save_element_values(out / "delta_sigma.txt", result.final)
-    save_element_values(out / "iterates.txt", result.history)
     table = {"iteration": list(range(1, result.n_iterations + 1)),
              "data_residual": result.data_residual.tolist(),
              "step_norm": result.step_norm.tolist(), "wall_ms": result.wall_ms.tolist()}
-    _write_text(out / "iterates.csv", [([",".join(table)], list(table.values()))], ",")
     image = rasterize(problem.mesh, cfg.sigma0 + result.final, cfg.raster_resolution)
-    metrics.write_image_pgm(out / "recon_image.pgm", image)
-    return _write_manifest(out / "result.json", cfg, {
+    return _write_outputs(cfg, "result.json", {
+        "delta_sigma.txt": (save_element_values, result.final),
+        "iterates.txt": (save_element_values, result.history),
+        "iterates.csv": (_write_text, [([",".join(table)], list(table.values()))], ","),
+        "recon_image.pgm": (metrics.write_image_pgm, image),
+    }, {
         "command": "reconstruct",
-        "solver": cfg.solver,
         "data_file": str(data_path),
         "termination": result.termination,
         "n_iterations": result.n_iterations,
         "final_data_residual": float(result.data_residual[-1]),
-        "files": [
-            "delta_sigma.txt",
-            "iterates.txt",
-            "iterates.csv",
-            "recon_image.pgm",
-        ],
-        "timings_s": {**problem.timings_s, "iterations": iterations_s},
-    })
+    }, {**problem.timings_s, "iterations": iterations_s})
 
 
 def cmd_evaluate(cfg: PipelineConfig, result_dir=None, reference=None) -> dict:
@@ -476,6 +467,7 @@ def cmd_evaluate(cfg: PipelineConfig, result_dir=None, reference=None) -> dict:
     anything is written, so a failure leaves no partial files.
     """
     out = _outdir(cfg)
+    t0 = time.perf_counter()
     mesh = _disk(cfg, cfg.inverse_elements)[0]
     series_path = Path(result_dir if result_dir is not None else out) / "iterates.txt"
     series = _load_field(series_path, "iterate history", load_field_series, mesh.n_elements)
@@ -489,6 +481,7 @@ def cmd_evaluate(cfg: PipelineConfig, result_dir=None, reference=None) -> dict:
             raise ConfigError(f"reference field {reference}: sigma0 + reference must be > 0 "
                               f"everywhere, its minimum is {ref.min():g}")
         truth = raster_image(index, ref)
+    t1 = time.perf_counter()
     scores = [_score(cfg, index, row, truth) for row in series]
     final_image = raster_image(index, cfg.sigma0 + series[-1])
 
@@ -499,16 +492,17 @@ def cmd_evaluate(cfg: PipelineConfig, result_dir=None, reference=None) -> dict:
 
     table = {"iteration": list(range(1, len(scores) + 1)),
              "re": [re for re, _ in scores], "psnr": [psnr for _, psnr in scores]}
-    _write_text(out / "eval.csv", [([",".join(table)], list(table.values()))], ",")
-    _write_text(out / "profiles.csv", [([",".join(profiles)], list(profiles.values()))], ",")
-    return _write_manifest(out / "evaluate.json", cfg, {
+    t2 = time.perf_counter()
+    return _write_outputs(cfg, "evaluate.json", {
+        "eval.csv": (_write_text, [([",".join(table)], list(table.values()))], ","),
+        "profiles.csv": (_write_text, [([",".join(profiles)], list(profiles.values()))], ","),
+    }, {
         "command": "evaluate",
         "n_iterations": len(scores),
         "final_re": scores[-1][0],
         "final_psnr": scores[-1][1],
         "reference": None if reference is None else str(reference),
-        "files": ["eval.csv", "profiles.csv"],
-    })
+    }, {"load": t1 - t0, "scoring": t2 - t1})
 
 
 def _ridge(s: np.ndarray, delta_v: np.ndarray, lam: float):
@@ -529,7 +523,7 @@ def cmd_sweep(cfg: PipelineConfig, data_path=None) -> list[dict]:
     problem whose solve raises a SolverError is recorded in its cells while
     the others go on; a boundary-preprocessing failure fills every cell.
     """
-    out = _outdir(cfg)
+    _outdir(cfg)
     t0 = time.perf_counter()
     spec = load_phantom_spec(cfg)
     disk = _disk(cfg, cfg.inverse_elements)
@@ -581,22 +575,20 @@ def cmd_sweep(cfg: PipelineConfig, data_path=None) -> list[dict]:
     table = {"index": list(range(len(rows))), **{
         k: [row[k] for row in rows]
         for k in ("lambda_over_rho", "delta", "iterations", "termination", "re", "psnr")}}
-    _write_text(out / "sweep.csv", [([",".join(table)], list(table.values()))], ",")
-    _write_manifest(out / "sweep.json", cfg, {
+    _write_outputs(cfg, "sweep.json", {
+        "sweep.csv": (_write_text, [([",".join(table)], list(table.values()))], ","),
+    }, {
         "command": "sweep",
         "n_cells": len(cells),
-        "seed": cfg.seed,
-        "solver": cfg.solver,
         "data_file": None if data_path is None else str(data_path),
         "failures": sum(1 for r in rows if r["termination"].startswith("error")),
-        "timings_s": {"setup": t1 - t0, "cells": t2 - t1},
-        "files": ["sweep.csv"],
-    })
+    }, {"setup": t1 - t0, "cells": t2 - t1})
     return rows
 
 
-def cmd_render(cfg: PipelineConfig, field_path, name=None) -> Path:
-    """Rasterize a stored element-value field to a grayscale image.
+def cmd_render(cfg: PipelineConfig, field_path) -> Path:
+    """Rasterize a stored element-value field to a grayscale image,
+    ``<field stem>.pgm``.
 
     Values are rendered verbatim (no background offset); the sidecar map
     records the value range.
@@ -606,7 +598,6 @@ def cmd_render(cfg: PipelineConfig, field_path, name=None) -> Path:
     mesh = _disk(cfg, cfg.inverse_elements)[0]
     values = _load_field(field_path, "field file", n_elements=mesh.n_elements)
     image = rasterize(mesh, values, cfg.raster_resolution)
-    stem = name if name is not None else field_path.stem
-    target = out / f"{stem}.pgm"
+    target = out / f"{field_path.stem}.pgm"
     metrics.write_image_pgm(target, image)
     return target

@@ -2,8 +2,11 @@
 
 Runs mesh -> simulate -> reconstruct -> evaluate -> sweep -> render on
 ``paper-2d.cfg`` through ``eitkit.cli.main``, then sweeps its noisy data
-with the ``fotv`` and ``tv`` solvers and at ``"tol": 1e-2``, and checks
-the outputs against ``golden_artifacts.json``. Where numpy, scipy and the
+with the ``fotv`` and ``tv`` solvers and at ``"tol": 1e-2``, runs
+reconstruct -> evaluate -> render on that data with the ``fotv`` and
+``tv`` solvers, and runs mesh -> simulate -> reconstruct on the 4,096 /
+65,536-element meshes, and checks the outputs against
+``golden_artifacts.json``. Where numpy, scipy and the
 platform are those recorded there, every non-JSON artifact must keep its
 sha256 (``iterates.csv`` without its ``wall_ms`` column). Elsewhere the
 key numbers (RE values, iteration counts, terminations) must agree, the
@@ -39,6 +42,12 @@ RTOL = 1e-9
 
 # the extra sweeps on the chain's noisy data: output directory -> overrides
 SWEEPS = {"fotv": {"solver": "fotv"}, "tv": {"solver": "tv"}, "tol": {"tol": 1e-2}}
+
+# the sweeps whose solver also runs reconstruct -> evaluate -> render there
+CHAINS = ("fotv", "tv")
+
+# the fine chain's mesh sizes, run through mesh -> simulate -> reconstruct
+FINE = {"inverse_elements": 4096, "forward_elements": 65536}
 
 ACCEPTANCE_LINES = []  # echoed by conftest at the end of the run
 
@@ -79,9 +88,18 @@ def run_chain(root: Path) -> dict:
     for verb in ("mesh", "simulate", "reconstruct", "evaluate", "sweep"):
         assert main([verb, "--config", cfg]) == 0, verb
     assert main(["render", "--config", cfg, "--field", str(out / "delta_sigma.txt")]) == 0
+    data = ["--data", str(out / "dv_noisy.txt")]
     for name, overrides in SWEEPS.items():
-        assert main(["sweep", "--config", config(name, out_dir=str(root / name), **overrides),
-                     "--data", str(out / "dv_noisy.txt")]) == 0, name
+        cfg = config(name, out_dir=str(root / name), **overrides)
+        assert main(["sweep", "--config", cfg, *data]) == 0, name
+        if name in CHAINS:
+            assert main(["reconstruct", "--config", cfg, *data]) == 0, name
+            assert main(["evaluate", "--config", cfg]) == 0, name
+            assert main(["render", "--config", cfg,
+                         "--field", str(root / name / "delta_sigma.txt")]) == 0, name
+    cfg = config("fine", out_dir=str(root / "fine"), **FINE)
+    for verb in ("mesh", "simulate", "reconstruct"):
+        assert main([verb, "--config", cfg]) == 0, f"fine {verb}"
 
     result = json.loads((out / "result.json").read_text())
     return {

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import json
 import logging
 import math
@@ -202,6 +203,27 @@ class TestManifests:
         ):
             assert cmd(small_cfg) == json.loads((out / name).read_text()), name
 
+    def test_files_are_what_the_verb_wrote_and_config_is_recorded_once(self, small_cfg, tmp_path):
+        out = tmp_path / "out"
+        copies = {"seed", "snr_db", "electrode_count", "current_ma", "solver"}
+        for cmd, name in (
+            (cmd_mesh, "mesh.json"),
+            (cmd_simulate, "simulate.json"),
+            (cmd_reconstruct, "result.json"),
+            (cmd_evaluate, "evaluate.json"),
+            (cmd_sweep, "sweep.json"),
+        ):
+            before = {p.name for p in out.iterdir()} if out.exists() else set()
+            cmd(small_cfg)
+            written = {p.name for p in out.iterdir()} - before
+            manifest = json.loads((out / name).read_text())
+            # a .pgm comes with its .pgm.map sidecar
+            sidecars = {f"{f}.map" for f in manifest["files"] if f.endswith(".pgm")}
+            assert written == {*manifest["files"], *sidecars, name}, name
+            assert list(manifest)[-4:] == ["files", "timings_s", "blas_threads", "config"], name
+            assert manifest["timings_s"] and not copies & set(manifest), name
+            assert manifest["config"] == dataclasses.asdict(small_cfg), name
+
 
 class TestCmdMesh:
     def test_artifacts(self, small_cfg, tmp_path):
@@ -235,10 +257,10 @@ class TestCmdSimulate:
             frames = load_frames(out / name)
             assert len(frames) == 1
             assert len(frames[0]) == 208
-        assert manifest["seed"] == 42
+        assert manifest["config"]["seed"] == 42
         assert manifest["n_measurements"] == 208
         recorded = json.loads((out / "simulate.json").read_text())
-        assert recorded["seed"] == 42
+        assert recorded["config"]["seed"] == 42
 
     def test_infinite_snr_noisy_equals_clean(self, tmp_path):
         cfg = load_config(
@@ -324,6 +346,20 @@ class TestCmdReconstruct:
     def test_missing_data_file(self, small_cfg):
         with pytest.raises(ConfigError, match="voltage file"):
             cmd_reconstruct(small_cfg)
+
+    def test_failure_before_the_first_write_leaves_no_file(self, small_cfg, tmp_path, monkeypatch):
+        import eitkit.pipeline as pl
+
+        cmd_simulate(small_cfg)
+
+        def broken(*args):
+            raise RuntimeError("rasterize failed")
+
+        monkeypatch.setattr(pl, "rasterize", broken)
+        with pytest.raises(RuntimeError, match="rasterize failed"):
+            cmd_reconstruct(small_cfg)
+        for name in ("delta_sigma.txt", "iterates.txt", "iterates.csv"):
+            assert not (tmp_path / "out" / name).exists(), name
 
 
 class TestCmdEvaluate:
@@ -570,6 +606,13 @@ class TestCmdRender:
         with pytest.raises(ConfigError):
             cmd_render(small_cfg, tmp_path / "nope.txt")
 
+    def test_name_option_is_gone(self, tmp_path):
+        argv = ["render", "--config", str(_write_cfg(tmp_path / "run.cfg")),
+                "--field", str(tmp_path / "f.txt"), "--name", "x"]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a stderr line
 class TestCli:
@@ -596,7 +639,7 @@ class TestCli:
         second = (tmp_path / "out" / "dv_noisy.txt").read_bytes()
         assert first != second
         recorded = json.loads((tmp_path / "out" / "simulate.json").read_text())
-        assert recorded["seed"] == 7
+        assert recorded["config"]["seed"] == 7
 
     def test_out_override(self, tmp_path):
         cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "ignored"))
@@ -840,6 +883,28 @@ class TestCli:
         assert main(argv) == 0
         assert {"eval.csv", "profiles.csv", "evaluate.json"} <= {p.name for p in scored.iterdir()}
         assert sorted(out.iterdir()) == before
+
+    def test_failed_write_exit_two(self, chain_outputs, tmp_path, capsys):
+        cfg_path, out = chain_outputs
+        (tmp_path / "d" / "iterates.csv").mkdir(parents=True)
+        argv = ["reconstruct", "--config", str(cfg_path), "--out", str(tmp_path / "d"),
+                "--data", str(out / "dv_noisy.txt")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out_dir: cannot write ") and "iterates.csv" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_failed_write_without_a_file_name_names_out_dir(self, tmp_path, capsys, monkeypatch):
+        import eitkit.pipeline as pl
+
+        def full(path, doc):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(pl, "_write_json", full)
+        out = tmp_path / "out"
+        assert main(["mesh", "--config", str(_write_cfg(tmp_path / "run.cfg", out_dir=str(out)))]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: out_dir: cannot write {out}: No space left on device\n"
 
     @pytest.mark.parametrize("sigma0", [1e200, 1e300])
     def test_evaluate_at_huge_sigma0_scores_finite(self, chain_outputs, tmp_path, capsys, sigma0):
