@@ -87,46 +87,52 @@ def _run(args) -> int:
     """Run the parsed verb; returns the exit code."""
     try:
         cfg = _load(args)
-        if args.command == "mesh":
-            manifest = cmd_mesh(cfg)
-            print(
-                f"meshes written to {cfg.out_dir}: "
-                f"{manifest['inverse_elements']} / {manifest['forward_elements']} elements"
-            )
-        elif args.command == "simulate":
-            manifest = cmd_simulate(cfg)
-            print(
-                f"simulated {manifest['n_measurements']} measurements "
-                f"(seed {cfg.seed}, snr {cfg.snr_db} dB) -> {cfg.out_dir}"
-            )
-        elif args.command == "reconstruct":
-            manifest = cmd_reconstruct(cfg, data_path=args.data)
-            print(
-                f"{cfg.solver}: {manifest['n_iterations']} iterations, "
-                f"stopped by {manifest['termination']}, "
-                f"data residual {manifest['final_data_residual']:.4g} -> {cfg.out_dir}"
-            )
-        elif args.command == "evaluate":
-            manifest = cmd_evaluate(cfg, result_dir=args.result, reference=args.reference)
-            print(
-                f"evaluated {manifest['n_iterations']} iterates: "
-                f"final re {manifest['final_re']:.4g}, "
-                f"final psnr {manifest['final_psnr']:.4g} dB -> {cfg.out_dir}"
-            )
-        elif args.command == "sweep":
-            rows = cmd_sweep(cfg, data_path=args.data)
-            ok = [r for r in rows if not r["termination"].startswith("error")]
-            best = min(ok, key=lambda r: r["re"]) if ok else None
-            line = (
-                f"best re {best['re']:.4g} at lam/rho={best['lambda_over_rho']:.3g}, "
-                f"delta={best['delta']:.3g}"
-                if best
-                else "all cells failed"
-            )
-            print(f"swept {len(rows)} cells: {line} -> {cfg.out_dir}")
-        elif args.command == "render":
-            target = cmd_render(cfg, args.field)
-            print(f"rendered {args.field} -> {target}")
+        try:
+            if args.command == "mesh":
+                manifest = cmd_mesh(cfg)
+                print(
+                    f"meshes written to {cfg.out_dir}: "
+                    f"{manifest['inverse_elements']} / {manifest['forward_elements']} elements"
+                )
+            elif args.command == "simulate":
+                manifest = cmd_simulate(cfg)
+                print(
+                    f"simulated {manifest['n_measurements']} measurements "
+                    f"(seed {cfg.seed}, snr {cfg.snr_db} dB) -> {cfg.out_dir}"
+                )
+            elif args.command == "reconstruct":
+                manifest = cmd_reconstruct(cfg, data_path=args.data)
+                print(
+                    f"{cfg.solver}: {manifest['n_iterations']} iterations, "
+                    f"stopped by {manifest['termination']}, "
+                    f"data residual {manifest['final_data_residual']:.4g} -> {cfg.out_dir}"
+                )
+            elif args.command == "evaluate":
+                manifest = cmd_evaluate(cfg, result_dir=args.result, reference=args.reference)
+                print(
+                    f"evaluated {manifest['n_iterations']} iterates: "
+                    f"final re {manifest['final_re']:.4g}, "
+                    f"final psnr {manifest['final_psnr']:.4g} dB -> {cfg.out_dir}"
+                )
+            elif args.command == "sweep":
+                rows = cmd_sweep(cfg, data_path=args.data)
+                ok = [r for r in rows if not r["termination"].startswith("error")]
+                best = min(ok, key=lambda r: r["re"]) if ok else None
+                line = (
+                    f"best re {best['re']:.4g} at lam/rho={best['lambda_over_rho']:.3g}, "
+                    f"delta={best['delta']:.3g}"
+                    if best
+                    else "all cells failed"
+                )
+                print(f"swept {len(rows)} cells: {line} -> {cfg.out_dir}")
+            elif args.command == "render":
+                target = cmd_render(cfg, args.field)
+                print(f"rendered {args.field} -> {target}")
+        except SolverError as exc:  # its diagnostics are a write like any other
+            diag_path = Path(cfg.out_dir) / "solver_error.json"
+            _write_json(diag_path, {"error": str(exc), "diagnostics": exc.diagnostics})
+            print(f"solver failure: {exc} (diagnostics: {diag_path})", file=sys.stderr)
+            return 3
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -135,13 +141,6 @@ def _run(args) -> int:
         print(f"config error: out_dir: cannot write {exc.filename or cfg.out_dir}: "
               f"{exc.strerror}", file=sys.stderr)
         return 2
-    except SolverError as exc:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        diag_path = out / "solver_error.json"
-        _write_json(diag_path, {"error": str(exc), "diagnostics": exc.diagnostics})
-        print(f"solver failure: {exc} (diagnostics: {diag_path})", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -45,8 +45,6 @@ class ConfigError(Exception):
     """Invalid or inconsistent pipeline configuration."""
 
 
-_SOLVERS = ("nwatv", "fotv", "tv", "tikhonov")
-
 # sweep defaults: four decades of lam/rho around the shipped ratio 5e-3,
 # two decades of the weight floor around 0.01
 _SWEEP_RATIOS = (5e-3 * np.logspace(-2.0, 2.0, 7)).tolist()
@@ -182,17 +180,26 @@ def load_config(path) -> PipelineConfig:
 
 def _write_outputs(cfg: PipelineConfig, name: str, artifacts: dict, manifest: dict,
                    timings: dict) -> dict:
-    """Write each artifact ``{file: (writer, *args)}`` as ``writer(out_dir /
-    file, *args)``, then the manifest ``name``: ``manifest`` with ``files``
-    (the artifact names), ``timings_s``, the BLAS thread count that ran and
-    the config appended, as JSON (``mesh._write_json``)."""
+    """Remove the old manifest ``name``, write each artifact ``{file: (writer,
+    *args)}`` as ``writer(out_dir / file, *args)``, then the manifest:
+    ``manifest`` with ``files`` (the artifact names), ``timings_s``, the
+    BLAS thread count that ran and the config appended, as JSON
+    (``mesh._write_json``). A failed write thus leaves no manifest that
+    names files of another run."""
     out = Path(cfg.out_dir)
+    (out / name).unlink(missing_ok=True)
     for file, (writer, *args) in artifacts.items():
         writer(out / file, *args)
     manifest.update(files=list(artifacts), timings_s=timings, blas_threads=blas.threads(),
                     config=asdict(cfg))
     _write_json(out / name, manifest)
     return manifest
+
+
+def _write_csv(path, table: dict) -> None:
+    """The table ``{header: column}`` as CSV: a header line, then one row
+    per record (``mesh._write_text``)."""
+    _write_text(path, [([",".join(table)], list(table.values()))], ",")
 
 
 def _load_field(path, what: str, loader=load_element_values, n_elements: int | None = None):
@@ -329,32 +336,41 @@ def _score(cfg: PipelineConfig, index: np.ndarray, delta_sigma: np.ndarray,
 # solver dispatch
 
 
+# the iterative solvers and their K = 1 calls in the library; the pipeline
+# runs every solve, a single one included, through ``_solve``
 _ITERATIVE = {
     "nwatv": inverse.reconstruct_nwatv,
     "fotv": inverse.reconstruct_fotv,
     "tv": inverse.reconstruct_tv_isotropic,
 }
+_SOLVERS = (*_ITERATIVE, "tikhonov")
 
 
-def _solver_data(cfg: PipelineConfig, problem: InverseProblem, delta_v: np.ndarray) -> np.ndarray:
-    """The data the solvers see: ``delta_v``, less the part the boundary
-    elements explain when ``enable_preprocess`` is set."""
-    if not cfg.enable_preprocess:
-        return delta_v
-    boundary = problem.mesh.boundary_elements()
-    return inverse.preprocess_boundary(delta_v, problem.s, boundary, cfg.lambda_b)
+def _ridge(s: np.ndarray, delta_v: np.ndarray, lam: float):
+    """The ridge solution at ``lam``, or the SolverError that ended it."""
+    try:
+        return inverse.reconstruct_tikhonov(s, delta_v, lam)
+    except forward.SolverError as exc:
+        return exc
 
 
-def run_solver(
-    cfg: PipelineConfig, problem: InverseProblem, delta_v: np.ndarray
-) -> inverse.ReconResult:
-    """Run the configured solver on one voltage frame."""
-    delta_v = _solver_data(cfg, problem, delta_v)
+def _solve(cfg: PipelineConfig, problem: InverseProblem, delta_v: np.ndarray,
+           problems: list[tuple[float, float]], keep_history: bool) -> list:
+    """A ReconResult, or the SolverError that ended it, for each (lam, delta)
+    problem of one frame: the boundary preprocessing first when enabled
+    (its failure ends every problem), then one ADMM block of the problems
+    (``inverse.reconstruct_block``) or, for tikhonov, one ridge solve per lam."""
+    try:
+        if cfg.enable_preprocess:
+            boundary = problem.mesh.boundary_elements()
+            delta_v = inverse.preprocess_boundary(delta_v, problem.s, boundary, cfg.lambda_b)
+    except forward.SolverError as exc:
+        return [exc] * len(problems)
     if cfg.solver == "tikhonov":
-        return inverse.reconstruct_tikhonov(problem.s, delta_v, cfg.lam)
-    return _ITERATIVE[cfg.solver](
-        problem.x_update, delta_v, cfg.lam, cfg.delta,
-        max_iters=cfg.max_iters, tol=cfg.tol, mask=cfg.mask_elements,
+        return [_ridge(problem.s, delta_v, lam) for lam, _ in problems]
+    return inverse.reconstruct_block(
+        problem.x_update, delta_v, *zip(*problems), variant=cfg.solver,
+        max_iters=cfg.max_iters, tol=cfg.tol, mask=cfg.mask_elements, keep_history=keep_history,
     )
 
 
@@ -438,7 +454,9 @@ def cmd_reconstruct(cfg: PipelineConfig, data_path=None) -> dict:
     problem = build_inverse_problem(cfg)
     dv = _load_single_frame(data_path, cfg.electrode_count)
     t0 = time.perf_counter()
-    result = run_solver(cfg, problem, dv)
+    (result,) = _solve(cfg, problem, dv, [(cfg.lam, cfg.delta)], keep_history=True)
+    if isinstance(result, forward.SolverError):
+        raise result
     iterations_s = time.perf_counter() - t0
     table = {"iteration": list(range(1, result.n_iterations + 1)),
              "data_residual": result.data_residual.tolist(),
@@ -447,7 +465,7 @@ def cmd_reconstruct(cfg: PipelineConfig, data_path=None) -> dict:
     return _write_outputs(cfg, "result.json", {
         "delta_sigma.txt": (save_element_values, result.final),
         "iterates.txt": (save_element_values, result.history),
-        "iterates.csv": (_write_text, [([",".join(table)], list(table.values()))], ","),
+        "iterates.csv": (_write_csv, table),
         "recon_image.pgm": (metrics.write_image_pgm, image),
     }, {
         "command": "reconstruct",
@@ -494,8 +512,8 @@ def cmd_evaluate(cfg: PipelineConfig, result_dir=None, reference=None) -> dict:
              "re": [re for re, _ in scores], "psnr": [psnr for _, psnr in scores]}
     t2 = time.perf_counter()
     return _write_outputs(cfg, "evaluate.json", {
-        "eval.csv": (_write_text, [([",".join(table)], list(table.values()))], ","),
-        "profiles.csv": (_write_text, [([",".join(profiles)], list(profiles.values()))], ","),
+        "eval.csv": (_write_csv, table),
+        "profiles.csv": (_write_csv, profiles),
     }, {
         "command": "evaluate",
         "n_iterations": len(scores),
@@ -505,23 +523,14 @@ def cmd_evaluate(cfg: PipelineConfig, result_dir=None, reference=None) -> dict:
     }, {"load": t1 - t0, "scoring": t2 - t1})
 
 
-def _ridge(s: np.ndarray, delta_v: np.ndarray, lam: float):
-    """The ridge solution at ``lam``, or the SolverError that ended it."""
-    try:
-        return inverse.reconstruct_tikhonov(s, delta_v, lam)
-    except forward.SolverError as exc:
-        return exc
-
-
 def cmd_sweep(cfg: PipelineConfig, data_path=None) -> list[dict]:
     """Grid-sweep lam/rho x delta, scored against the analytic truth image.
 
-    Each distinct problem is solved once: (lam, delta) for nwatv, (lam) for
-    the solvers that do not read delta. The iterative ones run together as
-    the columns of one ADMM block (``inverse.reconstruct_block``) on the
-    problem's factored x-update, and rows keep grid order (ratio-major). A
-    problem whose solve raises a SolverError is recorded in its cells while
-    the others go on; a boundary-preprocessing failure fills every cell.
+    Each distinct problem is solved once, by one ``_solve`` call: (lam,
+    delta) for nwatv, (lam) for the solvers that do not read delta. Rows
+    keep grid order (ratio-major). A problem that ends in a SolverError is
+    recorded in its cells while the others go on; a boundary-preprocessing
+    failure fills every cell.
     """
     _outdir(cfg)
     t0 = time.perf_counter()
@@ -546,19 +555,7 @@ def cmd_sweep(cfg: PipelineConfig, data_path=None) -> list[dict]:
     reads_delta = cfg.solver in inverse._READS_DELTA
     keys = [(ratio * cfg.rho, delta if reads_delta else cfg.sweep_delta[0]) for ratio, delta in cells]
     problems = list(dict.fromkeys(keys))
-    try:
-        dv = _solver_data(cfg, problem, dv)
-    except forward.SolverError as exc:  # a failure shared by every cell
-        solved = [exc] * len(problems)
-    else:
-        if cfg.solver == "tikhonov":
-            solved = [_ridge(problem.s, dv, lam) for lam, _ in problems]
-        else:
-            solved = inverse.reconstruct_block(
-                problem.x_update, dv, *zip(*problems),
-                variant=cfg.solver, max_iters=cfg.max_iters, tol=cfg.tol,
-                mask=cfg.mask_elements, keep_history=False,
-            )
+    solved = _solve(cfg, problem, dv, problems, keep_history=False)
     outcome = {}  # each problem scored once
     for key, result in zip(problems, solved):
         if isinstance(result, Exception):
@@ -576,7 +573,7 @@ def cmd_sweep(cfg: PipelineConfig, data_path=None) -> list[dict]:
         k: [row[k] for row in rows]
         for k in ("lambda_over_rho", "delta", "iterations", "termination", "re", "psnr")}}
     _write_outputs(cfg, "sweep.json", {
-        "sweep.csv": (_write_text, [([",".join(table)], list(table.values()))], ","),
+        "sweep.csv": (_write_csv, table),
     }, {
         "command": "sweep",
         "n_cells": len(cells),

@@ -418,32 +418,37 @@ class TestCmdEvaluate:
 
 
 class TestCmdSweep:
-    # each case sets a config field that both verbs must hand to the solver
+    # a one-cell sweep is reconstruct: each case sets a config field that
+    # both verbs must hand to the solver, and lam is the sweep's own float
     @pytest.mark.parametrize(
         "overrides",
         [{}, {"enable_preprocess": True}, {"mask_elements": list(range(64, 192))},
-         {"solver": "fotv"}, {"solver": "tv"}],
-        ids=["shipped", "preprocess", "mask", "fotv", "tv"],
+         {"solver": "fotv"}, {"solver": "tv"}, {"solver": "tikhonov", "ratio": 1e4}],
+        ids=["shipped", "preprocess", "mask", "fotv", "tv", "tikhonov"],
     )
     def test_single_cell_matches_reconstruct_evaluate(self, tmp_path, overrides):
+        ratio = overrides.pop("ratio", 5e-3)
         cfg = load_config(
             _write_cfg(
                 tmp_path / "c.cfg",
                 out_dir=str(tmp_path / "o"),
-                sweep_lambda_over_rho=[5e-3],
-                sweep_delta=[0.01],
+                lam=ratio * SMALL["rho"],
+                sweep_lambda_over_rho=[ratio],
+                sweep_delta=[SMALL["delta"]],
                 **overrides,
             )
         )
         cmd_simulate(cfg)
-        cmd_reconstruct(cfg)
+        result = cmd_reconstruct(cfg)
         manifest = cmd_evaluate(cfg)
         rows = cmd_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / "sweep")))
         assert len(rows) == 1
         assert rows[0]["re"] == manifest["final_re"]
         assert rows[0]["psnr"] == manifest["final_psnr"]
-        table = list(csv.DictReader((tmp_path / "sweep" / "sweep.csv").open()))
-        assert float(table[0]["re"]) == manifest["final_re"]
+        (row,) = csv.DictReader((tmp_path / "sweep" / "sweep.csv").open())
+        assert row["re"] == repr(manifest["final_re"])
+        assert int(row["iterations"]) == result["n_iterations"]
+        assert row["termination"] == result["termination"]
 
     def test_grid_order_and_determinism(self, tmp_path):
         cfg = load_config(
@@ -894,6 +899,30 @@ class TestCli:
         assert err.startswith("config error: out_dir: cannot write ") and "iterates.csv" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_failed_write_leaves_no_manifest_of_another_run(self, chain_outputs, tmp_path, capsys):
+        cfg_path, out = chain_outputs
+        run = tmp_path / "d"
+        argv = ["reconstruct", "--config", str(cfg_path), "--out", str(run),
+                "--data", str(out / "dv_noisy.txt")]
+        assert main(argv) == 0
+        (run / "iterates.csv").unlink()
+        (run / "iterates.csv").mkdir()
+        assert main([*argv, "--seed", "1"]) == 2
+        assert (run / "delta_sigma.txt").is_file() and not (run / "result.json").exists()
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_unwritable_solver_diagnostics_exit_two(self, chain_outputs, tmp_path, capsys):
+        # the ridge fails at this lam, and a directory holds the diagnostics' place
+        _, out = chain_outputs
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "d"),
+                              solver="tikhonov", lam=1e-30)
+        (tmp_path / "d" / "solver_error.json").mkdir(parents=True)
+        argv = ["reconstruct", "--config", str(cfg_path), "--data", str(out / "dv_noisy.txt")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out_dir: cannot write ") and "solver_error.json" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_failed_write_without_a_file_name_names_out_dir(self, tmp_path, capsys, monkeypatch):
         import eitkit.pipeline as pl
 
@@ -1109,9 +1138,9 @@ class TestCli:
         main(["simulate", "--config", str(cfg_path)])
 
         def boom(*args, **kwargs):
-            raise SolverError("forced failure", diagnostics={"cond": 1e30})
+            return [SolverError("forced failure", diagnostics={"cond": 1e30})]
 
-        monkeypatch.setattr(pl, "run_solver", boom)
+        monkeypatch.setattr(pl, "_solve", boom)
         rc = main(["reconstruct", "--config", str(cfg_path)])
         assert rc == 3
         diag = json.loads((tmp_path / "out" / "solver_error.json").read_text())
