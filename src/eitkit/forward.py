@@ -264,19 +264,23 @@ def add_noise(frame: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
 
     The noise standard deviation is |frame|_2 * 10^(-snr_db/20) / sqrt(L),
     so the expected noise power matches the target SNR. snr_db = +inf is a
-    sentinel for "no noise". Deterministic for a fixed seed.
+    sentinel for "no noise". Deterministic for a fixed seed. A zero frame,
+    and noise that is not finite (snr_db NaN, -inf, or so low that the
+    noise passes the float range), are a ValueError.
     """
     frame = np.array(frame, dtype=float)
     if math.isinf(snr_db) and snr_db > 0:
         return frame
-    if not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
     norm = _column_norms(frame[:, None])[0]
     if norm == 0:
         raise ValueError("cannot scale noise to a zero frame")
-    sd = norm * 10.0 ** (-snr_db / 20.0) / math.sqrt(len(frame))
     rng = np.random.default_rng(seed)
-    return frame + rng.normal(0.0, sd, len(frame))
+    with np.errstate(over="ignore"):  # noise past the float range is refused below
+        sd = norm * np.float64(10.0) ** (-snr_db / 20.0) / math.sqrt(len(frame))
+        noisy = frame + rng.normal(0.0, sd, len(frame))
+    if not np.all(np.isfinite(noisy)):
+        raise ValueError(f"noise at {snr_db} dB makes a frame of norm {norm:.3g} non-finite")
+    return noisy
 
 
 # ---------------------------------------------------------------------------

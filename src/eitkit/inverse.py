@@ -303,6 +303,7 @@ _VARIANTS = ("nwatv", "fotv", "tv")
 _READS_DELTA = ("nwatv",)  # the variants whose result depends on delta
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite x-update is a SolverError
 def reconstruct_block(
     x_update: XUpdateSolver, delta_v, lams, deltas, *, variant: str = "nwatv",
     max_iters: int = 20, tol: float = 1e-5, mask=None, keep_history: bool = True,

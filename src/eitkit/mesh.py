@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -77,24 +78,25 @@ def _ring_start(m: int) -> int:
     return 1 + 3 * m * (m - 1)
 
 
-def generate_disk_mesh(radius: float, target_elements: int) -> TriMesh:
-    """Build a deterministic triangular mesh of the disk of given radius.
+def _ring_count(target_elements: int) -> int:
+    """The ring count M of the disk mesh for ``target_elements``, whose 6*M^2
+    elements are the closest to it (within 30% from 64 elements up)."""
+    raw = math.sqrt(target_elements / RING_GROWTH)
+    lo, hi = max(1, math.floor(raw)), math.ceil(raw)
+    return min((lo, hi), key=lambda m: abs(RING_GROWTH * m * m - target_elements))
 
-    The ring count M is chosen so the element count 6*M^2 is as close as
-    possible to ``target_elements`` (always within 30%). Boundary nodes lie
-    exactly on the circle.
+
+def generate_disk_mesh(radius: float, target_elements: int) -> TriMesh:
+    """Build a deterministic triangular mesh of the disk of given radius,
+    with ``_ring_count(target_elements)`` rings. Boundary nodes lie exactly
+    on the circle.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     if target_elements < 64:
         raise ValueError(f"target_elements must be >= 64, got {target_elements}")
 
-    raw = math.sqrt(target_elements / RING_GROWTH)
-    lo, hi = max(1, math.floor(raw)), math.ceil(raw)
-    n_rings = min(
-        (lo, hi),
-        key=lambda m: abs(RING_GROWTH * m * m - target_elements),
-    )
+    n_rings = _ring_count(target_elements)
 
     # ring m holds 6m nodes at angles 2 pi j / 6m; the angles are exact
     # integer arithmetic in floats, and math.cos/math.sin per node keep the
@@ -348,6 +350,22 @@ def _write_json(path, doc) -> None:
     with open(path, "w") as f:
         json.dump(strict(doc), f, indent=2, default=str)
         f.write("\n")
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether a JSON value has the type ``hint``: a bool is not a number, an
+    int is fine where a float is expected, every list item is checked, and a
+    dict hint is an object of exactly its keys, each value checked."""
+    if isinstance(hint, dict):
+        return (isinstance(value, dict) and value.keys() == hint.keys()
+                and all(_json_fits(value[k], h) for k, h in hint.items()))
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_json_fits(v, get_args(hint)[0]) for v in value)
+    if get_args(hint):  # a union such as int | None
+        return any(_json_fits(value, h) for h in get_args(hint))
+    if isinstance(value, bool) or hint is bool:
+        return isinstance(value, bool) and hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _write_frames(path, frames) -> None:

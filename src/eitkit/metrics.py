@@ -98,11 +98,11 @@ def write_image_pgm(path, image: np.ndarray) -> None:
         hi = float(np.max(image[finite]))
     else:
         lo = hi = 0.0
-    span = hi - lo
+    span = hi / 2 - lo / 2  # halves, exact for normal floats: no difference overflows
     gray = np.zeros(image.shape, dtype=int)
     if span > 0:
         gray[finite] = 1 + np.rint(
-            (image[finite] - lo) / span * (_GRAY_MAX - 1)
+            (image[finite] / 2 - lo / 2) / span * (_GRAY_MAX - 1)
         ).astype(int)
     else:
         gray[finite] = 1

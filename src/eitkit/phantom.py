@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriMesh, _write_json
+from .mesh import TriMesh, _json_fits, _write_json
 
 
 @dataclass(frozen=True)
@@ -29,16 +29,18 @@ class Inclusion:
             raise ValueError("inclusion center, semi-axes and conductivity must be finite")
         if not self.value > 0:
             raise ValueError(f"inclusion conductivity must be positive, got {self.value}")
-        det = self.axis_a[0] * self.axis_b[1] - self.axis_a[1] * self.axis_b[0]
+        # independence is a matter of direction: tested on the axes over their largest entry
         scale = max(abs(v) for v in (*self.axis_a, *self.axis_b))
-        if scale == 0 or abs(det) <= 1e-12 * scale * scale:
+        a0, a1, b0, b1 = (v / scale if scale else 0.0 for v in (*self.axis_a, *self.axis_b))
+        if abs(a0 * b1 - a1 * b0) <= 1e-12:
             raise ValueError("inclusion semi-axis vectors must be linearly independent")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Membership test for an (n, 2) array of points."""
         m = np.array([self.axis_a, self.axis_b], dtype=float).T  # columns a, b
         local = np.linalg.solve(m, (np.atleast_2d(points) - np.asarray(self.center)).T)
-        return (local**2).sum(axis=0) <= 1.0
+        with np.errstate(over="ignore"):  # a square past the float range is inf, outside
+            return (local**2).sum(axis=0) <= 1.0
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,11 @@ def assign_conductivity(mesh: TriMesh, spec: PhantomSpec) -> np.ndarray:
     return spec.conductivity_at(mesh.element_centroids)
 
 
+# the document of save_phantom, as mesh._json_fits types
+_INCLUSION = {"center": list[float], "axis_a": list[float], "axis_b": list[float], "value": float}
+_DOCUMENT = {"background": float, "inclusions": list[_INCLUSION]}
+
+
 def save_phantom(path, spec: PhantomSpec) -> None:
     _write_json(path, {
         "background": spec.background,
@@ -114,21 +121,14 @@ def save_phantom(path, spec: PhantomSpec) -> None:
 
 
 def load_phantom(path) -> PhantomSpec:
-    """Read a file written by :func:`save_phantom`; raises ValueError when
-    it is not JSON or not a valid phantom document."""
+    """Read a file written by :func:`save_phantom`. Raises ValueError when it
+    is not JSON, not ``_DOCUMENT`` under the config's JSON rule (a bool is not
+    a number, no key is unknown), or holds values Inclusion or PhantomSpec refuse."""
     with open(path) as f:
-        try:
-            doc = json.load(f)
-            inclusions = tuple(
-                Inclusion(
-                    center=tuple(d["center"]),
-                    axis_a=tuple(d["axis_a"]),
-                    axis_b=tuple(d["axis_b"]),
-                    value=d["value"],
-                )
-                for d in doc["inclusions"]
-            )
-            return PhantomSpec(background=doc["background"], inclusions=inclusions)
-        except (LookupError, TypeError, ValueError) as exc:
-            why = f"{type(exc).__name__}: {exc}"
-            raise ValueError(f"{path}: not a phantom document ({why})") from None
+        doc = json.load(f, parse_int=float)  # an integer past the float range is inf
+    if not _json_fits(doc, _DOCUMENT):
+        raise ValueError(f'{path}: not a phantom document {{"background": number, "inclusions": '
+                         f'[{{"center", "axis_a", "axis_b": [x, y], "value": number}}, ...]}}')
+    return PhantomSpec(background=doc["background"], inclusions=tuple(
+        Inclusion(tuple(d["center"]), tuple(d["axis_a"]), tuple(d["axis_b"]), d["value"])
+        for d in doc["inclusions"]))

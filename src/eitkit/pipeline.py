@@ -16,14 +16,17 @@ import sys
 import time
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
 from . import blas, forward, inverse, metrics
 from .mesh import (
+    RING_GROWTH,
     TriMesh,
     ElectrodeLayout,
+    _json_fits,
+    _ring_count,
     generate_disk_mesh,
     place_electrodes,
     pixel_centers,
@@ -35,7 +38,6 @@ from .mesh import (
     save_element_values,
     _write_json,
     _write_text,
-    load_element_values,
     load_field_series,
 )
 from .phantom import PhantomSpec, lung_model, load_phantom, save_phantom, assign_conductivity
@@ -91,16 +93,17 @@ def _validate_config(cfg: PipelineConfig) -> None:
     # types and then finiteness come first, as the checks below compare
     # numbers and NaN fails every `x < 0`; a float field is finite when it
     # fits a float, which an int past 1e308 does not; snr_db keeps +inf as
-    # its "no noise" sentinel and is checked on its own
+    # its "no noise" sentinel
     hints = get_type_hints(PipelineConfig)
     for f in fields(PipelineConfig):
         value = getattr(cfg, f.name)
         if not _json_fits(value, hints[f.name]):
             bad(f.name, f"expected {f.type}, got {json.dumps(value, default=repr)}")
-        if hints[f.name] in (float, list[float]) and f.name != "snr_db":
+        if hints[f.name] in (float, list[float]):
             values = value if isinstance(value, list) else [value]
-            if not all(abs(v) <= sys.float_info.max for v in values):
-                bad(f.name, f"must be finite, got {value}")
+            if not all(abs(v) <= sys.float_info.max or (f.name, v) == ("snr_db", math.inf)
+                       for v in values):
+                bad(f.name, f"must be finite{' or +inf' * (f.name == 'snr_db')}, got {value}")
     for name in ("radius", "current_ma", "sigma0", "rho", "delta", "tol", "lambda_b"):
         if not getattr(cfg, name) > 0:
             bad(name, f"must be > 0, got {getattr(cfg, name)}")
@@ -115,8 +118,6 @@ def _validate_config(cfg: PipelineConfig) -> None:
         bad("phantom_model/phantom_file", "exactly one must be set")
     if cfg.phantom_model is not None and not 1 <= cfg.phantom_model <= 10:
         bad("phantom_model", f"must be in 1..10, got {cfg.phantom_model}")
-    if math.isnan(cfg.snr_db) or cfg.snr_db == -math.inf:
-        bad("snr_db", f"must be finite or +inf, got {cfg.snr_db}")
     if cfg.solver not in _SOLVERS:
         bad("solver", f"must be one of {_SOLVERS}, got {cfg.solver!r}")
     if cfg.lam < 0 or (cfg.lam == 0 and cfg.solver == "tikhonov"):
@@ -131,38 +132,16 @@ def _validate_config(cfg: PipelineConfig) -> None:
     for r in cfg.profile_rows:
         if not 0 <= r <= cfg.raster_resolution - 1:
             bad("profile_rows", f"row {r} outside 0..{cfg.raster_resolution - 1}")
-    if cfg.mask_elements is not None and (
-        not cfg.mask_elements or any(i < 0 for i in cfg.mask_elements)
-    ):
-        bad("mask_elements", "must be a nonempty list of nonnegative element indices")
+    mask, top = cfg.mask_elements, RING_GROWTH * _ring_count(cfg.inverse_elements) ** 2 - 1
+    if mask is not None and not (mask and 0 <= min(mask) and max(mask) <= top):
+        bad("mask_elements", f"must be a nonempty list of inverse element indices in 0..{top}")
     if cfg.mask_elements is not None and cfg.solver == "tikhonov":
         bad("mask_elements", "must be unset for solver tikhonov, which does not mask")
 
 
-def _json_fits(value, hint) -> bool:
-    """Whether a value has a field's JSON type: a bool is not a number, an
-    int is fine where a float is expected, and every list item is checked."""
-    if get_origin(hint) is list:
-        return isinstance(value, list) and all(_json_fits(v, get_args(hint)[0]) for v in value)
-    if get_args(hint):  # a union such as int | None
-        return any(_json_fits(value, h) for h in get_args(hint))
-    if isinstance(value, bool) or hint is bool:
-        return isinstance(value, bool) and hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
 def load_config(path) -> PipelineConfig:
     """Parse and validate a JSON config file."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except OSError as exc:
-        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
-    except ValueError as exc:  # also an integer past int()'s digit limit
-        raise ConfigError(f"config is not valid JSON: {exc}")
+    raw = _load_field(path, "config file", lambda p: json.loads(Path(p).read_text()))
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     known = {f.name for f in fields(PipelineConfig)}
@@ -202,18 +181,20 @@ def _write_csv(path, table: dict) -> None:
     _write_text(path, [([",".join(table)], list(table.values()))], ",")
 
 
-def _load_field(path, what: str, loader=load_element_values, n_elements: int | None = None):
-    """``loader(path)``, checked to hold ``n_elements`` values per frame when
-    given; a missing, unreadable or malformed input file is a one-line
-    ConfigError."""
+def _load_field(path, what: str, loader=load_field_series, length: int | None = None,
+                frames: int | None = 1):
+    """``loader(path)`` of any input file; for a frame file (``length`` given),
+    its (K, L) frames, checked to be ``frames`` frames (any count when None)
+    of ``length`` values each. A file that cannot be read is a ConfigError."""
     try:
         values = loader(path)
     except OSError as exc:
         raise ConfigError(f"{what} {path} cannot be read: {exc.strerror}")
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or JSON nested past the stack
         raise ConfigError(f"{what} is malformed: {exc}")
-    if n_elements is not None and values.shape[-1] != n_elements:
-        raise ConfigError(f"{what} has {values.shape[-1]} values per frame, mesh has {n_elements}")
+    if length is not None and (values.shape[1] != length or frames not in (None, len(values))):
+        raise ConfigError(f"{what} {path} holds {len(values)} frames of {values.shape[1]} values, "
+                          f"expected {frames or 'any number of'} frame(s) of {length}")
     return values
 
 
@@ -259,10 +240,6 @@ def build_inverse_problem(cfg: PipelineConfig, disk=None) -> InverseProblem:
     ``_disk(cfg, cfg.inverse_elements)``, built here when not given."""
     t0 = time.perf_counter()
     mesh, layout = disk or _disk(cfg, cfg.inverse_elements)
-    if cfg.mask_elements is not None and max(cfg.mask_elements, default=-1) >= mesh.n_elements:
-        raise ConfigError(
-            f"mask_elements: index {max(cfg.mask_elements)} outside 0..{mesh.n_elements - 1}"
-        )
     d = inverse.build_difference_operators(mesh)
     t1 = time.perf_counter()
     # the x-update's scale |S|^2/rho must be a positive finite number: a
@@ -290,12 +267,15 @@ def _simulate_frames(cfg: PipelineConfig, fmesh: TriMesh, flayout: ElectrodeLayo
     """Reference/perturbed frames plus clean and noisy signed differences."""
     sigma_ref = np.full(fmesh.n_elements, cfg.sigma0)
     sigma_true = assign_conductivity(fmesh, spec)
-    v_ref = forward.simulate_frame(fmesh, flayout, sigma_ref, current=cfg.current_ma)
-    v_pert = forward.simulate_frame(fmesh, flayout, sigma_true, current=cfg.current_ma)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught as a FEM SolverError
+        v_ref = forward.simulate_frame(fmesh, flayout, sigma_ref, current=cfg.current_ma)
+        v_pert = forward.simulate_frame(fmesh, flayout, sigma_true, current=cfg.current_ma)
     dv = forward.signed_difference(v_ref, v_pert)
     try:
         dv_noisy = forward.add_noise(dv, cfg.snr_db, cfg.seed)
-    except ValueError:  # the only frame add_noise refuses here is a zero one
+    except ValueError as exc:  # a zero frame, or noise past the float range
+        if np.any(dv):
+            raise ConfigError(f"snr_db: {exc}")
         if np.array_equal(sigma_true, sigma_ref):
             raise ConfigError(f"phantom_model/phantom_file: the phantom changes no forward element "
                               f"at radius {cfg.radius}, so noise cannot be scaled to its zero frame")
@@ -436,14 +416,10 @@ def cmd_simulate(cfg: PipelineConfig) -> dict:
     }, {"assembly": t1 - t0, "solve": t2 - t1})
 
 
-def _load_single_frame(path, expected_e: int) -> np.ndarray:
-    frames = _load_field(path, "voltage file", forward.load_frames)
-    if len(frames) != 1:
-        raise ConfigError(f"voltage file {path} holds {len(frames)} frames, expected one")
-    e = forward._electrode_count(frames.shape[1])
-    if e != expected_e:
-        raise ConfigError(f"voltage file has {e} electrodes, config says {expected_e}")
-    return frames[0]
+def _load_data(cfg: PipelineConfig, path) -> np.ndarray:
+    """The one difference frame of a voltage file, E(E-3) values long."""
+    e = cfg.electrode_count
+    return _load_field(path, "voltage file", forward.load_frames, length=e * (e - 3))[0]
 
 
 def cmd_reconstruct(cfg: PipelineConfig, data_path=None) -> dict:
@@ -452,7 +428,7 @@ def cmd_reconstruct(cfg: PipelineConfig, data_path=None) -> dict:
     out = _outdir(cfg)
     data_path = Path(data_path) if data_path is not None else out / "dv_noisy.txt"
     problem = build_inverse_problem(cfg)
-    dv = _load_single_frame(data_path, cfg.electrode_count)
+    dv = _load_data(cfg, data_path)
     t0 = time.perf_counter()
     (result,) = _solve(cfg, problem, dv, [(cfg.lam, cfg.delta)], keep_history=True)
     if isinstance(result, forward.SolverError):
@@ -488,13 +464,13 @@ def cmd_evaluate(cfg: PipelineConfig, result_dir=None, reference=None) -> dict:
     t0 = time.perf_counter()
     mesh = _disk(cfg, cfg.inverse_elements)[0]
     series_path = Path(result_dir if result_dir is not None else out) / "iterates.txt"
-    series = _load_field(series_path, "iterate history", load_field_series, mesh.n_elements)
+    series = _load_field(series_path, "iterate history", length=mesh.n_elements, frames=None)
     res = cfg.raster_resolution
     index = raster_index(mesh, res)
     if reference is None:
         truth = _truth_image(cfg, load_phantom_spec(cfg), mesh)
     else:
-        ref = cfg.sigma0 + _load_field(reference, "reference field", n_elements=mesh.n_elements)
+        ref = cfg.sigma0 + _load_field(reference, "reference field", length=mesh.n_elements)[0]
         if not np.all(ref > 0):
             raise ConfigError(f"reference field {reference}: sigma0 + reference must be > 0 "
                               f"everywhere, its minimum is {ref.min():g}")
@@ -537,7 +513,7 @@ def cmd_sweep(cfg: PipelineConfig, data_path=None) -> list[dict]:
     spec = load_phantom_spec(cfg)
     disk = _disk(cfg, cfg.inverse_elements)
     if data_path is not None:
-        dv = _load_single_frame(Path(data_path), cfg.electrode_count)
+        dv = _load_data(cfg, Path(data_path))
     else:
         fmesh, flayout = _disk(cfg, cfg.forward_elements, disk[1].angles)
         dv = _simulate_frames(cfg, fmesh, flayout, spec)[3]
@@ -593,7 +569,7 @@ def cmd_render(cfg: PipelineConfig, field_path) -> Path:
     out = _outdir(cfg)
     field_path = Path(field_path)
     mesh = _disk(cfg, cfg.inverse_elements)[0]
-    values = _load_field(field_path, "field file", n_elements=mesh.n_elements)
+    values = _load_field(field_path, "field file", length=mesh.n_elements)[0]
     image = rasterize(mesh, values, cfg.raster_resolution)
     target = out / f"{field_path.stem}.pgm"
     metrics.write_image_pgm(target, image)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from eitkit.forward import add_noise, sensitivity_matrix, signed_difference, simulate_frame
 from eitkit.inverse import XUpdateSolver, build_difference_operators
@@ -19,6 +20,12 @@ from eitkit.phantom import assign_conductivity, lung_model
 RADIUS = 0.1
 E = 16
 RHO = 1e-10  # the shipped ADMM coupling weight
+
+# one hypothesis profile for every property test: the same examples on
+# every run, no time limit per example, and no example database on disk;
+# each test sets its own max_examples
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @dataclass(frozen=True)

@@ -256,7 +256,7 @@ class TestVoltageProtocol:
             assert i not in {(j - 1) % 16, j, (j + 1) % 16}
         assert len(set(pairs)) == len(pairs)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(e=st.integers(min_value=4, max_value=24))
     def test_pattern_properties_any_e(self, e):
         pairs = pattern_pairs(e)
@@ -438,7 +438,7 @@ class TestFrameIO:
         assert back.shape == (3, 208) and back.dtype == float
         assert np.array_equal(back, frames)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         e=st.integers(4, 9),
         k=st.integers(1, 3),

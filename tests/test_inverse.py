@@ -105,7 +105,7 @@ class TestSoftThreshold:
                              np.array([np.inf, np.inf, 1.0, 1.0]))
         assert out.tobytes() == np.array([0.0, 0.0, np.inf, -np.inf]).tobytes()
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         x=st.floats(-1e6, 1e6, allow_nan=False),
         g=st.floats(0, 1e6, allow_nan=False),

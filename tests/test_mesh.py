@@ -330,7 +330,7 @@ class TestEdgeTable:
     def test_matches_reference(self, target, tmp_path):
         _assert_topology_matches_reference(generate_disk_mesh(0.1, target), tmp_path)
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(
         radius=st.floats(min_value=1e-3, max_value=10.0),
         target=st.integers(min_value=64, max_value=3000),
@@ -549,7 +549,7 @@ class TestRasterIndex:
         want = _reference_rasterize(mesh, vals, resolution)
         assert rasterize(mesh, vals, resolution).tobytes() == want.tobytes()
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(
         radius=st.floats(min_value=1e-3, max_value=10.0),
         elements=st.integers(min_value=64, max_value=1500),
@@ -629,7 +629,7 @@ class TestMeshIO:
         back = load_element_values(path)
         assert np.array_equal(back, vals)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         values=st.lists(
             st.floats(allow_nan=False, allow_infinity=False, width=64),
@@ -654,7 +654,7 @@ def _raises_at(path, line: int, match: str, loader=load_field_series):
 class TestFrameFiles:
     """The one '# frame t rows' format behind field, series and voltage files."""
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         series=st.integers(1, 4).flatmap(
             lambda n: st.lists(
@@ -740,9 +740,7 @@ class TestFrameFiles:
         path.write_text(text)
         _raises_at(path, 1, "header", loader)
 
-    @settings(
-        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-    )
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
     @given(voltages=st.booleans(), data=st.data())
     def test_garbled_file_loads_or_raises_value_error_with_line(self, voltages, data):
         rng = np.random.default_rng(0)

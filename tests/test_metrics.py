@@ -211,3 +211,13 @@ class TestImagePgm:
         assert tokens[0] == "P2"
         assert tokens[1] == "6" and tokens[2] == "4"
         assert tokens[3] == "65535"
+
+    @pytest.mark.filterwarnings("error")
+    def test_range_past_the_float_range(self, tmp_path):
+        # hi - lo overflows for values of +-1e308; the gray map does not
+        img = np.array([[1e308, -1e308, 0.0], [np.nan, 1e308, -1e308]])
+        path = tmp_path / "wide.pgm"
+        write_image_pgm(path, img)
+        gray, sidecar = _read_pgm(path)
+        assert gray.tolist() == [[65535, 1, 32768], [0, 65535, 1]]
+        assert sidecar["value_lo"] == "-1e+308" and sidecar["value_hi"] == "1e+308"

@@ -1,5 +1,7 @@
 """Parametric lung phantoms and conductivity assignment."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             Inclusion(center=(0, 0), axis_a=(1.0, 1.0), axis_b=(2.0, 2.0), value=1.0)
 
+    # the determinant of raw axes overflows at 1e200 and underflows at
+    # 1e-200; independence is a matter of direction at any scale
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-200, 1e-2, 1e200, 1e300])
+    def test_independence_is_tested_at_any_scale(self, scale):
+        circle = Inclusion(center=(0.0, 0.0), axis_a=(scale, 0.0), axis_b=(0.0, scale), value=2.0)
+        points = np.array([[0.0, 0.0], [0.1, 0.0], [-0.05, 0.07]])
+        assert circle.contains(points).tolist() == [True, *[scale >= 0.1] * 2]
+        with pytest.raises(ValueError, match="linearly independent"):
+            Inclusion(center=(0.0, 0.0), axis_a=(scale, scale), axis_b=(2 * scale, 2 * scale),
+                      value=2.0)
+
     @pytest.mark.parametrize(
         "field, value, match",
         [
@@ -184,6 +198,18 @@ class TestPhantomIO:
             assert np.array_equal(a.axis_a, b.axis_a)
             assert np.array_equal(a.axis_b, b.axis_b)
             assert a.value == b.value
+
+    # the config's JSON rule: a bool is not a number, and no key is unknown
+    @pytest.mark.parametrize("key, value", [
+        ("value", True), ("center", [True, False]), ("note", "x"), ("axis_a", ["0.02", 0.0]),
+    ])
+    def test_load_refuses_what_the_config_refuses(self, tmp_path, key, value):
+        inclusion = {"center": [0.0, 0.0], "axis_a": [0.02, 0.0], "axis_b": [0.0, 0.02],
+                     "value": 2.0, key: value}
+        path = tmp_path / "phantom.json"
+        path.write_text(json.dumps({"background": 1.0, "inclusions": [inclusion]}))
+        with pytest.raises(ValueError, match="not a phantom document"):
+            load_phantom(path)
 
     def test_roundtrip_preserves_field(self, tmp_path):
         mesh = generate_disk_mesh(0.1, 512)
