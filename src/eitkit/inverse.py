@@ -303,7 +303,8 @@ _VARIANTS = ("nwatv", "fotv", "tv")
 _READS_DELTA = ("nwatv",)  # the variants whose result depends on delta
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite x-update is a SolverError
+# a non-finite x-update is a SolverError; an overflowed tv threshold shrinks every pair to 0
+@np.errstate(over="ignore", invalid="ignore")
 def reconstruct_block(
     x_update: XUpdateSolver, delta_v, lams, deltas, *, variant: str = "nwatv",
     max_iters: int = 20, tol: float = 1e-5, mask=None, keep_history: bool = True,
@@ -383,9 +384,7 @@ def reconstruct_block(
         t1 = time.perf_counter()
         w = np.add(d_x, y_rho, out=y_rho)
         if variant == "tv":
-            with np.errstate(over="ignore"):  # an overflowed threshold shrinks every pair to 0
-                g = lams[live] / rho
-            z_new = group_shrink(w, g)
+            z_new = group_shrink(w, lams[live] / rho)
         else:
             z_new = z_update(w, p, lams[live], rho)
         t2 = time.perf_counter()

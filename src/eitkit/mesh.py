@@ -78,25 +78,25 @@ def _ring_start(m: int) -> int:
     return 1 + 3 * m * (m - 1)
 
 
-def _ring_count(target_elements: int) -> int:
-    """The ring count M of the disk mesh for ``target_elements``, whose 6*M^2
-    elements are the closest to it (within 30% from 64 elements up)."""
+def _element_count(target_elements: int) -> int:
+    """The element count 6*M^2 of the disk mesh of M rings for ``target_elements``:
+    of the two M around it, the closer (within 30% from 64 elements up)."""
     raw = math.sqrt(target_elements / RING_GROWTH)
     lo, hi = max(1, math.floor(raw)), math.ceil(raw)
-    return min((lo, hi), key=lambda m: abs(RING_GROWTH * m * m - target_elements))
+    return min(RING_GROWTH * lo * lo, RING_GROWTH * hi * hi, key=lambda n: abs(n - target_elements))
 
 
 def generate_disk_mesh(radius: float, target_elements: int) -> TriMesh:
     """Build a deterministic triangular mesh of the disk of given radius,
-    with ``_ring_count(target_elements)`` rings. Boundary nodes lie exactly
-    on the circle.
+    with ``_element_count(target_elements)`` elements. Boundary nodes lie
+    exactly on the circle.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     if target_elements < 64:
         raise ValueError(f"target_elements must be >= 64, got {target_elements}")
 
-    n_rings = _ring_count(target_elements)
+    n_rings = math.isqrt(_element_count(target_elements) // RING_GROWTH)
 
     # ring m holds 6m nodes at angles 2 pi j / 6m; the angles are exact
     # integer arithmetic in floats, and math.cos/math.sin per node keep the

@@ -22,11 +22,10 @@ import numpy as np
 
 from . import blas, forward, inverse, metrics
 from .mesh import (
-    RING_GROWTH,
     TriMesh,
     ElectrodeLayout,
+    _element_count,
     _json_fits,
-    _ring_count,
     generate_disk_mesh,
     place_electrodes,
     pixel_centers,
@@ -132,7 +131,7 @@ def _validate_config(cfg: PipelineConfig) -> None:
     for r in cfg.profile_rows:
         if not 0 <= r <= cfg.raster_resolution - 1:
             bad("profile_rows", f"row {r} outside 0..{cfg.raster_resolution - 1}")
-    mask, top = cfg.mask_elements, RING_GROWTH * _ring_count(cfg.inverse_elements) ** 2 - 1
+    mask, top = cfg.mask_elements, _element_count(cfg.inverse_elements) - 1
     if mask is not None and not (mask and 0 <= min(mask) and max(mask) <= top):
         bad("mask_elements", f"must be a nonempty list of inverse element indices in 0..{top}")
     if cfg.mask_elements is not None and cfg.solver == "tikhonov":

@@ -29,6 +29,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -179,12 +180,23 @@ def _edit(data: bytes, edit) -> bytes:
     return (_edit_json if op in ("set", "drop") else _edit_frames)(data, edit)
 
 
+@contextlib.contextmanager
+def _working_directory(path):
+    """``contextlib.chdir``, which Python 3.10 does not have."""
+    cwd = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+
+
 def _run_case(base: Path, kind: str, verb: str, edit) -> tuple[int, list[str]]:
     """The exit code of ``verb`` on the base inputs, with ``kind``'s input
     replaced by its copy under ``edit``, and its stderr lines followed by
     one line per warning raised. The verb runs in a fresh directory, which
     is also its working directory."""
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+    with tempfile.TemporaryDirectory() as tmp, _working_directory(tmp):
         tmp = Path(tmp)
         source = base / KINDS[kind][0]
         target = tmp / source.name
@@ -216,38 +228,39 @@ def _check(base, kind, verb, edit, expect):
 
 @settings(max_examples=400)
 @given(verb=st.sampled_from(VERBS), edit=json_edits, expect=st.none())
-@example(verb="mesh", edit=("set", ("inverse_elements",), Raw("1" + "0" * 5000)), expect=2).via(
-    "TestCli::test_config_integer_of_5001_digits_exit_two")
-@example(verb="mesh", edit=("insert", 0, b"\xff\xfe"), expect=2).via(
-    "TestCli::test_config_not_utf8_exit_two")
-@example(verb="mesh", edit=("set", ("mask_elements",), [5000]), expect=2).via(
-    "regression: an element index past the 54 inverse elements passed mesh")
-@example(verb="simulate", edit=("set", ("snr_db",), -1e308), expect=2).via(
-    "regression: noise past the float range was a traceback")
-@example(verb="simulate", edit=("set", ("snr_db",), 10**400), expect=2).via(
-    "regression: an snr_db past the float range was a traceback")
-@example(verb="mesh", edit=("set", ("lam",), Raw("[" * 100000 + "]" * 100000)), expect=2).via(
-    "regression: JSON nested past the interpreter's stack was a traceback")
+# was TestCli::test_config_integer_of_5001_digits_exit_two
+@example(verb="mesh", edit=("set", ("inverse_elements",), Raw("1" + "0" * 5000)), expect=2)
+# was TestCli::test_config_not_utf8_exit_two
+@example(verb="mesh", edit=("insert", 0, b"\xff\xfe"), expect=2)
+# regression: an element index past the 54 inverse elements passed mesh
+@example(verb="mesh", edit=("set", ("mask_elements",), [5000]), expect=2)
+# regression: noise past the float range was a traceback
+@example(verb="simulate", edit=("set", ("snr_db",), -1e308), expect=2)
+# regression: an snr_db past the float range was a traceback
+@example(verb="simulate", edit=("set", ("snr_db",), 10**400), expect=2)
+# regression: JSON nested past the interpreter's stack was a traceback
+@example(verb="mesh", edit=("set", ("lam",), Raw("[" * 100000 + "]" * 100000)), expect=2)
 def test_config_document(base, verb, edit, expect):
     _check(base, "config", verb, edit, expect)
 
 
 @settings(max_examples=250)
 @given(verb=st.sampled_from(KINDS["phantom_file"][1]), edit=json_edits, expect=st.none())
-@example(verb="mesh", edit=("set", ("inclusions", 0, "value"), True), expect=2).via(
-    "regression: mesh took a bool as a number")
-@example(verb="mesh", edit=("set", ("inclusions", 0, "center", 0), False), expect=2).via(
-    "regression: mesh took a bool as a list item")
-@example(verb="mesh", edit=("set", ("note",), "x"), expect=2).via(
-    "regression: mesh took an unknown key")
-@example(verb="mesh", edit=("set", ("inclusions", 0), _inclusion(1e200)), expect=0).via(
-    "regression: axes of 1e200 were refused as dependent, their determinant overflowed")
-@example(verb="mesh", edit=("set", ("inclusions", 0), _inclusion(1e-200)), expect=0).via(
-    "regression: axes of 1e-200 were refused as dependent, their determinant underflowed")
+# regression: mesh took a bool as a number
+@example(verb="mesh", edit=("set", ("inclusions", 0, "value"), True), expect=2)
+# regression: mesh took a bool as a list item
+@example(verb="mesh", edit=("set", ("inclusions", 0, "center", 0), False), expect=2)
+# regression: mesh took an unknown key
+@example(verb="mesh", edit=("set", ("note",), "x"), expect=2)
+# regression: axes of 1e200 were refused as dependent, their determinant overflowed
+@example(verb="mesh", edit=("set", ("inclusions", 0), _inclusion(1e200)), expect=0)
+# regression: axes of 1e-200 were refused as dependent, their determinant underflowed
+@example(verb="mesh", edit=("set", ("inclusions", 0), _inclusion(1e-200)), expect=0)
+# regression: S^T b past the float range printed numpy warnings
 @example(verb="sweep", edit=("set", (), {"background": 1e-300, "inclusions": [_inclusion(0.05, 1e300)]}),
-         expect=0).via("regression: S^T b past the float range printed numpy warnings")
-@example(verb="simulate", edit=("set", ("background",), 1e308), expect=3).via(
-    "regression: a stiffness matrix past the float range printed numpy warnings")
+         expect=0)
+# regression: a stiffness matrix past the float range printed numpy warnings
+@example(verb="simulate", edit=("set", ("background",), 1e308), expect=3)
 def test_phantom_document(base, verb, edit, expect):
     _check(base, "phantom_file", verb, edit, expect)
 
@@ -255,12 +268,11 @@ def test_phantom_document(base, verb, edit, expect):
 @settings(max_examples=400)
 @given(case=st.sampled_from([(k, v) for k in list(KINDS)[2:] for v in KINDS[k][1]]),
        edit=frame_edits, expect=st.none())
-@example(case=("--data", "reconstruct"), edit=("truncate", 0), expect=2).via(
-    "TestCli::test_empty_data_file_exit_two")
-@example(case=("--data", "reconstruct"), edit=("scale", 1e300), expect=3).via(
-    "regression: data past the x-update's float range printed numpy warnings")
-@example(case=("--data", "sweep"), edit=("scale", 1e300), expect=0).via(
-    "regression: data past the x-update's float range printed numpy warnings")
+# was TestCli::test_empty_data_file_exit_two
+@example(case=("--data", "reconstruct"), edit=("truncate", 0), expect=2)
+# regression, both: data past the x-update's float range printed numpy warnings
+@example(case=("--data", "reconstruct"), edit=("scale", 1e300), expect=3)
+@example(case=("--data", "sweep"), edit=("scale", 1e300), expect=0)
 @example(case=("--data", "reconstruct"), edit=("frames", 2), expect=2)
 @example(case=("--field", "render"), edit=("cut", 5, 1), expect=2)
 @example(case=("--reference", "evaluate"), edit=("frames", 2), expect=2)
