@@ -39,17 +39,18 @@ import scipy.sparse.linalg as spla
 
 from .forward import SolverError, _column_norms, _refine
 
-# identity shift, relative to the operator's mean diagonal, that makes the
-# sparse base D^T D + eps I of the x-update factorization invertible
-_BASE_SHIFT = 1e-8
-
 # iterative refinement of the x-update stops at this relative residual or
-# after this many corrections
-_REFINE_TOL = 1e-13
+# after this many corrections; the one-shot solve meets 1e-10 on the shipped
+# problems, so each makes one SuperLU block solve (1e-13 would take two)
+_REFINE_TOL = 1e-10
 _REFINE_STEPS = 5
 
 # relative residual required of the quadratic x-update solve
 _UPDATE_RESIDUAL_TOL = 1e-8
+
+# largest admissible bound on cond(C) of XUpdateSolver; refinement first
+# missed its contract at 7e12 to 1e13 on meshes of 294 to 4,056 elements
+_CAPACITANCE_COND = 1e12
 
 # A neighbor qualifies for the x (or y) difference only if the centroid
 # displacement has an x (or y) component exceeding this fraction of the
@@ -220,22 +221,30 @@ def preprocess_boundary(delta_v, s, boundary_elements, lambda_b: float) -> np.nd
 
 
 class XUpdateSolver:
-    """Solver for the ADMM x-update ((1/rho) S^T S + D^T D) x = rhs.
+    """Solver for the ADMM x-update ((1/rho) S^T S + L) x = rhs, L = D^T D.
 
     The operator depends only on (S, D, rho), so one solver serves every
-    iteration of every reconstruction that shares them. With the M x N
-    sensitivity matrix S (M measurements, M << N), U = S^T / sqrt(rho) and
-    the sparse base A = D^T D + eps I, the Woodbury identity
+    iteration of every reconstruction that shares them. L is the Laplacian
+    of the connected difference graph, with the constants as null space:
+    SuperLU factors it once, grounded at element 0, and L^+ r is the
+    grounded solution for P r, projected by P = I - 1 1^T / N. Write
+    x = y + alpha 1 with P y = y, q = L^+ r and W = L^+ S^T (N x M, free of
+    rho). P applied to the system gives y = q - W S x / rho, so
+    C S x = S q + alpha S 1 with the M x M capacitance matrix
+    C = I + S W / rho (Woodbury), and 1^T applied gives rho 1^T r =
+    (S 1)^T S x, a scalar Schur complement for alpha:
 
-        (A + U U^T)^-1 = A^-1 - A^-1 U (I + U^T A^-1 U)^-1 U^T A^-1
+        x = q - G (S q + alpha S 1) / rho + alpha 1,   G = W C^-1,
+        alpha = (rho 1^T r - h^T S q) / kappa,   h = C^-1 S 1,  kappa = (S 1)^T h.
 
-    needs one sparse LU of A and the N x M gain G = A^-1 U C^-1, with C the
-    M x M capacitance matrix I + U^T A^-1 U; no N x N array is formed. The
-    shift eps (a small multiple of the operator's mean diagonal) makes A
-    invertible, since D annihilates constants; iterative refinement against
-    the exact operator, applied matrix-free, removes it. A capacitance
-    matrix that is not positive definite is a SolverError at set-up. A solve
-    keeps no state, so one solver may serve callers on several threads.
+    Where kappa = 0 (S 1 = 0, a singular operator) alpha is 0: a consistent
+    right-hand side gets its minimum-norm solution, and an inconsistent one
+    fails the residual check of the refinement against the exact operator,
+    applied matrix-free. No N x N array is formed. A rho at which the bound
+    1 + |S W|_1 / rho on cond(C) exceeds _CAPACITANCE_COND, where the
+    one-shot solve stops contracting, and a C that is not positive definite
+    are SolverErrors at set-up. A solve keeps no state, so one solver may
+    serve callers on several threads.
     """
 
     def __init__(self, s, d: sp.csr_matrix, rho: float):
@@ -250,12 +259,18 @@ class XUpdateSolver:
         m, n = self.s.shape
         if self.d.shape[1] != n:
             raise ValueError("difference operators do not match the sensitivity columns")
-        # trace of the operator per unknown sets the scale of the shift
-        mean_diag = (np.vdot(self.s, self.s) / rho + np.vdot(self.d.data, self.d.data)) / n
-        base = (self.dt @ self.d + _BASE_SHIFT * mean_diag * sp.identity(n)).tocsc()
-        self._lu = spla.splu(base)
-        a_inv_u = self._lu.solve(self.s.T / np.sqrt(rho))
-        self._capacitance = np.eye(m) + self.s @ a_inv_u / np.sqrt(rho)
+        keep = sp.diags(np.arange(n) > 0, dtype=float)  # grounds element 0
+        self._lu = spla.splu((keep @ self.dt @ self.d @ keep + sp.identity(n) - keep).tocsc())
+        w = self._laplacian_pinv(self.s.T)  # W = L^+ S^T, (N, M) in Fortran order
+        s_w = self.s @ w
+        min_rho = np.abs(s_w).sum(axis=0).max() / (_CAPACITANCE_COND - 1.0)
+        if rho < min_rho:
+            raise SolverError(
+                f"the smallest admissible rho for this S and D is {min_rho:.3g}, got {rho:g}: "
+                f"below it the x-update's one-shot solve stops contracting",
+                diagnostics={"min_rho": float(min_rho)},
+            )
+        self._capacitance = np.eye(m) + s_w / rho
         try:
             low = sla.cholesky(self._capacitance, lower=True)
         except np.linalg.LinAlgError as exc:
@@ -263,17 +278,39 @@ class XUpdateSolver:
                 "x-update capacitance matrix is not positive definite",
                 diagnostics={"capacitance_condition": float(np.linalg.cond(self._capacitance))},
             ) from exc
-        # G = A^-1 U (L L^T)^-1, with C = L L^T: two triangular solves in place
+        # G / rho = W (R R^T)^-1 / rho, with C = R R^T: two triangular solves in place
         trsm = sla.get_blas_funcs("trsm", (low,))
-        y = trsm(1.0, low, a_inv_u, side=1, lower=1, trans_a=1, overwrite_b=1)
-        self._gain = trsm(1.0, low, y, side=1, lower=1, overwrite_b=1)
+        y = trsm(1.0, low, w, side=1, lower=1, trans_a=1, overwrite_b=1)
+        self._gain = trsm(1.0 / rho, low, y, side=1, lower=1, overwrite_b=1)
+        s_1 = self.s.sum(axis=1)
+        h = sla.cho_solve((low, True), s_1)
+        kappa = s_1 @ h
+        # alpha = a 1^T r - b^T S q, and the response 1 - G S 1 / rho of x to it;
+        # alpha is 0 where a = rho / kappa is not finite: kappa = 0, or a rho
+        # so near the float range that the constants carry no weight
+        with np.errstate(divide="ignore", over="ignore"):
+            a = rho / kappa
+        self._alpha = (a, h / kappa) if a < np.inf else (0.0, np.zeros(m))
+        self._constant = 1.0 - self._gain @ s_1
 
-    def _shifted_inverse(self, r: np.ndarray) -> np.ndarray:
-        """(A + U U^T)^-1 r = a - G U^T a with a = A^-1 r, for a block r (N, k);
-        one multi-column SuperLU solve, which with two BLAS threads is slower
-        than k single solves and with one is faster (README, "The x-update")."""
-        a_inv_r = self._lu.solve(r)
-        return a_inv_r - self._gain @ (self.s @ a_inv_r / np.sqrt(self.rho))
+    def _laplacian_pinv(self, r: np.ndarray) -> np.ndarray:
+        """L^+ r for a block r (N, k): the grounded solve of P r, projected."""
+        p_r = r - r.mean(axis=0)
+        p_r[0] = 0.0
+        q = self._lu.solve(p_r)
+        q -= q.mean(axis=0)
+        return q
+
+    def _woodbury_solve(self, r: np.ndarray) -> np.ndarray:
+        """((1/rho) S^T S + L)^-1 r for a block r (N, k), or the minimum-norm
+        solution where kappa = 0: one multi-column SuperLU solve, which with
+        two BLAS threads is slower than k single solves and with one is
+        faster (README, "The x-update")."""
+        q = self._laplacian_pinv(r)
+        s_q = self.s @ q
+        a, b = self._alpha
+        alpha = a * r.sum(axis=0) - b @ s_q
+        return q - self._gain @ s_q + self._constant[:, None] * alpha
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Solve for one right-hand side (N,) or a block (N, K) under the
@@ -288,7 +325,7 @@ class XUpdateSolver:
             return self.s.T @ checked[1] / self.rho + self.dt @ checked[2]
 
         try:
-            x = _refine(self._shifted_inverse, apply, rhs, target=_REFINE_TOL,
+            x = _refine(self._woodbury_solve, apply, rhs, target=_REFINE_TOL,
                         steps=_REFINE_STEPS, accept=_UPDATE_RESIDUAL_TOL,
                         what="x-update", key="column")
         except SolverError as exc:

@@ -36,11 +36,14 @@ class Inclusion:
             raise ValueError("inclusion semi-axis vectors must be linearly independent")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Membership test for an (n, 2) array of points."""
-        m = np.array([self.axis_a, self.axis_b], dtype=float).T  # columns a, b
+        """Membership test for an (n, 2) array of points, solved on the axes
+        over a power of two near their largest entry and scaled back: exact,
+        so subnormal axes lose no digits and others keep an unscaled solve's bits."""
+        scale = 2.0 ** np.frexp(max(abs(v) for v in (*self.axis_a, *self.axis_b)))[1]
+        m = np.array([self.axis_a, self.axis_b], dtype=float).T / scale  # columns a, b
         local = np.linalg.solve(m, (np.atleast_2d(points) - np.asarray(self.center)).T)
-        with np.errstate(over="ignore"):  # a square past the float range is inf, outside
-            return (local**2).sum(axis=0) <= 1.0
+        with np.errstate(over="ignore"):  # past the float range: inf, outside
+            return ((local / scale) ** 2).sum(axis=0) <= 1.0
 
 
 @dataclass(frozen=True)

@@ -244,15 +244,18 @@ def build_inverse_problem(cfg: PipelineConfig, disk=None) -> InverseProblem:
     # the x-update's scale |S|^2/rho must be a positive finite number: a
     # non-finite S, one whose squares overflow and one that underflows to
     # zero all fail here rather than as warnings or a solver failure later
+    s = _homogeneous(cfg, forward.sensitivity_matrix, mesh, layout, cfg.sigma0, cfg.current_ma)
     with np.errstate(over="ignore", invalid="ignore"):
-        s = forward.sensitivity_matrix(mesh, layout, cfg.sigma0, current=cfg.current_ma)
         scale = np.vdot(s, s) / cfg.rho
     if not 0 < scale < math.inf:
         raise ConfigError(f"sigma0/current_ma: {cfg.sigma0} S/m and {cfg.current_ma} mA give "
                           f"a sensitivity matrix S with |S|^2/rho = {scale:.3g} at rho {cfg.rho}, "
                           f"not a positive finite number")
     t2 = time.perf_counter()
-    x_update = inverse.XUpdateSolver(s, d, cfg.rho) if cfg.solver in _ITERATIVE else None
+    try:
+        x_update = inverse.XUpdateSolver(s, d, cfg.rho) if cfg.solver in _ITERATIVE else None
+    except forward.SolverError as exc:  # a rho the x-update's capacitance cannot take
+        raise ConfigError(f"rho: {exc}")
     t3 = time.perf_counter()
     return InverseProblem(
         mesh=mesh,
@@ -262,12 +265,24 @@ def build_inverse_problem(cfg: PipelineConfig, disk=None) -> InverseProblem:
     )
 
 
+def _homogeneous(cfg: PipelineConfig, solve, *args):
+    """``solve(*args)``, FEM solves on the homogeneous disk of the config's
+    sigma0 and current_ma; their SolverError can only come from that scale,
+    so it is a ConfigError naming the two fields."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # caught as a FEM SolverError
+            return solve(*args)
+    except forward.SolverError as exc:
+        raise ConfigError(f"sigma0/current_ma: {cfg.sigma0} S/m and {cfg.current_ma} mA "
+                          f"break the homogeneous FEM solve: {exc}")
+
+
 def _simulate_frames(cfg: PipelineConfig, fmesh: TriMesh, flayout: ElectrodeLayout, spec: PhantomSpec):
     """Reference/perturbed frames plus clean and noisy signed differences."""
     sigma_ref = np.full(fmesh.n_elements, cfg.sigma0)
     sigma_true = assign_conductivity(fmesh, spec)
+    v_ref = _homogeneous(cfg, forward.simulate_frame, fmesh, flayout, sigma_ref, cfg.current_ma)
     with np.errstate(over="ignore", invalid="ignore"):  # caught as a FEM SolverError
-        v_ref = forward.simulate_frame(fmesh, flayout, sigma_ref, current=cfg.current_ma)
         v_pert = forward.simulate_frame(fmesh, flayout, sigma_true, current=cfg.current_ma)
     dv = forward.signed_difference(v_ref, v_pert)
     try:

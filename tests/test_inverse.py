@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from eitkit.forward import SolverError
 from eitkit.inverse import (
+    _REFINE_TOL,
     ReconResult,
     XUpdateSolver,
     apply_mask,
@@ -22,7 +23,7 @@ from eitkit.inverse import (
     z_update,
 )
 from eitkit.mesh import generate_disk_mesh
-from eitkit.phantom import assign_conductivity, lung_model
+from eitkit.phantom import Inclusion, PhantomSpec, assign_conductivity, lung_model
 
 
 LAM, RHO = 5e-13, 1e-10  # the shipped penalty and coupling weight
@@ -290,6 +291,26 @@ class TestSigmaUpdate:
         min_norm = np.linalg.pinv(dtd) @ rhs
         assert np.linalg.norm(x - min_norm) <= 1e-8 * np.linalg.norm(min_norm)
 
+    @pytest.mark.parametrize("kind", ["zero", "zero_row_sums"])
+    def test_zero_kappa_gives_the_pseudo_inverse_solution(self, kind):
+        # with S 1 = 0 the constants stay in the operator's null space and
+        # the Schur complement kappa = (S 1)^T C^-1 S 1 is 0: the constant
+        # mode is left at 0, which is the pseudo-inverse's answer; integer
+        # entries make the row sums exactly 0
+        d = _chain_ops()
+        n = d.shape[1]
+        rng = np.random.default_rng(33)
+        s = np.zeros((60, n))
+        if kind == "zero_row_sums":
+            s[:, :-1] = rng.integers(-3, 4, size=(60, n - 1))
+            s[:, -1] = -s[:, :-1].sum(axis=1)
+        rho = 1e3  # brings S^T S / rho to the scale of the chain Laplacian
+        op = s.T @ s / rho + (d.T @ d).toarray()
+        rhs = op @ rng.normal(size=n)  # consistent
+        x, _, _ = XUpdateSolver(s, d, rho).solve(rhs)
+        want = np.linalg.pinv(op) @ rhs
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
 
 def _dense_x_update(s, d, rho, rhs):
     m = s.T @ s / rho + (d.T @ d).toarray()
@@ -340,7 +361,7 @@ class TestXUpdateSolver:
         assert x.shape == rhs.shape
         for j in range(rhs.shape[1]):
             r = rhs[:, j] - (s.T @ (s @ x[:, j]) / rho + d.T @ (d @ x[:, j]))
-            assert np.linalg.norm(r) <= 1e-13 * np.linalg.norm(rhs[:, j])
+            assert np.linalg.norm(r) <= _REFINE_TOL * np.linalg.norm(rhs[:, j])
 
     def test_block_solve_matches_single_columns(self, coarse):
         s, rho = coarse.s, 1e-10
@@ -355,13 +376,13 @@ class TestXUpdateSolver:
 
     def test_shipped_size_block_matches_single_solves(self, coarse):
         # one multi-column SuperLU solve of a 35-column sweep block rounds
-        # differently from 35 single solves, but refinement leaves the two
-        # within 1e-14 of each other
+        # differently from 35 single solves; each meets the 1e-10 residual
+        # target in one shot, and the two agree to 7.7e-13
         s, rho = coarse.s, 1e-10
         solver = XUpdateSolver(s, coarse.d, rho)
         rhs = self._rhs_block(s, coarse.d, rho, 35)
         singles = np.column_stack([solver.solve(rhs[:, j])[0] for j in range(35)])
-        assert np.linalg.norm(solver.solve(rhs)[0] - singles) <= 1e-14 * np.linalg.norm(singles)
+        assert np.linalg.norm(solver.solve(rhs)[0] - singles) <= 5e-12 * np.linalg.norm(singles)
 
     def test_one_column_block_is_bitwise_the_vector_solve(self, coarse):
         s, rho = coarse.s, 1e-10
@@ -380,26 +401,40 @@ class TestXUpdateSolver:
         assert info.value.diagnostics["column"] == 1
         assert info.value.diagnostics["relative_residual"] > 1e-8
 
-    def test_shipped_size_block_needs_at_most_one_correction(self, coarse, monkeypatch):
-        # the 35 columns of a sweep block at the shipped inverse size: the
-        # first application of the Woodbury gain plus at most one correction
-        # meets 1e-13 in every column
+    def test_shipped_size_block_needs_no_correction(self, coarse, monkeypatch):
+        # the 35 columns of a sweep block at the shipped inverse size: one
+        # application of the Woodbury solve meets the refinement target in
+        # every column
         s, rho, d = coarse.s, 1e-10, coarse.d
         solver = XUpdateSolver(s, coarse.d, rho)
         rhs = self._rhs_block(s, coarse.d, rho, 35)
         applied = []
-        real = XUpdateSolver._shifted_inverse
+        real = XUpdateSolver._woodbury_solve
 
         def spy(self, r):
             applied.append(r.shape[1])
             return real(self, r)
 
-        monkeypatch.setattr(XUpdateSolver, "_shifted_inverse", spy)
+        monkeypatch.setattr(XUpdateSolver, "_woodbury_solve", spy)
         x, _, _ = solver.solve(rhs)
-        assert applied[0] == 35 and len(applied) <= 2
+        assert applied == [35]
         for j in range(35):
             r = rhs[:, j] - (s.T @ (s @ x[:, j]) / rho + d.T @ (d @ x[:, j]))
-            assert np.linalg.norm(r) <= 1e-13 * np.linalg.norm(rhs[:, j])
+            assert np.linalg.norm(r) <= _REFINE_TOL * np.linalg.norm(rhs[:, j])
+
+    def test_rho_below_the_capacitance_bound_is_refused(self, coarse):
+        # the bound is 1 + |S W|_1 / rho on cond(C), with W = L^+ S^T: the
+        # smallest admissible rho scales with S^2, and no rho literal sets it
+        with pytest.raises(SolverError, match="smallest admissible rho") as info:
+            XUpdateSolver(coarse.s, coarse.d, 1e-20)
+        min_rho = info.value.diagnostics["min_rho"]
+        assert 1e-18 < min_rho < 1e-17  # 5.2e-18 at the shipped inverse size
+        with pytest.raises(SolverError, match="rho"):
+            XUpdateSolver(coarse.s, coarse.d, 0.99 * min_rho)
+        XUpdateSolver(coarse.s, coarse.d, 1.01 * min_rho)
+        with pytest.raises(SolverError) as info:
+            XUpdateSolver(2.0 * coarse.s, coarse.d, 1e-20)
+        assert info.value.diagnostics["min_rho"] == pytest.approx(4.0 * min_rho, rel=1e-12)
 
     def test_block_solve_on_singular_operator(self):
         d = _chain_ops()
@@ -570,10 +605,10 @@ class TestReconstructNwatv:
         assert re[19] < re[0]
         assert res.n_iterations == 20
 
-    @pytest.mark.parametrize("rho", [1e-17, 1e-20])
+    @pytest.mark.parametrize("rho", [1e-17])
     def test_small_rho_runs_every_iteration(self, coarse, model7, rho):
-        # the x-update solves the exact operator at any rho, so every
-        # iteration meets the residual contract
+        # above the capacitance bound (5.2e-18 here) the x-update meets the
+        # residual contract in every iteration
         res = reconstruct_nwatv(XUpdateSolver(coarse.s, coarse.d, rho), model7.dv_noisy, LAM)
         assert (res.n_iterations, res.termination) == (20, "max_iters")
 
@@ -632,6 +667,45 @@ class TestReconstructNwatv:
 
 
 _SINGLE = {"nwatv": reconstruct_nwatv, "fotv": reconstruct_fotv, "tv": reconstruct_tv_isotropic}
+
+
+class _CountingLU:
+    """A SuperLU factor that records the column count of each solve."""
+
+    def __init__(self, lu):
+        self.lu, self.columns = lu, []
+
+    def solve(self, r):
+        self.columns.append(r.shape[1])
+        return self.lu.solve(r)
+
+
+class TestOneSolvePerIteration:
+    """Each ADMM iteration makes exactly one SuperLU block solve."""
+
+    def test_shipped_sweep_block(self, coarse, model7, monkeypatch):
+        solver = XUpdateSolver(coarse.s, coarse.d, RHO)
+        counting = _CountingLU(solver._lu)
+        monkeypatch.setattr(solver, "_lu", counting)
+        ratios = 5e-3 * np.logspace(-2.0, 2.0, 7)  # the shipped 7 x 5 grid
+        lams, deltas = np.repeat(ratios * RHO, 5), np.tile(np.logspace(-3.0, -1.0, 5), 7)
+        results = reconstruct_block(solver, model7.dv_noisy, lams, deltas, keep_history=False)
+        assert {r.n_iterations for r in results} == {20}
+        assert counting.columns == [35] * 20
+
+    def test_4k_single_reconstruction(self, coarse, model7, monkeypatch):
+        from eitkit.forward import sensitivity_matrix
+        from eitkit.mesh import place_electrodes
+
+        mesh = generate_disk_mesh(0.1, 4096)
+        layout = place_electrodes(mesh, 16, angles=coarse.layout.angles)
+        solver = XUpdateSolver(sensitivity_matrix(mesh, layout, 1.0),
+                               build_difference_operators(mesh), RHO)
+        counting = _CountingLU(solver._lu)
+        monkeypatch.setattr(solver, "_lu", counting)
+        res = reconstruct_nwatv(solver, model7.dv_noisy, LAM)
+        assert res.n_iterations == 20
+        assert counting.columns == [1] * 20
 
 
 class TestReconstructBlock:
@@ -822,3 +896,36 @@ class TestPreprocessIntegration:
         a = reconstruct_nwatv(x_update, model7.dv_noisy, LAM, max_iters=5)
         b = reconstruct_nwatv(x_update, cleaned, LAM, max_iters=5)
         assert not np.array_equal(a.final, b.final)
+
+    def test_preprocess_helps_only_where_the_data_carry_a_boundary_artifact(self):
+        # 256 / 1,024 elements, 50 dB, seed 42, shipped lam, rho and lambda_b,
+        # 20 iterations; RE of sigma0 + x against the phantom on the inverse
+        # mesh, measured off -> on: a central inclusion whose data also carry
+        # a 1.3 S/m ring at r > 0.093, 0.0736 -> 0.0436; the interior lung 7
+        # phantom, 0.0373 -> 0.0440
+        from eitkit.forward import add_noise, sensitivity_matrix, signed_difference, simulate_frame
+        from eitkit.mesh import place_electrodes
+
+        mesh = generate_disk_mesh(0.1, 256)
+        layout = place_electrodes(mesh, 16)
+        s = sensitivity_matrix(mesh, layout, 1.0)
+        solver = XUpdateSolver(s, build_difference_operators(mesh), RHO)
+        fine = generate_disk_mesh(0.1, 1024)
+        fine_layout = place_electrodes(fine, 16, angles=layout.angles)
+        v_ref = simulate_frame(fine, fine_layout, np.ones(fine.n_elements))
+        central = PhantomSpec(1.0, (Inclusion((0.0, 0.0), (0.02, 0.0), (0.0, 0.02), 1.1),))
+        ring = np.linalg.norm(fine.element_centroids, axis=1) > 0.093
+        re = {}
+        for name, spec in (("ring", central), ("interior", lung_model(7))):
+            sigma = assign_conductivity(fine, spec)
+            if name == "ring":
+                sigma[ring] = 1.3  # in the data only, not in the truth
+            v_pert = simulate_frame(fine, fine_layout, sigma)
+            dv = add_noise(signed_difference(v_ref, v_pert), 50.0, 42)
+            truth = assign_conductivity(mesh, spec)
+            for pre in (False, True):
+                b = preprocess_boundary(dv, s, mesh.boundary_elements(), 1e-7) if pre else dv
+                x = reconstruct_nwatv(solver, b, LAM).final
+                re[name, pre] = np.linalg.norm(1.0 + x - truth) / np.linalg.norm(truth)
+        assert re["ring", True] < 0.7 * re["ring", False]
+        assert re["interior", True] > 1.1 * re["interior", False]

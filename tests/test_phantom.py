@@ -154,9 +154,10 @@ class TestValidation:
             Inclusion(center=(0, 0), axis_a=(1.0, 1.0), axis_b=(2.0, 2.0), value=1.0)
 
     # the determinant of raw axes overflows at 1e200 and underflows at
-    # 1e-200; independence is a matter of direction at any scale
+    # 1e-200; independence is a matter of direction at any scale, and a
+    # subnormal circle holds its centre beside points far outside it
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("scale", [1e-200, 1e-2, 1e200, 1e300])
+    @pytest.mark.parametrize("scale", [1e-320, 1e-310, 1e-200, 1e-2, 1e200, 1e300])
     def test_independence_is_tested_at_any_scale(self, scale):
         circle = Inclusion(center=(0.0, 0.0), axis_a=(scale, 0.0), axis_b=(0.0, scale), value=2.0)
         points = np.array([[0.0, 0.0], [0.1, 0.0], [-0.05, 0.07]])

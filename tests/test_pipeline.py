@@ -6,6 +6,7 @@ import errno
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -972,12 +973,14 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
 
     def test_data_of_huge_scale_exit_three(self, chain_outputs, tmp_path, capsys):
-        # x 1e153 the reweight overflows |g|^2, so NWATV weights reach 0; x
-        # 1e300 the x-update's products overflow at iteration 1: reconstruct
+        # x 1e153 the reweight overflows |g|^2 once the iterate has grown,
+        # so NWATV weights reach 0; x 1e300 the x-update still meets its
+        # residual contract (its gain carries 1/rho, so no product passes
+        # the float range), and |g|^2 overflows at iteration 1: reconstruct
         # stops with one line, and every sweep cell records it silently
         _, out = chain_outputs
         cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "run"), max_iters=20)
-        for scale, why in ((1e153, "weights"), (1e300, "x-update residual nan")):
+        for scale, why in ((1e153, "NWATV weights"), (1e300, "iteration 1: NWATV weights")):
             huge = tmp_path / "dv_huge.txt"
             save_frames(huge, load_frames(out / "dv_noisy.txt") * scale)
             assert main(["reconstruct", "--config", str(cfg_path), "--data", str(huge)]) == 3
@@ -1065,6 +1068,57 @@ class TestCli:
             assert main([verb, "--config", str(cfg_path)]) == 2
             err = capsys.readouterr().err
             assert "config error: sigma0/current_ma" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("verb, data", [
+        ("simulate", False), ("reconstruct", True), ("sweep", False), ("sweep", True),
+    ])
+    @pytest.mark.parametrize("field, value", [
+        ("sigma0", 1e308), ("sigma0", 1e-320), ("current_ma", 1e308),
+    ])
+    def test_scale_that_breaks_the_fem_exit_two(self, chain_outputs, tmp_path, capsys,
+                                                field, value, verb, data):
+        # the reference frame and the sensitivity potentials are solves on
+        # the homogeneous disk, which only the config's scale can break:
+        # a singular stiffness factor (sigma0) or a NaN residual (current_ma)
+        _, out = chain_outputs
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "run"),
+                              inverse_elements=64, forward_elements=256, **{field: value})
+        argv = [verb, "--config", str(cfg_path)]
+        argv += ["--data", str(out / "dv_noisy.txt")] if data else []
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: sigma0/current_ma" in err and len(err.strip().splitlines()) == 1
+
+    def test_rho_below_the_x_update_bound_exit_two(self, chain_outputs, tmp_path, capsys):
+        # the bound comes from the x-update's capacitance matrix, and the
+        # message states it; tikhonov builds no x-update and runs
+        _, out = chain_outputs
+
+        def reconstruct(rho, **overrides):
+            cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "run"),
+                                  rho=rho, **overrides)
+            code = main(["reconstruct", "--config", str(cfg_path),
+                         "--data", str(out / "dv_noisy.txt")])
+            return code, capsys.readouterr().err
+
+        code, err = reconstruct(1e-30)
+        assert code == 2 and err.startswith("config error: rho: ")
+        bound = float(re.search(r"smallest admissible rho for this S and D is (\S+),", err)[1])
+        code, err = reconstruct(0.99 * bound)
+        assert code == 2 and err.startswith("config error: rho: ")
+        assert len(err.strip().splitlines()) == 1
+        assert reconstruct(1.01 * bound)[0] == 0
+        assert reconstruct(1e-30, solver="tikhonov") == (0, "")
+
+    @pytest.mark.filterwarnings("error")
+    def test_rho_near_the_float_range_runs_silently(self, chain_outputs, tmp_path, capsys):
+        # rho / kappa of the x-update's constant mode overflows: the mode
+        # carries no weight there, and every solve meets its contract silently
+        _, out = chain_outputs
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "run"), rho=1e308)
+        assert main(["reconstruct", "--config", str(cfg_path),
+                     "--data", str(out / "dv_noisy.txt")]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("solver", ["nwatv", "tv"])
     def test_overflowing_shrink_threshold_is_silent(self, chain_outputs, tmp_path, capsys, solver):
