@@ -36,7 +36,7 @@ from .mesh import ElectrodeLayout, TriMesh, _read_frames, _write_frames
 # against two-forward-solve data in the test suite.
 LINEARIZATION_SIGN = -1.0
 
-# relative residual required of every FEM solve
+# relative residual required of every linear solve, FEM and ADMM x-update alike
 _RESIDUAL_TOL = 1e-10
 
 
@@ -68,16 +68,16 @@ def _column_norms(a: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _refine(solve, apply, rhs, *, target, steps, accept, what, key) -> np.ndarray:
+def _refine(solve, apply, rhs, *, tol, steps, what, key) -> np.ndarray:
     """Solve apply(x) = rhs for one right-hand side (n,) or a block (n, k),
     given an approximate inverse ``solve`` of the operator ``apply``.
 
     Each column is solved once and then corrected, for at most ``steps``
-    corrections, until its residual is at most ``target`` of its
-    right-hand side; only the columns that still miss are corrected again,
-    and a zero column has the zero solution. If a column's residual then
-    stays above ``accept`` (a NaN residual counts), SolverError names the
-    worst one as ``diagnostics[key]``."""
+    corrections, until its residual is at most ``tol`` of its right-hand
+    side; only the columns that still miss are corrected again, and a zero
+    column has the zero solution. If a column still misses after the last
+    correction (a NaN residual counts), SolverError names the worst one as
+    ``diagnostics[key]``."""
     b = rhs.reshape(len(rhs), -1)
     norm_b = _column_norms(b)
     cols = np.flatnonzero(norm_b != 0)
@@ -88,7 +88,7 @@ def _refine(solve, apply, rhs, *, target, steps, accept, what, key) -> np.ndarra
     for correction in range(steps + 1):
         r = b[:, live] - apply(x[:, live])
         norm_r = _column_norms(r)
-        miss = ~(norm_r <= (target if correction < steps else accept) * norm_b[live])
+        miss = ~(norm_r <= tol * norm_b[live])
         if not miss.any():
             return x.reshape(rhs.shape)
         if not miss.all():  # while every live column misses, live keeps its slice
@@ -99,7 +99,7 @@ def _refine(solve, apply, rhs, *, target, steps, accept, what, key) -> np.ndarra
     rel = norm_r / norm_b[cols]
     worst = int(np.argmax(rel))  # argmax takes a NaN as the largest
     raise SolverError(
-        f"{what} residual {rel[worst]:.3e} above {accept:.0e}",
+        f"{what} residual {rel[worst]:.3e} above {tol:.0e}",
         diagnostics={key: int(cols[worst]), "relative_residual": float(rel[worst])},
     )
 
@@ -196,8 +196,8 @@ def solve_potentials(
         u[1:] = lu.solve(f[1:])
         return u
 
-    u = _refine(pinned, stiffness.dot, rhs, target=_RESIDUAL_TOL, steps=8,
-                accept=_RESIDUAL_TOL, what="FEM solve", key="drive")
+    u = _refine(pinned, stiffness.dot, rhs, tol=_RESIDUAL_TOL, steps=8, what="FEM solve",
+                key="drive")
     return DrivePotentials(potentials=u - u[enodes].mean(axis=0), current=float(current))
 
 

@@ -37,20 +37,16 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .forward import SolverError, _column_norms, _refine
+from .forward import _RESIDUAL_TOL, SolverError, _column_norms, _refine
 
-# iterative refinement of the x-update stops at this relative residual or
-# after this many corrections; the one-shot solve meets 1e-10 on the shipped
-# problems, so each makes one SuperLU block solve (1e-13 would take two)
-_REFINE_TOL = 1e-10
-_REFINE_STEPS = 5
-
-# relative residual required of the quadratic x-update solve
-_UPDATE_RESIDUAL_TOL = 1e-8
-
-# largest admissible bound on cond(C) of XUpdateSolver; refinement first
-# missed its contract at 7e12 to 1e13 on meshes of 294 to 4,056 elements
+# largest admissible bound on cond(C) of XUpdateSolver; the sweep block first
+# missed _RESIDUAL_TOL at 3.5e12 to 5e12 on meshes of 294 to 4,056 elements
 _CAPACITANCE_COND = 1e12
+
+# largest admissible q = rho N |D^T D|_1 / |S 1|^2 of XUpdateSolver, the gain
+# of the constant mode on the rounding of 1^T r; the sweep block first missed
+# _RESIDUAL_TOL at q = 2.5e7 or above on meshes of 294 to 4,056 elements
+_CONSTANT_MODE_GAIN = 5e6
 
 # A neighbor qualifies for the x (or y) difference only if the centroid
 # displacement has an x (or y) component exceeding this fraction of the
@@ -240,11 +236,13 @@ class XUpdateSolver:
     Where kappa = 0 (S 1 = 0, a singular operator) alpha is 0: a consistent
     right-hand side gets its minimum-norm solution, and an inconsistent one
     fails the residual check of the refinement against the exact operator,
-    applied matrix-free. No N x N array is formed. A rho at which the bound
-    1 + |S W|_1 / rho on cond(C) exceeds _CAPACITANCE_COND, where the
-    one-shot solve stops contracting, and a C that is not positive definite
-    are SolverErrors at set-up. A solve keeps no state, so one solver may
-    serve callers on several threads.
+    applied matrix-free. No N x N array is formed. rho must lie in
+    [min_rho, max_rho], set by S and D alone: below it the bound
+    1 + |S W|_1 / rho on cond(C) passes _CAPACITANCE_COND, above it
+    q = rho N |D^T D|_1 / |S 1|^2 passes _CONSTANT_MODE_GAIN (README, "The
+    x-update"); max_rho is inf where S 1 = 0. Either, and a C that is not
+    positive definite, is a SolverError at set-up. A solve keeps no state,
+    so one solver serves callers on several threads.
     """
 
     def __init__(self, s, d: sp.csr_matrix, rho: float):
@@ -259,38 +257,42 @@ class XUpdateSolver:
         m, n = self.s.shape
         if self.d.shape[1] != n:
             raise ValueError("difference operators do not match the sensitivity columns")
+        s_1 = self.s.sum(axis=1)
+        l_1 = abs(self.dt @ self.d).sum(axis=0).max()  # |D^T D|_1
+        self.max_rho = float(s_1 @ s_1 / l_1 * (_CONSTANT_MODE_GAIN / n) if s_1.any() else np.inf)
+        if rho > self.max_rho:
+            raise SolverError(
+                f"the largest admissible rho for this S and D is {self.max_rho:.3g}, got {rho:g}: "
+                f"above it the x-update's constant mode misses the residual tolerance",
+                diagnostics={"max_rho": self.max_rho},
+            )
         keep = sp.diags(np.arange(n) > 0, dtype=float)  # grounds element 0
         self._lu = spla.splu((keep @ self.dt @ self.d @ keep + sp.identity(n) - keep).tocsc())
         w = self._laplacian_pinv(self.s.T)  # W = L^+ S^T, (N, M) in Fortran order
         s_w = self.s @ w
-        min_rho = np.abs(s_w).sum(axis=0).max() / (_CAPACITANCE_COND - 1.0)
-        if rho < min_rho:
+        self.min_rho = float(np.abs(s_w).sum(axis=0).max() / (_CAPACITANCE_COND - 1.0))
+        if rho < self.min_rho:
             raise SolverError(
-                f"the smallest admissible rho for this S and D is {min_rho:.3g}, got {rho:g}: "
+                f"the smallest admissible rho for this S and D is {self.min_rho:.3g}, got {rho:g}: "
                 f"below it the x-update's one-shot solve stops contracting",
-                diagnostics={"min_rho": float(min_rho)},
+                diagnostics={"min_rho": self.min_rho},
             )
-        self._capacitance = np.eye(m) + s_w / rho
+        capacitance = np.eye(m) + s_w / rho
         try:
-            low = sla.cholesky(self._capacitance, lower=True)
+            low = sla.cholesky(capacitance, lower=True)
         except np.linalg.LinAlgError as exc:
             raise SolverError(
                 "x-update capacitance matrix is not positive definite",
-                diagnostics={"capacitance_condition": float(np.linalg.cond(self._capacitance))},
+                diagnostics={"capacitance_condition": float(np.linalg.cond(capacitance))},
             ) from exc
         # G / rho = W (R R^T)^-1 / rho, with C = R R^T: two triangular solves in place
         trsm = sla.get_blas_funcs("trsm", (low,))
         y = trsm(1.0, low, w, side=1, lower=1, trans_a=1, overwrite_b=1)
         self._gain = trsm(1.0 / rho, low, y, side=1, lower=1, overwrite_b=1)
-        s_1 = self.s.sum(axis=1)
         h = sla.cho_solve((low, True), s_1)
         kappa = s_1 @ h
-        # alpha = a 1^T r - b^T S q, and the response 1 - G S 1 / rho of x to it;
-        # alpha is 0 where a = rho / kappa is not finite: kappa = 0, or a rho
-        # so near the float range that the constants carry no weight
-        with np.errstate(divide="ignore", over="ignore"):
-            a = rho / kappa
-        self._alpha = (a, h / kappa) if a < np.inf else (0.0, np.zeros(m))
+        # alpha = a 1^T r - b^T S q, and the response 1 - G S 1 / rho of x to it
+        self._alpha = (rho / kappa, h / kappa) if kappa > 0 else (0.0, np.zeros(m))
         self._constant = 1.0 - self._gain @ s_1
 
     def _laplacian_pinv(self, r: np.ndarray) -> np.ndarray:
@@ -303,9 +305,8 @@ class XUpdateSolver:
 
     def _woodbury_solve(self, r: np.ndarray) -> np.ndarray:
         """((1/rho) S^T S + L)^-1 r for a block r (N, k), or the minimum-norm
-        solution where kappa = 0: one multi-column SuperLU solve, which with
-        two BLAS threads is slower than k single solves and with one is
-        faster (README, "The x-update")."""
+        solution where kappa = 0: one multi-column SuperLU solve, faster than
+        k single solves at one BLAS thread only (README, "The x-update")."""
         q = self._laplacian_pinv(r)
         s_q = self.s @ q
         a, b = self._alpha
@@ -313,11 +314,10 @@ class XUpdateSolver:
         return q - self._gain @ s_q + self._constant[:, None] * alpha
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Solve for one right-hand side (N,) or a block (N, K) under the
-        refinement contract of forward._refine, and return x with S x and
-        D x: those of the refinement's last residual check when it read all
-        of x, else computed. A SolverError names its ``"column"`` and the
-        capacitance matrix's condition number."""
+        """Solve for one right-hand side (N,) or a block (N, K) under
+        forward._refine, and return x with S x and D x: those of the
+        refinement's last residual check when it read all of x, else
+        computed. A SolverError also holds ``min_rho`` and ``max_rho``."""
         checked = []  # the shape, S x and D x of the last residual check's x
 
         def apply(x):  # the exact operator ((1/rho) S^T S + D^T D) x, matrix-free
@@ -325,11 +325,10 @@ class XUpdateSolver:
             return self.s.T @ checked[1] / self.rho + self.dt @ checked[2]
 
         try:
-            x = _refine(self._woodbury_solve, apply, rhs, target=_REFINE_TOL,
-                        steps=_REFINE_STEPS, accept=_UPDATE_RESIDUAL_TOL,
+            x = _refine(self._woodbury_solve, apply, rhs, tol=_RESIDUAL_TOL, steps=5,
                         what="x-update", key="column")
         except SolverError as exc:
-            exc.diagnostics["capacitance_condition"] = float(np.linalg.cond(self._capacitance))
+            exc.diagnostics.update(min_rho=self.min_rho, max_rho=self.max_rho)
             raise
         if checked[0] == x.shape:
             return x, checked[1], checked[2]

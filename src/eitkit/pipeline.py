@@ -254,7 +254,7 @@ def build_inverse_problem(cfg: PipelineConfig, disk=None) -> InverseProblem:
     t2 = time.perf_counter()
     try:
         x_update = inverse.XUpdateSolver(s, d, cfg.rho) if cfg.solver in _ITERATIVE else None
-    except forward.SolverError as exc:  # a rho the x-update's capacitance cannot take
+    except forward.SolverError as exc:  # a rho outside the x-update's interval
         raise ConfigError(f"rho: {exc}")
     t3 = time.perf_counter()
     return InverseProblem(

@@ -211,7 +211,7 @@ def test_block_logs_one_debug_line(model7, x_update, caplog):
     assert not [r for r in caplog.records if r.name == "eitkit.inverse"]
 
 
-def _reference_refine(solve, apply, rhs, *, target, steps, accept):
+def _reference_refine(solve, apply, rhs, *, tol, steps):
     """_refine with the missing columns gathered after every check."""
     b = rhs.reshape(len(rhs), -1)
     norm_b = _column_norms(b)
@@ -223,7 +223,7 @@ def _reference_refine(solve, apply, rhs, *, target, steps, accept):
     for correction in range(steps + 1):
         r = b[:, live] - apply(x[:, live])
         norm_r = _column_norms(r)
-        miss = ~(norm_r <= (target if correction < steps else accept) * norm_b[live])
+        miss = ~(norm_r <= tol * norm_b[live])
         if not miss.any():
             return x.reshape(rhs.shape)
         cols, r, norm_r = cols[miss], r[:, miss], norm_r[miss]
@@ -256,7 +256,7 @@ class TestRefineMatchesGatheringLoop:
             seen.append(x)
             return a @ x
 
-        kw = dict(target=1e-13, steps=8, accept=1e-10)
+        kw = dict(tol=1e-13, steps=8)
         got = _refine(lu.solve, apply, rhs, what="test", key="column", **kw)
         want = _reference_refine(lu.solve, lambda x: a @ x, rhs, **kw)
         assert np.array_equal(got, want)

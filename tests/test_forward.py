@@ -32,8 +32,7 @@ def _grounded_solve(k, f):
     through the refinement contract of solve_potentials."""
     lu = splu(k[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A")
     return _refine(lambda r: np.insert(lu.solve(r[1:]), 0, 0.0, axis=0), k.dot, f,
-                   target=forward._RESIDUAL_TOL, steps=8, accept=forward._RESIDUAL_TOL,
-                   what="FEM solve", key="drive")
+                   tol=forward._RESIDUAL_TOL, steps=8, what="FEM solve", key="drive")
 
 
 def _two_point_disk_potential(nodes, src, snk, current=1.0, sigma=1.0):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eitkit.forward import SolverError
+from eitkit.forward import _RESIDUAL_TOL, SolverError
 from eitkit.inverse import (
-    _REFINE_TOL,
     ReconResult,
     XUpdateSolver,
     apply_mask,
@@ -340,16 +339,21 @@ class TestXUpdateSolver:
         want = _dense_x_update(s, d, rho, rhs)
         assert np.linalg.norm(solver.solve(rhs)[0] - want) <= 1e-10 * np.linalg.norm(want)
 
-    def test_inconsistent_rhs_on_singular_operator_raises(self):
+    def test_inconsistent_rhs_on_singular_operator_raises(self, monkeypatch):
         # the operator is singular: a right-hand side with a component
-        # along the constants misses the residual contract
+        # along the constants misses the residual tolerance; the error
+        # states the solver's rho interval, which S = 0 leaves unbounded
+        # above, and computes no condition number
         d = _chain_ops()
         solver = XUpdateSolver(np.zeros((60, 40)), d, 1.0)
         rhs = d.T @ np.random.default_rng(28).normal(size=80) + 1.0
+        monkeypatch.setattr(np.linalg, "cond", lambda *args: pytest.fail("cond called"))
         with pytest.raises(SolverError, match="residual") as info:
             solver.solve(rhs)
-        assert info.value.diagnostics["relative_residual"] > 1e-8
-        assert info.value.diagnostics["capacitance_condition"] >= 1.0
+        diagnostics = info.value.diagnostics
+        assert diagnostics.keys() == {"column", "relative_residual", "min_rho", "max_rho"}
+        assert diagnostics["relative_residual"] > _RESIDUAL_TOL
+        assert (diagnostics["min_rho"], diagnostics["max_rho"]) == (0.0, np.inf)
 
     def _rhs_block(self, s, d, rho, k):
         return np.column_stack([self._admm_rhs(s, d, rho, 40 + j) for j in range(k)])
@@ -361,7 +365,7 @@ class TestXUpdateSolver:
         assert x.shape == rhs.shape
         for j in range(rhs.shape[1]):
             r = rhs[:, j] - (s.T @ (s @ x[:, j]) / rho + d.T @ (d @ x[:, j]))
-            assert np.linalg.norm(r) <= _REFINE_TOL * np.linalg.norm(rhs[:, j])
+            assert np.linalg.norm(r) <= _RESIDUAL_TOL * np.linalg.norm(rhs[:, j])
 
     def test_block_solve_matches_single_columns(self, coarse):
         s, rho = coarse.s, 1e-10
@@ -420,7 +424,7 @@ class TestXUpdateSolver:
         assert applied == [35]
         for j in range(35):
             r = rhs[:, j] - (s.T @ (s @ x[:, j]) / rho + d.T @ (d @ x[:, j]))
-            assert np.linalg.norm(r) <= _REFINE_TOL * np.linalg.norm(rhs[:, j])
+            assert np.linalg.norm(r) <= _RESIDUAL_TOL * np.linalg.norm(rhs[:, j])
 
     def test_rho_below_the_capacitance_bound_is_refused(self, coarse):
         # the bound is 1 + |S W|_1 / rho on cond(C), with W = L^+ S^T: the
@@ -435,6 +439,34 @@ class TestXUpdateSolver:
         with pytest.raises(SolverError) as info:
             XUpdateSolver(2.0 * coarse.s, coarse.d, 1e-20)
         assert info.value.diagnostics["min_rho"] == pytest.approx(4.0 * min_rho, rel=1e-12)
+
+    def test_rho_above_the_constant_mode_bound_is_refused(self, coarse, x_update):
+        # the bound is rho N |D^T D|_1 / |S 1|^2 <= _CONSTANT_MODE_GAIN: the
+        # largest admissible rho scales with S^2 and no rho sets it
+        max_rho = x_update.max_rho
+        assert 1e-4 < max_rho < 1e-3  # 4.1e-4 at the shipped inverse size
+        assert XUpdateSolver(coarse.s, coarse.d, 1e-6).max_rho == max_rho
+        with pytest.raises(SolverError, match="largest admissible rho") as info:
+            XUpdateSolver(coarse.s, coarse.d, 1.01 * max_rho)
+        assert info.value.diagnostics == {"max_rho": max_rho}
+        XUpdateSolver(coarse.s, coarse.d, 0.99 * max_rho)
+        assert XUpdateSolver(2.0 * coarse.s, coarse.d, 1e-10).max_rho == pytest.approx(
+            4.0 * max_rho, rel=1e-12)
+
+    @pytest.mark.parametrize("end", ["min_rho", "max_rho"])
+    def test_shipped_sweep_block_at_both_ends_of_the_rho_interval(self, coarse, model7,
+                                                                  x_update, end):
+        # the 35 columns of the shipped sweep, held to 20 iterations, meet the
+        # residual tolerance in every x-update just inside either bound
+        from eitkit.pipeline import PipelineConfig
+
+        cfg = PipelineConfig()
+        rho = {"min_rho": 1.01 * x_update.min_rho, "max_rho": 0.99 * x_update.max_rho}[end]
+        cells = [(ratio * rho, delta) for ratio in cfg.sweep_lambda_over_rho
+                 for delta in cfg.sweep_delta]
+        results = reconstruct_block(XUpdateSolver(coarse.s, coarse.d, rho), model7.dv_noisy,
+                                    *zip(*cells), tol=1e-300, keep_history=False)
+        assert [getattr(r, "n_iterations", r) for r in results] == [20] * 35
 
     def test_block_solve_on_singular_operator(self):
         d = _chain_ops()

@@ -1110,36 +1110,50 @@ class TestCli:
         assert reconstruct(1.01 * bound)[0] == 0
         assert reconstruct(1e-30, solver="tikhonov") == (0, "")
 
+    def test_rho_above_the_x_update_bound_exit_two(self, model7, tmp_path, capsys):
+        # on the shipped config the bound comes from S and D (4.1e-4), and the
+        # message states it; tikhonov builds no x-update and runs
+        data = tmp_path / "dv_noisy.txt"
+        save_frames(data, [model7.dv_noisy])
+
+        def run(verb, rho, **overrides):
+            cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "run"), rho=rho,
+                                  inverse_elements=1024, forward_elements=16384, **overrides)
+            code = main([verb, "--config", str(cfg_path), "--data", str(data)])
+            return code, capsys.readouterr().err
+
+        for verb in ("reconstruct", "sweep"):
+            code, err = run(verb, 1.0)
+            assert code == 2 and err.startswith("config error: rho: ")
+            assert len(err.strip().splitlines()) == 1
+        bound = float(re.search(r"largest admissible rho for this S and D is (\S+),", err)[1])
+        assert run("reconstruct", 1.01 * bound)[0] == 2
+        assert run("reconstruct", 0.99 * bound) == (0, "")
+        assert run("reconstruct", 1.0, solver="tikhonov") == (0, "")
+
     @pytest.mark.filterwarnings("error")
-    def test_rho_near_the_float_range_runs_silently(self, chain_outputs, tmp_path, capsys):
-        # rho / kappa of the x-update's constant mode overflows: the mode
-        # carries no weight there, and every solve meets its contract silently
+    def test_rho_near_the_float_range_exit_two(self, chain_outputs, tmp_path, capsys):
+        # rho is compared with the largest admissible rho, and no product
+        # with rho leaves the float range on the way
         _, out = chain_outputs
         cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "run"), rho=1e308)
         assert main(["reconstruct", "--config", str(cfg_path),
-                     "--data", str(out / "dv_noisy.txt")]) == 0
-        assert capsys.readouterr().err == ""
+                     "--data", str(out / "dv_noisy.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: rho: the largest admissible rho for this S and D is ")
+        assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("solver", ["nwatv", "tv"])
-    def test_overflowing_shrink_threshold_is_silent(self, chain_outputs, tmp_path, capsys, solver):
-        # lam/rho = 1e310 overflows: every shrink gives 0, and nothing is printed
-        _, out = chain_outputs
-        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "run"),
-                              lam=1e300, solver=solver)
-        data = str(out / "dv_noisy.txt")
-        assert main(["reconstruct", "--config", str(cfg_path), "--data", data]) == 0
-        assert capsys.readouterr().err == ""
-
-    def test_tiny_radius_on_shipped_data_exit_three(self, model7, tmp_path, capsys):
-        # the data of a 0.1 m disk on a 1e-150 m one: the x-update cannot
-        # meet its residual bound at iteration 1
+    def test_tiny_radius_on_shipped_data_exit_two(self, model7, tmp_path, capsys):
+        # the data of a 0.1 m disk on a 1e-150 m one: |D^T D|_1 is near 1e305,
+        # which puts the largest admissible rho below the shipped 1e-10
         data = tmp_path / "dv_noisy.txt"
         save_frames(data, [model7.dv_noisy])
         cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"),
                               inverse_elements=1024, forward_elements=16384, radius=1e-150)
-        assert main(["reconstruct", "--config", str(cfg_path), "--data", str(data)]) == 3
+        assert main(["reconstruct", "--config", str(cfg_path), "--data", str(data)]) == 2
         err = capsys.readouterr().err
-        assert "x-update residual" in err and len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: rho: the largest admissible rho for this S and D is ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_verbose_flag_holds_for_its_own_call(self, tmp_path, caplog):
         cfg_path = str(_write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out")))
