@@ -1143,6 +1143,16 @@ class TestCli:
         assert err.startswith("config error: rho: the largest admissible rho for this S and D is ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("solver", ["nwatv", "tv"])
+    def test_overflowing_shrink_threshold_is_silent(self, chain_outputs, tmp_path, capsys, solver):
+        # lam/rho = 1e310 overflows: every shrink gives 0, and nothing is printed
+        _, out = chain_outputs
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "run"),
+                              lam=1e300, solver=solver)
+        data = str(out / "dv_noisy.txt")
+        assert main(["reconstruct", "--config", str(cfg_path), "--data", data]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_tiny_radius_on_shipped_data_exit_two(self, model7, tmp_path, capsys):
         # the data of a 0.1 m disk on a 1e-150 m one: |D^T D|_1 is near 1e305,
         # which puts the largest admissible rho below the shipped 1e-10
