@@ -68,18 +68,19 @@ def _column_norms(a: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _refine(solve, apply, rhs, *, tol, steps, what, key) -> np.ndarray:
+def _refine(solve, apply, rhs, *, tol, steps) -> tuple[np.ndarray, np.ndarray]:
     """Solve apply(x) = rhs for one right-hand side (n,) or a block (n, k),
     given an approximate inverse ``solve`` of the operator ``apply``.
 
     Each column is solved once and then corrected, for at most ``steps``
     corrections, until its residual is at most ``tol`` of its right-hand
     side; only the columns that still miss are corrected again, and a zero
-    column has the zero solution. If a column still misses after the last
-    correction (a NaN residual counts), SolverError names the worst one as
-    ``diagnostics[key]``."""
+    column has the zero solution. Returns x and each column's relative
+    residual at its last check, (k,): 0 for a zero column, NaN where the
+    residual is NaN. The caller judges a column that still misses."""
     b = rhs.reshape(len(rhs), -1)
     norm_b = _column_norms(b)
+    rel = np.zeros(b.shape[1])
     cols = np.flatnonzero(norm_b != 0)
     live = slice(None) if cols.size == b.shape[1] else cols  # no block copies while all run
     x = solve(b) if cols.size == b.shape[1] else np.zeros(b.shape)
@@ -87,21 +88,15 @@ def _refine(solve, apply, rhs, *, tol, steps, what, key) -> np.ndarray:
         x[:, cols] = solve(b[:, cols])
     for correction in range(steps + 1):
         r = b[:, live] - apply(x[:, live])
-        norm_r = _column_norms(r)
-        miss = ~(norm_r <= tol * norm_b[live])
-        if not miss.any():
-            return x.reshape(rhs.shape)
+        rel[live] = _column_norms(r) / norm_b[live]
+        miss = ~(rel[live] <= tol)
+        if not miss.any() or correction == steps:
+            break
         if not miss.all():  # while every live column misses, live keeps its slice
-            cols, r, norm_r = cols[miss], r[:, miss], norm_r[miss]
+            cols, r = cols[miss], r[:, miss]
             live = cols
-        if correction < steps:
-            x[:, live] += solve(r)
-    rel = norm_r / norm_b[cols]
-    worst = int(np.argmax(rel))  # argmax takes a NaN as the largest
-    raise SolverError(
-        f"{what} residual {rel[worst]:.3e} above {tol:.0e}",
-        diagnostics={key: int(cols[worst]), "relative_residual": float(rel[worst])},
-    )
+        x[:, live] += solve(r)
+    return x.reshape(rhs.shape), rel
 
 
 @dataclass(frozen=True)
@@ -196,8 +191,11 @@ def solve_potentials(
         u[1:] = lu.solve(f[1:])
         return u
 
-    u = _refine(pinned, stiffness.dot, rhs, tol=_RESIDUAL_TOL, steps=8, what="FEM solve",
-                key="drive")
+    u, rel = _refine(pinned, stiffness.dot, rhs, tol=_RESIDUAL_TOL, steps=8)
+    drive = int(np.argmax(rel))  # argmax takes a NaN as the largest
+    if not rel[drive] <= _RESIDUAL_TOL:
+        raise SolverError(f"FEM solve residual {rel[drive]:.3e} above {_RESIDUAL_TOL:.0e}",
+                          diagnostics={"drive": drive, "relative_residual": float(rel[drive])})
     return DrivePotentials(potentials=u - u[enodes].mean(axis=0), current=float(current))
 
 

@@ -235,7 +235,7 @@ class XUpdateSolver:
 
     Where kappa = 0 (S 1 = 0, a singular operator) alpha is 0: a consistent
     right-hand side gets its minimum-norm solution, and an inconsistent one
-    fails the residual check of the refinement against the exact operator,
+    misses the residual check of the refinement against the exact operator,
     applied matrix-free. No N x N array is formed. rho must lie in
     [min_rho, max_rho], set by S and D alone: below it the bound
     1 + |S W|_1 / rho on cond(C) passes _CAPACITANCE_COND, above it
@@ -313,33 +313,30 @@ class XUpdateSolver:
         alpha = a * r.sum(axis=0) - b @ s_q
         return q - self._gain @ s_q + self._constant[:, None] * alpha
 
-    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Solve for one right-hand side (N,) or a block (N, K) under
-        forward._refine, and return x with S x and D x: those of the
-        refinement's last residual check when it read all of x, else
-        computed. A SolverError also holds ``min_rho`` and ``max_rho``."""
+        forward._refine, and return x with S x, D x and each column's
+        relative residual, (K,), which the caller judges: S x and D x are
+        those of the refinement's last residual check when it read all of
+        x, else computed."""
         checked = []  # the shape, S x and D x of the last residual check's x
 
         def apply(x):  # the exact operator ((1/rho) S^T S + D^T D) x, matrix-free
             checked[:] = x.shape, self.s @ x, self.d @ x
             return self.s.T @ checked[1] / self.rho + self.dt @ checked[2]
 
-        try:
-            x = _refine(self._woodbury_solve, apply, rhs, tol=_RESIDUAL_TOL, steps=5,
-                        what="x-update", key="column")
-        except SolverError as exc:
-            exc.diagnostics.update(min_rho=self.min_rho, max_rho=self.max_rho)
-            raise
+        x, rel = _refine(self._woodbury_solve, apply, rhs, tol=_RESIDUAL_TOL, steps=5)
         if checked[0] == x.shape:
-            return x, checked[1], checked[2]
-        return x, self.s @ x, self.d @ x
+            return x, checked[1], checked[2], rel
+        return x, self.s @ x, self.d @ x, rel
 
 
 _VARIANTS = ("nwatv", "fotv", "tv")
 _READS_DELTA = ("nwatv",)  # the variants whose result depends on delta
 
 
-# a non-finite x-update is a SolverError; an overflowed tv threshold shrinks every pair to 0
+# a non-finite x-update column runs to the stop filter and ends there with a SolverError;
+# an overflowed tv threshold shrinks every pair to 0
 @np.errstate(over="ignore", invalid="ignore")
 def reconstruct_block(
     x_update: XUpdateSolver, delta_v, lams, deltas, *, variant: str = "nwatv",
@@ -354,10 +351,11 @@ def reconstruct_block(
     "nwatv" (weights refreshed from each iterate), "fotv" (weights frozen
     at one) or "tv" (isotropic group shrinkage). Each column stops when its
     step |x_new - x| drops below ``tol``, after ``max_iters`` iterations, on
-    an x-update failure or on reweighted weights that are not all > 0 (an
-    overflowed |D x|^2), while the others go on; its entry in the
-    returned list is then its ReconResult or its SolverError, and it
-    leaves the ADMM state, which holds only the running columns. ``mask``
+    an x-update that misses _RESIDUAL_TOL or on reweighted weights that are
+    not all > 0 (an overflowed |D x|^2), while the others go on; its entry
+    in the returned list is then its ReconResult or the SolverError of its
+    first failure, and at the end of that iteration it leaves the ADMM
+    state, which holds only the running columns. ``mask``
     (boolean array or index list) forces x to 0 outside it. With
     ``keep_history=False`` every history is empty (0, N).
     """
@@ -398,22 +396,14 @@ def reconstruct_block(
     for it in range(1, max_iters + 1):
         t0 = time.perf_counter()
         y_rho = y / rho
-        rhs = st_b + dt @ (z - y_rho)
-        while live.size:
-            try:
-                x_new, s_x, d_x = x_update.solve(rhs)
-                break
-            except SolverError as exc:
-                j = exc.diagnostics["column"]
-                c = int(live[j])
+        x_new, s_x, d_x, solved = x_update.solve(st_b + dt @ (z - y_rho))
+        for c, r in zip(live.tolist(), solved.tolist()):
+            if not r <= _RESIDUAL_TOL:
                 errors[c] = SolverError(
-                    f"iteration {it}: {exc}",
-                    diagnostics={**exc.diagnostics, "column": c, "iteration": it},
+                    f"iteration {it}: x-update residual {r:.3e} above {_RESIDUAL_TOL:.0e}",
+                    diagnostics={"column": c, "iteration": it, "relative_residual": r,
+                                 "min_rho": x_update.min_rho, "max_rho": x_update.max_rho},
                 )
-                live, rhs, y_rho, x, z, p, y = (
-                    np.delete(a, j, axis=-1) for a in (live, rhs, y_rho, x, z, p, y))
-        if not live.size:
-            break
         if mask is not None:
             x_new = apply_mask(x_new, mask)
             s_x, d_x = s @ x_new, d @ x_new
@@ -427,10 +417,10 @@ def reconstruct_block(
         if variant in _READS_DELTA:
             p = nwatv_weights(d_x, deltas[live])
             for c in live[~np.all(p > 0, axis=0)].tolist():
-                errors[c] = SolverError(
+                errors.setdefault(c, SolverError(  # an x-update error of this iteration stands
                     f"iteration {it}: NWATV weights are not all > 0 after the reweight",
                     diagnostics={"column": c, "iteration": it},
-                )
+                ))
         t3 = time.perf_counter()
         y += rho * (d_x - z_new)
         z = z_new
@@ -451,6 +441,8 @@ def reconstruct_block(
         stop = (step[live] < tol) | np.isin(live, list(errors))
         if stop.any():
             live, x, z, p, y = (a[..., ~stop] for a in (live, x, z, p, y))
+        if not live.size:
+            break
 
     import logging  # the message is formatted only where DEBUG is enabled
     logging.getLogger(__name__).debug(

@@ -16,19 +16,21 @@ from .mesh import _write_text
 
 
 def _in_domain(sigma_n: np.ndarray, sigma_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The entries finite in both inputs. When a sum of their squared
-    differences could overflow, or the squares of either input underflow,
-    both are scaled by one power of two that puts the largest magnitude
-    just below the overflow bound, so the smaller values keep as much range
-    as they can. A power of two changes neither RE nor PSNR, and between
-    the two bounds no value is touched."""
+    """The entries finite in both inputs, of which there must be one. When
+    a sum of their squared differences could overflow, or the squares of
+    either input underflow, both are scaled by one power of two that puts
+    the largest magnitude just below the overflow bound, so the smaller
+    values keep as much range as they can. A power of two changes neither
+    RE nor PSNR, and between the two bounds no value is touched."""
     a = np.asarray(sigma_n, dtype=float)
     b = np.asarray(sigma_star, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     m = np.isfinite(a) & np.isfinite(b)
+    if not m.any():
+        raise ValueError("no jointly in-domain pixels")
     a, b = a[m], b[m]
-    peaks = [p for p in (float(np.max(np.abs(x), initial=0.0)) for x in (a, b)) if p > 0]
+    peaks = [p for p in (float(np.max(np.abs(x))) for x in (a, b)) if p > 0]
     hi, lo = max(peaks, default=0.0), min(peaks, default=0.0)
     # |a - b|^2 <= 4 hi^2 per entry
     if peaks and not (4.0 * a.size * hi * hi < math.inf and lo * lo >= sys.float_info.min):
@@ -45,20 +47,19 @@ def relative_error(sigma_n: np.ndarray, sigma_star: np.ndarray) -> float:
     return _relative_error(*_in_domain(sigma_n, sigma_star))
 
 
-def psnr(sigma_n: np.ndarray, sigma_star: np.ndarray) -> float:
-    """10*log10(max(sigma_n^2) / mean squared error), in-domain pixels only.
-
-    Identical images return +inf; otherwise an estimate that is 0 on every
-    in-domain pixel, or so small against the error that the ratio
-    underflows, returns -inf.
-    """
-    return _psnr(*_in_domain(sigma_n, sigma_star))
-
-
 def score(sigma_n: np.ndarray, sigma_star: np.ndarray) -> tuple[float, float]:
-    """(relative_error, psnr) of one pair, from one pass over its entries."""
+    """(relative_error, PSNR) of one pair, from one pass over its entries.
+
+    PSNR is 10*log10(max(sigma_n^2) / mean squared error) over the jointly
+    in-domain entries. Identical images score +inf; otherwise an estimate
+    that is 0 on every in-domain pixel, or so small against the error that
+    the ratio underflows, scores -inf.
+    """
     a, b = _in_domain(sigma_n, sigma_star)
-    return _relative_error(a, b), _psnr(a, b)
+    re = _relative_error(a, b)
+    mse = float(np.mean((a - b) ** 2))
+    ratio = float(np.max(a**2)) / mse if mse else math.inf
+    return re, 10.0 * math.log10(ratio) if ratio > 0 else -math.inf
 
 
 def _relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -66,16 +67,6 @@ def _relative_error(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError("reference has zero norm")
     ref = float(np.linalg.norm(b))  # 0 only past that ratio, where b^2 underflows
     return float(np.linalg.norm(a - b)) / ref if ref else math.inf
-
-
-def _psnr(a: np.ndarray, b: np.ndarray) -> float:
-    if not a.size:
-        raise ValueError("no jointly in-domain pixels")
-    mse = float(np.mean((a - b) ** 2))
-    if mse == 0:
-        return math.inf
-    ratio = float(np.max(a**2)) / mse
-    return 10.0 * math.log10(ratio) if ratio > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ per session; tests treat them as read-only.
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from eitkit.forward import add_noise, sensitivity_matrix, signed_difference, simulate_frame
 from eitkit.inverse import XUpdateSolver, build_difference_operators
@@ -26,6 +28,15 @@ RHO = 1e-10  # the shipped ADMM coupling weight
 # each test sets its own max_examples
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
 settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    """Send what Hypothesis still stores, its cache of the constants in the
+    code under test, to a directory the session owns and removes, rather
+    than to .hypothesis/ in the working directory."""
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 @dataclass(frozen=True)

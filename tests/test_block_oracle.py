@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from eitkit.forward import SolverError, _column_norms, _refine
+from eitkit.forward import _RESIDUAL_TOL, SolverError, _column_norms, _refine
 from eitkit.inverse import ReconResult, XUpdateSolver, apply_mask, group_shrink, reconstruct_block
 
 LAMS = [5e-14, 5e-13, 5e-12]
@@ -48,19 +48,10 @@ def _reference_block(x_update, b, lams, deltas, *, variant="nwatv", max_iters=20
     errors = {}
     live = np.arange(k)
     for it in range(1, max_iters + 1):
-        rhs = st_b + dt @ (z[:, live] - y[:, live] / rho)
-        while live.size:
-            try:
-                x_new, _, _ = x_update.solve(rhs)
-                break
-            except SolverError as exc:
-                j = exc.diagnostics["column"]
-                c = int(live[j])
-                errors[c] = SolverError(f"iteration {it}: {exc}",
-                                        diagnostics={**exc.diagnostics, "column": c, "iteration": it})
-                live, rhs = np.delete(live, j), np.delete(rhs, j, axis=1)
-        if not live.size:
-            break
+        x_new, _, _, rel = x_update.solve(st_b + dt @ (z[:, live] - y[:, live] / rho))
+        for j in np.flatnonzero(~(rel <= _RESIDUAL_TOL)):
+            c = int(live[j])
+            errors[c] = SolverError("x-update", diagnostics={"column": c, "iteration": it})
         if mask is not None:
             x_new = apply_mask(x_new, mask)
         d_x = d @ x_new
@@ -73,7 +64,8 @@ def _reference_block(x_update, b, lams, deltas, *, variant="nwatv", max_iters=20
             p[:, live] = _reference_weights(d_x, deltas[live])
             for j in np.flatnonzero(~np.all(p[:, live] > 0, axis=0)):
                 c = int(live[j])
-                errors[c] = SolverError("weights", diagnostics={"column": c, "iteration": it})
+                errors.setdefault(c, SolverError(
+                    "NWATV weights", diagnostics={"column": c, "iteration": it}))
         y[:, live] = y[:, live] + rho * (d_x - z_new)
         z[:, live] = z_new
         step = np.full(k, np.nan)
@@ -87,6 +79,8 @@ def _reference_block(x_update, b, lams, deltas, *, variant="nwatv", max_iters=20
         history.append(x.copy())
         iters[live] = it
         live = live[~(step[live] < tol) & ~np.isin(live, list(errors))]
+        if not live.size:
+            break
     history, residuals, steps = np.array(history), np.array(residuals), np.array(steps)
     return [
         errors[c] if c in errors else (x[:, c], history[:m, :, c], residuals[:m, c], steps[:m, c])
@@ -101,6 +95,7 @@ def _assert_same(got, want):
             assert isinstance(g, SolverError)
             assert (g.diagnostics["column"], g.diagnostics["iteration"]) == (
                 w.diagnostics["column"], w.diagnostics["iteration"])
+            assert str(g).startswith(f"iteration {w.diagnostics['iteration']}: {w}")
             continue
         assert isinstance(g, ReconResult)
         for a, b in zip((g.final, g.history, g.data_residual, g.step_norm), w):
@@ -142,6 +137,15 @@ class TestBlockMatchesGatheringLoop:
         want = _reference_block(x_update, model7.dv_noisy, LAMS, DELTAS, max_iters=5)
         assert got[1].diagnostics["iteration"] == 2
         _assert_same(got, want)
+
+    @pytest.mark.filterwarnings("error")
+    def test_columns_failing_their_weights(self, model7, x_update):
+        # x 1e154 the first reweight overflows |g|^2 in every penalized column
+        lams = [0.0, *LAMS]
+        got = reconstruct_block(x_update, model7.dv_noisy * 1e154, lams, [0.01] * 4, max_iters=3)
+        assert all(isinstance(g, SolverError) for g in got)
+        _assert_same(got, _reference_block(x_update, model7.dv_noisy * 1e154, lams, [0.01] * 4,
+                                           max_iters=3))
 
     def test_mask(self, coarse, model7, x_update):
         mask = np.linalg.norm(coarse.mesh.element_centroids, axis=1) < 0.07
@@ -192,7 +196,7 @@ def test_solve_returns_the_products_of_its_x(coarse, x_update, cols, zero):
     rhs = np.random.default_rng(5).normal(size=(coarse.mesh.n_elements, *cols))
     if zero is not None:
         rhs[:, zero] = 0.0
-    x, s_x, d_x = x_update.solve(rhs)
+    x, s_x, d_x, _ = x_update.solve(rhs)
     assert np.array_equal(s_x, coarse.s @ x) and np.array_equal(d_x, coarse.d @ x)
 
 
@@ -215,6 +219,7 @@ def _reference_refine(solve, apply, rhs, *, tol, steps):
     """_refine with the missing columns gathered after every check."""
     b = rhs.reshape(len(rhs), -1)
     norm_b = _column_norms(b)
+    rel = np.zeros(b.shape[1])
     cols = np.flatnonzero(norm_b != 0)
     live = slice(None) if cols.size == b.shape[1] else cols
     x = solve(b) if cols.size == b.shape[1] else np.zeros(b.shape)
@@ -222,15 +227,15 @@ def _reference_refine(solve, apply, rhs, *, tol, steps):
         x[:, cols] = solve(b[:, cols])
     for correction in range(steps + 1):
         r = b[:, live] - apply(x[:, live])
-        norm_r = _column_norms(r)
-        miss = ~(norm_r <= tol * norm_b[live])
+        rel[live] = _column_norms(r) / norm_b[live]
+        miss = ~(rel[live] <= tol)
         if not miss.any():
-            return x.reshape(rhs.shape)
-        cols, r, norm_r = cols[miss], r[:, miss], norm_r[miss]
+            break
+        cols, r = cols[miss], r[:, miss]
         live = cols
         if correction < steps:
             x[:, cols] += solve(r)
-    raise SolverError("missed")
+    return x.reshape(rhs.shape), rel
 
 
 class TestRefineMatchesGatheringLoop:
@@ -257,14 +262,15 @@ class TestRefineMatchesGatheringLoop:
             return a @ x
 
         kw = dict(tol=1e-13, steps=8)
-        got = _refine(lu.solve, apply, rhs, what="test", key="column", **kw)
-        want = _reference_refine(lu.solve, lambda x: a @ x, rhs, **kw)
-        assert np.array_equal(got, want)
-        return got, seen
+        got, rel = _refine(lu.solve, apply, rhs, **kw)
+        want, want_rel = _reference_refine(lu.solve, lambda x: a @ x, rhs, **kw)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(rel, want_rel, equal_nan=True)
+        return got, rel, seen
 
     def test_every_column_missing_keeps_the_whole_block(self):
         rhs = np.random.default_rng(12).normal(size=(self.N, 5))
-        got, seen = self._run(rhs)
+        got, rel, seen = self._run(rhs)
         # the second check reads the block itself, not a gathered copy
         assert len(seen) > 2 and seen[1].shape == (self.N, 5)
         assert np.shares_memory(seen[1], got)
@@ -272,11 +278,22 @@ class TestRefineMatchesGatheringLoop:
     def test_columns_meeting_the_target_at_once(self):
         rhs = np.random.default_rng(13).normal(size=(self.N, 4))
         rhs[self.N // 2:, [0, 2]] = 0.0  # solved exactly by the first solve
-        got, seen = self._run(rhs)
+        got, rel, seen = self._run(rhs)
         assert seen[0].shape[1] == 4 and {x.shape[1] for x in seen[1:]} == {2}
 
     def test_zero_column(self):
         rhs = np.random.default_rng(14).normal(size=(self.N, 3))
         rhs[:, 1] = 0.0
-        got, seen = self._run(rhs)
+        got, rel, seen = self._run(rhs)
         assert not got[:, 1].any() and {x.shape[1] for x in seen} == {2}
+        assert rel[1] == 0.0 and rel.max() <= 1e-13
+
+    def test_nan_column_reports_nan_and_is_corrected_to_the_last_step(self):
+        # a NaN column misses at every check: it alone is corrected, 8 times
+        rhs = np.random.default_rng(15).normal(size=(self.N, 3))
+        rhs[:, 2] = np.nan
+        with np.errstate(invalid="ignore"):
+            got, rel, seen = self._run(rhs)
+        assert np.isnan(rel[2]) and rel[:2].max() <= 1e-13
+        assert len(seen) == 9 and seen[-1].shape[1] == 1
+        assert np.all(np.isfinite(got[:, :2]))

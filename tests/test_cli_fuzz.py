@@ -244,6 +244,12 @@ def _check(base, kind, verb, edit, expect):
 # a data residual of 0.96), and 1e308 through a special case
 @example(verb="sweep", edit=("set", ("rho",), 1), expect=2)
 @example(verb="reconstruct", edit=("set", ("rho",), 1e308), expect=2)
+# the config checks that no other case reached: a document that is not an
+# object, an snr_db string that names no number, and empty or zero sweep grids
+@example(verb="mesh", edit=("set", (), []), expect=2)
+@example(verb="mesh", edit=("set", ("snr_db",), "abc"), expect=2)
+@example(verb="mesh", edit=("set", ("sweep_lambda_over_rho",), []), expect=2)
+@example(verb="mesh", edit=("set", ("sweep_delta",), [0.0]), expect=2)
 def test_config_document(base, verb, edit, expect):
     _check(base, "config", verb, edit, expect)
 

@@ -29,10 +29,13 @@ from eitkit.phantom import assign_conductivity, lung_model
 
 def _grounded_solve(k, f):
     """K u = f with u[0] = 0 for one right-hand side (n,) or a block (n, k),
-    through the refinement contract of solve_potentials."""
+    through the refinement of solve_potentials, whose residual contract
+    every column meets."""
     lu = splu(k[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A")
-    return _refine(lambda r: np.insert(lu.solve(r[1:]), 0, 0.0, axis=0), k.dot, f,
-                   tol=forward._RESIDUAL_TOL, steps=8, what="FEM solve", key="drive")
+    u, rel = _refine(lambda r: np.insert(lu.solve(r[1:]), 0, 0.0, axis=0), k.dot, f,
+                     tol=forward._RESIDUAL_TOL, steps=8)
+    assert rel.shape == (u.size // len(u),) and rel.max() <= forward._RESIDUAL_TOL
+    return u
 
 
 def _two_point_disk_potential(nodes, src, snk, current=1.0, sigma=1.0):
@@ -309,6 +312,12 @@ class TestVoltageProtocol:
         for length in (0, 3, 5, 207):
             with pytest.raises(ValueError, match=f"frame length {length} is not E\\*\\(E-3\\)"):
                 save_frames(tmp_path / "frames.txt", [np.zeros(208), np.zeros(length)])
+
+
+    @pytest.mark.parametrize("e", [3, 0])
+    def test_pattern_pairs_input_check(self, e):
+        with pytest.raises(ValueError, match=f"protocol needs at least 4 electrodes, got {e}"):
+            pattern_pairs(e)
 
 
 class TestSensitivityMatrix:

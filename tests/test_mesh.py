@@ -384,6 +384,15 @@ class TestPlaceElectrodes:
         with pytest.raises(ValueError):
             place_electrodes(mesh, 3)
 
+    @pytest.mark.parametrize("angles, match", [
+        (np.arange(15) * 0.4, "angles must have one entry per electrode"),
+        (np.zeros(16), "electrode targets snap to duplicate boundary nodes; mesh too coarse"),
+    ], ids=["angle-count", "one-node"])
+    def test_angle_input_checks(self, angles, match):
+        mesh = generate_disk_mesh(0.1, 256)
+        with pytest.raises(ValueError, match=match):
+            place_electrodes(mesh, 16, angles=angles)
+
     def test_explicit_angles_snap_exactly(self):
         coarse = generate_disk_mesh(0.1, 1024)
         fine = generate_disk_mesh(0.1, 16384)

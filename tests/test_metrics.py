@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eitkit import metrics
-from eitkit.metrics import psnr, relative_error, write_image_pgm
+from eitkit.metrics import relative_error, score, write_image_pgm
 
 
 class TestRelativeError:
@@ -49,25 +49,25 @@ class TestPsnr:
         # peak = 1.21, mse = 0.01 -> 10*log10(121) dB
         truth = np.linspace(0.0, 1.0, 101)
         est = truth + 0.1
-        assert psnr(est, truth) == pytest.approx(10 * math.log10(121), abs=1e-9)
+        assert score(est, truth)[1] == pytest.approx(10 * math.log10(121), abs=1e-9)
 
     def test_common_scaling_invariance(self):
         truth = np.linspace(0.0, 1.0, 101)
         est = truth + 0.1
-        assert psnr(2 * est, 2 * truth) == pytest.approx(psnr(est, truth), abs=1e-9)
+        assert score(2 * est, 2 * truth)[1] == pytest.approx(score(est, truth)[1], abs=1e-9)
 
     def test_identical_images_positive_infinity(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert psnr(a, a) == math.inf
+        assert score(a, a)[1] == math.inf
 
     def test_zero_estimate_negative_infinity(self):
-        assert psnr(np.zeros((2, 2)), np.ones((2, 2))) == -math.inf
+        assert score(np.zeros((2, 2)), np.ones((2, 2)))[1] == -math.inf
 
     def test_monotone_decreasing_in_noise(self):
         rng = np.random.default_rng(1)
         truth = rng.uniform(0.5, 1.5, size=(32, 32))
         noise = rng.normal(size=(32, 32))
-        values = [psnr(truth + s * noise, truth) for s in (0.01, 0.03, 0.1, 0.3, 1.0)]
+        values = [score(truth + s * noise, truth)[1] for s in (0.01, 0.03, 0.1, 0.3, 1.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_independent_recomputation(self):
@@ -83,14 +83,14 @@ class TestPsnr:
                 peak = max(peak, est[i, j] ** 2)
         mse /= 256
         want = 10 * math.log10(peak / mse)
-        assert psnr(est, truth) == pytest.approx(want, abs=1e-9)
+        assert score(est, truth)[1] == pytest.approx(want, abs=1e-9)
 
     def test_sentinels_excluded(self):
         truth = np.array([[1.0, np.nan], [1.0, 1.0]])
         est = np.array([[1.1, 5.0], [1.1, 1.1]])
         # the NaN pixel must not contribute to peak or mse
         want = 10 * math.log10(1.21 / 0.01)
-        assert psnr(est, truth) == pytest.approx(want, abs=1e-9)
+        assert score(est, truth)[1] == pytest.approx(want, abs=1e-9)
 
 
 @pytest.mark.filterwarnings("error")
@@ -103,7 +103,7 @@ def test_scores_keep_their_bits_when_squares_overflow(k):
     est = truth + rng.normal(scale=0.05, size=(32, 32))
     scale = 2.0**k
     assert relative_error(est * scale, truth * scale) == relative_error(est, truth)
-    assert psnr(est * scale, truth * scale) == psnr(est, truth)
+    assert score(est * scale, truth * scale)[1] == score(est, truth)[1]
 
 
 @pytest.mark.filterwarnings("error")
@@ -116,7 +116,7 @@ def test_scores_keep_their_bits_when_squares_underflow(k):
     est = truth + rng.normal(scale=0.05, size=(32, 32))
     scale = 2.0**k
     assert relative_error(est * scale, truth * scale) == relative_error(est, truth)
-    assert psnr(est * scale, truth * scale) == psnr(est, truth)
+    assert score(est * scale, truth * scale)[1] == score(est, truth)[1]
 
 
 @pytest.mark.filterwarnings("error")
@@ -128,10 +128,10 @@ def test_scores_of_a_reference_far_below_the_estimate():
     truth = rng.uniform(0.5, 1.5, size=(32, 32)) * 2.0**-660
     up = 2.0**364
     assert relative_error(est, truth) == relative_error(est * up, truth * up)
-    assert psnr(est, truth) == psnr(est * up, truth * up)
+    assert score(est, truth)[1] == score(est * up, truth * up)[1]
     assert math.isfinite(relative_error(est, truth))
     # the other way round, the peak's ratio to the error underflows
-    assert psnr(truth, est) == -math.inf
+    assert score(truth, est)[1] == -math.inf
     # past about 2**1000 apart, the reference's squares underflow at any
     # common scale, and its RE is past the float range
     assert relative_error(est, truth * 2.0**-400) == math.inf
@@ -143,24 +143,33 @@ def test_scores_of_a_reference_far_below_the_estimate():
     (2.0**-660, 1.0), (1.0, 2.0**-1060),
 ])
 def test_score_is_both_scores_from_one_pass(monkeypatch, est_scale, truth_scale):
-    # the same bits as relative_error and psnr, also where _in_domain
-    # rescales or the scores leave the float range, from one _in_domain call
+    # RE has the bits of relative_error, also where _in_domain rescales or
+    # the scores leave the float range, and both scores come from one
+    # _in_domain call
     rng = np.random.default_rng(4)
     truth = rng.uniform(0.5, 1.5, size=(32, 32))
     est = truth + rng.normal(scale=0.05, size=(32, 32))
     truth[0, 0] = np.nan
     est, truth = est * est_scale, truth * truth_scale
-    want = (relative_error(est, truth), psnr(est, truth))
+    want = relative_error(est, truth)
     calls = []
     real = metrics._in_domain
     monkeypatch.setattr(metrics, "_in_domain", lambda a, b: calls.append(1) or real(a, b))
-    assert metrics.score(est, truth) == want
+    assert score(est, truth)[0] == want
     assert len(calls) == 1
 
 
 def test_score_of_a_zero_reference_raises_as_relative_error():
     with pytest.raises(ValueError, match="reference has zero norm"):
-        metrics.score(np.ones(4), np.zeros(4))
+        score(np.ones(4), np.zeros(4))
+
+
+@pytest.mark.parametrize("est, truth", [(np.full(4, np.nan), np.ones(4)),
+                                        (np.array([1.0, np.nan]), np.array([np.inf, 1.0]))])
+def test_an_empty_domain_is_named_before_either_score(est, truth):
+    for scorer in (score, relative_error):
+        with pytest.raises(ValueError, match="no jointly in-domain pixels"):
+            scorer(est, truth)
 
 
 def _read_pgm(path):
@@ -202,6 +211,15 @@ class TestImagePgm:
         assert gray[0, 0] == 0
         assert np.all(gray.ravel()[1:] == 1)
         assert sidecar["value_lo"] == sidecar["value_hi"] == "1.5"
+
+    def test_all_nan_image_is_all_outside(self, tmp_path):
+        # no in-domain pixel: every gray is the outside level, and the
+        # sidecar records the empty value range as 0.0 to 0.0
+        path = tmp_path / "empty.pgm"
+        write_image_pgm(path, np.full((3, 5), np.nan))
+        gray, sidecar = _read_pgm(path)
+        assert gray.shape == (3, 5) and not gray.any()
+        assert sidecar["value_lo"] == sidecar["value_hi"] == "0.0"
 
     def test_header_format(self, tmp_path):
         img = np.ones((4, 6))

@@ -31,3 +31,13 @@ def test_readme_library_example_runs(capsys):
     (block,) = re.findall(r"^## Library use\n.*?^```python\n(.*?)^```", text, re.S | re.M)
     exec(compile(block, f"{README}:Library use", "exec"), {})
     assert capsys.readouterr().out.startswith("max_iters 20 ")
+
+
+def test_hypothesis_stores_nothing_in_the_checkout():
+    # the property tests' constants cache goes to the session's temporary
+    # directory (conftest), not to .hypothesis/ under the repository
+    from hypothesis.configuration import storage_directory
+
+    path = storage_directory("constants", intent_to_write=False).path.resolve()
+    root = README.parent.resolve()
+    assert root not in path.parents, path
