@@ -2,10 +2,12 @@
 
 Runs mesh -> simulate -> reconstruct -> evaluate -> sweep -> render on
 ``paper-2d.cfg`` through ``eitkit.cli.main``, then sweeps its noisy data
-with the ``fotv`` and ``tv`` solvers and at ``"tol": 1e-2``, runs
-reconstruct -> evaluate -> render on that data with the ``fotv`` and
-``tv`` solvers, and runs mesh -> simulate -> reconstruct on the 4,096 /
-65,536-element meshes, and checks the outputs against
+with the ``fotv``, ``tv`` and ``tikhonov`` solvers, at ``"tol": 1e-2``
+and with boundary preprocessing on, runs reconstruct -> evaluate ->
+render on that data with the ``fotv``, ``tv`` and ``tikhonov`` solvers
+and with boundary preprocessing on, and runs mesh -> simulate ->
+reconstruct on the 4,096 / 65,536-element meshes, and checks the
+outputs against
 ``golden_artifacts.json``. Where numpy, scipy and the
 platform are those recorded there, every non-JSON artifact must keep its
 sha256 (``iterates.csv`` without its ``wall_ms`` column). Elsewhere the
@@ -41,10 +43,11 @@ CONFIG = Path(__file__).resolve().parents[1] / "src" / "eitkit" / "paper-2d.cfg"
 RTOL = 1e-9
 
 # the extra sweeps on the chain's noisy data: output directory -> overrides
-SWEEPS = {"fotv": {"solver": "fotv"}, "tv": {"solver": "tv"}, "tol": {"tol": 1e-2}}
+SWEEPS = {"fotv": {"solver": "fotv"}, "tv": {"solver": "tv"}, "tol": {"tol": 1e-2},
+          "tikhonov": {"solver": "tikhonov"}, "preprocess": {"enable_preprocess": True}}
 
-# the sweeps whose solver also runs reconstruct -> evaluate -> render there
-CHAINS = ("fotv", "tv")
+# the sweeps whose overrides also run reconstruct -> evaluate -> render there
+CHAINS = ("fotv", "tv", "tikhonov", "preprocess")
 
 # the fine chain's mesh sizes, run through mesh -> simulate -> reconstruct
 FINE = {"inverse_elements": 4096, "forward_elements": 65536}
