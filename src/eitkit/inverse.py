@@ -501,27 +501,39 @@ def reconstruct_tv_isotropic(
                    max_iters=max_iters, tol=tol, mask=mask)
 
 
-def reconstruct_tikhonov(s, delta_v, lam: float) -> ReconResult:
-    """One-shot ridge solution (S^T S + lam I)^{-1} S^T b, computed as
-    S^T (S S^T + lam I)^{-1} b: an M x M factorization instead of N x N,
-    whose failure is a SolverError."""
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    t0 = time.perf_counter()
+def reconstruct_tikhonov(s, delta_v, lams) -> list[ReconResult | SolverError]:
+    """One-shot ridge solutions (S^T S + lam I)^{-1} S^T b, one per entry of
+    ``lams``, each computed as S^T (S S^T + lam I)^{-1} b: an M x M
+    factorization instead of N x N, of the S S^T that every lam shares.
+    A lam whose factorization fails gets its SolverError in the returned
+    list while the others go on; only bad input raises (ValueError)."""
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 1 or not lams.size or not np.all(lams > 0):
+        raise ValueError(f"lams must be a nonempty sequence of values > 0, got {lams}")
     s = np.asarray(s, dtype=float)
     b = np.asarray(delta_v, dtype=float)
-    ridge = s @ s.T + lam * np.eye(s.shape[0])
-    try:
-        factor = sla.cho_factor(ridge, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"ridge matrix S S^T + lam I is not positive definite at lam {lam:g}",
-                          diagnostics={"ridge_condition": float(np.linalg.cond(ridge))}) from exc
-    x = s.T @ sla.cho_solve(factor, b)
-    return ReconResult(
-        final=x,
-        history=x[None, :],
-        data_residual=_data_residual(s @ x[:, None], b, _column_norms(b[:, None])[0]),
-        step_norm=np.array([np.linalg.norm(x)]),
-        wall_ms=np.array([(time.perf_counter() - t0) * 1e3]),
-        termination="direct",
-    )
+    if s.shape[0] != b.shape[0]:
+        raise ValueError(f"S has {s.shape[0]} rows but data has length {b.shape[0]}")
+    gram = s @ s.T
+    b_norm = _column_norms(b[:, None])[0]
+    results = []
+    for lam in lams.tolist():
+        t0 = time.perf_counter()
+        ridge = gram + lam * np.eye(len(gram))
+        try:
+            factor = sla.cho_factor(ridge, lower=True)
+        except np.linalg.LinAlgError:
+            results.append(SolverError(
+                f"ridge matrix S S^T + lam I is not positive definite at lam {lam:g}",
+                diagnostics={"ridge_condition": float(np.linalg.cond(ridge))}))
+            continue
+        x = s.T @ sla.cho_solve(factor, b)
+        results.append(ReconResult(
+            final=x,
+            history=x[None, :],
+            data_residual=_data_residual(s @ x[:, None], b, b_norm),
+            step_norm=np.array([np.linalg.norm(x)]),
+            wall_ms=np.array([(time.perf_counter() - t0) * 1e3]),
+            termination="direct",
+        ))
+    return results

@@ -8,7 +8,7 @@ p - center in the (a, b) basis have Euclidean norm <= 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -109,18 +109,7 @@ _DOCUMENT = {"background": float, "inclusions": list[_INCLUSION]}
 
 
 def save_phantom(path, spec: PhantomSpec) -> None:
-    _write_json(path, {
-        "background": spec.background,
-        "inclusions": [
-            {
-                "center": list(inc.center),
-                "axis_a": list(inc.axis_a),
-                "axis_b": list(inc.axis_b),
-                "value": inc.value,
-            }
-            for inc in spec.inclusions
-        ],
-    })
+    _write_json(path, asdict(spec))
 
 
 def load_phantom(path) -> PhantomSpec:

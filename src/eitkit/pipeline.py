@@ -201,18 +201,6 @@ def _load_field(path, what: str, loader=load_field_series, length: int | None = 
 # experiment assembly
 
 
-@dataclass
-class InverseProblem:
-    """Coarse mesh, sensitivity matrix, and the factored x-update that
-    every ADMM solve on the problem takes, which holds the difference
-    matrix D (None for the one-shot ridge solver)."""
-
-    mesh: TriMesh
-    s: np.ndarray
-    x_update: inverse.XUpdateSolver | None
-    timings_s: dict
-
-
 def load_phantom_spec(cfg: PipelineConfig) -> PhantomSpec:
     if cfg.phantom_model is not None:
         return lung_model(cfg.phantom_model)
@@ -232,37 +220,6 @@ def _disk(cfg: PipelineConfig, n_elements: int, angles=None) -> tuple[TriMesh, E
         return mesh, place_electrodes(mesh, cfg.electrode_count, angles=angles)
     except ValueError as exc:
         raise ConfigError(f"electrode_count: {exc} ({n_elements} elements)")
-
-
-def build_inverse_problem(cfg: PipelineConfig, disk=None) -> InverseProblem:
-    """The config's inverse problem on ``disk``, the (mesh, layout) pair of
-    ``_disk(cfg, cfg.inverse_elements)``, built here when not given."""
-    t0 = time.perf_counter()
-    mesh, layout = disk or _disk(cfg, cfg.inverse_elements)
-    d = inverse.build_difference_operators(mesh)
-    t1 = time.perf_counter()
-    # the x-update's scale |S|^2/rho must be a positive finite number: a
-    # non-finite S, one whose squares overflow and one that underflows to
-    # zero all fail here rather than as warnings or a solver failure later
-    s = _homogeneous(cfg, forward.sensitivity_matrix, mesh, layout, cfg.sigma0, cfg.current_ma)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.vdot(s, s) / cfg.rho
-    if not 0 < scale < math.inf:
-        raise ConfigError(f"sigma0/current_ma: {cfg.sigma0} S/m and {cfg.current_ma} mA give "
-                          f"a sensitivity matrix S with |S|^2/rho = {scale:.3g} at rho {cfg.rho}, "
-                          f"not a positive finite number")
-    t2 = time.perf_counter()
-    try:
-        x_update = inverse.XUpdateSolver(s, d, cfg.rho) if cfg.solver in _ITERATIVE else None
-    except forward.SolverError as exc:  # a rho outside the x-update's interval
-        raise ConfigError(f"rho: {exc}")
-    t3 = time.perf_counter()
-    return InverseProblem(
-        mesh=mesh,
-        s=s,
-        x_update=x_update,
-        timings_s={"assembly": t1 - t0, "sensitivity": t2 - t1, "factorization": t3 - t2},
-    )
 
 
 def _homogeneous(cfg: PipelineConfig, solve, *args):
@@ -331,7 +288,8 @@ def _score(cfg: PipelineConfig, index: np.ndarray, delta_sigma: np.ndarray,
 
 
 # the iterative solvers and their K = 1 calls in the library; the pipeline
-# runs every solve, a single one included, through ``_solve``
+# runs every solve, a single one included, through ``_solve``, and reads
+# this table only for the names in _SOLVERS
 _ITERATIVE = {
     "nwatv": inverse.reconstruct_nwatv,
     "fotv": inverse.reconstruct_fotv,
@@ -340,32 +298,56 @@ _ITERATIVE = {
 _SOLVERS = (*_ITERATIVE, "tikhonov")
 
 
-def _ridge(s: np.ndarray, delta_v: np.ndarray, lam: float):
-    """The ridge solution at ``lam``, or the SolverError that ended it."""
-    try:
-        return inverse.reconstruct_tikhonov(s, delta_v, lam)
-    except forward.SolverError as exc:
-        return exc
-
-
-def _solve(cfg: PipelineConfig, problem: InverseProblem, delta_v: np.ndarray,
-           problems: list[tuple[float, float]], keep_history: bool) -> list:
+def _solve(cfg: PipelineConfig, disk: tuple[TriMesh, ElectrodeLayout], delta_v: np.ndarray,
+           problems: list[tuple[float, float]], keep_history: bool) -> tuple[list, dict]:
     """A ReconResult, or the SolverError that ended it, for each (lam, delta)
-    problem of one frame: the boundary preprocessing first when enabled
-    (its failure ends every problem), then one ADMM block of the problems
-    (``inverse.reconstruct_block``) or, for tikhonov, one ridge solve per lam."""
+    problem of one frame on ``disk``, the inverse mesh and its electrodes,
+    with the wall time of each phase: D ("assembly"), S ("sensitivity"),
+    the x-update's factors for the ADMM solvers ("factorization"), then
+    ("iterations") the boundary preprocessing when enabled, whose failure
+    ends every problem, and one ADMM block of the problems
+    (``inverse.reconstruct_block``) or one ridge call on their lams."""
+    t0 = time.perf_counter()
+    mesh, layout = disk
+    d = inverse.build_difference_operators(mesh)
+    t1 = time.perf_counter()
+    # a non-finite S, one whose squares overflow and one that underflows to
+    # zero fail here rather than as warnings or a solver failure later; so
+    # does an x-update scale |S|^2/rho past the float range
+    s = _homogeneous(cfg, forward.sensitivity_matrix, mesh, layout, cfg.sigma0, cfg.current_ma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = np.vdot(s, s)
+        scale = norm2 / cfg.rho
+    given = f"{cfg.sigma0} S/m and {cfg.current_ma} mA give a sensitivity matrix S with"
+    if not 0 < norm2 < math.inf:
+        raise ConfigError(f"sigma0/current_ma: {given} |S|^2 = {norm2:.3g}, "
+                          f"not a positive finite number")
+    iterative = cfg.solver != "tikhonov"
+    if iterative and not 0 < scale < math.inf:
+        raise ConfigError(f"sigma0/current_ma/rho: {given} |S|^2/rho = {scale:.3g} at rho "
+                          f"{cfg.rho}, not a positive finite number")
+    t2 = time.perf_counter()
+    try:
+        x_update = inverse.XUpdateSolver(s, d, cfg.rho) if iterative else None
+    except forward.SolverError as exc:  # a rho outside the x-update's interval
+        raise ConfigError(f"rho: {exc}")
+    t3 = time.perf_counter()
     try:
         if cfg.enable_preprocess:
-            boundary = problem.mesh.boundary_elements()
-            delta_v = inverse.preprocess_boundary(delta_v, problem.s, boundary, cfg.lambda_b)
+            boundary = mesh.boundary_elements()
+            delta_v = inverse.preprocess_boundary(delta_v, s, boundary, cfg.lambda_b)
     except forward.SolverError as exc:
-        return [exc] * len(problems)
-    if cfg.solver == "tikhonov":
-        return [_ridge(problem.s, delta_v, lam) for lam, _ in problems]
-    return inverse.reconstruct_block(
-        problem.x_update, delta_v, *zip(*problems), variant=cfg.solver,
-        max_iters=cfg.max_iters, tol=cfg.tol, mask=cfg.mask_elements, keep_history=keep_history,
-    )
+        solved = [exc] * len(problems)
+    else:
+        if iterative:
+            solved = inverse.reconstruct_block(
+                x_update, delta_v, *zip(*problems), variant=cfg.solver, max_iters=cfg.max_iters,
+                tol=cfg.tol, mask=cfg.mask_elements, keep_history=keep_history)
+        else:
+            solved = inverse.reconstruct_tikhonov(s, delta_v, [lam for lam, _ in problems])
+    t4 = time.perf_counter()
+    return solved, {"assembly": t1 - t0, "sensitivity": t2 - t1, "factorization": t3 - t2,
+                    "iterations": t4 - t3}
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +423,15 @@ def cmd_reconstruct(cfg: PipelineConfig, data_path=None) -> dict:
     the iterate history and CSV, and a raster image."""
     out = _outdir(cfg)
     data_path = Path(data_path) if data_path is not None else out / "dv_noisy.txt"
-    problem = build_inverse_problem(cfg)
+    disk = _disk(cfg, cfg.inverse_elements)
     dv = _load_data(cfg, data_path)
-    t0 = time.perf_counter()
-    (result,) = _solve(cfg, problem, dv, [(cfg.lam, cfg.delta)], keep_history=True)
+    (result,), timings = _solve(cfg, disk, dv, [(cfg.lam, cfg.delta)], keep_history=True)
     if isinstance(result, forward.SolverError):
         raise result
-    iterations_s = time.perf_counter() - t0
     table = {"iteration": list(range(1, result.n_iterations + 1)),
              "data_residual": result.data_residual.tolist(),
              "step_norm": result.step_norm.tolist(), "wall_ms": result.wall_ms.tolist()}
-    image = rasterize(problem.mesh, cfg.sigma0 + result.final, cfg.raster_resolution)
+    image = rasterize(disk[0], cfg.sigma0 + result.final, cfg.raster_resolution)
     return _write_outputs(cfg, "result.json", {
         "delta_sigma.txt": (save_element_values, result.final),
         "iterates.txt": (save_element_values, result.history),
@@ -463,7 +443,7 @@ def cmd_reconstruct(cfg: PipelineConfig, data_path=None) -> dict:
         "termination": result.termination,
         "n_iterations": result.n_iterations,
         "final_data_residual": float(result.data_residual[-1]),
-    }, {**problem.timings_s, "iterations": iterations_s})
+    }, timings)
 
 
 def cmd_evaluate(cfg: PipelineConfig, result_dir=None, reference=None) -> dict:
@@ -531,9 +511,8 @@ def cmd_sweep(cfg: PipelineConfig, data_path=None) -> list[dict]:
     else:
         fmesh, flayout = _disk(cfg, cfg.forward_elements, disk[1].angles)
         dv = _simulate_frames(cfg, fmesh, flayout, spec)[3]
-    problem = build_inverse_problem(cfg, disk)  # after the phantom's checks
-    truth = _truth_image(cfg, spec, problem.mesh)
-    index = raster_index(problem.mesh, cfg.raster_resolution)
+    truth = _truth_image(cfg, spec, disk[0])
+    index = raster_index(disk[0], cfg.raster_resolution)
     t1 = time.perf_counter()
 
     cells = [
@@ -545,7 +524,8 @@ def cmd_sweep(cfg: PipelineConfig, data_path=None) -> list[dict]:
     reads_delta = cfg.solver in inverse._READS_DELTA
     keys = [(ratio * cfg.rho, delta if reads_delta else cfg.sweep_delta[0]) for ratio, delta in cells]
     problems = list(dict.fromkeys(keys))
-    solved = _solve(cfg, problem, dv, problems, keep_history=False)
+    solved, timings = _solve(cfg, disk, dv, problems, keep_history=False)
+    t2 = time.perf_counter()
     outcome = {}  # each problem scored once
     for key, result in zip(problems, solved):
         if isinstance(result, Exception):
@@ -557,7 +537,7 @@ def cmd_sweep(cfg: PipelineConfig, data_path=None) -> list[dict]:
                                 re=re, psnr=psnr)
     rows = [{"lambda_over_rho": ratio, "delta": delta, **outcome[key]}
             for (ratio, delta), key in zip(cells, keys)]
-    t2 = time.perf_counter()
+    t3 = time.perf_counter()
 
     table = {"index": list(range(len(rows))), **{
         k: [row[k] for row in rows]
@@ -569,7 +549,7 @@ def cmd_sweep(cfg: PipelineConfig, data_path=None) -> list[dict]:
         "n_cells": len(cells),
         "data_file": None if data_path is None else str(data_path),
         "failures": sum(1 for r in rows if r["termination"].startswith("error")),
-    }, {"setup": t1 - t0, "cells": t2 - t1})
+    }, {"setup": t1 - t0, **timings, "scoring": t3 - t2})
     return rows
 
 

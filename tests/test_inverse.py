@@ -918,9 +918,8 @@ class TestBaselines:
         assert np.array_equal(z[n:], np.zeros(n))
 
     def test_tikhonov_limits(self, coarse, model7):
-        small = reconstruct_tikhonov(coarse.s, model7.dv_noisy, 1e-12).final
-        huge = reconstruct_tikhonov(coarse.s, model7.dv_noisy, 1e12).final
-        assert np.linalg.norm(huge) <= 1e-6 * np.linalg.norm(small)
+        small, huge = reconstruct_tikhonov(coarse.s, model7.dv_noisy, [1e-12, 1e12])
+        assert np.linalg.norm(huge.final) <= 1e-6 * np.linalg.norm(small.final)
 
     def test_tikhonov_recovers_unit_vector(self):
         rng = np.random.default_rng(23)
@@ -928,24 +927,42 @@ class TestBaselines:
         e3 = np.zeros(12)
         e3[3] = 1.0
         dv = s @ e3
-        out = reconstruct_tikhonov(s, dv, 1e-10).final
-        assert np.linalg.norm(out - e3) <= 1e-6
+        (out,) = reconstruct_tikhonov(s, dv, [1e-10])
+        assert np.linalg.norm(out.final - e3) <= 1e-6
 
     def test_tikhonov_linear_in_data(self, coarse, model7):
-        a = reconstruct_tikhonov(coarse.s, model7.dv_noisy, 1e-6).final
-        b = reconstruct_tikhonov(coarse.s, 2.0 * model7.dv_noisy, 1e-6).final
-        assert np.allclose(b, 2.0 * a, rtol=1e-12, atol=0)
+        (a,) = reconstruct_tikhonov(coarse.s, model7.dv_noisy, [1e-6])
+        (b,) = reconstruct_tikhonov(coarse.s, 2.0 * model7.dv_noisy, [1e-6])
+        assert np.allclose(b.final, 2.0 * a.final, rtol=1e-12, atol=0)
 
     def test_tikhonov_matches_primal_normal_equations(self, coarse, model7):
         # the M x M form S^T (S S^T + lam I)^-1 b equals the N x N ridge solve
         s, b, lam = coarse.s, model7.dv_noisy, 1e-6
         want = np.linalg.solve(s.T @ s + lam * np.eye(s.shape[1]), s.T @ b)
-        got = reconstruct_tikhonov(coarse.s, model7.dv_noisy, lam).final
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        (got,) = reconstruct_tikhonov(coarse.s, model7.dv_noisy, [lam])
+        assert np.linalg.norm(got.final - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_tikhonov_failed_lam_is_its_entry_and_others_match_single_calls(self, coarse, model7):
+        # S S^T is singular to working precision, so lam 1e-20 fails its
+        # Cholesky factorization; the lams around it are those of one-lam calls
+        lams = [1e-6, 1e-20, 1e-3]
+        results = reconstruct_tikhonov(coarse.s, model7.dv_noisy, lams)
+        assert len(results) == 3 and isinstance(results[1], SolverError)
+        assert "ridge_condition" in results[1].diagnostics
+        for lam, got in zip(lams[::2], results[::2]):
+            (want,) = reconstruct_tikhonov(coarse.s, model7.dv_noisy, [lam])
+            assert got.termination == "direct" and np.array_equal(got.final, want.final)
+            assert np.array_equal(got.data_residual, want.data_residual)
 
     def test_tikhonov_rejects_nonpositive_lambda(self, coarse, model7):
-        with pytest.raises(ValueError):
-            reconstruct_tikhonov(coarse.s, model7.dv_noisy, 0.0)
+        # and a lams that is not a nonempty sequence
+        for lams in ([0.0], [1e-6, -1.0], [], 1e-6, [[1e-6]]):
+            with pytest.raises(ValueError, match="nonempty sequence of values > 0"):
+                reconstruct_tikhonov(coarse.s, model7.dv_noisy, lams)
+
+    def test_tikhonov_rejects_data_of_another_length(self, coarse, model7):
+        with pytest.raises(ValueError, match="rows but data has length"):
+            reconstruct_tikhonov(coarse.s, model7.dv_noisy[:-1], [1e-6])
 
     def test_isotropic_tv_runs_and_differs(self, model7, x_update):
         a = reconstruct_tv_isotropic(x_update, model7.dv_noisy, LAM, max_iters=5)

@@ -225,6 +225,16 @@ class TestManifests:
             assert manifest["timings_s"] and not copies & set(manifest), name
             assert manifest["config"] == dataclasses.asdict(small_cfg), name
 
+    def test_reconstruct_and_sweep_record_the_solve_phases(self, small_cfg, tmp_path):
+        cmd_simulate(small_cfg)
+        solve = ["assembly", "sensitivity", "factorization", "iterations"]
+        timings = cmd_reconstruct(small_cfg)["timings_s"]
+        assert list(timings) == solve and all(t >= 0 for t in timings.values())
+        cmd_sweep(small_cfg)
+        timings = json.loads((tmp_path / "out" / "sweep.json").read_text())["timings_s"]
+        assert list(timings) == ["setup", *solve, "scoring"]
+        assert all(t >= 0 for t in timings.values())
+
 
 class TestCmdMesh:
     def test_artifacts(self, small_cfg, tmp_path):
@@ -502,20 +512,24 @@ class TestCmdSweep:
             _write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "o"), solver=solver)
         )
         solved = []  # (lam, delta) of every column solved
+        calls = []  # one entry per block or ridge call
         real_block, real_tikhonov = inv.reconstruct_block, inv.reconstruct_tikhonov
 
         def block(x_update, delta_v, lams, deltas, **options):
+            calls.append("block")
             solved.extend(zip(lams, deltas))
             return real_block(x_update, delta_v, lams, deltas, **options)
 
-        def tikhonov(s, delta_v, lam):
-            solved.append((lam, None))
-            return real_tikhonov(s, delta_v, lam)
+        def tikhonov(s, delta_v, lams):
+            calls.append("ridge")
+            solved.extend((lam, None) for lam in lams)
+            return real_tikhonov(s, delta_v, lams)
 
         monkeypatch.setattr(inv, "reconstruct_block", block)
         monkeypatch.setattr(inv, "reconstruct_tikhonov", tikhonov)
         rows = cmd_sweep(cfg)
         assert len(rows) == 35 and len(solved) == n_solved
+        assert calls == ["ridge" if solver == "tikhonov" else "block"]
         terminations = {r["termination"] for r in rows}
         if solver == "tikhonov":
             assert terminations == {"direct"}
@@ -1058,8 +1072,9 @@ class TestCli:
     ])
     def test_extreme_scale_simulates_then_exit_two(self, tmp_path, capsys, field, value):
         # the frames stay finite, but S = grad u . grad u / I does not, or
-        # |S|^2/rho overflows (1e150 mA, 1e-150 S/m) or underflows to 0
-        # (1e300 S/m)
+        # |S|^2 overflows (1e-150 S/m) or underflows to 0 (1e300 S/m), or
+        # |S|^2/rho overflows at the shipped rho (1e150 mA)
+        fields = "sigma0/current_ma" + "/rho" * ((field, value) == ("current_ma", 1e150))
         cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"), **{field: value})
         assert main(["simulate", "--config", str(cfg_path)]) == 0
         assert capsys.readouterr().err == ""
@@ -1067,7 +1082,8 @@ class TestCli:
         for verb in ("reconstruct", "sweep"):
             assert main([verb, "--config", str(cfg_path)]) == 2
             err = capsys.readouterr().err
-            assert "config error: sigma0/current_ma" in err and len(err.strip().splitlines()) == 1
+            assert err.startswith(f"config error: {fields}: ")
+            assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("verb, data", [
         ("simulate", False), ("reconstruct", True), ("sweep", False), ("sweep", True),
@@ -1130,6 +1146,40 @@ class TestCli:
         assert run("reconstruct", 1.01 * bound)[0] == 2
         assert run("reconstruct", 0.99 * bound) == (0, "")
         assert run("reconstruct", 1.0, solver="tikhonov") == (0, "")
+
+    def test_subnormal_rho_names_the_scale_and_tikhonov_reads_no_rho(self, model7, tmp_path,
+                                                                      capsys):
+        # on the shipped config |S|^2/rho overflows at rho 1e-310, past the
+        # smallest admissible rho (5.2e-18); the ridge never reads rho
+        data = tmp_path / "dv_noisy.txt"
+        save_frames(data, [model7.dv_noisy])
+
+        def run(verb, rho, **overrides):
+            cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "run"), rho=rho,
+                                  inverse_elements=1024, forward_elements=16384, **overrides)
+            code = main([verb, "--config", str(cfg_path), "--data", str(data)])
+            return code, capsys.readouterr().err
+
+        for verb in ("reconstruct", "sweep"):
+            code, err = run(verb, 1e-310)
+            assert code == 2 and err.startswith("config error: sigma0/current_ma/rho: ")
+            assert len(err.strip().splitlines()) == 1
+            code, err = run(verb, 1e-300)
+            assert code == 2 and err.startswith("config error: rho: the smallest admissible rho ")
+        for rho in (1e-300, 1e-310):
+            assert run("reconstruct", rho, solver="tikhonov", lam=1e-12) == (0, "")
+
+    def test_tikhonov_at_extreme_current_is_a_ridge_failure(self, tmp_path, capsys):
+        # 1e150 mA gives a finite |S|^2 that the ridge, reading no rho,
+        # accepts; its S S^T + lam I then fails its Cholesky factorization
+        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"),
+                              current_ma=1e150, solver="tikhonov")
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(cfg_path)]) == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        diag = json.loads((tmp_path / "out" / "solver_error.json").read_text())["diagnostics"]
+        assert "ridge_condition" in diag
 
     @pytest.mark.filterwarnings("error")
     def test_rho_near_the_float_range_exit_two(self, chain_outputs, tmp_path, capsys):
@@ -1196,7 +1246,7 @@ class TestCli:
         main(["simulate", "--config", str(cfg_path)])
 
         def boom(*args, **kwargs):
-            return [SolverError("forced failure", diagnostics={"cond": 1e30})]
+            return [SolverError("forced failure", diagnostics={"cond": 1e30})], {}
 
         monkeypatch.setattr(pl, "_solve", boom)
         rc = main(["reconstruct", "--config", str(cfg_path)])
