@@ -178,14 +178,6 @@ def z_update(w: np.ndarray, p: np.ndarray, lam, rho: float) -> np.ndarray:
     return soft_threshold(w.reshape(2, *g.shape), g).reshape(w.shape)
 
 
-def apply_mask(delta_sigma: np.ndarray, mask) -> np.ndarray:
-    """Zero all entries outside the mask (boolean array or index list)."""
-    out = np.zeros_like(delta_sigma)
-    mask = np.asarray(mask)
-    out[mask] = delta_sigma[mask]
-    return out
-
-
 def preprocess_boundary(delta_v, s, boundary_elements, lambda_b: float) -> np.ndarray:
     """Remove the part of the data explainable by boundary elements alone.
 
@@ -340,7 +332,7 @@ _READS_DELTA = ("nwatv",)  # the variants whose result depends on delta
 @np.errstate(over="ignore", invalid="ignore")
 def reconstruct_block(
     x_update: XUpdateSolver, delta_v, lams, deltas, *, variant: str = "nwatv",
-    max_iters: int = 20, tol: float = 1e-5, mask=None, keep_history: bool = True,
+    max_iters: int = 20, tol: float = 1e-5, keep_history: bool = True,
 ) -> list[ReconResult | SolverError]:
     """K reconstructions of one data vector, run as one ADMM iteration on
     (N, K) blocks.
@@ -355,11 +347,10 @@ def reconstruct_block(
     not all > 0 (an overflowed |D x|^2), while the others go on; its entry
     in the returned list is then its ReconResult or the SolverError of its
     first failure, and at the end of that iteration it leaves the ADMM
-    state, which holds only the running columns. ``mask``
-    (boolean array or index list) forces x to 0 outside it. With
+    state, which holds only the running columns. With
     ``keep_history=False`` every history is empty (0, N).
     """
-    s, d, dt, rho = x_update.s, x_update.d, x_update.dt, x_update.rho
+    s, dt, rho = x_update.s, x_update.dt, x_update.rho
     b = np.asarray(delta_v, dtype=float)
     if s.shape[0] != b.shape[0]:
         raise ValueError(f"S has {s.shape[0]} rows but data has length {b.shape[0]}")
@@ -404,9 +395,6 @@ def reconstruct_block(
                     diagnostics={"column": c, "iteration": it, "relative_residual": r,
                                  "min_rho": x_update.min_rho, "max_rho": x_update.max_rho},
                 )
-        if mask is not None:
-            x_new = apply_mask(x_new, mask)
-            s_x, d_x = s @ x_new, d @ x_new
         t1 = time.perf_counter()
         w = np.add(d_x, y_rho, out=y_rho)
         if variant == "tv":
@@ -473,32 +461,32 @@ def _single(variant: str, x_update, delta_v, lam, delta, **options) -> ReconResu
 
 def reconstruct_nwatv(
     x_update: XUpdateSolver, delta_v, lam: float, delta: float = 0.01,
-    *, max_iters: int = 20, tol: float = 1e-5, mask=None,
+    *, max_iters: int = 20, tol: float = 1e-5,
 ) -> ReconResult:
     """ADMM with the nonlinear reweighted anisotropic penalty (weights
     recomputed from the current iterate each iteration)."""
     return _single("nwatv", x_update, delta_v, lam, delta,
-                   max_iters=max_iters, tol=tol, mask=mask)
+                   max_iters=max_iters, tol=tol)
 
 
 def reconstruct_fotv(
     x_update: XUpdateSolver, delta_v, lam: float, delta: float = 0.01,
-    *, max_iters: int = 20, tol: float = 1e-5, mask=None,
+    *, max_iters: int = 20, tol: float = 1e-5,
 ) -> ReconResult:
     """Same ADMM loop with the weights frozen at one (plain anisotropic TV)."""
     return _single("fotv", x_update, delta_v, lam, delta,
-                   max_iters=max_iters, tol=tol, mask=mask)
+                   max_iters=max_iters, tol=tol)
 
 
 def reconstruct_tv_isotropic(
     x_update: XUpdateSolver, delta_v, lam: float, delta: float = 0.01,
-    *, max_iters: int = 20, tol: float = 1e-5, mask=None,
+    *, max_iters: int = 20, tol: float = 1e-5,
 ) -> ReconResult:
     """ADMM with rotation-invariant group shrinkage coupling the (x, y)
     difference pairs. This baseline is algorithmically unrelated to the
     historical primal-dual TV solvers; timings are not comparable to them."""
     return _single("tv", x_update, delta_v, lam, delta,
-                   max_iters=max_iters, tol=tol, mask=mask)
+                   max_iters=max_iters, tol=tol)
 
 
 def reconstruct_tikhonov(s, delta_v, lams) -> list[ReconResult | SolverError]:

@@ -24,7 +24,6 @@ from . import blas, forward, inverse, metrics
 from .mesh import (
     TriMesh,
     ElectrodeLayout,
-    _element_count,
     _json_fits,
     generate_disk_mesh,
     place_electrodes,
@@ -74,7 +73,6 @@ class PipelineConfig:
     tol: float = 1e-5
     lambda_b: float = 1e-7
     enable_preprocess: bool = False
-    mask_elements: list[int] | None = None
     raster_resolution: int = 256
     out_dir: str = "out"
     sweep_lambda_over_rho: list[float] = field(default_factory=lambda: list(_SWEEP_RATIOS))
@@ -131,11 +129,6 @@ def _validate_config(cfg: PipelineConfig) -> None:
     for r in cfg.profile_rows:
         if not 0 <= r <= cfg.raster_resolution - 1:
             bad("profile_rows", f"row {r} outside 0..{cfg.raster_resolution - 1}")
-    mask, top = cfg.mask_elements, _element_count(cfg.inverse_elements) - 1
-    if mask is not None and not (mask and 0 <= min(mask) and max(mask) <= top):
-        bad("mask_elements", f"must be a nonempty list of inverse element indices in 0..{top}")
-    if cfg.mask_elements is not None and cfg.solver == "tikhonov":
-        bad("mask_elements", "must be unset for solver tikhonov, which does not mask")
 
 
 def load_config(path) -> PipelineConfig:
@@ -342,7 +335,7 @@ def _solve(cfg: PipelineConfig, disk: tuple[TriMesh, ElectrodeLayout], delta_v: 
         if iterative:
             solved = inverse.reconstruct_block(
                 x_update, delta_v, *zip(*problems), variant=cfg.solver, max_iters=cfg.max_iters,
-                tol=cfg.tol, mask=cfg.mask_elements, keep_history=keep_history)
+                tol=cfg.tol, keep_history=keep_history)
         else:
             solved = inverse.reconstruct_tikhonov(s, delta_v, [lam for lam, _ in problems])
     t4 = time.perf_counter()

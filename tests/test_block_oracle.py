@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from eitkit.forward import _RESIDUAL_TOL, SolverError, _column_norms, _refine
-from eitkit.inverse import ReconResult, XUpdateSolver, apply_mask, group_shrink, reconstruct_block
+from eitkit.inverse import ReconResult, XUpdateSolver, group_shrink, reconstruct_block
 
 LAMS = [5e-14, 5e-13, 5e-12]
 DELTAS = [0.001, 0.01, 0.1]
@@ -32,8 +32,7 @@ def _reference_shrink(w, p, lams, rho):
         return np.where(np.abs(w) > g, w - np.copysign(g, w), 0.0)
 
 
-def _reference_block(x_update, b, lams, deltas, *, variant="nwatv", max_iters=20, tol=1e-5,
-                     mask=None):
+def _reference_block(x_update, b, lams, deltas, *, variant="nwatv", max_iters=20, tol=1e-5):
     """reconstruct_block's iteration with every (2N, K) state array indexed
     by the running columns, the weights held on all 2N rows, the shrink as
     a select, S x and D x formed afresh after each x-update, and |b| taken
@@ -52,8 +51,6 @@ def _reference_block(x_update, b, lams, deltas, *, variant="nwatv", max_iters=20
         for j in np.flatnonzero(~(rel <= _RESIDUAL_TOL)):
             c = int(live[j])
             errors[c] = SolverError("x-update", diagnostics={"column": c, "iteration": it})
-        if mask is not None:
-            x_new = apply_mask(x_new, mask)
         d_x = d @ x_new
         w = d_x + y[:, live] / rho
         if variant == "tv":
@@ -146,20 +143,6 @@ class TestBlockMatchesGatheringLoop:
         assert all(isinstance(g, SolverError) for g in got)
         _assert_same(got, _reference_block(x_update, model7.dv_noisy * 1e154, lams, [0.01] * 4,
                                            max_iters=3))
-
-    def test_mask(self, coarse, model7, x_update):
-        mask = np.linalg.norm(coarse.mesh.element_centroids, axis=1) < 0.07
-        kw = dict(max_iters=5, mask=mask)
-        _assert_same(reconstruct_block(x_update, model7.dv_noisy, LAMS, DELTAS, **kw),
-                     _reference_block(x_update, model7.dv_noisy, LAMS, DELTAS, **kw))
-
-    def test_mask_with_columns_stopping_on_tol(self, coarse, model7, x_update):
-        mask = np.linalg.norm(coarse.mesh.element_centroids, axis=1) < 0.07
-        lams, deltas = [5e-11, 5e-10, 5e-9, 5e-12], [0.01, 0.1, 0.01, 0.001]
-        kw = dict(max_iters=30, tol=1e-2, mask=mask)
-        got = reconstruct_block(x_update, model7.dv_noisy, lams, deltas, **kw)
-        assert len({r.n_iterations for r in got}) > 1
-        _assert_same(got, _reference_block(x_update, model7.dv_noisy, lams, deltas, **kw))
 
     def test_column_failing_after_another_stopped(self, model7, x_update, monkeypatch):
         # column 3 stops on tol at iteration 20; column 1 then fails in the

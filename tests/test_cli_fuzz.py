@@ -232,7 +232,8 @@ def _check(base, kind, verb, edit, expect):
 @example(verb="mesh", edit=("set", ("inverse_elements",), Raw("1" + "0" * 5000)), expect=2)
 # was TestCli::test_config_not_utf8_exit_two
 @example(verb="mesh", edit=("insert", 0, b"\xff\xfe"), expect=2)
-# regression: an element index past the 54 inverse elements passed mesh
+# regression: an element index past the 54 inverse elements passed mesh; the field
+# is gone, so the key is now unknown
 @example(verb="mesh", edit=("set", ("mask_elements",), [5000]), expect=2)
 # regression: noise past the float range was a traceback
 @example(verb="simulate", edit=("set", ("snr_db",), -1e308), expect=2)
