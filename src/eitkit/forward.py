@@ -108,7 +108,6 @@ class DrivePotentials:
     """
 
     potentials: np.ndarray  # (n_nodes, E)
-    current: float
 
     @property
     def n_drives(self) -> int:
@@ -196,7 +195,7 @@ def solve_potentials(
     if not rel[drive] <= _RESIDUAL_TOL:
         raise SolverError(f"FEM solve residual {rel[drive]:.3e} above {_RESIDUAL_TOL:.0e}",
                           diagnostics={"drive": drive, "relative_residual": float(rel[drive])})
-    return DrivePotentials(potentials=u - u[enodes].mean(axis=0), current=float(current))
+    return DrivePotentials(potentials=u - u[enodes].mean(axis=0))
 
 
 def extract_voltages(potentials: DrivePotentials, layout: ElectrodeLayout) -> np.ndarray:
@@ -245,7 +244,7 @@ def sensitivity_matrix(
     k = assemble_stiffness(mesh, np.full(mesh.n_elements, float(sigma0)))
     pots = solve_potentials(k, layout, current)
     gx, gy = (g.T for g in _element_gradients(mesh, pots.potentials))  # (E, N)
-    area_over_i = mesh.element_areas / pots.current
+    area_over_i = mesh.element_areas / float(current)
     j, i = np.array(pattern_pairs(layout.count)).T
     return area_over_i * (gx[i] * gx[j] + gy[i] * gy[j])
 

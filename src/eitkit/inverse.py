@@ -378,23 +378,24 @@ def reconstruct_block(
     p = np.ones((n, k))
     y = np.zeros((2 * n, k))
     last = np.zeros((n, k))  # each column's last iterate
-    # traces grow one row per iteration, NaN in the columns that no longer run
-    history, residuals, steps, walls = [], [], [], []
+    # one record per iteration: history, the (2, K) step norms and data residuals
+    # (NaN in the columns that no longer run), and the four phase times in ms
+    history, trace, phases = [], [], []
     iters = np.zeros(k, dtype=int)  # iterations completed by each column
     errors: dict[int, SolverError] = {}
 
-    spent = np.zeros(4)  # ms in the x-update, shrink, reweight and dual phases
+    def fail(c, it, why, **diagnostics):  # a column's first failure stands
+        errors.setdefault(c, SolverError(f"iteration {it}: {why}",
+                                         diagnostics={"column": c, "iteration": it, **diagnostics}))
+
     for it in range(1, max_iters + 1):
         t0 = time.perf_counter()
         y_rho = y / rho
         x_new, s_x, d_x, solved = x_update.solve(st_b + dt @ (z - y_rho))
         for c, r in zip(live.tolist(), solved.tolist()):
             if not r <= _RESIDUAL_TOL:
-                errors[c] = SolverError(
-                    f"iteration {it}: x-update residual {r:.3e} above {_RESIDUAL_TOL:.0e}",
-                    diagnostics={"column": c, "iteration": it, "relative_residual": r,
-                                 "min_rho": x_update.min_rho, "max_rho": x_update.max_rho},
-                )
+                fail(c, it, f"x-update residual {r:.3e} above {_RESIDUAL_TOL:.0e}",
+                     relative_residual=r, min_rho=x_update.min_rho, max_rho=x_update.max_rho)
         t1 = time.perf_counter()
         w = np.add(d_x, y_rho, out=y_rho)
         if variant == "tv":
@@ -405,47 +406,40 @@ def reconstruct_block(
         if variant in _READS_DELTA:
             p = nwatv_weights(d_x, deltas[live])
             for c in live[~np.all(p > 0, axis=0)].tolist():
-                errors.setdefault(c, SolverError(  # an x-update error of this iteration stands
-                    f"iteration {it}: NWATV weights are not all > 0 after the reweight",
-                    diagnostics={"column": c, "iteration": it},
-                ))
+                fail(c, it, "NWATV weights are not all > 0 after the reweight")
         t3 = time.perf_counter()
         y += rho * (d_x - z_new)
         z = z_new
-        step = np.full(k, np.nan)
-        step[live] = _column_norms(x_new - x)
+        row = np.full((2, k), np.nan)
+        row[:, live] = _column_norms(x_new - x), _data_residual(s_x, b, b_norm)
         x = x_new
         last[:, live] = x
-        resid = np.full(k, np.nan)
-        resid[live] = _data_residual(s_x, b, b_norm)
         t4 = time.perf_counter()
-        spent += np.array([t1 - t0, t2 - t1, t3 - t2, t4 - t3]) * 1000.0
-        walls.append((t4 - t0) * 1000.0)
-        residuals.append(resid)
-        steps.append(step)
+        trace.append(row)
+        phases.append(np.diff((t0, t1, t2, t3, t4)) * 1000.0)
         if keep_history:
             history.append(last.copy())
         iters[live] = it
-        stop = (step[live] < tol) | np.isin(live, list(errors))
+        stop = (row[0, live] < tol) | np.isin(live, list(errors))
         if stop.any():
             live, x, z, p, y = (a[..., ~stop] for a in (live, x, z, p, y))
         if not live.size:
             break
 
+    trace, phases = np.array(trace), np.array(phases)
     import logging  # the message is formatted only where DEBUG is enabled
     logging.getLogger(__name__).debug(
         "ADMM block of %d columns, %d iterations: x-update %.1f ms, shrink %.1f ms, "
-        "reweight %.1f ms, dual %.1f ms", k, iters.max(), *spent)
+        "reweight %.1f ms, dual %.1f ms", k, iters.max(), *phases.sum(axis=0))
     history = np.array(history) if keep_history else np.empty((0, n, k))
-    residuals, steps, walls = np.array(residuals), np.array(steps), np.array(walls)
     return [
         errors[c] if c in errors else ReconResult(
             final=last[:, c].copy(),
             history=history[:m, :, c].copy(),  # each result owns its arrays
-            data_residual=residuals[:m, c].copy(),
-            step_norm=steps[:m, c].copy(),
-            wall_ms=walls[:m].copy(),
-            termination="tol" if steps[m - 1, c] < tol else "max_iters",
+            data_residual=trace[:m, 1, c].copy(),
+            step_norm=trace[:m, 0, c].copy(),
+            wall_ms=phases[:m].sum(axis=1),
+            termination="tol" if trace[m - 1, 0, c] < tol else "max_iters",
         )
         for c, m in enumerate(iters)
     ]

@@ -192,6 +192,20 @@ def test_block_logs_one_debug_line(model7, x_update, caplog):
     assert message.startswith("ADMM block of 3 columns, 3 iterations: x-update ")
     for phase in ("shrink", "reweight", "dual"):
         assert f"{phase} " in message and " ms" in message
+    # columns that stop at different iterations: the line counts the longest
+    # column's iterations, its phase times sum to that column's wall_ms, and
+    # every column's wall_ms is a prefix of the longest column's
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="eitkit.inverse"):
+        got = reconstruct_block(x_update, model7.dv_noisy, [5e-11, 5e-10, 5e-9, 5e-12],
+                                [0.01, 0.1, 0.01, 0.001], max_iters=30, tol=1e-2)
+    (record,) = [r for r in caplog.records if r.name == "eitkit.inverse"]
+    longest = max(got, key=lambda r: r.n_iterations)
+    assert len({r.n_iterations for r in got}) > 1
+    assert record.args[1] == longest.n_iterations
+    assert sum(record.args[2:]) == pytest.approx(longest.wall_ms.sum(), rel=1e-9, abs=0)
+    for r in got:
+        assert np.array_equal(r.wall_ms, longest.wall_ms[:r.n_iterations])
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="eitkit.inverse"):
         reconstruct_block(x_update, model7.dv_noisy, LAMS, DELTAS, max_iters=1)

@@ -78,10 +78,11 @@ def _reference_extract_voltages(potentials, layout):
     return np.array([ue[i, j] - ue[(i + 1) % e, j] for j, i in pattern_pairs(e)])
 
 
-def _reference_sensitivity_rows(mesh, layout, potentials):
-    """The per-pattern loop sensitivity_matrix replaced (oracle)."""
+def _reference_sensitivity_rows(mesh, layout, potentials, current=1.0):
+    """The per-pattern loop sensitivity_matrix replaced (oracle), for
+    potentials solved at drive current `current`."""
     gx, gy = _element_gradients(mesh, potentials.potentials)
-    area_over_i = mesh.element_areas / potentials.current
+    area_over_i = mesh.element_areas / current
     return np.vstack([
         area_over_i * (gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j])
         for j, i in pattern_pairs(layout.count)
@@ -304,7 +305,7 @@ class TestVoltageProtocol:
     def test_extract_matches_loop_oracle(self, coarse, e):
         layout = place_electrodes(coarse.mesh, e)
         rng = np.random.default_rng(e)
-        pots = DrivePotentials(rng.normal(size=(coarse.mesh.n_nodes, e)), current=1.0)
+        pots = DrivePotentials(rng.normal(size=(coarse.mesh.n_nodes, e)))
         got = extract_voltages(pots, layout)
         assert got.tobytes() == _reference_extract_voltages(pots, layout).tobytes()
 
