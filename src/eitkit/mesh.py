@@ -363,9 +363,7 @@ def _json_fits(value, hint) -> bool:
         return isinstance(value, list) and all(_json_fits(v, get_args(hint)[0]) for v in value)
     if get_args(hint):  # a union such as int | None
         return any(_json_fits(value, h) for h in get_args(hint))
-    if isinstance(value, bool) or hint is bool:
-        return isinstance(value, bool) and hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+    return not isinstance(value, bool) and isinstance(value, (int, float) if hint is float else hint)
 
 
 def _write_frames(path, frames) -> None:

@@ -71,8 +71,7 @@ class PipelineConfig:
     delta: float = 0.01
     max_iters: int = 20
     tol: float = 1e-5
-    lambda_b: float = 1e-7
-    enable_preprocess: bool = False
+    lambda_b: float | None = None
     raster_resolution: int = 256
     out_dir: str = "out"
     sweep_lambda_over_rho: list[float] = field(default_factory=lambda: list(_SWEEP_RATIOS))
@@ -90,19 +89,19 @@ def _validate_config(cfg: PipelineConfig) -> None:
     # types and then finiteness come first, as the checks below compare
     # numbers and NaN fails every `x < 0`; a float field is finite when it
     # fits a float, which an int past 1e308 does not; snr_db keeps +inf as
-    # its "no noise" sentinel
+    # its "no noise" sentinel, and lambda_b None means no preprocessing
     hints = get_type_hints(PipelineConfig)
     for f in fields(PipelineConfig):
         value = getattr(cfg, f.name)
         if not _json_fits(value, hints[f.name]):
             bad(f.name, f"expected {f.type}, got {json.dumps(value, default=repr)}")
-        if hints[f.name] in (float, list[float]):
+        if hints[f.name] in (float, float | None, list[float]) and value is not None:
             values = value if isinstance(value, list) else [value]
             if not all(abs(v) <= sys.float_info.max or (f.name, v) == ("snr_db", math.inf)
                        for v in values):
                 bad(f.name, f"must be finite{' or +inf' * (f.name == 'snr_db')}, got {value}")
     for name in ("radius", "current_ma", "sigma0", "rho", "delta", "tol", "lambda_b"):
-        if not getattr(cfg, name) > 0:
+        if not (getattr(cfg, name) is None or getattr(cfg, name) > 0):
             bad(name, f"must be > 0, got {getattr(cfg, name)}")
     # the sizes stop at 4x the largest documented ones, before anything is built
     for name, low, high in (("inverse_elements", 64, 1 << 16), ("forward_elements", 64, 1 << 18),
@@ -129,6 +128,8 @@ def _validate_config(cfg: PipelineConfig) -> None:
     for r in cfg.profile_rows:
         if not 0 <= r <= cfg.raster_resolution - 1:
             bad("profile_rows", f"row {r} outside 0..{cfg.raster_resolution - 1}")
+    if len(set(cfg.profile_rows)) < len(cfg.profile_rows):
+        bad("profile_rows", f"rows must differ, got {cfg.profile_rows}")
 
 
 def load_config(path) -> PipelineConfig:
@@ -295,11 +296,12 @@ def _solve(cfg: PipelineConfig, disk: tuple[TriMesh, ElectrodeLayout], delta_v: 
            problems: list[tuple[float, float]], keep_history: bool) -> tuple[list, dict]:
     """A ReconResult, or the SolverError that ended it, for each (lam, delta)
     problem of one frame on ``disk``, the inverse mesh and its electrodes,
-    with the wall time of each phase: D ("assembly"), S ("sensitivity"),
-    the x-update's factors for the ADMM solvers ("factorization"), then
-    ("iterations") the boundary preprocessing when enabled, whose failure
-    ends every problem, and one ADMM block of the problems
-    (``inverse.reconstruct_block``) or one ridge call on their lams."""
+    with the wall time of each phase: D ("difference_operators"), S
+    ("sensitivity"), the x-update's factors for the ADMM solvers
+    ("factorization"), then ("iterations") the boundary preprocessing when
+    lambda_b is set, whose failure ends every problem, and one ADMM block
+    of the problems (``inverse.reconstruct_block``) or one ridge call on
+    their lams."""
     t0 = time.perf_counter()
     mesh, layout = disk
     d = inverse.build_difference_operators(mesh)
@@ -326,7 +328,7 @@ def _solve(cfg: PipelineConfig, disk: tuple[TriMesh, ElectrodeLayout], delta_v: 
         raise ConfigError(f"rho: {exc}")
     t3 = time.perf_counter()
     try:
-        if cfg.enable_preprocess:
+        if cfg.lambda_b is not None:
             boundary = mesh.boundary_elements()
             delta_v = inverse.preprocess_boundary(delta_v, s, boundary, cfg.lambda_b)
     except forward.SolverError as exc:
@@ -339,8 +341,8 @@ def _solve(cfg: PipelineConfig, disk: tuple[TriMesh, ElectrodeLayout], delta_v: 
         else:
             solved = inverse.reconstruct_tikhonov(s, delta_v, [lam for lam, _ in problems])
     t4 = time.perf_counter()
-    return solved, {"assembly": t1 - t0, "sensitivity": t2 - t1, "factorization": t3 - t2,
-                    "iterations": t4 - t3}
+    return solved, {"difference_operators": t1 - t0, "sensitivity": t2 - t1,
+                    "factorization": t3 - t2, "iterations": t4 - t3}
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +380,7 @@ def cmd_mesh(cfg: PipelineConfig) -> dict:
         "inverse_nodes": imesh.n_nodes,
         "forward_elements": fmesh.n_elements,
         "forward_nodes": fmesh.n_nodes,
-    }, {"assembly": elapsed})
+    }, {"meshes": elapsed})
 
 
 def cmd_simulate(cfg: PipelineConfig) -> dict:
@@ -402,7 +404,7 @@ def cmd_simulate(cfg: PipelineConfig) -> dict:
         "n_measurements": len(dv),
         "sign_convention": "reference_minus_perturbed",
         "noise_applied_to": "difference_frame",
-    }, {"assembly": t1 - t0, "solve": t2 - t1})
+    }, {"meshes": t1 - t0, "forward_solves": t2 - t1})
 
 
 def _load_data(cfg: PipelineConfig, path) -> np.ndarray:

@@ -20,8 +20,9 @@ a frame file: ``("cell", i, token)`` replaces the last cell of line i,
 one before it, ``("cut", i, n)`` deletes n lines from line i,
 ``("frames", k)`` repeats the first frame as k numbered frames and
 ``("scale", factor)`` multiplies every value. Named examples, each with
-the exit code it must give (one stderr line unless 0), pin the cases that
-were found and fixed one at a time.
+the exit code it must give (one stderr line unless 0), or that code and a
+text the stderr line must hold, pin the cases that were found and fixed
+one at a time.
 """
 
 import contextlib
@@ -223,7 +224,9 @@ def _check(base, kind, verb, edit, expect):
     code, lines = _run_case(base, kind, verb, edit)
     assert code in (0, 2, 3) and len(lines) <= 1, (code, lines)
     if expect is not None:
+        expect, *text = expect if isinstance(expect, tuple) else (expect,)
         assert (code, len(lines)) == (expect, int(expect != 0)), (code, lines)
+        assert all(t in lines[0] for t in text), (lines, text)
 
 
 @settings(max_examples=400)
@@ -251,6 +254,15 @@ def _check(base, kind, verb, edit, expect):
 @example(verb="mesh", edit=("set", ("snr_db",), "abc"), expect=2)
 @example(verb="mesh", edit=("set", ("sweep_lambda_over_rho",), []), expect=2)
 @example(verb="mesh", edit=("set", ("sweep_delta",), [0.0]), expect=2)
+# regression: a repeated profile row ran, and profiles.csv held it once
+@example(verb="evaluate", edit=("set", ("profile_rows",), [8, 8]), expect=(2, "profile_rows"))
+# lambda_b null is no preprocessing; any other value is a finite number > 0
+@example(verb="reconstruct", edit=("set", ("lambda_b",), None), expect=0)
+@example(verb="mesh", edit=("set", ("lambda_b",), 0), expect=(2, "lambda_b"))
+@example(verb="mesh", edit=("set", ("lambda_b",), -1), expect=(2, "lambda_b"))
+@example(verb="mesh", edit=("set", ("lambda_b",), math.nan), expect=(2, "lambda_b"))
+@example(verb="mesh", edit=("set", ("lambda_b",), math.inf), expect=(2, "lambda_b"))
+@example(verb="mesh", edit=("set", ("lambda_b",), True), expect=(2, "lambda_b"))
 def test_config_document(base, verb, edit, expect):
     _check(base, "config", verb, edit, expect)
 

@@ -44,7 +44,7 @@ RTOL = 1e-9
 
 # the extra sweeps on the chain's noisy data: output directory -> overrides
 SWEEPS = {"fotv": {"solver": "fotv"}, "tv": {"solver": "tv"}, "tol": {"tol": 1e-2},
-          "tikhonov": {"solver": "tikhonov"}, "preprocess": {"enable_preprocess": True}}
+          "tikhonov": {"solver": "tikhonov"}, "preprocess": {"lambda_b": 1e-7}}
 
 # the sweeps whose overrides also run reconstruct -> evaluate -> render there
 CHAINS = ("fotv", "tv", "tikhonov", "preprocess")

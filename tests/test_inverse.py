@@ -1002,8 +1002,8 @@ class TestPreprocessIntegration:
         assert not np.array_equal(a.final, b.final)
 
     def test_preprocess_helps_only_where_the_data_carry_a_boundary_artifact(self):
-        # 256 / 1,024 elements, 50 dB, seed 42, shipped lam, rho and lambda_b,
-        # 20 iterations; RE of sigma0 + x against the phantom on the inverse
+        # 256 / 1,024 elements, 50 dB, seed 42, shipped lam and rho, lambda_b
+        # 1e-7, 20 iterations; RE of sigma0 + x against the phantom on the inverse
         # mesh, measured off -> on: a central inclusion whose data also carry
         # a 1.3 S/m ring at r > 0.093, 0.0736 -> 0.0436; the interior lung 7
         # phantom, 0.0373 -> 0.0440

@@ -110,6 +110,7 @@ class TestConfig:
         assert cfg.tol == 1e-5
         assert cfg.solver == "nwatv"
         assert cfg.raster_resolution == 256
+        assert cfg.lambda_b is None
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -141,14 +142,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="phantom"):
             load_config(p)
 
-    def test_profile_row_bounds(self, tmp_path):
-        p = _write_cfg(tmp_path / "bad.cfg", profile_rows=[64])
-        with pytest.raises(ConfigError, match="profile_rows"):
+    # a row past the raster, and a repeated row, which profiles.csv would
+    # otherwise hold once
+    @pytest.mark.parametrize("rows, resolution, why", [
+        ([64], 64, "row 64 outside 0..63"), ([100, 100], 256, "rows must differ, got [100, 100]"),
+    ], ids=["past_the_raster", "repeated"])
+    def test_profile_row_bounds(self, tmp_path, rows, resolution, why):
+        p = _write_cfg(tmp_path / "bad.cfg", profile_rows=rows, raster_resolution=resolution)
+        with pytest.raises(ConfigError, match=re.escape(f"profile_rows: {why}")):
             load_config(p)
 
     @pytest.mark.parametrize(
         "field, value, want",
-        [("seed", 1.5, "int"), ("enable_preprocess", "yes", "bool"),
+        [("seed", 1.5, "int"),
+         pytest.param("lambda_b", "yes", "float | None", id="lambda_b-yes-optional_float"),
          ("inverse_elements", "x", "int"), ("lam", "1", "float")],
     )
     def test_field_types_checked_wherever_built(self, field, value, want):
@@ -226,14 +233,18 @@ class TestManifests:
             assert manifest["config"] == dataclasses.asdict(small_cfg), name
 
     def test_reconstruct_and_sweep_record_the_solve_phases(self, small_cfg, tmp_path):
-        cmd_simulate(small_cfg)
-        solve = ["assembly", "sensitivity", "factorization", "iterations"]
-        timings = cmd_reconstruct(small_cfg)["timings_s"]
-        assert list(timings) == solve and all(t >= 0 for t in timings.values())
-        cmd_sweep(small_cfg)
-        timings = json.loads((tmp_path / "out" / "sweep.json").read_text())["timings_s"]
-        assert list(timings) == ["setup", *solve, "scoring"]
-        assert all(t >= 0 for t in timings.values())
+        # each phase has one name across the five manifests
+        solve = ["difference_operators", "sensitivity", "factorization", "iterations"]
+        for cmd, name, phases in (
+            (cmd_mesh, "mesh.json", ["meshes"]),
+            (cmd_simulate, "simulate.json", ["meshes", "forward_solves"]),
+            (cmd_reconstruct, "result.json", solve),
+            (cmd_evaluate, "evaluate.json", ["load", "scoring"]),
+            (cmd_sweep, "sweep.json", ["setup", *solve, "scoring"]),
+        ):
+            cmd(small_cfg)
+            timings = json.loads((tmp_path / "out" / name).read_text())["timings_s"]
+            assert list(timings) == phases and all(t >= 0 for t in timings.values()), name
 
 
 class TestCmdMesh:
@@ -341,8 +352,8 @@ class TestCmdReconstruct:
     def test_tikhonov_preprocess_changes_result(self, small_cfg, tmp_path):
         cfg = dataclasses.replace(small_cfg, solver="tikhonov", lam=1e-6)
         cmd_simulate(cfg)
-        for name, flag in (("off", False), ("on", True)):
-            run = dataclasses.replace(cfg, enable_preprocess=flag, out_dir=str(tmp_path / name))
+        for name, lambda_b in (("off", None), ("on", 1e-7)):
+            run = dataclasses.replace(cfg, lambda_b=lambda_b, out_dir=str(tmp_path / name))
             cmd_reconstruct(run, tmp_path / "out" / "dv_noisy.txt")
         off, on = (load_element_values(tmp_path / d / "delta_sigma.txt") for d in ("off", "on"))
         assert not np.array_equal(off, on)
@@ -433,7 +444,7 @@ class TestCmdSweep:
     # both verbs must hand to the solver, and lam is the sweep's own float
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"enable_preprocess": True},
+        [{}, {"lambda_b": 1e-7},
          {"solver": "fotv"}, {"solver": "tv"}, {"solver": "tikhonov", "ratio": 1e4}],
         ids=["shipped", "preprocess", "fotv", "tv", "tikhonov"],
     )
@@ -586,9 +597,8 @@ class TestCmdSweep:
         # the 1024-element mesh's boundary Gram matrix is singular at lambda_b 1e-30
         data = tmp_path / "dv_noisy.txt"
         save_frames(data, [model7.dv_noisy])
-        cfg = dataclasses.replace(small_cfg, inverse_elements=1024, enable_preprocess=True,
-                                  lambda_b=1e-30, sweep_lambda_over_rho=[1e-3, 5e-3],
-                                  sweep_delta=[0.01])
+        cfg = dataclasses.replace(small_cfg, inverse_elements=1024, lambda_b=1e-30,
+                                  sweep_lambda_over_rho=[1e-3, 5e-3], sweep_delta=[0.01])
         rows = cmd_sweep(cfg, data_path=data)
         assert [r["termination"] for r in rows] == ["error:SolverError"] * 2
         # integer, float, string and nan cells, each as its column writes it
@@ -790,16 +800,18 @@ class TestCli:
         assert "config error: sweep_lambda_over_rho" in err and len(err.strip().splitlines()) == 1
 
     def test_removed_mask_elements_is_an_unknown_field(self, tmp_path, capsys):
-        # mask_elements was a config field once; an old config that sets it
-        # stops at the field check of every verb, like any misspelt key
-        cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"),
-                              mask_elements=[0, 1, 2])
-        for verb in VERBS:
-            argv = [verb, "--config", str(cfg_path)]
-            if verb == "render":
-                argv += ["--field", str(tmp_path / "field.txt")]
-            assert main(argv) == 2, verb
-            assert capsys.readouterr().err == "config error: unknown config fields: mask_elements\n"
+        # mask_elements and enable_preprocess were config fields once; an old
+        # config that sets one stops at the field check of every verb, like
+        # any misspelt key
+        for name, value in (("mask_elements", [0, 1, 2]), ("enable_preprocess", True)):
+            cfg_path = _write_cfg(tmp_path / "run.cfg", out_dir=str(tmp_path / "out"),
+                                  **{name: value})
+            for verb in VERBS:
+                argv = [verb, "--config", str(cfg_path)]
+                if verb == "render":
+                    argv += ["--field", str(tmp_path / "field.txt")]
+                assert main(argv) == 2, (name, verb)
+                assert capsys.readouterr().err == f"config error: unknown config fields: {name}\n"
 
     @pytest.mark.parametrize("verb", ["reconstruct", "sweep"])
     def test_multi_frame_data_file_exit_two(self, tmp_path, capsys, verb):
@@ -1254,8 +1266,8 @@ class TestCli:
 
     @pytest.mark.parametrize("overrides, key", [
         ({"solver": "tikhonov", "lam": 1e-20}, "ridge_condition"),
-        ({"enable_preprocess": True, "lambda_b": 1e-30}, "gram_condition"),  # singular
-        ({"enable_preprocess": True, "lambda_b": 1e-20}, "gram_condition"),  # rcond < eps
+        ({"lambda_b": 1e-30}, "gram_condition"),  # singular
+        ({"lambda_b": 1e-20}, "gram_condition"),  # rcond < eps
     ], ids=["ridge", "preprocess_singular", "preprocess_ill_conditioned"])
     def test_indefinite_ridge_or_gram_exit_three(self, model7, tmp_path, capsys, overrides, key):
         data = tmp_path / "dv_noisy.txt"
